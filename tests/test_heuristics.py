@@ -1,5 +1,8 @@
 """Dispatch rules, the online queue simulator, offline baseline, and the
 exhaustive oracle."""
+import hashlib
+import io
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from obsched.heuristics import (
     TaskRule,
     brute_force_optimal,
     rank_key,
+    schedule_fcfs_list,
     schedule_offline_stf,
     schedule_online_heuristic,
 )
@@ -17,6 +21,7 @@ from obsched.scenario import GenConfig, generate_scenario
 from obsched.schedule import (
     SchedulingContext,
     average_slowdown,
+    dump_schedule,
     total_slowdown,
     validate,
 )
@@ -326,3 +331,48 @@ class TestBruteForce:
                 for perm in permutations(range(5))
             )
             assert total_completion == best
+
+
+class TestRegressionPin:
+    """Fixed schedules on one generated five-site scenario.
+
+    The hashes were recorded before the placement code was consolidated
+    into SchedulingContext/_PlacementState; any change to placement,
+    release, window or commit logic that moves a single start shows here.
+    """
+
+    GEN = GenConfig(horizon_steps=60, arrival_prob=0.25, mode_exposure_count_frac=0.0, num_sites=5)
+    SEED = 3
+    EXPECTED = {
+        "fcfs": "474455a8af01a121c3b9f82c2917938d4ce7c3629832109973d1a3b870e7d09b",
+        "stf:quality": "20237e9dc7d2ea714d5b2f62cfbad00dffd071e32e584dc1b31e811b639d4577",
+        "offline-stf": "bb4192b39d0ae5212985bc926dee23029a6ed9bce4ff25b0507d483d60b1a0e6",
+        "fcfs-list": "67607b08825f981ba7d4ee332b94c3177b981c1a609dec406c5b84e0a38fe40b",
+        "roars": "67607b08825f981ba7d4ee332b94c3177b981c1a609dec406c5b84e0a38fe40b",
+    }
+    #: the learned loop's freeze/queue audit trail on the same scenario
+    ROARS_AUDIT = "bbcd91d23ec52440af99076709513749131a8fd26886cec1553366221e39aa97"
+
+    @staticmethod
+    def _sha(dag) -> str:
+        fh = io.StringIO()
+        dump_schedule(dag, fh)
+        return hashlib.sha256(fh.getvalue().encode()).hexdigest()
+
+    @pytest.mark.parametrize("name", ["fcfs", "stf:quality", "offline-stf", "fcfs-list", "roars"])
+    def test_schedule_dump_sha256(self, name):
+        from obsched.cli import run_online
+        from obsched.policy import PolicyConfig, PolicyNet
+
+        s = generate_scenario(self.GEN, self.SEED)
+        audit: list = []
+        if name == "fcfs-list":
+            dag, _ = schedule_fcfs_list(s)
+        elif name == "roars":
+            net = PolicyNet(PolicyConfig(hidden=8, n_filters=3, n_sites=5), seed=0)
+            dag, _ = run_online(s, "roars", net=net, audit=audit)
+            assert hashlib.sha256(repr(audit).encode()).hexdigest() == self.ROARS_AUDIT
+        else:
+            dag, _ = run_online(s, name)
+        assert validate(dag) == []
+        assert self._sha(dag) == self.EXPECTED[name]
