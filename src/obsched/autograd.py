@@ -196,15 +196,6 @@ def gather1(x: Tensor, idx: int) -> Tensor:
     return Tensor(x.value[idx], (x,), vjp)
 
 
-def reshape_scalar(x: Tensor) -> Tensor:
-    """(1,)-shaped to a scalar view."""
-
-    def vjp(g):
-        return (np.reshape(g, x.value.shape),)
-
-    return Tensor(x.value.reshape(()), (x,), vjp)
-
-
 def log_softmax(x: Tensor) -> Tensor:
     m = float(np.max(x.value))
     z = x.value - m

@@ -23,6 +23,7 @@ from .heuristics import (
     DISTRIBUTED_PAIRS,
     SiteRule,
     TaskRule,
+    _PlacementState,
     brute_force_optimal,
     schedule_fcfs_list,
     schedule_offline_stf,
@@ -48,9 +49,9 @@ from .schedule import (
     ScheduleDag,
     SchedulingContext,
     average_slowdown,
-    build_from_arrays,
+    build_from_arrays,  # unused here; perfbench/tracing.py wraps this binding
     dump_schedule,
-    earliest_feasible_start,
+    earliest_feasible_start,  # unused here; perfbench/tracing.py wraps this binding
 )
 
 __all__ = ["main", "run_online", "run_benchmark", "BenchRow"]
@@ -156,53 +157,15 @@ def run_online(
         return best, drops
 
     # online loop: tentative schedule + greedy re-planning at events
-    assigned: dict[int, tuple[int, int]] = {}  # row -> (site, start)
+    st = _PlacementState(ctx)
+    assigned = st.committed  # row -> (site, start), tentative until frozen
     frozen_rows: set[int] = set()
-    dropped: set[int] = set()
-    drops: list[int] = []
     replan_cfg = replace(search_cfg, num_steps=replan_steps)
 
-    def profile_of() -> np.ndarray:
-        prof = np.zeros((ctx.n_sites, ctx.n_filters, ctx.horizon), dtype=np.uint8)
-        for r, (s, b) in assigned.items():
-            prof[s][ctx.rho_idx[r], b : b + int(ctx.exposure[r])] = 1
-        return prof
-
-    def release_of(r: int) -> int | None:
-        prev = int(ctx.prev_sibling[r])
-        rel = int(ctx.arrival[r])
-        if prev < 0 or prev in dropped:
-            return rel
-        if prev in assigned:
-            s, b = assigned[prev]
-            return max(rel, b + int(ctx.exposure[prev]) + int(ctx.sibling_gap[r]))
-        return None
-
-    def drop(r: int) -> None:
-        dropped.add(r)
-        assigned.pop(r, None)
-        drops.append(int(ctx.task_id[r]))
-
     def place_new(r: int, now: int) -> None:
-        rel = release_of(r)
-        if rel is None:
-            return  # waits for its sibling's placement
-        prof = profile_of()
-        best_bs = None  # (start, site)
-        for s in range(ctx.n_sites):
-            b = earliest_feasible_start(ctx, prof, r, s, max(now, rel))
-            if b is not None and (best_bs is None or (b, s) < best_bs):
-                best_bs = (b, s)
-        if best_bs is None:
-            drop(r)
-        else:
-            assigned[r] = (best_bs[1], best_bs[0])
-
-    def current_dag() -> ScheduleDag:
-        rows = np.array(sorted(assigned), dtype=np.int64)
-        site = np.array([assigned[r][0] for r in rows], dtype=np.int64)
-        start = np.array([assigned[r][1] for r in rows], dtype=np.int64)
-        return build_from_arrays(ctx, rows, site, start)
+        rel = st.release(r)
+        if rel is not None:  # otherwise it waits for its sibling's placement
+            st.place(r, max(now, rel))
 
     by_arrival: dict[int, list[int]] = {}
     for r in range(ctx.n_tasks):
@@ -215,7 +178,7 @@ def run_online(
             events = True
         # unplaced tasks whose sibling has now been decided
         for r in range(ctx.n_tasks):
-            if r not in assigned and r not in dropped and int(ctx.arrival[r]) <= t:
+            if r not in assigned and r not in st.dropped and int(ctx.arrival[r]) <= t:
                 place_new(r, t)
         # completions of frozen tasks are re-plan triggers too
         if any(
@@ -239,12 +202,12 @@ def run_online(
             audit.append(("waiting", t, len(waiting)))
 
         if events and len(assigned) > len(frozen_rows):
-            dag = current_dag()
             frozen_ids = frozenset(int(ctx.task_id[r]) for r in frozen_rows)
             net._cache = None
-            best, _ = rewrite_search(dag, net, replan_cfg, rng, greedy=True, frozen=frozen_ids)
+            best, _ = rewrite_search(st.to_dag(), net, replan_cfg, rng, greedy=True, frozen=frozen_ids)
             for i, r in enumerate(best.rows):
                 assigned[int(r)] = (int(best.site[i]), int(best.start[i]))
+            st.profile = best.profile.copy()  # rewriting keeps the scheduled set
 
         for r, (s, b) in assigned.items():
             if b == t and r not in frozen_rows:
@@ -252,19 +215,20 @@ def run_online(
                 if audit is not None:
                     audit.append(("freeze", t, int(ctx.task_id[r]), s, b))
 
-    return current_dag(), drops
+    return st.to_dag(), st.drops
 
 
 # --- benchmark ---------------------------------------------------------------
 
 def _constraints_from_obj(obj: dict | None) -> VisibilityConstraints:
-    if not obj:
-        return VisibilityConstraints()
-    return VisibilityConstraints(
-        max_airmass=obj.get("max_airmass", 3.0),
-        min_altitude_deg=obj.get("min_altitude_deg", 5.0),
-        max_sun_altitude_deg=obj.get("max_sun_altitude_deg", -12.0),
-    )
+    obj = obj or {}
+    unknown = set(obj) - {f.name for f in fields(VisibilityConstraints)}
+    if unknown:
+        raise ValueError(f"unknown constraint fields: {sorted(unknown)}")
+    for name, value in obj.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"constraint field {name!r} must be a number, got {value!r}")
+    return VisibilityConstraints(**obj)
 
 
 def gen_config_from_obj(obj: dict) -> GenConfig:

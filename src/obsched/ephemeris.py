@@ -29,7 +29,6 @@ __all__ = [
     "airmass",
     "sun_equatorial",
     "sun_altitude",
-    "site_dark_steps",
     "visibility_mask",
     "visibility_masks_multi",
     "visibility_windows",
@@ -246,15 +245,6 @@ def _sun_radec_vec(jd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ra = np.degrees(np.arctan2(np.cos(eps) * np.sin(lam), np.cos(lam))) % 360.0
     dec = np.degrees(np.arcsin(np.sin(eps) * np.sin(lam)))
     return ra, dec
-
-
-def site_dark_steps(site: GeoCoord, grid: TimeGrid, constraints: VisibilityConstraints) -> np.ndarray:
-    """Boolean per-step darkness (sun at or below the twilight threshold)."""
-    jd = _step_jds(grid)
-    lst = (_gmst_vec(jd) + site.lon) % 360.0
-    sun_ra, sun_dec = _sun_radec_vec(jd)
-    sun_alt = _altitude_vec(sun_ra, sun_dec, site.lat, lst)
-    return sun_alt <= constraints.max_sun_altitude_deg
 
 
 def visibility_masks_multi(

@@ -94,32 +94,49 @@ def rank_key(rule: TaskRule, task: ObservationTask, target: Target) -> tuple:
 
 
 class _PlacementState:
-    """Mutable occupancy bookkeeping shared by the scheduler loops."""
+    """Mutable occupancy bookkeeping shared by the scheduler loops and the
+    learned online loop: the one place-or-drop and commit path, and the
+    dag those commits make."""
 
     def __init__(self, ctx: SchedulingContext):
         self.ctx = ctx
         self.profile = np.zeros((ctx.n_sites, ctx.n_filters, ctx.horizon), dtype=np.uint8)
         self.committed: dict[int, tuple[int, int]] = {}  # row -> (site, start)
         self.dropped: set[int] = set()
+        self.drops: list[int] = []  # dropped task ids, in drop order
         self._static_bound: dict[int, int] = {}
 
     def release(self, row: int) -> int | None:
         """Earliest start allowed by arrival + sibling cadence; None while
         the previous sibling is still undecided."""
-        ctx = self.ctx
-        prev = int(ctx.prev_sibling[row])
-        rel = int(ctx.arrival[row])
+        prev = int(self.ctx.prev_sibling[row])
         if prev < 0 or prev in self.dropped:
-            return rel
+            return self.ctx.release(row, None)
         if prev in self.committed:
-            _, b = self.committed[prev]
-            return max(rel, b + int(ctx.exposure[prev]) + int(ctx.sibling_gap[row]))
+            return self.ctx.release(row, self.committed[prev][1])
         return None
 
     def commit(self, row: int, site: int, start: int) -> None:
         e = int(self.ctx.exposure[row])
         self.profile[site][self.ctx.rho_idx[row], start : start + e] = 1
         self.committed[row] = (site, start)
+
+    def drop(self, row: int) -> None:
+        self.dropped.add(row)
+        self.drops.append(int(self.ctx.task_id[row]))
+
+    def place(self, row: int, lo: int, site_rule: SiteRule | None = None) -> None:
+        """Commit the task at the site rule's pick among each site's
+        earliest feasible start >= lo, or drop it when no site has room."""
+        cands = []
+        for s in range(self.ctx.n_sites):
+            b = earliest_feasible_start(self.ctx, self.profile, row, s, lo)
+            if b is not None:
+                cands.append((s, b))
+        if cands:
+            self.commit(row, *_choose_site(self.ctx, row, cands, site_rule))
+        else:
+            self.drop(row)
 
     def fits_now(self, row: int, site: int, t: int) -> bool:
         ctx = self.ctx
@@ -128,34 +145,22 @@ class _PlacementState:
         e = int(ctx.exposure[row])
         return not self.profile[site][ctx.rho_idx[row], t : t + e].any()
 
-    def site_candidates(self, row: int, lo: int) -> list[tuple[int, int]]:
-        """(site, earliest feasible start >= lo) over all sites."""
-        out = []
-        for s in range(self.ctx.n_sites):
-            b = earliest_feasible_start(self.ctx, self.profile, row, s, lo)
-            if b is not None:
-                out.append((s, b))
-        return out
-
     def static_last_start(self, row: int) -> int:
         """Latest start with visibility + deadline satisfied somewhere,
         ignoring occupancy; -1 when the task is never observable."""
         if row not in self._static_bound:
-            ctx = self.ctx
-            e = int(ctx.exposure[row])
-            hi = int(ctx.limit[row]) - e
-            lo = int(ctx.arrival[row])
-            bound = -1
-            if hi >= lo:
-                tr = int(ctx.target_row[row])
-                b = np.arange(lo, hi + 1)
-                for s in range(ctx.n_sites):
-                    ok = ctx.mask[tr, s, lo : hi + 1] & (ctx.vis_until[tr, s, lo : hi + 1] >= b + e)
-                    pos = np.flatnonzero(ok)
-                    if pos.size:
-                        bound = max(bound, int(lo + pos[-1]))
-            self._static_bound[row] = bound
+            windows = (self.ctx.static_starts(row, s, 0) for s in range(self.ctx.n_sites))
+            self._static_bound[row] = max(
+                (lo + int(np.flatnonzero(ok)[-1]) for lo, ok in windows if ok.any()), default=-1
+            )
         return self._static_bound[row]
+
+    def to_dag(self) -> ScheduleDag:
+        """The committed placements as a validated dag."""
+        rows = np.array(sorted(self.committed), dtype=np.int64)
+        site = np.array([self.committed[r][0] for r in rows], dtype=np.int64)
+        start = np.array([self.committed[r][1] for r in rows], dtype=np.int64)
+        return build_from_arrays(self.ctx, rows, site, start)
 
 
 def _choose_site(
@@ -207,12 +212,6 @@ def schedule_online_heuristic(
         by_arrival.setdefault(int(ctx.arrival[r]), []).append(r)
 
     queue: list[int] = []
-    drops: list[int] = []
-
-    def drop(row: int) -> None:
-        st.dropped.add(row)
-        drops.append(int(ctx.task_id[row]))
-
     for t in range(ctx.horizon):
         for r in sorted(by_arrival.get(t, ()), key=lambda r: int(ctx.task_id[r])):
             queue.append(r)
@@ -221,13 +220,7 @@ def schedule_online_heuristic(
         while len(queue) > queue_cap:
             ready = [r for r in queue if st.release(r) is not None]
             victim = min(ready, key=key)
-            lo = st.release(victim)
-            cands = st.site_candidates(victim, max(lo, t))
-            if cands:
-                s, b = _choose_site(ctx, victim, cands, site_rule)
-                st.commit(victim, s, b)
-            else:
-                drop(victim)
+            st.place(victim, max(st.release(victim), t), site_rule)
             queue.remove(victim)
 
         # start every task that can begin right now, best-ranked first
@@ -250,16 +243,13 @@ def schedule_online_heuristic(
         # drop what can no longer meet visibility + deadline anywhere
         for r in list(queue):
             if t > st.static_last_start(r):
-                drop(r)
+                st.drop(r)
                 queue.remove(r)
 
     for r in queue:  # end of horizon: nothing left can run
-        drop(r)
+        st.drop(r)
 
-    rows = np.array(sorted(st.committed), dtype=np.int64)
-    site = np.array([st.committed[r][0] for r in rows], dtype=np.int64)
-    start = np.array([st.committed[r][1] for r in rows], dtype=np.int64)
-    return build_from_arrays(ctx, rows, site, start), drops
+    return st.to_dag(), st.drops
 
 
 def schedule_fcfs_list(
@@ -274,26 +264,15 @@ def schedule_fcfs_list(
     search starts from; tasks with no feasible slot are dropped."""
     ctx = ctx or SchedulingContext.for_scenario(scenario, constraints)
     st = _PlacementState(ctx)
-    drops: list[int] = []
     for r in sorted(
         range(ctx.n_tasks), key=lambda r: (int(ctx.arrival[r]), int(ctx.task_id[r]))
     ):
         lo = st.release(r)
         if lo is None:  # previous sibling undecided means it was dropped
-            drops.append(int(ctx.task_id[r]))
-            st.dropped.add(r)
-            continue
-        cands = st.site_candidates(r, lo)
-        if cands:
-            site, b = min(cands, key=lambda sb: (sb[1], sb[0]))
-            st.commit(r, site, b)
+            st.drop(r)
         else:
-            drops.append(int(ctx.task_id[r]))
-            st.dropped.add(r)
-    rows = np.array(sorted(st.committed), dtype=np.int64)
-    site = np.array([st.committed[r][0] for r in rows], dtype=np.int64)
-    start = np.array([st.committed[r][1] for r in rows], dtype=np.int64)
-    return build_from_arrays(ctx, rows, site, start), drops
+            st.place(r, lo)
+    return st.to_dag(), st.drops
 
 
 def schedule_offline_stf(
@@ -307,7 +286,6 @@ def schedule_offline_stf(
     (still respecting required start times)."""
     ctx = ctx or SchedulingContext.for_scenario(scenario, constraints)
     st = _PlacementState(ctx)
-    drops: list[int] = []
     pending = sorted(
         range(ctx.n_tasks),
         key=lambda r: (int(ctx.exposure[r]), int(ctx.arrival[r]), int(ctx.task_id[r])),
@@ -318,25 +296,15 @@ def schedule_offline_stf(
             lo = st.release(r)
             if lo is None:
                 rest.append(r)  # sibling not decided yet
-                continue
-            cands = st.site_candidates(r, lo)
-            if cands:
-                s, b = min(cands, key=lambda sb: (sb[1], sb[0]))
-                st.commit(r, s, b)
             else:
-                st.dropped.add(r)
-                drops.append(int(ctx.task_id[r]))
+                st.place(r, lo)
         if len(rest) == len(pending):
             for r in rest:
-                st.dropped.add(r)
-                drops.append(int(ctx.task_id[r]))
+                st.drop(r)
             break
         pending = rest
 
-    rows = np.array(sorted(st.committed), dtype=np.int64)
-    site = np.array([st.committed[r][0] for r in rows], dtype=np.int64)
-    start = np.array([st.committed[r][1] for r in rows], dtype=np.int64)
-    return build_from_arrays(ctx, rows, site, start), drops
+    return st.to_dag(), st.drops
 
 
 def brute_force_optimal(

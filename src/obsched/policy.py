@@ -258,32 +258,45 @@ def discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
     return out
 
 
-def losses(trajectory: list[TrajectoryStep], config: TrainConfig) -> tuple[Tensor, Tensor, Tensor]:
-    """(L_region, L_rule, combined) for one recorded trajectory.
+def _actor_critic(
+    qs: Tensor,
+    logps: Tensor,
+    rewards: np.ndarray,
+    config: TrainConfig,
+    delta: np.ndarray | None = None,
+) -> tuple[Tensor, Tensor, Tensor]:
+    """(L_region, L_rule, combined) from the chosen-region scores and the
+    chosen-parent log-probabilities of one trajectory.
 
     L_region regresses each step's chosen-region score on the discounted
     return from that step; L_rule is the advantage-weighted negative
     log-likelihood of the chosen parents, with the advantage treated as a
     constant (no gradient through the critic).
     """
+    g = discounted_returns(rewards, config.gamma)
+    l_region = ag.mean1d(ag.square(ag.sub_const(qs, g)))
+    if delta is None:
+        delta = g - qs.value  # critic baseline, detached
+    l_rule = ag.weighted_sum(logps, -delta)
+    combined = ag.add(l_rule, ag.scale(l_region, config.alpha))
+    return l_region, l_rule, combined
+
+
+def losses(trajectory: list[TrajectoryStep], config: TrainConfig) -> tuple[Tensor, Tensor, Tensor]:
+    """(L_region, L_rule, combined) for one recorded trajectory, from the
+    scores the policy recorded while acting."""
     if not trajectory:
         raise ValueError("empty trajectory")
     for step in trajectory:
         if step.region_info is None or step.rule_info is None:
             raise ValueError("trajectory was not recorded with a scoring policy")
-    rewards = np.array([s.reward for s in trajectory])
-    g = discounted_returns(rewards, config.gamma)
     qs = ag.stack0(
         [ag.gather1(s.region_info["q_all"], s.region_info["index"]) for s in trajectory]
     )
-    l_region = ag.mean1d(ag.square(ag.sub_const(qs, g)))
-    delta = g - qs.value  # critic baseline, detached
     logps = ag.stack0(
         [ag.gather1(s.rule_info["logp_all"], s.rule_info["index"]) for s in trajectory]
     )
-    l_rule = ag.weighted_sum(logps, -delta)
-    combined = ag.add(l_rule, ag.scale(l_region, config.alpha))
-    return l_region, l_rule, combined
+    return _actor_critic(qs, logps, np.array([s.reward for s in trajectory]), config)
 
 
 def replay_losses(
@@ -303,8 +316,6 @@ def replay_losses(
     """
     if not trajectory:
         raise ValueError("empty trajectory")
-    rewards = np.array([s.reward for s in trajectory])
-    g = discounted_returns(rewards, config.gamma)
     q_list, lp_list = [], []
     for s in trajectory:
         qt = net.region_scores(s.dag, s.region_candidates)
@@ -312,13 +323,8 @@ def replay_losses(
         region = s.action.region
         lp = ag.log_softmax(net.rule_scores(s.dag, region, s.rule_candidates))
         lp_list.append(ag.gather1(lp, s.rule_info["index"]))
-    qs = ag.stack0(q_list)
-    l_region = ag.mean1d(ag.square(ag.sub_const(qs, g)))
-    if delta is None:
-        delta = g - qs.value  # critic baseline, detached
-    l_rule = ag.weighted_sum(ag.stack0(lp_list), -delta)
-    combined = ag.add(l_rule, ag.scale(l_region, config.alpha))
-    return l_region, l_rule, combined
+    rewards = np.array([s.reward for s in trajectory])
+    return _actor_critic(ag.stack0(q_list), ag.stack0(lp_list), rewards, config, delta)
 
 
 class Adam:

@@ -15,7 +15,6 @@ import numpy as np
 
 from .schedule import (
     ScheduleDag,
-    SchedulingContext,
     build_from_arrays,
     earliest_feasible_start,
     total_slowdown,
@@ -119,21 +118,6 @@ def candidate_parents(dag: ScheduleDag, region: int) -> list[tuple]:
     return out
 
 
-def _static_snap(ctx: SchedulingContext, row: int, site: int, lo: int) -> int | None:
-    """Earliest start >= lo with visibility + deadline satisfied (occupancy
-    ignored; conflicts are resolved by displacement)."""
-    e = int(ctx.exposure[row])
-    lo = max(int(lo), int(ctx.arrival[row]))
-    hi = int(ctx.limit[row]) - e
-    if hi < lo:
-        return None
-    tr = int(ctx.target_row[row])
-    b = np.arange(lo, hi + 1)
-    ok = ctx.mask[tr, site, lo : hi + 1] & (ctx.vis_until[tr, site, lo : hi + 1] >= b + e)
-    pos = np.flatnonzero(ok)
-    return None if pos.size == 0 else int(lo + pos[0])
-
-
 def rewrite_step(
     dag: ScheduleDag,
     action: RewriteAction,
@@ -178,16 +162,15 @@ def rewrite_step(
 
     def release(k: int) -> int:
         r = int(dag.rows[k])
-        prev = int(ctx.prev_sibling[r])
-        rel = int(ctx.arrival[r])
-        if prev >= 0 and prev in pos_of_row:
-            kp = pos_of_row[prev]
-            rel = max(rel, int(starts[kp]) + int(ctx.exposure[prev]) + int(ctx.sibling_gap[r]))
-        return rel
+        kp = pos_of_row.get(int(ctx.prev_sibling[r]))
+        return ctx.release(r, None if kp is None else int(starts[kp]))
 
-    new_start = _static_snap(ctx, row, dest_site, max(want, release(i)))
-    if new_start is None:
+    # earliest statically feasible start at the destination; occupancy is
+    # ignored here, conflicts are resolved by displacement
+    lo, ok = ctx.static_starts(row, dest_site, max(want, release(i)))
+    if not ok.any():
         return dag, REJECTED
+    new_start = lo + int(ok.argmax())
     if new_start == old_start and dest_site == old_site:
         return dag, NOOP
 

@@ -40,9 +40,6 @@ __all__ = [
 
 DEFAULT_E_MAX = 20
 
-CONSTRAINTS = ("arrival", "deadline", "visibility", "resource", "cadence", "dependency")
-
-
 class InfeasibleAssignmentError(ValueError):
     """An assignment violates a scheduling constraint."""
 
@@ -75,7 +72,10 @@ class SchedulingContext:
     """Precomputed per-scenario tables: task arrays and visibility physics.
 
     Built once per (scenario, constraints) and shared by every dag over
-    that scenario; read-only after construction.
+    that scenario; read-only after construction.  It owns the placement
+    model every scheduler and the rewriter share: the sibling-cadence
+    release (``release``) and the static visibility + deadline window
+    lookup (``static_starts``).
     """
 
     def __init__(self, scenario: Scenario, constraints: VisibilityConstraints):
@@ -141,7 +141,37 @@ class SchedulingContext:
     ) -> "SchedulingContext":
         return cls(scenario, constraints or VisibilityConstraints())
 
+    def release(self, row: int, prev_start: int | None) -> int:
+        """Earliest start allowed by arrival and sibling cadence, given the
+        start of the previous sibling (None: no sibling constrains it)."""
+        rel = int(self.arrival[row])
+        if prev_start is None:
+            return rel
+        prev = int(self.prev_sibling[row])
+        return max(rel, prev_start + int(self.exposure[prev]) + int(self.sibling_gap[row]))
+
     # -- static feasibility of one task at (site, start), other tasks aside --
+
+    def static_starts(self, row: int, site: int, lo: int) -> tuple[int, np.ndarray]:
+        """Starts of one task on one site that visibility and the deadline
+        allow, occupancy aside.
+
+        Returns ``(first, ok)`` with ``first = max(lo, arrival)``: a start
+        at ``first + k`` keeps the whole exposure inside one visibility
+        window and completes by ``limit`` iff ``k < ok.size and ok[k]``.
+        ``ok`` is empty when no step of ``[first, limit - exposure]`` is
+        visible.
+        """
+        e = int(self.exposure[row])
+        lo = max(int(lo), int(self.arrival[row]))
+        hi = int(self.limit[row]) - e
+        if hi >= lo:
+            tr = int(self.target_row[row])
+            vis = self.mask[tr, site, lo : hi + 1]
+            if vis.any():  # cheap exit for the many sites that never see the target
+                fits = self.vis_until[tr, site, lo : hi + 1] >= np.arange(lo + e, hi + e + 1)
+                return lo, vis & fits
+        return lo, np.zeros(0, dtype=bool)
 
     def fits_statically(self, row: int, site: int, start: int) -> str | None:
         """Name of the violated static constraint, or None if ok."""
@@ -170,21 +200,14 @@ def earliest_feasible_start(
     free on the site for the whole exposure.  Sibling-cadence bounds must
     be folded into ``lo`` by the caller.  Returns None when nothing fits.
     """
-    e = int(ctx.exposure[row])
-    lo = max(int(lo), int(ctx.arrival[row]))
-    hi = int(ctx.limit[row]) - e
-    if hi < lo:
+    lo, ok = ctx.static_starts(row, site, lo)
+    if ok.size == 0:
         return None
-    tr = int(ctx.target_row[row])
-    tmask = ctx.mask[tr, site, lo : hi + 1]
-    if not tmask.any():
-        return None
-    vu = ctx.vis_until[tr, site, lo : hi + 1]
-    occ = profile[site][ctx.rho_idx[row]]
+    e, n = int(ctx.exposure[row]), ok.size
+    occ = profile[site][ctx.rho_idx[row], lo : lo + n + e - 1]  # every step a start may use
     occ_any = occ.max(axis=0) if occ.shape[0] > 1 else occ[0]
     csum = np.concatenate(([0], np.cumsum(occ_any, dtype=np.int64)))
-    b = np.arange(lo, hi + 1)
-    ok = tmask & (vu >= b + e) & (csum[b + e] - csum[b] == 0)
+    ok &= csum[e:] == csum[:n]  # no busy step in [start, start + e)
     pos = np.flatnonzero(ok)
     if pos.size == 0:
         return None
@@ -260,19 +283,10 @@ class ScheduleDag:
         )
 
 
-def _effective_release(ctx, start_by_row: dict[int, int], row: int, site: int, b: int):
-    """Earliest start the task's own constraints allow around step b:
-    max(arrival, previous-sibling completion + gap, containing-window start)."""
-    rel = int(ctx.arrival[row])
-    prev = int(ctx.prev_sibling[row])
-    if prev >= 0 and prev in start_by_row:
-        rel = max(rel, start_by_row[prev] + int(ctx.exposure[prev]) + int(ctx.sibling_gap[row]))
-    ws = int(ctx.run_start[int(ctx.target_row[row]), site, b]) if b < ctx.horizon else -1
-    return max(rel, ws)
-
-
-def _build(ctx: SchedulingContext, rows: np.ndarray, site: np.ndarray, start: np.ndarray):
-    """Core constructor: validates every constraint and derives edges.
+def build_from_arrays(ctx: SchedulingContext, rows, site, start) -> ScheduleDag:
+    """Core constructor from (rows, site, start) arrays, used by every
+    scheduler and the rewriter: validates every constraint and derives
+    edges.
 
     Raises InfeasibleAssignmentError on the first violation found.
     """
@@ -287,6 +301,7 @@ def _build(ctx: SchedulingContext, rows: np.ndarray, site: np.ndarray, start: np
 
     profile = np.zeros((ctx.n_sites, ctx.n_filters, ctx.horizon), dtype=np.uint8)
     start_by_row = {int(r): int(b) for r, b in zip(rows, start)}
+    release = [0] * n  # arrival + sibling cadence, per scheduled task
 
     for i in range(n):
         r, s, b = int(rows[i]), int(site[i]), int(start[i])
@@ -302,11 +317,9 @@ def _build(ctx: SchedulingContext, rows: np.ndarray, site: np.ndarray, start: np
             step = b + int(np.argmax(block.max(axis=0) > 0))
             raise InfeasibleAssignmentError(tid, s, step, "resource")
         profile[s][ctx.rho_idx[r], b : b + e] = 1
-        prev = int(ctx.prev_sibling[r])
-        if prev >= 0 and prev in start_by_row:
-            release = start_by_row[prev] + int(ctx.exposure[prev]) + int(ctx.sibling_gap[r])
-            if b < release:
-                raise InfeasibleAssignmentError(tid, s, b, "cadence")
+        release[i] = ctx.release(r, start_by_row.get(int(ctx.prev_sibling[r])))
+        if b < release[i]:
+            raise InfeasibleAssignmentError(tid, s, b, "cadence")
 
     # dependency edges: completions per site -> starts
     comp_map: dict[tuple[int, int], list[int]] = {}
@@ -321,7 +334,7 @@ def _build(ctx: SchedulingContext, rows: np.ndarray, site: np.ndarray, start: np
         e = int(ctx.exposure[r])
         eta[i] = (b + e - ctx.arrival[r]) / e
         p: list[int] = []
-        if b == _effective_release(ctx, start_by_row, r, s, b):
+        if b == max(release[i], int(ctx.run_start[int(ctx.target_row[r]), s, b])):
             p.append(s)  # root edge: starts as early as its own constraints allow
         p.extend(q for q in comp_map.get((s, b), ()) if q != ctx.n_sites + i)
         if not p:
@@ -352,12 +365,7 @@ def build_dag(
         rows[i] = ctx.row_of[a.task_id]
         site[i] = a.site_index
         start[i] = a.start_step
-    return _build(ctx, rows, site, start)
-
-
-def build_from_arrays(ctx, rows, site, start) -> ScheduleDag:
-    """Array fast path used by schedulers and the rewriter."""
-    return _build(ctx, rows, site, start)
+    return build_from_arrays(ctx, rows, site, start)
 
 
 def extract_assignments(dag: ScheduleDag) -> list[Assignment]:
@@ -380,19 +388,22 @@ def validate(dag: ScheduleDag) -> list[Violation]:
     start_by_row = {int(r): int(b) for r, b in zip(dag.rows, dag.start)}
 
     profile = np.zeros((ctx.n_sites, ctx.n_filters, ctx.horizon), dtype=np.int16)
+    release = [0] * n  # arrival + sibling cadence, derived independently
     for i in range(n):
         r, s, b = int(dag.rows[i]), int(dag.site[i]), int(dag.start[i])
         tid = int(ctx.task_id[r])
+        release[i] = int(ctx.arrival[r])
+        prev = int(ctx.prev_sibling[r])
+        if prev >= 0 and prev in start_by_row:
+            gap = int(ctx.exposure[prev]) + int(ctx.sibling_gap[r])
+            release[i] = max(release[i], start_by_row[prev] + gap)
         bad = ctx.fits_statically(r, s, b)
         if bad is not None:
             out.append(Violation(bad, tid, f"task {tid} fails {bad} at site {s} step {b}"))
             continue
         profile[s][ctx.rho_idx[r], b : b + int(ctx.exposure[r])] += 1
-        prev = int(ctx.prev_sibling[r])
-        if prev >= 0 and prev in start_by_row:
-            release = start_by_row[prev] + int(ctx.exposure[prev]) + int(ctx.sibling_gap[r])
-            if b < release:
-                out.append(Violation("cadence", tid, f"task {tid} starts before sibling release"))
+        if b < release[i]:
+            out.append(Violation("cadence", tid, f"task {tid} starts before sibling release"))
         e = int(ctx.exposure[r])
         eta = (b + e - int(ctx.arrival[r])) / e
         if abs(eta - float(dag.eta[i])) > 1e-12:
@@ -417,8 +428,9 @@ def validate(dag: ScheduleDag) -> list[Violation]:
         r, s, b = int(dag.rows[i]), int(dag.site[i]), int(dag.start[i])
         tid = int(ctx.task_id[r])
         want: list[int] = []
-        if b < ctx.horizon and dag.ctx.mask[int(ctx.target_row[r]), s, b]:
-            if b == _effective_release(ctx, start_by_row, r, s, b):
+        tr = int(ctx.target_row[r])
+        if b < ctx.horizon and ctx.mask[tr, s, b]:
+            if b == max(release[i], int(ctx.run_start[tr, s, b])):
                 want.append(s)
         want.extend(q for q in comp_map.get((s, b), ()) if q != ctx.n_sites + i)
         if not want:

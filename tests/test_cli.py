@@ -8,6 +8,7 @@ import pytest
 
 from conftest import G, U, toy_scenario
 from obsched.cli import (
+    _constraints_from_obj,
     _parse_scheduler,
     gen_config_from_obj,
     grouped_bar_svg,
@@ -15,6 +16,7 @@ from obsched.cli import (
     run_benchmark,
     run_online,
 )
+from obsched.ephemeris import VisibilityConstraints
 from obsched.heuristics import SiteRule, TaskRule
 from obsched.policy import PolicyConfig, PolicyNet, save_checkpoint
 from obsched.scenario import GenConfig, generate_scenario, save_scenario
@@ -142,6 +144,17 @@ class TestBenchmark:
         assert (tmp_path / "a" / "slowdown.svg").read_bytes() == (
             tmp_path / "b" / "slowdown.svg"
         ).read_bytes()
+
+    def test_constraints_fields_checked(self, tmp_path):
+        assert _constraints_from_obj(None) == VisibilityConstraints()
+        assert _constraints_from_obj({"max_airmass": 2.0}) == VisibilityConstraints(max_airmass=2.0)
+        # a misspelt field used to run silently at the default airmass
+        config = {"gen": GEN, "seeds": {"count": 1}, "constraints": {"max_airmas": 2.0}}
+        with pytest.raises(ValueError, match="max_airmas"):
+            run_benchmark(config, tmp_path / "rep", workers=1)
+        for bad in ("2.0", None, True, [2.0]):
+            with pytest.raises(ValueError, match="min_altitude_deg"):
+                _constraints_from_obj({"min_altitude_deg": bad})
 
     def test_partial_failures_recorded(self, tmp_path):
         config = {
