@@ -1,4 +1,5 @@
 """Target generation distributions, task splitting, and serialization."""
+import hashlib
 import json
 from dataclasses import replace
 
@@ -144,6 +145,38 @@ class TestGeneration:
     def test_inverted_bounds_rejected(self):
         with pytest.raises(ScenarioError):
             GenConfig(exposure_long_range=(20, 10))
+
+    @pytest.mark.parametrize(
+        "cfg, seed, digest",
+        [
+            # a full night on the five-site array (the night-plan benchmark)
+            (
+                GenConfig(horizon_steps=1440, num_sites=5, arrival_prob=0.10),
+                3,
+                "bd5f138fea65f137e8727155f0af71b729fddbc789ecf583fe4cdc9f5bc1f738",
+            ),
+            # four hours on the five-site array
+            (
+                GenConfig(horizon_steps=240, num_sites=5, arrival_prob=0.10,
+                          mode_exposure_count_frac=0.0),
+                11,
+                "52078b1e7f2fde07a4c012d6b801ed45e53690543e0053aee876ba94cff82460",
+            ),
+            # the single-site intra recipe
+            (
+                GenConfig(horizon_steps=240, num_sites=1, arrival_prob=0.10,
+                          mode_exposure_count_frac=0.0),
+                7,
+                "080a1116db04c7c0924d41ea6aa016b512844508bf8c078f3353cfb02df6f847",
+            ),
+        ],
+        ids=["1440x5", "240x5", "240x1"],
+    )
+    def test_visible_field_scenarios_are_pinned(self, cfg, seed, digest):
+        # field sampling draws from the RNG and filters by visibility; any
+        # change to either moves these bytes
+        text = scenario_to_json(generate_scenario(cfg, seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestSerialization:
