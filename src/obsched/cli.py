@@ -231,14 +231,41 @@ def _constraints_from_obj(obj: dict | None) -> VisibilityConstraints:
     return VisibilityConstraints(**obj)
 
 
+#: JSON types accepted for a config field, by the type of its default
+_KINDS = {
+    bool: ((bool,), "a boolean"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+
+
+def _is_kind(value, default) -> bool:
+    """Does a JSON value have the type of a config field's default?  A
+    boolean is no number, and a number no boolean."""
+    types, _ = _KINDS[type(default)]
+    return isinstance(value, types) and isinstance(value, bool) == isinstance(default, bool)
+
+
 def gen_config_from_obj(obj: dict) -> GenConfig:
     kw = dict(obj)
-    for f in fields(GenConfig):
-        if f.name in kw and isinstance(kw[f.name], list):
-            kw[f.name] = tuple(kw[f.name])
-    unknown = set(kw) - {f.name for f in fields(GenConfig)}
+    defaults = {f.name: f.default for f in fields(GenConfig)}
+    unknown = set(kw) - set(defaults)
     if unknown:
         raise ValueError(f"unknown generation-config fields: {sorted(unknown)}")
+    for name, value in kw.items():
+        default = defaults[name]
+        if isinstance(default, tuple):
+            ok = isinstance(value, (list, tuple)) and len(value) == len(default) and all(
+                _is_kind(v, d) for v, d in zip(value, default)
+            )
+            want = f"a list of {len(default)} values, each {_KINDS[type(default[0])][1]}"
+            kw[name] = tuple(value) if ok else value
+        else:
+            ok = _is_kind(value, default)
+            want = _KINDS[type(default)][1]
+        if not ok:
+            raise ValueError(f"generation-config field {name!r} must be {want}, got {value!r}")
     return GenConfig(**kw)
 
 
@@ -260,6 +287,12 @@ def _bench_one(payload: dict):
     return avg, len(drops), wall
 
 
+_BENCH_FIELDS = {
+    "gen", "constraints", "seeds", "queue_cap", "schedulers", "variants",
+    "checkpoint", "replan_steps",
+}
+
+
 def run_benchmark(config: dict, out_dir, *, workers: int | None = None, log=None) -> list[BenchRow]:
     """Run every scheduler on every instance of every variant.
 
@@ -267,10 +300,18 @@ def run_benchmark(config: dict, out_dir, *, workers: int | None = None, log=None
     the determinism contract), and slowdown.svg.  Per-cell failures are
     recorded and do not stop the run.
     """
+    unknown = set(config) - _BENCH_FIELDS
+    if unknown:
+        raise ValueError(f"unknown bench-config fields: {sorted(unknown)}")
+    seeds_cfg = config.get("seeds", {})
+    if not isinstance(seeds_cfg, dict):
+        raise ValueError(f"bench-config field 'seeds' must be an object, got {seeds_cfg!r}")
+    unknown = set(seeds_cfg) - {"base", "count"}
+    if unknown:
+        raise ValueError(f"unknown bench-config seeds fields: {sorted(unknown)}")
     os.makedirs(out_dir, exist_ok=True)
     base_gen = gen_config_from_obj(config.get("gen", {}))
     constraints = _constraints_from_obj(config.get("constraints"))
-    seeds_cfg = config.get("seeds", {})
     seed_base = int(seeds_cfg.get("base", 0))
     count = int(seeds_cfg.get("count", 10))
     queue_cap = int(config.get("queue_cap", 10))

@@ -6,6 +6,13 @@ polynomial, Kasten & Young 1989 relative airmass, mean-element solar
 ephemeris).  Accuracy is far inside the coarse thresholds that matter for
 scheduling (degrees, not arcseconds).  Everything here is a pure function
 of immutable inputs and safe to call concurrently.
+
+The sky of one (site, grid) pair -- local sidereal time and the dark
+steps, where the sun is low enough -- does not depend on the targets.
+``site_skies`` computes it once for many sites (the sun position once for
+all of them), and ``sky_coverage`` then tests many targets against it on
+the dark steps only, with the same result as the union of
+``visibility_masks_multi`` over the sites.
 """
 from __future__ import annotations
 
@@ -32,11 +39,17 @@ __all__ = [
     "visibility_mask",
     "visibility_masks_multi",
     "visibility_windows",
+    "SiteSky",
+    "site_skies",
+    "sky_coverage",
 ]
 
 #: Airmass sentinel for altitudes at or below the horizon cutoff.  Using
 #: +inf means "airmass <= limit" naturally rejects unobservable steps.
 UNOBSERVABLE = math.inf
+
+#: steps per block of the coverage walk in ``sky_coverage``
+COVERAGE_BLOCK = 60
 
 _J2000 = datetime(2000, 1, 1, 12, 0, 0, tzinfo=timezone.utc)
 _JD_J2000 = 2451545.0
@@ -247,6 +260,64 @@ def _sun_radec_vec(jd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ra, dec
 
 
+def _target_mask(
+    ra: np.ndarray,
+    dec: np.ndarray,
+    lat_deg: float,
+    lst: np.ndarray,
+    constraints: VisibilityConstraints,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Target part of the visibility predicate, sun aside.
+
+    Returns ``(mask, airmass)`` of shape (n_targets, len(lst)): the target
+    is above the altitude cutoff and within the airmass limit.  Every
+    element depends on its own (target, step) inputs only, so evaluating
+    any subset of steps gives the same values as evaluating them all.
+    """
+    alt = _altitude_vec(ra[:, None], dec[:, None], lat_deg, lst[None, :])
+    am = np.full(alt.shape, UNOBSERVABLE)
+    above = alt > constraints.min_altitude_deg
+    if above.any():
+        a = alt[above]
+        am[above] = 1.0 / (np.sin(np.radians(a)) + 0.50572 * (a + 6.07995) ** (-1.6364))
+    return above & (am <= constraints.max_airmass), am
+
+
+@dataclass(frozen=True)
+class SiteSky:
+    """The target-independent sky of one site over one grid.
+
+    ``lst`` is the local sidereal time of every step and ``dark`` marks
+    the steps whose sun altitude meets the constraint; ``dark_steps`` and
+    ``dark_lst`` are the same restricted to the dark steps.
+    """
+
+    lat: float
+    lst: np.ndarray
+    dark: np.ndarray
+    dark_steps: np.ndarray
+    dark_lst: np.ndarray
+
+
+def site_skies(
+    sites: list[GeoCoord],
+    grid: TimeGrid,
+    constraints: VisibilityConstraints = VisibilityConstraints(),
+) -> list[SiteSky]:
+    """Sidereal time and dark steps of each site; the sun position and
+    GMST of the grid are computed once for all sites."""
+    jd = _step_jds(grid)
+    gmst = _gmst_vec(jd)
+    sun_ra, sun_dec = _sun_radec_vec(jd)
+    out = []
+    for site in sites:
+        lst = (gmst + site.lon) % 360.0
+        dark = _altitude_vec(sun_ra, sun_dec, site.lat, lst) <= constraints.max_sun_altitude_deg
+        steps = np.flatnonzero(dark)
+        out.append(SiteSky(site.lat, lst, dark, steps, lst[steps]))
+    return out
+
+
 def visibility_masks_multi(
     ra: np.ndarray,
     dec: np.ndarray,
@@ -259,27 +330,58 @@ def visibility_masks_multi(
     Returns ``(mask, airmass)`` of shape (n_targets, horizon_steps); the
     sidereal clock and sun position are computed once per call.
     """
-    jd = _step_jds(grid)
-    lst = (_gmst_vec(jd) + site.lon) % 360.0
-    sun_ra, sun_dec = _sun_radec_vec(jd)
-    sun_alt = _altitude_vec(sun_ra, sun_dec, site.lat, lst)
-    dark = sun_alt <= constraints.max_sun_altitude_deg
-
+    (sky,) = site_skies([site], grid, constraints)
     ra = np.atleast_1d(np.asarray(ra, dtype=np.float64))
     dec = np.atleast_1d(np.asarray(dec, dtype=np.float64))
-    ha = np.radians(lst[None, :] - ra[:, None])
-    lat = math.radians(site.lat)
-    dec_r = np.radians(dec)[:, None]
-    s = math.sin(lat) * np.sin(dec_r) + math.cos(lat) * np.cos(dec_r) * np.cos(ha)
-    alt = np.degrees(np.arcsin(np.clip(s, -1.0, 1.0)))
+    mask, am = _target_mask(ra, dec, sky.lat, sky.lst, constraints)
+    return mask & sky.dark[None, :], am
 
-    am = np.full(alt.shape, UNOBSERVABLE)
-    above = alt > constraints.min_altitude_deg
-    if above.any():
-        a = alt[above]
-        am[above] = 1.0 / (np.sin(np.radians(a)) + 0.50572 * (a + 6.07995) ** (-1.6364))
-    mask = above & (am <= constraints.max_airmass) & dark[None, :]
-    return mask, am
+
+def sky_coverage(
+    ra: np.ndarray,
+    dec: np.ndarray,
+    skies: list[SiteSky],
+    horizon_steps: int,
+    constraints: VisibilityConstraints = VisibilityConstraints(),
+    *,
+    want_some: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per target: ``(full, some)`` -- is every step of the horizon, and
+    is some step, observable from at least one site?
+
+    Equal to ``union.all(axis=1)`` and ``union.any(axis=1)``, where
+    ``union`` ORs the sites' ``visibility_masks_multi`` masks; ``some`` is
+    None unless ``want_some``.  A site's union entry is its target
+    predicate on its dark steps and False on the others, so only dark
+    steps are evaluated.  The horizon is walked in blocks of
+    ``COVERAGE_BLOCK`` steps, and a target is evaluated on a block only
+    while it can still change a flag:
+
+    - ``full`` turns False at the first block holding a step that no site
+      observes, i.e. only where the union is False; a target that
+      reaches the end was observed at every step.
+    - ``some`` turns True at the first observed step; a target still
+      False at the end was evaluated on every dark step of every site.
+    """
+    ra = np.asarray(ra, dtype=np.float64)
+    dec = np.asarray(dec, dtype=np.float64)
+    full = np.ones(ra.size, dtype=bool)
+    some = np.zeros(ra.size, dtype=bool)
+    for b0 in range(0, horizon_steps, COVERAGE_BLOCK):
+        rows = np.flatnonzero(full | ~some if want_some else full)
+        if not rows.size:
+            break
+        b1 = min(b0 + COVERAGE_BLOCK, horizon_steps)
+        cover = np.zeros((rows.size, b1 - b0), dtype=bool)
+        ra_r, dec_r = ra[rows], dec[rows]
+        for sky in skies:
+            i0, i1 = np.searchsorted(sky.dark_steps, (b0, b1))
+            if i1 > i0:
+                m, _ = _target_mask(ra_r, dec_r, sky.lat, sky.dark_lst[i0:i1], constraints)
+                cover[:, sky.dark_steps[i0:i1] - b0] |= m
+        full[rows] &= cover.all(axis=1)
+        some[rows] |= cover.any(axis=1)
+    return full, (some if want_some else None)
 
 
 def visibility_mask(

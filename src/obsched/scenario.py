@@ -16,7 +16,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .ephemeris import GeoCoord, SkyCoord, TimeGrid
+from .ephemeris import (
+    GeoCoord,
+    SkyCoord,
+    TimeGrid,
+    VisibilityConstraints,
+    site_skies,
+    sky_coverage,
+)
 
 __all__ = [
     "ScenarioError",
@@ -248,7 +255,7 @@ def _sample_fields(
     cfg: GenConfig,
     grid: TimeGrid,
     sites: list[Site],
-    constraints,
+    constraints: VisibilityConstraints,
 ) -> list[SkyCoord]:
     """Sky fields for one scenario.
 
@@ -257,28 +264,34 @@ def _sample_fields(
     least one site, mirroring how survey fields are picked to suit the
     array; after 40 rejection rounds the remainder is filled first with
     partially-visible draws, then unfiltered ones.
+
+    The sites' skies are computed once, not once per round, and
+    ``sky_coverage`` gives the same flags as a brute-force union of
+    per-site masks (see its docstring for why).  The partially-visible
+    flags are asked for only while fewer than ``num_fields`` partial draws
+    are held: the fill reads at most ``num_fields`` of them, in order, so
+    the draws that would follow are never read.
     """
     if not cfg.visible_fields_only:
         ra, dec = _uniform_fields(rng, cfg.num_fields, cfg.min_field_dec)
         return [SkyCoord(float(r), float(d)) for r, d in zip(ra, dec)]
-    from .ephemeris import visibility_masks_multi  # local to avoid cycles
 
+    skies = site_skies([s.coord for s in sites], grid, constraints)
     out: list[SkyCoord] = []
     partial: list[SkyCoord] = []
     for _ in range(40):
         if len(out) >= cfg.num_fields:
             break
         ra, dec = _uniform_fields(rng, cfg.num_fields, cfg.min_field_dec)
-        union = np.zeros((len(ra), grid.horizon_steps), dtype=bool)
-        for site in sites:
-            m, _ = visibility_masks_multi(ra, dec, site.coord, grid, constraints)
-            union |= m
-        full = union.all(axis=1)
-        some = union.any(axis=1)
+        want_some = len(partial) < cfg.num_fields
+        full, some = sky_coverage(
+            ra, dec, skies, grid.horizon_steps, constraints, want_some=want_some
+        )
         for r, d in zip(ra[full], dec[full]):
             if len(out) < cfg.num_fields:
                 out.append(SkyCoord(float(r), float(d)))
-        partial.extend(SkyCoord(float(r), float(d)) for r, d in zip(ra[some & ~full], dec[some & ~full]))
+        if want_some:
+            partial.extend(SkyCoord(float(r), float(d)) for r, d in zip(ra[some & ~full], dec[some & ~full]))
     for c in partial:
         if len(out) >= cfg.num_fields:
             break
@@ -369,8 +382,6 @@ def generate_scenario(
         sites = [replace(s, equipment_priority=float(p)) for s, p in zip(base, prios)]
     else:
         rng.uniform(0.0, 1.0, size=len(sites))  # keep the stream aligned
-
-    from .ephemeris import VisibilityConstraints
 
     fields = _sample_fields(
         rng, config, grid, sites, constraints or VisibilityConstraints()

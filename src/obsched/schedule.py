@@ -120,20 +120,21 @@ class SchedulingContext:
         nt, ns, h = len(scenario.targets), self.n_sites, self.horizon
         self.mask = np.zeros((nt, ns, h), dtype=bool)
         self.air = np.full((nt, ns, h), np.inf)
-        self.run_start = np.full((nt, ns, h), -1, dtype=np.int64)
-        self.vis_until = np.zeros((nt, ns, h), dtype=np.int64)
+        # step indices lie in [-1, horizon]: int32 halves the two tables
+        self.run_start = np.full((nt, ns, h), -1, dtype=np.int32)
+        self.vis_until = np.zeros((nt, ns, h), dtype=np.int32)
         if nt:
             ra = np.array([t.coord.ra for t in scenario.targets])
             dec = np.array([t.coord.dec for t in scenario.targets])
-            idx = np.arange(h)
+            idx = np.arange(h, dtype=np.int32)
             for si, site in enumerate(scenario.sites):
                 m, am = visibility_masks_multi(ra, dec, site.coord, scenario.grid, constraints)
                 self.mask[:, si] = m
                 self.air[:, si] = am
-                inv = np.where(~m, idx[None, :], h)
+                inv = np.where(~m, idx[None, :], np.int32(h))
                 self.vis_until[:, si] = np.minimum.accumulate(inv[:, ::-1], axis=1)[:, ::-1]
-                prev_inv = np.maximum.accumulate(np.where(~m, idx[None, :], -1), axis=1)
-                self.run_start[:, si] = np.where(m, prev_inv + 1, -1)
+                prev_inv = np.maximum.accumulate(np.where(~m, idx[None, :], np.int32(-1)), axis=1)
+                self.run_start[:, si] = np.where(m, prev_inv + 1, np.int32(-1))
 
     @classmethod
     def for_scenario(

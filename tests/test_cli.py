@@ -156,6 +156,21 @@ class TestBenchmark:
             with pytest.raises(ValueError, match="min_altitude_deg"):
                 _constraints_from_obj({"min_altitude_deg": bad})
 
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"schedulerz": ["edd"]}, "schedulerz"),
+            ({"seed": {"base": 7, "count": 1}}, "seed"),
+            ({"seeds": {"base": 7, "cout": 1}}, "cout"),
+            ({"seeds": 7}, "seeds"),
+        ],
+    )
+    def test_unknown_bench_fields_named(self, tmp_path, config, field):
+        # each of these used to run the default schedulers and seeds
+        with pytest.raises(ValueError, match=field):
+            run_benchmark({"gen": GEN, **config}, tmp_path / "rep", workers=1)
+        assert not (tmp_path / "rep").exists()
+
     def test_partial_failures_recorded(self, tmp_path):
         config = {
             "gen": GEN,
@@ -164,6 +179,36 @@ class TestBenchmark:
         }
         rows = run_benchmark(config, tmp_path / "rep", workers=1)
         assert rows[0].instances == 0  # all failed, run completed anyway
+
+
+class TestGenConfigFromObj:
+    def test_lists_become_tuples(self):
+        cfg = gen_config_from_obj({"priority_range": [2, 4], "arrival_prob": 0, "num_sites": 2})
+        assert cfg.priority_range == (2, 4) and cfg.arrival_prob == 0 and cfg.num_sites == 2
+
+    @pytest.mark.parametrize(
+        "obj, field",
+        [
+            ({"horizon_steps": "30"}, "horizon_steps"),
+            ({"horizon_steps": 30.5}, "horizon_steps"),
+            ({"num_sites": True}, "num_sites"),
+            ({"arrival_prob": "0.1"}, "arrival_prob"),
+            ({"visible_fields_only": 1}, "visible_fields_only"),
+            ({"epoch_utc": 0}, "epoch_utc"),
+            ({"priority_range": [1, 2, 3]}, "priority_range"),
+            ({"priority_range": [1.5, 3]}, "priority_range"),
+            ({"priority_range": "1-3"}, "priority_range"),
+            ({"cadence_gap_range": [5, None]}, "cadence_gap_range"),
+            ({"resource_band_probs": [0.1, "0.2", 0.3]}, "resource_band_probs"),
+        ],
+    )
+    def test_wrong_types_named(self, obj, field):
+        with pytest.raises(ValueError, match=field):
+            gen_config_from_obj(obj)
+
+    def test_unknown_field_named(self):
+        with pytest.raises(ValueError, match="horizon_step"):
+            gen_config_from_obj({"horizon_step": 30})
 
 
 class TestMain:

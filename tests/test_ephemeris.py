@@ -4,8 +4,11 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obsched.ephemeris import (
+    COVERAGE_BLOCK,
     UNOBSERVABLE,
     GeoCoord,
     SkyCoord,
@@ -15,10 +18,14 @@ from obsched.ephemeris import (
     altitude,
     gmst_degrees,
     local_sidereal_time,
+    site_skies,
+    sky_coverage,
     sun_altitude,
     visibility_mask,
+    visibility_masks_multi,
     visibility_windows,
 )
+from obsched.scenario import default_sites
 
 J2000 = datetime(2000, 1, 1, 12, 0, tzinfo=timezone.utc)
 SIDEREAL_DAY_S = 86164.0905308
@@ -209,3 +216,85 @@ def test_skycoord_normalization():
         GeoCoord(95.0, 0.0)
     with pytest.raises(ValueError):
         GeoCoord(0.0, 181.0)
+
+
+# --- sky coverage: the dark-step, block-pruned union flags ---------------------
+
+SITES = [s.coord for s in default_sites()]
+
+
+def _brute_union(ra, dec, sites, grid, cons):
+    union = np.zeros((len(ra), grid.horizon_steps), dtype=bool)
+    for site in sites:
+        m, _ = visibility_masks_multi(ra, dec, site, grid, cons)
+        union |= m
+    return union
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    site_idx=st.lists(st.integers(0, len(SITES) - 1), min_size=1, max_size=5, unique=True),
+    minutes=st.integers(0, 366 * 24 * 60),
+    step_minutes=st.integers(1, 5),
+    horizon=st.one_of(
+        st.integers(1, 3 * COVERAGE_BLOCK + 7),
+        st.sampled_from([COVERAGE_BLOCK - 1, COVERAGE_BLOCK, COVERAGE_BLOCK + 1, 1440]),
+    ),
+    max_airmass=st.sampled_from([1.2, 2.0, 3.0, math.inf]),
+    min_altitude=st.floats(-5.0, 40.0),
+    max_sun=st.sampled_from([-18.0, -12.0, 0.0, 91.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sky_coverage_matches_brute_force_union(
+    site_idx, minutes, step_minutes, horizon, max_airmass, min_altitude, max_sun, seed
+):
+    sites = [SITES[i] for i in site_idx]
+    grid = TimeGrid(
+        datetime(2025, 1, 1, tzinfo=timezone.utc) + timedelta(minutes=minutes), step_minutes, horizon
+    )
+    cons = VisibilityConstraints(max_airmass, min_altitude, max_sun)
+    rng = np.random.default_rng(seed)
+    ra = rng.uniform(0.0, 360.0, 40)
+    dec = np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, 40)))
+    union = _brute_union(ra, dec, sites, grid, cons)
+    skies = site_skies(sites, grid, cons)
+    full, some = sky_coverage(ra, dec, skies, horizon, cons)
+    assert np.array_equal(full, union.all(axis=1))
+    assert np.array_equal(some, union.any(axis=1))
+    full_only, none = sky_coverage(ra, dec, skies, horizon, cons, want_some=False)
+    assert none is None and np.array_equal(full_only, full)
+
+
+def test_sky_coverage_tells_full_from_partial_across_blocks():
+    # without sun and airmass limits a southern circumpolar target is up at
+    # every step from Chile, while an equatorial one rises and sets; a
+    # horizon of 2.5 blocks ends inside a partial block
+    site = SITES[0]
+    horizon = 2 * COVERAGE_BLOCK + COVERAGE_BLOCK // 2
+    grid = TimeGrid(datetime(2025, 6, 21, tzinfo=timezone.utc), 4, horizon)
+    cons = VisibilityConstraints(max_airmass=math.inf, max_sun_altitude_deg=91.0)
+    ra, dec = np.array([0.0, 0.0, 0.0]), np.array([-80.0, 0.0, 80.0])
+    full, some = sky_coverage(ra, dec, site_skies([site], grid, cons), horizon, cons)
+    union = _brute_union(ra, dec, [site], grid, cons)
+    assert full.tolist() == [True, False, False] and some.tolist() == [True, True, False]
+    assert np.array_equal(full, union.all(axis=1)) and np.array_equal(some, union.any(axis=1))
+
+
+@pytest.mark.parametrize("edge", ["dawn", "dusk"])
+def test_sky_coverage_sees_the_last_step_of_a_block(edge):
+    # a circumpolar target is observable exactly while it is dark; shift the
+    # epoch so that dawn (dusk) falls on the last step of the first block,
+    # leaving that one step uncovered (the only covered one)
+    site = SITES[0]
+    cons = VisibilityConstraints(max_airmass=math.inf)
+    ra, dec = np.array([0.0]), np.array([-80.0])
+    day = TimeGrid(datetime(2025, 6, 21, tzinfo=timezone.utc), 1, 1440)
+    (dark,) = _brute_union(ra, dec, [site], day, cons)
+    flips = np.flatnonzero(dark[:-1] & ~dark[1:] if edge == "dawn" else ~dark[:-1] & dark[1:]) + 1
+    k = int(flips[flips >= COVERAGE_BLOCK][0])
+    grid = TimeGrid(day.time_at(k - (COVERAGE_BLOCK - 1)), 1, COVERAGE_BLOCK)
+    (union,) = _brute_union(ra, dec, [site], grid, cons)
+    last = np.arange(COVERAGE_BLOCK) == COVERAGE_BLOCK - 1
+    assert np.array_equal(union, ~last if edge == "dawn" else last)
+    full, some = sky_coverage(ra, dec, site_skies([site], grid, cons), grid.horizon_steps, cons)
+    assert full.tolist() == [False] and some.tolist() == [True]
