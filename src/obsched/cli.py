@@ -94,10 +94,6 @@ def _parse_scheduler(name: str) -> dict:
     raise ValueError(f"unknown scheduler {name!r}")
 
 
-def _fcfs_key(ctx: SchedulingContext, row: int) -> tuple:
-    return (int(ctx.arrival[row]), int(ctx.task_id[row]))
-
-
 def run_online(
     scenario: Scenario,
     scheduler: str,
@@ -156,64 +152,55 @@ def run_online(
             dump_trajectory(traj, trace)
         return best, drops
 
-    # online loop: tentative schedule + greedy re-planning at events
+    # online loop: tentative schedule + greedy re-planning at events; a task
+    # is placed or dropped on arrival, after its previous sibling
     st = _PlacementState(ctx)
     assigned = st.committed  # row -> (site, start), tentative until frozen
-    frozen_rows: set[int] = set()
+    pending: dict[int, None] = {}  # placed, not frozen, in placement order
+    frozen: set[int] = set()  # task ids; frozen tasks never move
+    frozen_done: set[int] = set()  # completion steps of frozen tasks
     replan_cfg = replace(search_cfg, num_steps=replan_steps)
 
-    def place_new(r: int, now: int) -> None:
-        rel = st.release(r)
-        if rel is not None:  # otherwise it waits for its sibling's placement
-            st.place(r, max(now, rel))
+    def freeze(r: int, t: int) -> None:
+        del pending[r]
+        s, b = assigned[r]
+        frozen.add(int(ctx.task_id[r]))
+        frozen_done.add(b + int(ctx.exposure[r]))
+        if audit is not None:
+            audit.append(("freeze", t, int(ctx.task_id[r]), s, b))
 
     by_arrival: dict[int, list[int]] = {}
     for r in range(ctx.n_tasks):
         by_arrival.setdefault(int(ctx.arrival[r]), []).append(r)
 
     for t in range(ctx.horizon):
-        events = False
-        for r in sorted(by_arrival.get(t, ()), key=lambda r: int(ctx.task_id[r])):
-            place_new(r, t)
-            events = True
-        # unplaced tasks whose sibling has now been decided
-        for r in range(ctx.n_tasks):
-            if r not in assigned and r not in st.dropped and int(ctx.arrival[r]) <= t:
-                place_new(r, t)
         # completions of frozen tasks are re-plan triggers too
-        if any(
-            b + int(ctx.exposure[r]) == t for r, (s, b) in assigned.items() if r in frozen_rows
-        ):
+        events = t in frozen_done
+        for r in sorted(by_arrival.get(t, ()), key=lambda r: int(ctx.task_id[r])):
+            st.place(r, max(t, st.release(r)))
+            if r in assigned:
+                pending[r] = None
             events = True
 
         # queue bound: arrived, not started, not yet irrevocable
-        waiting = [
-            r
-            for r in assigned
-            if r not in frozen_rows and int(ctx.arrival[r]) <= t and assigned[r][1] > t
-        ]
+        waiting = [r for r in pending if assigned[r][1] > t]
         while len(waiting) > queue_cap:
-            victim = min(waiting, key=lambda r: _fcfs_key(ctx, r))
-            frozen_rows.add(victim)  # committed for good: "immediate execution"
+            victim = min(waiting, key=lambda r: (int(ctx.arrival[r]), int(ctx.task_id[r])))
+            freeze(victim, t)  # committed for good: "immediate execution"
             waiting.remove(victim)
-            if audit is not None:
-                audit.append(("freeze", t, int(ctx.task_id[victim])) + assigned[victim])
         if audit is not None:
             audit.append(("waiting", t, len(waiting)))
 
-        if events and len(assigned) > len(frozen_rows):
-            frozen_ids = frozenset(int(ctx.task_id[r]) for r in frozen_rows)
-            net._cache = None
-            best, _ = rewrite_search(st.to_dag(), net, replan_cfg, rng, greedy=True, frozen=frozen_ids)
+        if events and pending:
+            best, _ = rewrite_search(
+                st.to_dag(), net, replan_cfg, rng, greedy=True, frozen=frozenset(frozen)
+            )
             for i, r in enumerate(best.rows):
                 assigned[int(r)] = (int(best.site[i]), int(best.start[i]))
             st.profile = best.profile.copy()  # rewriting keeps the scheduled set
 
-        for r, (s, b) in assigned.items():
-            if b == t and r not in frozen_rows:
-                frozen_rows.add(r)  # starts now: no preemption from here on
-                if audit is not None:
-                    audit.append(("freeze", t, int(ctx.task_id[r]), s, b))
+        for r in [r for r in pending if assigned[r][1] == t]:
+            freeze(r, t)  # starts now: no preemption from here on
 
     return st.to_dag(), st.drops
 

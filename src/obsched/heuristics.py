@@ -108,7 +108,8 @@ class _PlacementState:
 
     def release(self, row: int) -> int | None:
         """Earliest start allowed by arrival + sibling cadence; None while
-        the previous sibling is still undecided."""
+        the previous sibling is still undecided, which only the online
+        dispatch queue meets."""
         prev = int(self.ctx.prev_sibling[row])
         if prev < 0 or prev in self.dropped:
             return self.ctx.release(row, None)
@@ -252,6 +253,18 @@ def schedule_online_heuristic(
     return st.to_dag(), st.drops
 
 
+def _list_schedule(ctx: SchedulingContext, key) -> tuple[ScheduleDag, list[int]]:
+    """Each task in ``key`` order goes to its earliest feasible (site, start)
+    from its release, or is dropped.  ``release`` is never None here: a
+    ``Scenario``'s siblings arrive strictly later along their sequence with
+    one exposure, so under (arrival, id) and (exposure, arrival, id) alike
+    a task sorts after its previous sibling, already placed or dropped."""
+    st = _PlacementState(ctx)
+    for r in sorted(range(ctx.n_tasks), key=key):
+        st.place(r, st.release(r))
+    return st.to_dag(), st.drops
+
+
 def schedule_fcfs_list(
     scenario: Scenario,
     constraints: VisibilityConstraints | None = None,
@@ -263,16 +276,7 @@ def schedule_fcfs_list(
     start).  This is the cheap constructive initializer the rewriting
     search starts from; tasks with no feasible slot are dropped."""
     ctx = ctx or SchedulingContext.for_scenario(scenario, constraints)
-    st = _PlacementState(ctx)
-    for r in sorted(
-        range(ctx.n_tasks), key=lambda r: (int(ctx.arrival[r]), int(ctx.task_id[r]))
-    ):
-        lo = st.release(r)
-        if lo is None:  # previous sibling undecided means it was dropped
-            st.drop(r)
-        else:
-            st.place(r, lo)
-    return st.to_dag(), st.drops
+    return _list_schedule(ctx, lambda r: (int(ctx.arrival[r]), int(ctx.task_id[r])))
 
 
 def schedule_offline_stf(
@@ -285,26 +289,7 @@ def schedule_offline_stf(
     placed in ascending exposure order, each at its earliest feasible slot
     (still respecting required start times)."""
     ctx = ctx or SchedulingContext.for_scenario(scenario, constraints)
-    st = _PlacementState(ctx)
-    pending = sorted(
-        range(ctx.n_tasks),
-        key=lambda r: (int(ctx.exposure[r]), int(ctx.arrival[r]), int(ctx.task_id[r])),
-    )
-    while pending:
-        rest = []
-        for r in pending:
-            lo = st.release(r)
-            if lo is None:
-                rest.append(r)  # sibling not decided yet
-            else:
-                st.place(r, lo)
-        if len(rest) == len(pending):
-            for r in rest:
-                st.drop(r)
-            break
-        pending = rest
-
-    return st.to_dag(), st.drops
+    return _list_schedule(ctx, lambda r: (int(ctx.exposure[r]), int(ctx.arrival[r]), int(ctx.task_id[r])))
 
 
 def brute_force_optimal(

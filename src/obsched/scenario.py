@@ -133,7 +133,11 @@ class Site:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One complete scheduling instance.  Immutable after construction."""
+    """One complete scheduling instance.  Immutable after construction.
+
+    A target's tasks must carry ``seq_index`` 0..k-1, arrive strictly later
+    along that sequence and share one exposure, as ``target_to_tasks``
+    makes them: every scheduler may rely on it."""
 
     grid: TimeGrid
     sites: tuple[Site, ...]
@@ -144,11 +148,22 @@ class Scenario:
 
     def __post_init__(self):
         target_ids = {t.id for t in self.targets}
+        siblings: dict[int, list[ObservationTask]] = {}
         for task in self.tasks:
             if task.target_id not in target_ids:
                 raise ScenarioError(f"task {task.id}: unknown target {task.target_id}")
             if len(task.rho) != self.num_filters:
                 raise ScenarioError(f"task {task.id}: rho length != num_filters")
+            siblings.setdefault(task.target_id, []).append(task)
+        for seq in siblings.values():
+            seq.sort(key=lambda task: task.seq_index)
+            for m, task in enumerate(seq):
+                if task.seq_index != m:
+                    raise ScenarioError(f"task {task.id}: seq_index {task.seq_index} breaks 0..{len(seq) - 1}")
+                if m and task.arrival <= seq[m - 1].arrival:
+                    raise ScenarioError(f"task {task.id}: arrival must exceed the previous sibling's")
+                if task.exposure != seq[0].exposure:
+                    raise ScenarioError(f"task {task.id}: exposure differs from its siblings'")
         for t in self.targets:
             if len(t.filters_required) != self.num_filters:
                 raise ScenarioError(f"target {t.id}: filters_required length != num_filters")

@@ -214,3 +214,48 @@ class TestSerialization:
         del obj["tasks"][0]["deadline"]
         with pytest.raises(ScenarioError, match="deadline"):
             scenario_from_json(json.dumps(obj))
+
+
+class TestSiblingOrder:
+    """Every scenario carries its siblings in sequence: seq_index 0..k-1,
+    strictly increasing arrivals, one exposure per target."""
+
+    @staticmethod
+    def _obj_and_pair():
+        s = generate_scenario(GenConfig(horizon_steps=120, arrival_prob=0.3), 4)
+        obj = json.loads(scenario_to_json(s))
+        for i, (a, b) in enumerate(zip(obj["tasks"], obj["tasks"][1:])):
+            if a["target_id"] == b["target_id"] and a["exposure"] > 1:
+                return obj, i, i + 1
+        raise AssertionError("fixture scenario has no sibling pair")
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("seq_index", 2, "seq_index 2 breaks"),
+            ("seq_index", 0, "seq_index 0 breaks"),
+            ("arrival", None, "arrival must exceed"),
+            ("exposure", None, "exposure differs"),
+        ],
+    )
+    def test_broken_sequence_is_named(self, field, value, match):
+        obj, first, second = self._obj_and_pair()
+        task = obj["tasks"][second]
+        if field == "arrival":
+            value = obj["tasks"][first]["arrival"]
+        elif field == "exposure":
+            value = task["exposure"] - 1
+        task[field] = value
+        with pytest.raises(ScenarioError, match=f"task {task['id']}: {match}"):
+            scenario_from_json(json.dumps(obj))
+
+    def test_generated_siblings_are_in_sequence(self):
+        s = generate_scenario(GenConfig(horizon_steps=240, arrival_prob=0.3), 2)
+        by_target = {}
+        for t in s.tasks:
+            by_target.setdefault(t.target_id, []).append(t)
+        assert any(len(seq) > 1 for seq in by_target.values())
+        for seq in by_target.values():
+            assert [t.seq_index for t in seq] == list(range(len(seq)))
+            assert all(a.arrival < b.arrival for a, b in zip(seq, seq[1:]))
+            assert len({t.exposure for t in seq}) == 1
