@@ -193,7 +193,7 @@ def run_online(
 
         if events and pending:
             best, _ = rewrite_search(
-                st.to_dag(), net, replan_cfg, rng, greedy=True, frozen=frozenset(frozen)
+                st.to_dag(), net, replan_cfg, rng, greedy=True, frozen=frozenset(frozen), now=t
             )
             for i, r in enumerate(best.rows):
                 assigned[int(r)] = (int(best.site[i]), int(best.start[i]))

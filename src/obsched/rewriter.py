@@ -122,6 +122,7 @@ def rewrite_step(
     dag: ScheduleDag,
     action: RewriteAction,
     frozen: frozenset[int] = frozenset(),
+    now: int = 0,
 ) -> tuple[ScheduleDag, str]:
     """Apply one rewrite; returns (new_dag, status).
 
@@ -129,7 +130,8 @@ def rewrite_step(
     before the region's arrival, or the region already starts at the
     parent's completion / its own arrival), or "rejected" (a displaced or
     cadence-chained task could not be feasibly re-placed, or a frozen task
-    would have to move; the input dag is returned unchanged).
+    would have to move; the input dag is returned unchanged).  No task
+    outside ``frozen`` is placed to start before step ``now``.
     """
     ctx = dag.ctx
     if action.region in frozen or action.region not in dag.node_of_task:
@@ -163,7 +165,8 @@ def rewrite_step(
     def release(k: int) -> int:
         r = int(dag.rows[k])
         kp = pos_of_row.get(int(ctx.prev_sibling[r]))
-        return ctx.release(r, None if kp is None else int(starts[kp]))
+        rel = ctx.release(r, None if kp is None else int(starts[kp]))
+        return now if now > rel and int(ctx.task_id[r]) not in frozen else rel
 
     # earliest statically feasible start at the destination; occupancy is
     # ignored here, conflicts are resolved by displacement
@@ -272,6 +275,7 @@ def rewrite_search(
     pc: float | None = None,
     greedy: bool = False,
     frozen: frozenset[int] = frozenset(),
+    now: int = 0,
 ) -> tuple[ScheduleDag, list[TrajectoryStep]]:
     """Run the rewriting loop for ``config.num_steps`` steps.
 
@@ -281,7 +285,8 @@ def rewrite_search(
     rule policy and applies the rewrite.  Rewards are the total-slowdown
     deltas.  Returns the minimum-cost state visited and the trajectory.
     Under ``greedy`` the loop stops early once the chosen action no longer
-    changes the state (converged).
+    changes the state (converged).  ``frozen`` tasks never move, and no
+    other task moves to start before ``now``.
     """
     if pc is None:
         pc = config.pc_initial
@@ -308,7 +313,7 @@ def rewrite_search(
         else:
             action = RewriteAction(region=region, parent_task=parent[1])
         cost_before = total_slowdown(cur)
-        new_dag, status = rewrite_step(cur, action, frozen)
+        new_dag, status = rewrite_step(cur, action, frozen, now)
         cost_after = total_slowdown(new_dag)
         traj.append(
             TrajectoryStep(

@@ -166,6 +166,71 @@ class TestRewriteStepApplied:
         assert st1 == st2 and a1 == a2
 
 
+class TestNowFloor:
+    """``now`` floors every task outside ``frozen``: an online re-plan at
+    step ``now`` never starts a task in the past."""
+
+    def _start(self, dag, tid):
+        return int(dag.start[dag.node_of_task[tid] - dag.n_sites])
+
+    def test_root_move_stops_at_now(self):
+        s = toy_scenario([(0, 5, U)])
+        dag = build(s, [(0, 0, 20)])
+        action = RewriteAction(region=0, parent_task=None, parent_site=0)
+        assert self._start(rewrite_step(dag, action)[0], 0) == 0
+        out, status = rewrite_step(dag, action, now=10)
+        assert status == "applied" and self._start(out, 0) == 10
+
+    def test_displaced_task_is_repaired_at_or_after_now(self):
+        s = toy_scenario([(0, 5, U), (11, 5, U)])
+        dag = build(s, [(0, 0, 12), (1, 0, 30)])
+        action = RewriteAction(region=1, parent_task=None, parent_site=0)
+        past, _ = rewrite_step(dag, action)
+        assert self._start(past, 0) == 0  # the repair the floor rules out
+        out, status = rewrite_step(dag, action, now=12)
+        assert status == "applied"
+        assert (self._start(out, 1), self._start(out, 0)) == (12, 17)
+        assert validate(out) == []
+
+    def test_frozen_task_before_now_stays_put(self):
+        s = toy_scenario([(0, 5, U), (0, 5, G), (2, 5, G, None, 1)], cadence_gaps={1: 3})
+        dag = build(s, [(0, 0, 0), (1, 0, 1), (2, 0, 20)])
+        out, status = rewrite_step(
+            dag, RewriteAction(region=2, parent_task=None, parent_site=0), frozenset({0, 1}), now=10
+        )
+        assert status == "applied"
+        assert [self._start(out, t) for t in (0, 1, 2)] == [0, 1, 10]
+
+    def test_online_replan_states(self, monkeypatch):
+        """The re-plan inputs of a learned online run: no root move from any
+        of them starts an unfrozen task before the re-plan step."""
+        import obsched.cli as cli
+        from obsched.policy import PolicyConfig, PolicyNet
+        from obsched.scenario import GenConfig, generate_scenario
+
+        gen = GenConfig(horizon_steps=240, arrival_prob=0.10, mode_exposure_count_frac=0.0, num_sites=5)
+        net = PolicyNet(PolicyConfig(hidden=64, n_filters=3, n_sites=5, distributed=True), seed=0)
+        audit, states = [], []
+        search = cli.rewrite_search
+
+        def spy(dag, *args, **kw):
+            states.append((dag, kw["frozen"], audit[-1][1]))  # this step's "waiting" entry
+            return search(dag, *args, **kw)
+
+        monkeypatch.setattr(cli, "rewrite_search", spy)
+        cli.run_online(generate_scenario(gen, 1), "roars", 10, net=net, replan_steps=30, audit=audit)
+        applied = 0
+        for dag, frozen, t in states[:40]:
+            for tid in candidate_regions(dag, frozen):
+                assert self._start(dag, tid) >= t
+                for site in range(dag.n_sites):
+                    out, status = rewrite_step(dag, RewriteAction(tid, None, site), frozen, now=t)
+                    if status == "applied":
+                        applied += 1
+                        assert min(self._start(out, u) for u in candidate_regions(out, frozen)) >= t
+        assert applied > 0
+
+
 class TestSearch:
     def test_zero_steps_returns_input(self):
         s = toy_scenario([(0, 5, U), (5, 5, U)])
