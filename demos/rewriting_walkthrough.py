@@ -54,6 +54,6 @@ for step in traj:
 print(f"\nrandom rewriting, 100 steps ({sum(1 for t in traj if t.status=='applied')} applied):")
 print("\n".join(marks) or "  no improvement found")
 
-if len(dag.rows) <= 6:
+if ctx.n_tasks <= 6:  # the oracle schedules every task of the scenario
     opt = brute_force_optimal(scenario, ctx=ctx)
     print(f"\nexhaustive optimum for comparison: {total_slowdown(opt):.2f}")

@@ -125,8 +125,6 @@ def run_online(
         return schedule_offline_stf(scenario, ctx=ctx)
     if spec["kind"] == "oracle":
         return brute_force_optimal(scenario, ctx=ctx), []
-    if spec["kind"] not in ("roars", "roars-refine"):
-        raise ValueError(f"unknown scheduler kind {spec['kind']}")
 
     if net is None:
         if checkpoint is None:
@@ -146,7 +144,6 @@ def run_online(
         dag0, drops = schedule_fcfs_list(scenario, ctx=ctx)
         if len(dag0.rows) == 0:
             return dag0, drops
-        net._cache = None
         best, traj = rewrite_search(dag0, net, search_cfg, rng, pc=search_cfg.pc_initial)
         if trace is not None:
             dump_trajectory(traj, trace)
@@ -274,6 +271,20 @@ def _bench_one(payload: dict):
     return avg, len(drops), wall
 
 
+def _bench_int(obj: dict, key: str, default: int, lo: int, name: str) -> int:
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < lo:
+        raise ValueError(f"bench-config field {name!r} must be an integer >= {lo}, got {value!r}")
+    return value
+
+
+def _is_scheduler(name) -> bool:
+    try:
+        return bool(_parse_scheduler(name))
+    except (ValueError, AttributeError):
+        return False
+
+
 _BENCH_FIELDS = {
     "gen", "constraints", "seeds", "queue_cap", "schedulers", "variants",
     "checkpoint", "replan_steps",
@@ -296,34 +307,43 @@ def run_benchmark(config: dict, out_dir, *, workers: int | None = None, log=None
     unknown = set(seeds_cfg) - {"base", "count"}
     if unknown:
         raise ValueError(f"unknown bench-config seeds fields: {sorted(unknown)}")
-    os.makedirs(out_dir, exist_ok=True)
-    base_gen = gen_config_from_obj(config.get("gen", {}))
     constraints = _constraints_from_obj(config.get("constraints"))
-    seed_base = int(seeds_cfg.get("base", 0))
-    count = int(seeds_cfg.get("count", 10))
-    queue_cap = int(config.get("queue_cap", 10))
+    seed_base = _bench_int(seeds_cfg, "base", 0, 0, "seeds.base")
+    count = _bench_int(seeds_cfg, "count", 10, 1, "seeds.count")
+    queue_cap = _bench_int(config, "queue_cap", 10, 1, "queue_cap")
+    replan_steps = _bench_int(config, "replan_steps", 30, 1, "replan_steps")
     schedulers = config.get("schedulers", ["fcfs", "stf"])
-    variants = config.get("variants") or {"default": {}}
+    if not isinstance(schedulers, list) or not all(map(_is_scheduler, schedulers)):
+        raise ValueError(f"bench-config field 'schedulers' must be a list of scheduler names, got {schedulers!r}")
+    variants = config.get("variants", {})
+    if not isinstance(variants, dict) or not all(isinstance(v, dict) for v in variants.values()):
+        raise ValueError(f"bench-config field 'variants' must be an object of objects, got {variants!r}")
+    gen_cfgs = {
+        vname: gen_config_from_obj({**config.get("gen", {}), **overrides})
+        for vname, overrides in (variants or {"default": {}}).items()
+    }
+    checkpoint = config.get("checkpoint")
+    if not isinstance(checkpoint, (str, type(None))):
+        raise ValueError(f"bench-config field 'checkpoint' must be a string, got {checkpoint!r}")
     if workers is None:
         workers = int(os.environ.get("ROARS_THREADS", "0")) or (os.cpu_count() or 1)
+    os.makedirs(out_dir, exist_ok=True)
 
-    cells = []
-    for vname, overrides in variants.items():
-        gen_cfg = gen_config_from_obj({**config.get("gen", {}), **overrides})
-        for sched in schedulers:
-            for k in range(count):
-                cells.append(
-                    {
-                        "variant": vname,
-                        "scheduler": sched,
-                        "gen_cfg": gen_cfg,
-                        "constraints": constraints,
-                        "queue_cap": queue_cap,
-                        "seed": seed_base + k,
-                        "checkpoint": config.get("checkpoint"),
-                        "replan_steps": config.get("replan_steps", 30),
-                    }
-                )
+    cells = [
+        {
+            "variant": vname,
+            "scheduler": sched,
+            "gen_cfg": gen_cfg,
+            "constraints": constraints,
+            "queue_cap": queue_cap,
+            "seed": seed_base + k,
+            "checkpoint": checkpoint,
+            "replan_steps": replan_steps,
+        }
+        for vname, gen_cfg in gen_cfgs.items()
+        for sched in schedulers
+        for k in range(count)
+    ]
 
     results: list = [None] * len(cells)
     if workers > 1 and len(cells) > 1:
@@ -338,7 +358,7 @@ def run_benchmark(config: dict, out_dir, *, workers: int | None = None, log=None
     by_key: dict[tuple[str, str], list] = {}
     for cell, res in zip(cells, results):
         by_key.setdefault((cell["variant"], cell["scheduler"]), []).append(res)
-    for vname in variants:
+    for vname in gen_cfgs:
         for sched in schedulers:
             res = by_key.get((vname, sched), [])
             good = [r for r in res if r[0] is not None and np.isfinite(r[0])]
@@ -369,7 +389,7 @@ def run_benchmark(config: dict, out_dir, *, workers: int | None = None, log=None
         for r in rows:
             fh.write(f"{r.variant},{r.scheduler},{r.wall_time_s:.3f}\n")
     svg = grouped_bar_svg(
-        groups=list(variants),
+        groups=list(gen_cfgs),
         series=schedulers,
         values={(r.variant, r.scheduler): r.mean_avg_slowdown for r in rows},
         title="mean average slowdown by scheduler",

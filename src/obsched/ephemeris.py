@@ -123,6 +123,11 @@ class VisibilityConstraints:
     min_altitude_deg: float = 5.0
     max_sun_altitude_deg: float = -12.0
 
+    def __post_init__(self):
+        # below -6.07995 deg the Kasten-Young term takes a negative base
+        if not self.min_altitude_deg >= -6.07995:
+            raise ValueError(f"min_altitude_deg must be >= -6.07995, got {self.min_altitude_deg!r}")
+
 
 @dataclass(frozen=True)
 class VisibilityWindow:

@@ -201,12 +201,9 @@ def schedule_online_heuristic(
         raise ValueError("queue_cap must be >= 1")
     ctx = ctx or SchedulingContext.for_scenario(scenario, constraints)
     st = _PlacementState(ctx)
-    task_of = {int(ctx.task_id[r]): scenario.tasks[r] for r in range(ctx.n_tasks)}
-    target_of = {t.id: scenario.target_by_id(t.target_id) for t in scenario.tasks}
 
     def key(row: int) -> tuple:
-        task = task_of[int(ctx.task_id[row])]
-        return rank_key(task_rule, task, target_of[task.id])
+        return rank_key(task_rule, scenario.tasks[row], scenario.targets[int(ctx.target_row[row])])
 
     by_arrival: dict[int, list[int]] = {}
     for r in range(ctx.n_tasks):

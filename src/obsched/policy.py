@@ -229,8 +229,7 @@ class PolicyNet:
         if greedy or (pc is not None and rng.random() < pc):
             idx = int(np.argmax(q))
         else:
-            z = np.exp(q - np.max(q))
-            idx = int(rng.choice(len(q), p=z / z.sum()))
+            idx = int(rng.choice(len(q), p=region_distribution(q)))
         return candidates[idx], {"q_all": qt, "index": idx}
 
     def pick_rule(self, dag, region, candidates, rng, greedy=False):
@@ -443,7 +442,6 @@ def _rollout_chunk(payload: dict):
         rng = np.random.default_rng(
             np.random.SeedSequence([payload["seed"], payload["step"], k, 777])
         )
-        net._cache = None
         best, traj = rewrite_search(
             dag0, net, rollout_cfg, rng, pc=payload["pc"], greedy=False
         )
@@ -470,28 +468,20 @@ def _validation_slowdown(
     constraints: VisibilityConstraints,
     seed: int,
     n_instances: int,
-    eval_mode: str = "sample",
 ) -> float:
     """Mean average-slowdown of policy-guided rewriting from FCFS starts
-    on a fixed held-out instance set.
-
-    ``eval_mode="sample"`` runs the regular search (argmax region with
-    probability p_c, otherwise sampled from the region softmax; rules
-    sampled from the rule policy) with a fixed seed; "greedy" takes argmax
-    everywhere and stops at the first fixpoint.
+    on a fixed held-out instance set: the regular search (argmax region
+    with probability p_c, otherwise sampled from the region softmax; rules
+    sampled from the rule policy) with a fixed seed per instance.
     """
     vals = []
-    greedy = eval_mode == "greedy"
     with ag.no_grad():
         for k in range(n_instances):
             dag0 = _training_instance(gen_cfg, _instance_seed(seed, 555, k), constraints)
             if dag0 is None:
                 continue
             rng = np.random.default_rng(np.random.SeedSequence([seed, 556, k]))
-            net._cache = None
-            best, _ = rewrite_search(
-                dag0, net, search_cfg, rng, pc=search_cfg.pc_initial, greedy=greedy
-            )
+            best, _ = rewrite_search(dag0, net, search_cfg, rng, pc=search_cfg.pc_initial)
             vals.append(average_slowdown(best))
     return float(np.mean(vals)) if vals else float("nan")
 
@@ -516,8 +506,9 @@ def train(
     Per optimizer step: draw a batch of scenarios, build FCFS initial
     schedules, roll out the sampling policy, accumulate the combined loss
     gradient over the batch, and take one Adam step at the decayed
-    learning rate.  Periodically evaluates greedy search on held-out
-    instances and snapshots the best parameters.
+    learning rate.  Periodically evaluates the policy-guided search,
+    sampling with a fixed seed, on held-out instances and snapshots the
+    best parameters.
 
     Returns the best-validation network and the learning-curve rows.
     """

@@ -133,11 +133,7 @@ class Site:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One complete scheduling instance.  Immutable after construction.
-
-    A target's tasks must carry ``seq_index`` 0..k-1, arrive strictly later
-    along that sequence and share one exposure, as ``target_to_tasks``
-    makes them: every scheduler may rely on it."""
+    """One complete scheduling instance.  Immutable after construction."""
 
     grid: TimeGrid
     sites: tuple[Site, ...]

@@ -267,10 +267,6 @@ class ScheduleDag:
     def completion(self) -> np.ndarray:
         return self.start + self.ctx.exposure[self.rows]
 
-    def assignment_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, site, start) copies, suitable for editing and rebuilding."""
-        return self.rows.copy(), self.site.copy(), self.start.copy()
-
     def total_slowdown(self) -> float:
         return float(self.eta.sum())
 

@@ -171,6 +171,40 @@ class TestBenchmark:
             run_benchmark({"gen": GEN, **config}, tmp_path / "rep", workers=1)
         assert not (tmp_path / "rep").exists()
 
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"seeds": {"count": 2.9}}, "seeds.count"),  # used to run 2 instances
+            ({"seeds": {"count": True}}, "seeds.count"),
+            ({"seeds": {"count": 0}}, "seeds.count"),
+            ({"seeds": {"base": "1"}}, "seeds.base"),
+            ({"seeds": {"base": False}}, "seeds.base"),
+            ({"queue_cap": "10"}, "queue_cap"),  # used to be taken as 10
+            ({"queue_cap": 0}, "queue_cap"),
+            ({"schedulers": "fcfs"}, "schedulers"),  # used to run f, c, f, s
+            ({"schedulers": ["fcfs", "fifo"]}, "schedulers"),
+            ({"schedulers": ["stf:best"]}, "schedulers"),
+            ({"schedulers": [3]}, "schedulers"),
+            ({"variants": ["a"]}, "variants"),
+            ({"variants": {"a": 1}}, "variants"),
+            ({"variants": {"a": {"horizon_step": 30}}}, "horizon_step"),
+            ({"replan_steps": 0}, "replan_steps"),
+            ({"replan_steps": 2.5}, "replan_steps"),
+            ({"checkpoint": 3}, "checkpoint"),
+        ],
+    )
+    def test_bad_bench_values_named_before_work(self, tmp_path, config, field):
+        with pytest.raises(ValueError, match=field):
+            run_benchmark({"gen": GEN, **config}, tmp_path / "rep", workers=1)
+        assert not (tmp_path / "rep").exists()
+
+    def test_min_altitude_below_airmass_domain_rejected(self):
+        # below -6.07995 deg the airmass formula returns NaN with a warning
+        with pytest.raises(ValueError, match="min_altitude_deg"):
+            _constraints_from_obj({"min_altitude_deg": -10})
+        with pytest.raises(ValueError, match="min_altitude_deg"):
+            VisibilityConstraints(min_altitude_deg=float("nan"))
+
     def test_partial_failures_recorded(self, tmp_path):
         config = {
             "gen": GEN,

@@ -298,3 +298,16 @@ def test_sky_coverage_sees_the_last_step_of_a_block(edge):
     assert np.array_equal(union, ~last if edge == "dawn" else last)
     full, some = sky_coverage(ra, dec, site_skies([site], grid, cons), grid.horizon_steps, cons)
     assert full.tolist() == [False] and some.tolist() == [True]
+
+
+def test_lowest_min_altitude_has_no_warning():
+    import warnings
+
+    site = default_sites()[0].coord
+    grid = TimeGrid(datetime(2025, 6, 21, 0, 0, tzinfo=timezone.utc), 1, 240)
+    ra, dec = np.linspace(0.0, 350.0, 36), np.linspace(-80.0, 80.0, 36)
+    cons = VisibilityConstraints(min_altitude_deg=-6.0, max_airmass=np.inf, max_sun_altitude_deg=91.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mask, am = visibility_masks_multi(ra, dec, site, grid, cons)
+    assert mask.any() and not np.isnan(am).any()
