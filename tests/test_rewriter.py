@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
+import obsched.cli as cli
 from conftest import G, I, U, UG, toy_scenario
 from obsched.heuristics import brute_force_optimal
+from obsched.policy import PolicyConfig, PolicyNet
 from obsched.rewriter import (
     RandomPolicy,
     RewriteAction,
@@ -14,6 +16,7 @@ from obsched.rewriter import (
     rewrite_search,
     rewrite_step,
 )
+from obsched.scenario import GenConfig, generate_scenario
 from obsched.schedule import (
     Assignment,
     build_dag,
@@ -204,10 +207,6 @@ class TestNowFloor:
     def test_online_replan_states(self, monkeypatch):
         """The re-plan inputs of a learned online run: no root move from any
         of them starts an unfrozen task before the re-plan step."""
-        import obsched.cli as cli
-        from obsched.policy import PolicyConfig, PolicyNet
-        from obsched.scenario import GenConfig, generate_scenario
-
         gen = GenConfig(horizon_steps=240, arrival_prob=0.10, mode_exposure_count_frac=0.0, num_sites=5)
         net = PolicyNet(PolicyConfig(hidden=64, n_filters=3, n_sites=5, distributed=True), seed=0)
         audit, states = [], []
