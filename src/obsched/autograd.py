@@ -1,9 +1,11 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Deliberately small: exactly the operations the schedule encoder and its
-heads need, each with a hand-written vector-Jacobian product.  The LSTM
-cell is a single fused op so a whole encoding pass costs a handful of
-numpy calls per node instead of dozens of tape entries.
+Deliberately small: exactly the operations the schedule encoder, its
+heads and the losses need, each with a hand-written vector-Jacobian
+product.  The encoder is one fused ``lstm_cell`` per node plus ``add_n``
+for child sums; ``stack_rows`` turns a dag's node states into one matrix
+and a single ``gather_rows`` copies every candidate's rows out of it, so
+the heads' tape does not grow with the candidate count.
 
 All values are float64.  Gradients accumulate into ``Tensor.grad``;
 ``backward`` walks the tape once in reverse topological order.
@@ -142,15 +144,6 @@ def add_n(tensors: list[Tensor]) -> Tensor:
     return Tensor(out, tuple(tensors), vjp)
 
 
-def slice1d(x: Tensor, lo: int, hi: int) -> Tensor:
-    def vjp(g):
-        full = np.zeros_like(x.value)
-        full[lo:hi] = g
-        return (full,)
-
-    return Tensor(x.value[lo:hi], (x,), vjp)
-
-
 def stack_rows(tensors: list[Tensor]) -> Tensor:
     """Stack 1-D tensors into an (n, d) matrix."""
 
@@ -169,13 +162,21 @@ def stack0(tensors: list[Tensor]) -> Tensor:
     return Tensor(np.array([float(t.value) for t in tensors]), tuple(tensors), vjp)
 
 
-def concat1d(a: Tensor, b: Tensor) -> Tensor:
-    na = a.value.size
+def gather_rows(x: Tensor, idx: np.ndarray | list, cols: int) -> Tensor:
+    """The first ``cols`` columns of rows ``idx`` of the matrix ``x``.
+
+    A 1-D ``idx`` gives a (len(idx), cols) matrix.  A 2-D ``idx`` of shape
+    (n, k) puts each index tuple's k row slices side by side, giving an
+    (n, k * cols) matrix.  Repeated indices accumulate their gradients.
+    """
+    idx = np.asarray(idx, dtype=np.intp)
 
     def vjp(g):
-        return (g[:na], g[na:])
+        full = np.zeros_like(x.value)
+        np.add.at(full, (idx, slice(0, cols)), g.reshape(idx.shape + (cols,)))
+        return (full,)
 
-    return Tensor(np.concatenate([a.value, b.value]), (a, b), vjp)
+    return Tensor(x.value[idx, :cols].reshape(len(idx), -1), (x,), vjp)
 
 
 def squeeze_col(x: Tensor) -> Tensor:

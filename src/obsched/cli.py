@@ -83,14 +83,8 @@ def _parse_scheduler(name: str) -> dict:
             "task_rule": TaskRule(task),
             "site_rule": SiteRule(site),
         }
-    if name == "offline-stf":
-        return {"kind": "offline"}
-    if name == "oracle":
-        return {"kind": "oracle"}
-    if name == "roars":
-        return {"kind": "roars"}
-    if name == "roars-refine":
-        return {"kind": "roars-refine"}
+    if name in ("offline-stf", "oracle", "roars", "roars-refine"):
+        return {"kind": name}
     raise ValueError(f"unknown scheduler {name!r}")
 
 
@@ -121,7 +115,7 @@ def run_online(
         return schedule_online_heuristic(
             scenario, spec["task_rule"], spec["site_rule"], queue_cap, ctx=ctx
         )
-    if spec["kind"] == "offline":
+    if spec["kind"] == "offline-stf":
         return schedule_offline_stf(scenario, ctx=ctx)
     if spec["kind"] == "oracle":
         return brute_force_optimal(scenario, ctx=ctx), []

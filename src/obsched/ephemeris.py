@@ -422,22 +422,13 @@ def visibility_windows(
     valid result, not an error.
     """
     mask, am = visibility_mask(target, site, grid, constraints)
-    return windows_from_mask(mask, am, site_index=site_index)
-
-
-def windows_from_mask(
-    mask: np.ndarray, am: np.ndarray, *, site_index: int = 0
-) -> list[VisibilityWindow]:
-    """Group a boolean step mask into maximal half-open windows."""
-    out: list[VisibilityWindow] = []
     edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False])).astype(np.int8)))
-    for start, end in zip(edges[0::2], edges[1::2]):
-        out.append(
-            VisibilityWindow(
-                site_index=site_index,
-                start_step=int(start),
-                end_step=int(end),
-                min_airmass_in_window=float(np.min(am[start:end])),
-            )
+    return [
+        VisibilityWindow(
+            site_index=site_index,
+            start_step=int(start),
+            end_step=int(end),
+            min_airmass_in_window=float(np.min(am[start:end])),
         )
-    return out
+        for start, end in zip(edges[0::2], edges[1::2])
+    ]

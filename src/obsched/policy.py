@@ -130,7 +130,7 @@ class PolicyNet:
             shape = shape_fn(config.hidden, config.d_in)
             value = rng.uniform(-0.1, 0.1, size=shape) if init else np.zeros(shape)
             self.params[name] = Tensor.param(value)
-        self._cache: tuple[ScheduleDag, list[Tensor]] | None = None
+        self._cache: tuple[ScheduleDag, Tensor] | None = None
 
     # -- parameter plumbing --------------------------------------------------
 
@@ -189,10 +189,11 @@ class PolicyNet:
             states[node] = ag.lstm_cell(emb[node], state, wx, wh, b)
         return states
 
-    def _encoding(self, dag: ScheduleDag) -> list[Tensor]:
+    def _encoding(self, dag: ScheduleDag) -> Tensor:
+        """The (n_nodes, 2H) matrix of node states, encoded once per dag."""
         if self._cache is not None and self._cache[0] is dag:
             return self._cache[1]
-        states = self.encode(dag)
+        states = ag.stack_rows(self.encode(dag))
         self._cache = (dag, states)
         return states
 
@@ -203,23 +204,19 @@ class PolicyNet:
 
     def region_scores(self, dag: ScheduleDag, candidates: list[int]) -> Tensor:
         """Q(s, w) for each candidate region, as one (n,) tensor."""
-        states = self._encoding(dag)
-        h = self.config.hidden
-        rows = ag.stack_rows(
-            [ag.slice1d(states[dag.node_of_task[tid]], 0, h) for tid in candidates]
-        )
+        nodes = [dag.node_of_task[tid] for tid in candidates]
+        rows = ag.gather_rows(self._encoding(dag), nodes, self.config.hidden)
         return self._mlp(rows, "reg")
 
     def rule_scores(self, dag: ScheduleDag, region: int, candidates: list[tuple]) -> Tensor:
         """Rule-head logits for (region, candidate-parent) pairs."""
-        states = self._encoding(dag)
-        h = self.config.hidden
-        region_h = ag.slice1d(states[dag.node_of_task[region]], 0, h)
-        rows = []
-        for kind, ref in candidates:
-            node = ref if kind == "root" else dag.node_of_task[ref]
-            rows.append(ag.concat1d(region_h, ag.slice1d(states[node], 0, h)))
-        return self._mlp(ag.stack_rows(rows), "rule")
+        region_node = dag.node_of_task[region]
+        pairs = [
+            (region_node, ref if kind == "root" else dag.node_of_task[ref])
+            for kind, ref in candidates
+        ]
+        rows = ag.gather_rows(self._encoding(dag), pairs, self.config.hidden)
+        return self._mlp(rows, "rule")
 
     # -- search-policy protocol -------------------------------------------
 
@@ -368,6 +365,10 @@ def save_checkpoint(net: PolicyNet, path, train_step: int = 0) -> None:
             fh.write(net.params[name].value.astype("<f8").tobytes())
 
 
+#: integer header fields and their least allowed value
+_HEADER_INTS = {"hidden": 1, "d_in": 1, "n_filters": 1, "n_sites": 1, "e_max": 1, "train_step": 0}
+
+
 def load_checkpoint(path, config: PolicyConfig | None = None) -> tuple[PolicyNet, int]:
     """Rebuild a net from a checkpoint; if ``config`` is given its
     dimensions must match or a CheckpointError is raised."""
@@ -377,14 +378,17 @@ def load_checkpoint(path, config: PolicyConfig | None = None) -> tuple[PolicyNet
             header = json.loads(header_line.decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"bad checkpoint header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise CheckpointError("bad checkpoint header: not a JSON object")
         if header.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {header.get('version')}")
+        for name, lo in _HEADER_INTS.items():
+            if type(header.get(name)) is not int or header[name] < lo:  # bool is not int here
+                raise CheckpointError(f"checkpoint header field {name!r} must be an integer >= {lo}")
+        if type(header.get("distributed")) is not bool:
+            raise CheckpointError("checkpoint header field 'distributed' must be a boolean")
         file_cfg = PolicyConfig(
-            hidden=header["hidden"],
-            n_filters=header["n_filters"],
-            n_sites=header["n_sites"],
-            e_max=header["e_max"],
-            distributed=header["distributed"],
+            **{k: header[k] for k in ("hidden", "n_filters", "n_sites", "e_max", "distributed")}
         )
         if file_cfg.d_in != header["d_in"]:
             raise CheckpointError("checkpoint header is inconsistent")
@@ -399,7 +403,7 @@ def load_checkpoint(path, config: PolicyConfig | None = None) -> tuple[PolicyNet
         raise CheckpointError(f"truncated checkpoint: {len(blob)} bytes, expected {want}")
     flat = np.frombuffer(blob, dtype="<f8")
     net.set_flat(flat.copy())
-    return net, int(header.get("train_step", 0))
+    return net, header["train_step"]
 
 
 # --- training ----------------------------------------------------------------

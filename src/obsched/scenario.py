@@ -143,9 +143,19 @@ class Scenario:
     rng_seed: int = 0
 
     def __post_init__(self):
-        target_ids = {t.id for t in self.targets}
+        target_ids: set[int] = set()
+        for t in self.targets:
+            if t.id in target_ids:
+                raise ScenarioError(f"target {t.id}: duplicate target id")
+            if len(t.filters_required) != self.num_filters:
+                raise ScenarioError(f"target {t.id}: filters_required length != num_filters")
+            target_ids.add(t.id)
         siblings: dict[int, list[ObservationTask]] = {}
+        task_ids: set[int] = set()
         for task in self.tasks:
+            if task.id in task_ids:
+                raise ScenarioError(f"task {task.id}: duplicate task id")
+            task_ids.add(task.id)
             if task.target_id not in target_ids:
                 raise ScenarioError(f"task {task.id}: unknown target {task.target_id}")
             if len(task.rho) != self.num_filters:
@@ -160,9 +170,6 @@ class Scenario:
                     raise ScenarioError(f"task {task.id}: arrival must exceed the previous sibling's")
                 if task.exposure != seq[0].exposure:
                     raise ScenarioError(f"task {task.id}: exposure differs from its siblings'")
-        for t in self.targets:
-            if len(t.filters_required) != self.num_filters:
-                raise ScenarioError(f"target {t.id}: filters_required length != num_filters")
 
     def target_by_id(self, target_id: int) -> Target:
         for t in self.targets:

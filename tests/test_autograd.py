@@ -81,14 +81,51 @@ def test_structural_ops():
     a = ag.Tensor.param(rng.uniform(-1, 1, 6))
     b = ag.Tensor.param(rng.uniform(-1, 1, 6))
     c = ag.Tensor.param(rng.uniform(-1, 1, 6))
+    w = ag.Tensor.const(rng.uniform(-1, 1, (1, 6)))
+    zero = ag.Tensor.const(np.zeros(1))
 
     def loss():
         s = ag.add_n([a, b, c])
-        row = ag.concat1d(ag.slice1d(s, 0, 3), ag.slice1d(b, 3, 6))
-        lp = ag.log_softmax(row)
+        m = ag.stack_rows([s, b])
+        rows = ag.gather_rows(m, [[0, 1], [1, 0], [0, 0]], 3)
+        lp = ag.log_softmax(ag.squeeze_col(ag.linear(rows, w, zero)))
         return ag.add(ag.gather1(lp, 1), ag.weighted_sum(s, np.arange(6) / 6.0))
 
     fd_check(loss, [a, b, c], rng)
+
+
+def _gather_loss(x, idx, cols, rng):
+    target = rng.uniform(-1, 1, ag.gather_rows(x, idx, cols).value.shape)
+    return lambda: ag.mean1d(ag.square(ag.sub_const(ag.gather_rows(x, idx, cols), target)))
+
+
+def test_gather_rows_repeated_row():
+    rng = np.random.default_rng(6)
+    x = ag.Tensor.param(rng.uniform(-1, 1, (5, 4)))
+    fd_check(_gather_loss(x, [2, 0, 2, 4], 4, rng), [x], rng, n_probe=20)
+
+
+def test_gather_rows_pairs_share_first_row():
+    # every pair starts with the same row, as the rule head's (region, candidate) pairs do
+    rng = np.random.default_rng(7)
+    x = ag.Tensor.param(rng.uniform(-1, 1, (5, 6)))
+    pairs = [[3, 0], [3, 1], [3, 3], [3, 4], [3, 1]]
+    fd_check(_gather_loss(x, pairs, 6, rng), [x], rng, n_probe=30)
+
+
+def test_gather_rows_leading_columns():
+    rng = np.random.default_rng(8)
+    x = ag.Tensor.param(rng.uniform(-1, 1, (4, 6)))
+    fd_check(_gather_loss(x, [1, 3, 1], 2, rng), [x], rng, n_probe=24)
+    fd_check(_gather_loss(x, [[0, 2], [2, 2]], 4, rng), [x], rng, n_probe=24)
+
+
+def test_gather_rows_values_and_accumulation():
+    x = ag.Tensor.param(np.arange(12.0).reshape(3, 4))
+    out = ag.gather_rows(x, [[2, 0], [2, 2]], 3)
+    assert np.array_equal(out.value, [[8, 9, 10, 0, 1, 2], [8, 9, 10, 8, 9, 10]])
+    ag.backward(ag.mean1d(out))
+    assert np.allclose(x.grad * 12, [[1, 1, 1, 0], [0, 0, 0, 0], [3, 3, 3, 0]], rtol=0, atol=1e-15)
 
 
 def test_losslike_composition():

@@ -1,5 +1,6 @@
 """Schedule encoder, policy heads, actor-critic losses, checkpoints, and
 trainer mechanics."""
+import json
 import math
 
 import numpy as np
@@ -160,6 +161,94 @@ class TestDistributions:
         assert np.exp(info["logp_all"].value[0]) == pytest.approx(1.0)
 
 
+def _fcfs_dag(gen_cfg, seed):
+    from obsched.heuristics import schedule_fcfs_list
+    from obsched.scenario import generate_scenario
+
+    dag, _ = schedule_fcfs_list(generate_scenario(gen_cfg, seed))
+    assert len(dag.rows) >= 3
+    return dag
+
+
+def _numpy_heads(net, dag, regions, region, rule_cands):
+    """The heads as plain numpy over per-node state rows: each candidate's
+    first H state entries, concatenated after the region's for the rule
+    head, through the same three linears and relus."""
+    h = net.config.hidden
+    states = [s.value for s in net.encode(dag)]
+    p = {k: v.value for k, v in net.params.items()}
+
+    def mlp(rows, prefix):
+        x = rows @ p[prefix + "_w1"].T + p[prefix + "_b1"]
+        x = np.where(x > 0.0, x, 0.0)
+        x = x @ p[prefix + "_w2"].T + p[prefix + "_b2"]
+        x = np.where(x > 0.0, x, 0.0)
+        return (x @ p[prefix + "_w3"].T + p[prefix + "_b3"])[:, 0]
+
+    q = mlp(np.stack([states[dag.node_of_task[t]][:h] for t in regions]), "reg")
+    region_h = states[dag.node_of_task[region]][:h]
+    nodes = [ref if kind == "root" else dag.node_of_task[ref] for kind, ref in rule_cands]
+    u = mlp(np.stack([np.concatenate([region_h, states[n][:h]]) for n in nodes]), "rule")
+    return q, u
+
+
+class TestHeads:
+    @pytest.mark.parametrize(
+        "gen_kw, seed",
+        [
+            (dict(horizon_steps=240, arrival_prob=0.10, mode_exposure_count_frac=0.0), 3),
+            (dict(horizon_steps=60, arrival_prob=0.25, mode_exposure_count_frac=0.0, num_sites=5), 4),
+        ],
+        ids=["intra", "five-site"],
+    )
+    def test_scores_bitwise_equal_numpy_composition(self, gen_kw, seed):
+        from obsched.rewriter import candidate_parents, candidate_regions
+        from obsched.scenario import GenConfig
+
+        gen = GenConfig(**gen_kw)
+        dag = _fcfs_dag(gen, seed)
+        cfg = PolicyConfig(
+            hidden=64, n_filters=3, n_sites=gen.num_sites, distributed=gen.num_sites > 1
+        )
+        net = PolicyNet(cfg, seed=2)
+        regions = candidate_regions(dag)
+        for region in regions[:3] + regions[-2:]:
+            rule_cands = candidate_parents(dag, region) + [("root", 0)]
+            q, u = _numpy_heads(net, dag, regions, region, rule_cands)
+            assert np.array_equal(net.region_scores(dag, regions).value, q)
+            assert np.array_equal(net.rule_scores(dag, region, rule_cands).value, u)
+
+    def test_tape_has_no_per_candidate_nodes(self):
+        from obsched.scenario import GenConfig
+
+        gen = GenConfig(horizon_steps=240, arrival_prob=0.10, mode_exposure_count_frac=0.0)
+        dag0 = _fcfs_dag(gen, 5)
+        net = PolicyNet(CFG, seed=0)
+        _, traj = rewrite_search(
+            dag0, net, SearchConfig(num_steps=12), np.random.default_rng(1), pc=0.5
+        )
+        _, _, total = losses(traj, TrainConfig())
+        ops: dict[str, int] = {}
+        seen, stack = {id(total)}, [total]
+        while stack:
+            node = stack.pop()
+            if node.vjp is not None:
+                op = node.vjp.__qualname__.split(".")[0]
+                ops[op] = ops.get(op, 0) + 1
+            for parent in node.parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        dags = {id(s.dag): s.dag for s in traj}.values()
+        # the encoder runs once per distinct dag, and its states are stacked once
+        assert ops.pop("lstm_cell") == sum(d.n_nodes for d in dags)
+        assert ops.pop("stack_rows") == len(dags)
+        ops.pop("add_n", None)
+        # heads and losses: 17 nodes per step and 8 per trajectory, whatever
+        # the number of candidates
+        assert sum(ops.values()) <= 20 * len(traj), ops
+
+
 def _stub_step(dag, reward, q, logits, q_idx=0, u_idx=0):
     return TrajectoryStep(
         step=0,
@@ -311,6 +400,41 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("e_max", None),
+            ("hidden", "8"),
+            ("hidden", 8.0),
+            ("hidden", True),
+            ("n_sites", 0),
+            ("d_in", None),
+            ("train_step", "x"),
+            ("train_step", -1),
+            ("train_step", None),
+            ("distributed", 1),
+            ("distributed", None),
+        ],
+    )
+    def test_bad_header_field_is_named(self, tmp_path, field, value):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(PolicyNet(CFG, seed=4), path)
+        header_line, blob = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        if value is None:
+            del header[field]
+        else:
+            header[field] = value
+        path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        with pytest.raises(CheckpointError, match=f"'{field}'"):
+            load_checkpoint(path)
+
+    def test_non_object_header_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"[1, 2]\n")
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            load_checkpoint(path)
+
 
 class TestTrainerMechanics:
     def test_learning_rate_schedule(self):
@@ -328,4 +452,15 @@ class TestTrainerMechanics:
         sc = SearchConfig(num_steps=10)
         n1, _ = train(gen, tc, sc, CFG, seed=11, workers=1, val_every=100, val_instances=1)
         n2, _ = train(gen, tc, sc, CFG, seed=11, workers=1, val_every=100, val_instances=1)
+        assert np.array_equal(n1.flat(), n2.flat())
+
+    def test_two_worker_training_is_reproducible(self):
+        from obsched.scenario import GenConfig
+        from obsched.policy import train
+
+        gen = GenConfig(horizon_steps=60, arrival_prob=0.25, mode_exposure_count_frac=0.0)
+        tc = TrainConfig(batch=4, episode_len=5, steps=2)
+        sc = SearchConfig(num_steps=10)
+        n1, _ = train(gen, tc, sc, CFG, seed=11, workers=2, val_every=100, val_instances=1)
+        n2, _ = train(gen, tc, sc, CFG, seed=11, workers=2, val_every=100, val_instances=1)
         assert np.array_equal(n1.flat(), n2.flat())

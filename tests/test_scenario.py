@@ -216,6 +216,24 @@ class TestSerialization:
             scenario_from_json(json.dumps(obj))
 
 
+class TestUniqueIds:
+    """Task ids and target ids are each unique within a scenario."""
+
+    def test_duplicate_task_id_is_named(self):
+        obj = json.loads(scenario_to_json(generate_scenario(GenConfig(horizon_steps=240), 1)))
+        dup = obj["tasks"][0]["id"]
+        obj["tasks"][1]["id"] = dup
+        with pytest.raises(ScenarioError, match=f"task {dup}: duplicate task id"):
+            scenario_from_json(json.dumps(obj))
+
+    def test_duplicate_target_id_is_named(self):
+        obj = json.loads(scenario_to_json(generate_scenario(GenConfig(horizon_steps=240), 1)))
+        dup = obj["targets"][0]["id"]
+        obj["targets"][1]["id"] = dup
+        with pytest.raises(ScenarioError, match=f"target {dup}: duplicate target id"):
+            scenario_from_json(json.dumps(obj))
+
+
 class TestSiblingOrder:
     """Every scenario carries its siblings in sequence: seq_index 0..k-1,
     strictly increasing arrivals, one exposure per target."""
