@@ -1,10 +1,13 @@
 """Single rewrite-step semantics, repair, and the search loop."""
+import hashlib
+import io
+
 import numpy as np
 import pytest
 
 import obsched.cli as cli
 from conftest import G, I, U, UG, toy_scenario
-from obsched.heuristics import brute_force_optimal
+from obsched.heuristics import brute_force_optimal, schedule_fcfs_list
 from obsched.policy import PolicyConfig, PolicyNet
 from obsched.rewriter import (
     RandomPolicy,
@@ -20,6 +23,7 @@ from obsched.scenario import GenConfig, generate_scenario
 from obsched.schedule import (
     Assignment,
     build_dag,
+    dump_schedule,
     total_slowdown,
     validate,
 )
@@ -229,6 +233,70 @@ class TestNowFloor:
                         assert min(self._start(out, u) for u in candidate_regions(out, frozen)) >= t
         assert applied > 0
 
+
+class TestRewritePin:
+    """Seeded chains of uniform random rewrites, pinned by hash.
+
+    Each chain starts from the FCFS-list schedule of a generated scenario
+    and applies ``STEPS`` random (region, parent) actions in turn: the
+    first third with no floor, the second with ``now`` at a quarter of the
+    horizon and every task that starts before it frozen, the last with
+    ``now`` at half the horizon and every fifth task id frozen as well.
+    The hash covers each step's status and the schedule dump after it, so
+    any change to the move, the repair or the cadence fix-up shows here.
+    """
+
+    STEPS = 400
+    CASES = [
+        ("intra-1site", GenConfig(horizon_steps=240, arrival_prob=0.10, mode_exposure_count_frac=0.0, num_sites=1), 1),
+        ("dist-5site", GenConfig(horizon_steps=60, arrival_prob=0.25, mode_exposure_count_frac=0.0, num_sites=5), 2),
+        ("mixed-2site", GenConfig(horizon_steps=120, arrival_prob=0.15, num_sites=2), 2),
+    ]
+    EXPECTED = {
+        "intra-1site": "1f951efe51a5ed5ae12376e9ff5a0e95b7afd23be4e8c83af7342e451572f79f",
+        "dist-5site": "619dee6397f1dc6fd8cdd9288a77cec8e1e52750c7d4f9ac606b70095c299a19",
+        "mixed-2site": "59352ed086cc528bb3b7fb3d906c435e192764a123d94c013fa8e34fdf9b4dfa",
+    }
+
+    def _chain(self, gen, seed):
+        dag, _ = schedule_fcfs_list(generate_scenario(gen, seed))
+        rng = np.random.default_rng(seed)
+        policy = RandomPolicy()
+        digest = hashlib.sha256()
+        applied = 0
+        for step in range(self.STEPS):
+            phase = step * 3 // self.STEPS
+            now = phase * gen.horizon_steps // 4
+            frozen = frozenset(
+                tid
+                for tid, b in zip(dag.task_ids, dag.start.tolist())
+                if b < now or (phase == 2 and tid % 5 == 0)
+            )
+            region, _ = policy.pick_region(dag, candidate_regions(dag, frozen), rng)
+            parent, _ = policy.pick_rule(dag, region, candidate_parents(dag, region), rng)
+            if parent[0] == "root":
+                action = RewriteAction(region, None, parent[1])
+            else:
+                action = RewriteAction(region, parent[1])
+            out, status = rewrite_step(dag, action, frozen, now)
+            if status == "applied":
+                applied += 1
+                assert validate(out) == []
+            else:
+                assert out is dag
+            fh = io.StringIO()
+            dump_schedule(out, fh)
+            digest.update(f"{status}\n{fh.getvalue()}".encode())
+            dag = out
+        return digest.hexdigest(), applied
+
+    def test_chain_sha256(self):
+        total_applied = 0
+        for name, gen, seed in self.CASES:
+            sha, applied = self._chain(gen, seed)
+            assert sha == self.EXPECTED[name], name
+            total_applied += applied
+        assert total_applied >= 50
 
 class TestSearch:
     def test_zero_steps_returns_input(self):
