@@ -23,7 +23,6 @@ from .heuristics import (
     DISTRIBUTED_PAIRS,
     SiteRule,
     TaskRule,
-    _PlacementState,
     brute_force_optimal,
     schedule_fcfs_list,
     schedule_offline_stf,
@@ -46,6 +45,7 @@ from .scenario import (
     save_scenario,
 )
 from .schedule import (
+    Placement,
     ScheduleDag,
     SchedulingContext,
     average_slowdown,
@@ -145,7 +145,7 @@ def run_online(
 
     # online loop: tentative schedule + greedy re-planning at events; a task
     # is placed or dropped on arrival, after its previous sibling
-    st = _PlacementState(ctx)
+    st = Placement(ctx)
     assigned = st.committed  # row -> (site, start), tentative until frozen
     pending: dict[int, None] = {}  # placed, not frozen, in placement order
     frozen: set[int] = set()  # task ids; frozen tasks never move
@@ -186,9 +186,7 @@ def run_online(
             best, _ = rewrite_search(
                 st.to_dag(), net, replan_cfg, rng, greedy=True, frozen=frozenset(frozen), now=t
             )
-            for i, r in enumerate(best.rows):
-                assigned[int(r)] = (int(best.site[i]), int(best.start[i]))
-            st.profile = best.profile.copy()  # rewriting keeps the scheduled set
+            st.load(best)  # in place, so ``assigned`` stays its alias
 
         for r in [r for r in pending if assigned[r][1] == t]:
             freeze(r, t)  # starts now: no preemption from here on

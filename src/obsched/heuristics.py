@@ -8,6 +8,10 @@ task that can begin right now; when the queue exceeds its capacity the
 rule-minimal task is forced out and committed to its earliest feasible
 (site, start).  Tasks with no statically feasible start left (visibility
 or deadline) are dropped and reported.
+
+Every scheduler here but the oracle commits through `schedule.Placement`;
+this module only adds the dispatch rules, the site-choice keys and the
+queue loop.
 """
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ import numpy as np
 from .ephemeris import VisibilityConstraints
 from .scenario import CADENCE, ObservationTask, Scenario, Target
 from .schedule import (
+    Placement,
     ScheduleDag,
     SchedulingContext,
     build_from_arrays,
@@ -93,94 +98,16 @@ def rank_key(rule: TaskRule, task: ObservationTask, target: Target) -> tuple:
     return (primary, task.arrival, task.id)
 
 
-class _PlacementState:
-    """Mutable occupancy bookkeeping shared by the scheduler loops and the
-    learned online loop: the one place-or-drop and commit path, and the
-    dag those commits make."""
-
-    def __init__(self, ctx: SchedulingContext):
-        self.ctx = ctx
-        self.profile = np.zeros((ctx.n_sites, ctx.n_filters, ctx.horizon), dtype=np.uint8)
-        self.committed: dict[int, tuple[int, int]] = {}  # row -> (site, start)
-        self.dropped: set[int] = set()
-        self.drops: list[int] = []  # dropped task ids, in drop order
-        self._static_bound: dict[int, int] = {}
-
-    def release(self, row: int) -> int | None:
-        """Earliest start allowed by arrival + sibling cadence; None while
-        the previous sibling is still undecided, which only the online
-        dispatch queue meets."""
-        prev = int(self.ctx.prev_sibling[row])
-        if prev < 0 or prev in self.dropped:
-            return self.ctx.release(row, None)
-        if prev in self.committed:
-            return self.ctx.release(row, self.committed[prev][1])
-        return None
-
-    def commit(self, row: int, site: int, start: int) -> None:
-        e = int(self.ctx.exposure[row])
-        self.profile[site][self.ctx.rho_idx[row], start : start + e] = 1
-        self.committed[row] = (site, start)
-
-    def drop(self, row: int) -> None:
-        self.dropped.add(row)
-        self.drops.append(int(self.ctx.task_id[row]))
-
-    def place(self, row: int, lo: int, site_rule: SiteRule | None = None) -> None:
-        """Commit the task at the site rule's pick among each site's
-        earliest feasible start >= lo, or drop it when no site has room."""
-        cands = []
-        for s in range(self.ctx.n_sites):
-            b = earliest_feasible_start(self.ctx, self.profile, row, s, lo)
-            if b is not None:
-                cands.append((s, b))
-        if cands:
-            self.commit(row, *_choose_site(self.ctx, row, cands, site_rule))
-        else:
-            self.drop(row)
-
-    def fits_now(self, row: int, site: int, t: int) -> bool:
-        ctx = self.ctx
-        if ctx.fits_statically(row, site, t) is not None:
-            return False
-        e = int(ctx.exposure[row])
-        return not self.profile[site][ctx.rho_idx[row], t : t + e].any()
-
-    def static_last_start(self, row: int) -> int:
-        """Latest start with visibility + deadline satisfied somewhere,
-        ignoring occupancy; -1 when the task is never observable."""
-        if row not in self._static_bound:
-            windows = (self.ctx.static_starts(row, s, 0) for s in range(self.ctx.n_sites))
-            self._static_bound[row] = max(
-                (lo + int(np.flatnonzero(ok)[-1]) for lo, ok in windows if ok.any()), default=-1
-            )
-        return self._static_bound[row]
-
-    def to_dag(self) -> ScheduleDag:
-        """The committed placements as a validated dag."""
-        rows = np.array(sorted(self.committed), dtype=np.int64)
-        site = np.array([self.committed[r][0] for r in rows], dtype=np.int64)
-        start = np.array([self.committed[r][1] for r in rows], dtype=np.int64)
-        return build_from_arrays(self.ctx, rows, site, start)
-
-
-def _choose_site(
-    ctx: SchedulingContext,
-    row: int,
-    cands: list[tuple[int, int]],
-    site_rule: SiteRule | None,
-) -> tuple[int, int]:
-    """Pick among feasible (site, start) candidates per the site rule;
-    ties break toward the earlier start, then the lower site index."""
+def _site_key(ctx: SchedulingContext, row: int, site_rule: SiteRule | None):
+    """``Placement.place`` key over feasible (site, start) candidates per
+    the site rule, ties toward the earlier start, then the lower site
+    index; None (the placement default) without a rule."""
     if site_rule == SiteRule.BEST_QUALITY:
         tr = int(ctx.target_row[row])
-        return min(cands, key=lambda sb: (ctx.air[tr, sb[0], sb[1]], sb[1], sb[0]))
+        return lambda sb: (ctx.air[tr, sb[0], sb[1]], sb[1], sb[0])
     if site_rule == SiteRule.BEST_PRIORITY:
-        return min(
-            cands,
-            key=lambda sb: (-ctx.scenario.sites[sb[0]].equipment_priority, sb[1], sb[0]),
-        )
-    return min(cands, key=lambda sb: (sb[1], sb[0]))
+        return lambda sb: (-ctx.scenario.sites[sb[0]].equipment_priority, sb[1], sb[0])
+    return None
 
 
 def schedule_online_heuristic(
@@ -200,15 +127,35 @@ def schedule_online_heuristic(
     if queue_cap < 1:
         raise ValueError("queue_cap must be >= 1")
     ctx = ctx or SchedulingContext.for_scenario(scenario, constraints)
-    st = _PlacementState(ctx)
+    st = Placement(ctx)
 
     def key(row: int) -> tuple:
         return rank_key(task_rule, scenario.tasks[row], scenario.targets[int(ctx.target_row[row])])
+
+    def fits_now(row: int, site: int, t: int) -> bool:
+        if ctx.fits_statically(row, site, t) is not None:
+            return False
+        e = int(ctx.exposure[row])
+        return not st.profile[site][ctx.rho_idx[row], t : t + e].any()
+
+    last_start: dict[int, int] = {}
+
+    def static_last_start(row: int) -> int:
+        """Latest start with visibility + deadline satisfied somewhere,
+        ignoring occupancy; -1 when the task is never observable."""
+        if row not in last_start:
+            windows = (ctx.static_starts(row, s, 0) for s in range(ctx.n_sites))
+            last_start[row] = max(
+                (lo + int(np.flatnonzero(ok)[-1]) for lo, ok in windows if ok.any()), default=-1
+            )
+        return last_start[row]
 
     by_arrival: dict[int, list[int]] = {}
     for r in range(ctx.n_tasks):
         by_arrival.setdefault(int(ctx.arrival[r]), []).append(r)
 
+    # a task waits while its previous sibling is still queued: siblings
+    # arrive strictly later, so every other previous sibling is decided
     queue: list[int] = []
     for t in range(ctx.horizon):
         for r in sorted(by_arrival.get(t, ()), key=lambda r: int(ctx.task_id[r])):
@@ -216,31 +163,30 @@ def schedule_online_heuristic(
 
         # overflow: the rule forces tasks out until the queue fits again
         while len(queue) > queue_cap:
-            ready = [r for r in queue if st.release(r) is not None]
+            ready = [r for r in queue if int(ctx.prev_sibling[r]) not in queue]
             victim = min(ready, key=key)
-            st.place(victim, max(st.release(victim), t), site_rule)
+            st.place(victim, max(st.release(victim), t), _site_key(ctx, victim, site_rule))
             queue.remove(victim)
 
         # start every task that can begin right now, best-ranked first
         while True:
             startable: list[tuple[int, list[int]]] = []
             for r in queue:
-                lo = st.release(r)
-                if lo is None or lo > t:
+                if int(ctx.prev_sibling[r]) in queue or st.release(r) > t:
                     continue
-                sites_now = [s for s in range(ctx.n_sites) if st.fits_now(r, s, t)]
+                sites_now = [s for s in range(ctx.n_sites) if fits_now(r, s, t)]
                 if sites_now:
                     startable.append((r, sites_now))
             if not startable:
                 break
             r, sites_now = min(startable, key=lambda rs: key(rs[0]))
-            s, b = _choose_site(ctx, r, [(s, t) for s in sites_now], site_rule)
-            st.commit(r, s, b)
+            # every candidate starts at t: without a rule the lowest site wins
+            st.commit(r, *min([(s, t) for s in sites_now], key=_site_key(ctx, r, site_rule)))
             queue.remove(r)
 
         # drop what can no longer meet visibility + deadline anywhere
         for r in list(queue):
-            if t > st.static_last_start(r):
+            if t > static_last_start(r):
                 st.drop(r)
                 queue.remove(r)
 
@@ -252,11 +198,11 @@ def schedule_online_heuristic(
 
 def _list_schedule(ctx: SchedulingContext, key) -> tuple[ScheduleDag, list[int]]:
     """Each task in ``key`` order goes to its earliest feasible (site, start)
-    from its release, or is dropped.  ``release`` is never None here: a
-    ``Scenario``'s siblings arrive strictly later along their sequence with
-    one exposure, so under (arrival, id) and (exposure, arrival, id) alike
-    a task sorts after its previous sibling, already placed or dropped."""
-    st = _PlacementState(ctx)
+    from its release, or is dropped.  A ``Scenario``'s siblings arrive
+    strictly later along their sequence with one exposure, so under
+    (arrival, id) and (exposure, arrival, id) alike a task sorts after its
+    previous sibling, already placed or dropped."""
+    st = Placement(ctx)
     for r in sorted(range(ctx.n_tasks), key=key):
         st.place(r, st.release(r))
     return st.to_dag(), st.drops

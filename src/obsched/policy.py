@@ -30,6 +30,7 @@ from .schedule import (
     average_slowdown,
     embedding_length,
     embedding_matrix,
+    total_slowdown,
 )
 
 __all__ = [
@@ -458,8 +459,8 @@ def _rollout_chunk(payload: dict):
                 float(combined.value),
                 float(l_region.value),
                 float(l_rule.value),
-                float(best.total_slowdown()),
-                float(dag0.total_slowdown()),
+                total_slowdown(best),
+                total_slowdown(dag0),
             )
         )
     return net.grad_flat(), stats

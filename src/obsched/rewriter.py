@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .schedule import (
+    Placement,
     ScheduleDag,
-    build_from_arrays,
-    earliest_feasible_start,
+    build_from_arrays,  # unused here; perfbench/tracing.py wraps this binding
+    earliest_feasible_start,  # unused here; perfbench/tracing.py wraps this binding
     total_slowdown,
 )
 
@@ -158,19 +159,24 @@ def rewrite_step(
             return dag, NOOP
         want = int(ctx.arrival[row])
 
-    sites = dag.site.copy()
-    starts = dag.start.copy()
-    pos_of_row = {int(r): k for k, r in enumerate(dag.rows)}
+    st = Placement(ctx).load(dag)
 
-    def release(k: int) -> int:
-        r = int(dag.rows[k])
-        kp = pos_of_row.get(int(ctx.prev_sibling[r]))
-        rel = ctx.release(r, None if kp is None else int(starts[kp]))
+    def release(r: int) -> int:
+        rel = st.release(r)
         return now if now > rel and int(ctx.task_id[r]) not in frozen else rel
+
+    def refit(r: int, site: int) -> bool:
+        b = st.fit(r, site, release(r))
+        if b is not None:
+            st.commit(r, site, b)
+        return b is not None
+
+    def by_start(r: int) -> tuple[int, int]:
+        return st.committed[r][1], int(ctx.task_id[r])
 
     # earliest statically feasible start at the destination; occupancy is
     # ignored here, conflicts are resolved by displacement
-    lo, ok = ctx.static_starts(row, dest_site, max(want, release(i)))
+    lo, ok = ctx.static_starts(row, dest_site, max(want, release(row)))
     if not ok.any():
         return dag, REJECTED
     new_start = lo + int(ok.argmax())
@@ -180,73 +186,43 @@ def rewrite_step(
     e = int(ctx.exposure[row])
     # displaced set: tasks on the destination site that overlap the moved
     # interval AND share at least one required filter (others can legally
-    # overlap and stay put)
+    # overlap and stay put), in repair order (old start, task id)
     rho_r = ctx.rho[row]
     displaced = [
-        k
-        for k in range(len(dag.rows))
-        if k != i
-        and int(sites[k]) == dest_site
-        and int(starts[k]) < new_start + e
-        and int(starts[k]) + int(ctx.exposure[int(dag.rows[k])]) > new_start
-        and bool(np.any(rho_r & ctx.rho[int(dag.rows[k])]))
+        r
+        for r, (s, b) in st.committed.items()
+        if r != row and s == dest_site and b < new_start + e and b + int(ctx.exposure[r]) > new_start
+        and bool(np.any(rho_r & ctx.rho[r]))
     ]
-    if any(int(ctx.task_id[int(dag.rows[k])]) in frozen for k in displaced):
+    displaced.sort(key=by_start)
+    if any(int(ctx.task_id[r]) in frozen for r in displaced):
         return dag, REJECTED
 
-    profile = dag.profile.copy()
-
-    def clear(k: int) -> None:
-        r = int(dag.rows[k])
-        profile[int(sites[k])][ctx.rho_idx[r], int(starts[k]) : int(starts[k]) + int(ctx.exposure[r])] = 0
-
-    def put(k: int) -> None:
-        r = int(dag.rows[k])
-        profile[int(sites[k])][ctx.rho_idx[r], int(starts[k]) : int(starts[k]) + int(ctx.exposure[r])] = 1
-
-    clear(i)
-    for k in displaced:
-        clear(k)
-    sites[i] = dest_site
-    starts[i] = new_start
-    put(i)
+    st.uncommit(row)
+    for r in displaced:
+        st.uncommit(r)
+    st.commit(row, dest_site, new_start)
 
     # greedy repair in topological order; a failed placement rejects all
-    displaced.sort(key=lambda k: (int(dag.start[k]), int(ctx.task_id[int(dag.rows[k])])))
-    for k in displaced:
-        b = earliest_feasible_start(ctx, profile, int(dag.rows[k]), int(sites[k]), release(k))
-        if b is None:
+    for r in displaced:
+        if not refit(r, dest_site):
             return dag, REJECTED
-        starts[k] = b
-        put(k)
 
     # cadence chains: siblings of moved tasks may now start too early
     for _ in range(len(dag.rows) + 2):
-        bad = [
-            k
-            for k in range(len(dag.rows))
-            if int(starts[k]) < release(k)
-        ]
+        bad = sorted((r for r, (_, b) in st.committed.items() if b < release(r)), key=by_start)
         if not bad:
             break
-        bad.sort(key=lambda k: (int(starts[k]), int(ctx.task_id[int(dag.rows[k])])))
-        for k in bad:
-            if int(ctx.task_id[int(dag.rows[k])]) in frozen:
+        for r in bad:
+            if int(ctx.task_id[r]) in frozen or not refit(r, st.uncommit(r)[0]):
                 return dag, REJECTED
-            clear(k)
-            b = earliest_feasible_start(ctx, profile, int(dag.rows[k]), int(sites[k]), release(k))
-            if b is None:
-                return dag, REJECTED
-            starts[k] = b
-            put(k)
     else:
         return dag, REJECTED
 
     try:
-        new_dag = build_from_arrays(ctx, dag.rows.copy(), sites, starts)
+        return st.to_dag(), APPLIED
     except ValueError:
         return dag, REJECTED
-    return new_dag, APPLIED
 
 
 class RandomPolicy:
@@ -301,9 +277,8 @@ def rewrite_search(
         region_cands = _subsample(regions, config.region_candidates, rng)
         region, region_info = policy.pick_region(cur, region_cands, rng, greedy, pc)
 
-        parents = candidate_parents(cur, region)
-        roots = [p for p in parents if p[0] == "root"]
-        tasks = [p for p in parents if p[0] == "task"]
+        parents = candidate_parents(cur, region)  # the site roots come first
+        roots, tasks = parents[: cur.n_sites], parents[cur.n_sites :]
         budget = max(config.rule_candidates - len(roots), 0)
         rule_cands = roots + _subsample(tasks, budget, rng)
         parent, rule_info = policy.pick_rule(cur, region, rule_cands, rng, greedy)

@@ -249,13 +249,35 @@ def load_sites(path) -> list[Site]:
 
 
 def _sites_from_obj(obj) -> list[Site]:
+    """Parse a site list, from a site file or a scenario; errors name
+    ``sites[i]`` and the field.  A missing or null ``equipment_priority``
+    means 1.0, a missing or null ``alt_m`` 0.0."""
+    if not isinstance(obj, list):
+        raise ScenarioError("sites: must be a list")
     sites = []
-    for row in obj:
+    for i, row in enumerate(obj):
+        ctx = f"sites[{i}]"
+        if not isinstance(row, dict):
+            raise ScenarioError(f"{ctx}: must be an object")
+        name = _require(row, "name", ctx)
+        if not isinstance(name, str):
+            raise ScenarioError(f"{ctx}: name must be a string")
+        num = {}
+        for key, default in (("lat_deg", None), ("lon_deg", None), ("alt_m", 0.0), ("equipment_priority", 1.0)):
+            v = _require(row, key, ctx) if default is None else row.get(key)
+            v = default if v is None else v
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not -np.inf < v < np.inf:
+                raise ScenarioError(f"{ctx}: {key} must be a finite number")
+            num[key] = v
+        if not -90.0 <= num["lat_deg"] <= 90.0:
+            raise ScenarioError(f"{ctx}: lat_deg out of range")
+        if not -180.0 < num["lon_deg"] <= 180.0:
+            raise ScenarioError(f"{ctx}: lon_deg out of range")
         sites.append(
             Site(
-                name=row["name"],
-                coord=GeoCoord(row["lat_deg"], row["lon_deg"], row.get("alt_m", 0.0)),
-                equipment_priority=float(row.get("equipment_priority") or 1.0),
+                name=name,
+                coord=GeoCoord(num["lat_deg"], num["lon_deg"], num["alt_m"]),
+                equipment_priority=float(num["equipment_priority"]),
             )
         )
     return sites
@@ -533,21 +555,7 @@ def scenario_from_json(text: str) -> Scenario:
         step_minutes=_require(g, "step_minutes", "grid"),
         horizon_steps=_require(g, "horizon_steps", "grid"),
     )
-    sites = []
-    for i, row in enumerate(_require(obj, "sites", "scenario")):
-        lat = _require(row, "lat_deg", f"sites[{i}]")
-        lon = _require(row, "lon_deg", f"sites[{i}]")
-        if not -90.0 <= lat <= 90.0:
-            raise ScenarioError(f"sites[{i}]: lat_deg out of range")
-        if not -180.0 < lon <= 180.0:
-            raise ScenarioError(f"sites[{i}]: lon_deg out of range")
-        sites.append(
-            Site(
-                name=_require(row, "name", f"sites[{i}]"),
-                coord=GeoCoord(lat, lon, row.get("alt_m", 0.0)),
-                equipment_priority=float(row.get("equipment_priority", 1.0)),
-            )
-        )
+    sites = _sites_from_obj(_require(obj, "sites", "scenario"))
     targets = []
     for i, row in enumerate(_require(obj, "targets", "scenario")):
         ctx = f"targets[{i}]"

@@ -3,11 +3,15 @@ the dependency DAG over them, feasibility validation, slowdown cost, and
 task embedding vectors.
 
 A schedule is stored as a value object (`ScheduleDag`): cheap to clone,
-never mutated after construction.  Rewriting produces new dags.  Edge
-semantics: a task hangs off its site's root node when it starts as early
-as its own constraints allow (arrival, sibling cadence, visibility-window
-opening); otherwise it must start exactly when some same-site task
-completes, and one edge per such predecessor is present.
+never mutated after construction.  `Placement` is the one mutable
+builder: the schedulers, the learned online loop and the rewriter commit
+and uncommit rows on it and freeze the result with `to_dag`, so outside
+the two oracles (`validate`, `heuristics.brute_force_optimal`) only it
+and `build_from_arrays` write an occupancy profile.  Edge semantics: a
+task hangs off its site's root node when it starts as early as its own
+constraints allow (arrival, sibling cadence, visibility-window opening);
+otherwise it must start exactly when some same-site task completes, and
+one edge per such predecessor is present.
 """
 from __future__ import annotations
 
@@ -25,6 +29,7 @@ __all__ = [
     "InfeasibleAssignmentError",
     "Violation",
     "SchedulingContext",
+    "Placement",
     "ScheduleDag",
     "build_dag",
     "validate",
@@ -267,9 +272,6 @@ class ScheduleDag:
     def completion(self) -> np.ndarray:
         return self.start + self.ctx.exposure[self.rows]
 
-    def total_slowdown(self) -> float:
-        return float(self.eta.sum())
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ScheduleDag)
@@ -281,9 +283,9 @@ class ScheduleDag:
 
 
 def build_from_arrays(ctx: SchedulingContext, rows, site, start) -> ScheduleDag:
-    """Core constructor from (rows, site, start) arrays, used by every
-    scheduler and the rewriter: validates every constraint and derives
-    edges.
+    """Core constructor from (rows, site, start) arrays, behind
+    ``Placement.to_dag`` and ``build_dag``: validates every constraint and
+    derives edges.
 
     Raises InfeasibleAssignmentError on the first violation found.
     """
@@ -341,6 +343,74 @@ def build_from_arrays(ctx: SchedulingContext, rows, site, start) -> ScheduleDag:
         parents.append(tuple(sorted(p)))
 
     return ScheduleDag(ctx, rows, site, start, eta, tuple(parents), profile)
+
+
+class Placement:
+    """Mutable occupancy of one schedule under construction: the one
+    commit path for the schedulers, the learned online loop and the
+    rewriter.
+
+    ``committed`` maps row -> (site, start), ``profile`` holds the
+    occupancy those commits make, and ``drops`` the dropped task ids in
+    drop order.  ``to_dag`` freezes the commits into a validated dag.
+    """
+
+    def __init__(self, ctx: SchedulingContext):
+        self.ctx = ctx
+        self.profile = np.zeros((ctx.n_sites, ctx.n_filters, ctx.horizon), dtype=np.uint8)
+        self.committed: dict[int, tuple[int, int]] = {}
+        self.drops: list[int] = []
+
+    def load(self, dag: ScheduleDag) -> "Placement":
+        """Take over a dag's placements and a copy of its occupancy, in
+        place (``committed`` stays the same dict; drops are kept)."""
+        self.committed.clear()
+        self.committed.update(zip(dag.rows.tolist(), zip(dag.site.tolist(), dag.start.tolist())))
+        self.profile = dag.profile.copy()
+        return self
+
+    def release(self, row: int) -> int:
+        """Earliest start allowed by arrival and sibling cadence; a
+        previous sibling that is not committed does not constrain it."""
+        prev = self.committed.get(int(self.ctx.prev_sibling[row]))
+        return self.ctx.release(row, None if prev is None else prev[1])
+
+    def fit(self, row: int, site: int, lo: int) -> int | None:
+        """Earliest start >= lo where the task fits on the site now."""
+        return earliest_feasible_start(self.ctx, self.profile, row, site, lo)
+
+    def commit(self, row: int, site: int, start: int) -> None:
+        e = int(self.ctx.exposure[row])
+        self.profile[site][self.ctx.rho_idx[row], start : start + e] = 1
+        self.committed[row] = (site, start)
+
+    def uncommit(self, row: int) -> tuple[int, int]:
+        """Take a committed task out again; returns its (site, start)."""
+        site, start = self.committed.pop(row)
+        e = int(self.ctx.exposure[row])
+        self.profile[site][self.ctx.rho_idx[row], start : start + e] = 0
+        return site, start
+
+    def drop(self, row: int) -> None:
+        self.drops.append(int(self.ctx.task_id[row]))
+
+    def place(self, row: int, lo: int, key=None) -> None:
+        """Commit the task at the ``key``-minimal (site, start) among each
+        site's earliest feasible start >= lo, or drop it when no site has
+        room.  The default key takes the earliest start, then the lower
+        site index."""
+        cands = [(s, b) for s in range(self.ctx.n_sites) if (b := self.fit(row, s, lo)) is not None]
+        if cands:
+            self.commit(row, *min(cands, key=key or (lambda sb: (sb[1], sb[0]))))
+        else:
+            self.drop(row)
+
+    def to_dag(self) -> ScheduleDag:
+        """The committed placements as a validated dag."""
+        rows = np.array(sorted(self.committed), dtype=np.int64)
+        site = np.array([self.committed[r][0] for r in rows], dtype=np.int64)
+        start = np.array([self.committed[r][1] for r in rows], dtype=np.int64)
+        return build_from_arrays(self.ctx, rows, site, start)
 
 
 def build_dag(

@@ -20,7 +20,7 @@ from obsched.ephemeris import VisibilityConstraints
 from obsched.heuristics import SiteRule, TaskRule
 from obsched.policy import PolicyConfig, PolicyNet, save_checkpoint
 from obsched.scenario import GenConfig, generate_scenario, save_scenario
-from obsched.schedule import average_slowdown, validate
+from obsched.schedule import average_slowdown, total_slowdown, validate
 
 GEN = {
     "horizon_steps": 60,
@@ -99,7 +99,7 @@ class TestRunOnline:
         net = PolicyNet(PolicyConfig(hidden=8, n_filters=3, n_sites=1), seed=2)
         fcfs, _ = run_online(s, "fcfs")
         refined, _ = run_online(s, "roars-refine", net=net)
-        assert refined.total_slowdown() <= fcfs.total_slowdown() + 1e-9
+        assert total_slowdown(refined) <= total_slowdown(fcfs) + 1e-9
 
 
 class TestBenchmark:

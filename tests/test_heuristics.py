@@ -337,7 +337,7 @@ class TestRegressionPin:
     """Fixed schedules on one generated five-site scenario.
 
     The hashes were recorded before the placement code was consolidated
-    into SchedulingContext/_PlacementState; any change to placement,
+    into SchedulingContext and the placement state; any change to placement,
     release, window or commit logic that moves a single start shows here.
     """
 

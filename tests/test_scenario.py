@@ -14,8 +14,10 @@ from obsched.scenario import (
     ObsMode,
     ScenarioError,
     Target,
+    default_sites,
     generate_scenario,
     load_scenario,
+    load_sites,
     save_scenario,
     scenario_from_json,
     scenario_to_json,
@@ -215,6 +217,65 @@ class TestSerialization:
         with pytest.raises(ScenarioError, match="deadline"):
             scenario_from_json(json.dumps(obj))
 
+
+class TestSites:
+    """Site files and a scenario's sites go through one parser: the same
+    defaults, and errors that name ``sites[i]`` and the field."""
+
+    ROWS = [
+        {"name": "a", "lat_deg": -30.0, "lon_deg": -70.0, "alt_m": 2000, "equipment_priority": 0.0},
+        {"name": "b", "lat_deg": 28.0, "lon_deg": -17.0, "equipment_priority": 0.7},
+    ]
+
+    def _load(self, tmp_path, rows):
+        path = tmp_path / "sites.json"
+        path.write_text(json.dumps(rows))
+        return load_sites(path)
+
+    def _scenario_obj(self):
+        return json.loads(scenario_to_json(generate_scenario(GenConfig(horizon_steps=60, num_sites=2), 1)))
+
+    def test_zero_priority_is_kept(self, tmp_path):
+        assert [s.equipment_priority for s in self._load(tmp_path, self.ROWS)] == [0.0, 0.7]
+
+    def test_null_priority_means_one(self, tmp_path):
+        rows = [dict(self.ROWS[0], equipment_priority=None)]
+        assert self._load(tmp_path, rows)[0].equipment_priority == 1.0
+        assert [s.equipment_priority for s in default_sites()] == [1.0] * 5
+        obj = self._scenario_obj()
+        obj["sites"][1]["equipment_priority"] = None
+        assert scenario_from_json(json.dumps(obj)).sites[1].equipment_priority == 1.0
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"name": None}, "sites\\[1\\]: name must be a string"),
+            ({"lat_deg": "1"}, "sites\\[1\\]: lat_deg must be a finite number"),
+            ({"lon_deg": True}, "sites\\[1\\]: lon_deg must be a finite number"),
+            ({"alt_m": "high"}, "sites\\[1\\]: alt_m must be a finite number"),
+            ({"equipment_priority": float("nan")}, "sites\\[1\\]: equipment_priority must be a finite number"),
+            ({"lat_deg": 91.0}, "sites\\[1\\]: lat_deg out of range"),
+            ({"lon_deg": -180.0}, "sites\\[1\\]: lon_deg out of range"),
+        ],
+    )
+    def test_bad_field_is_named(self, tmp_path, edit, message):
+        with pytest.raises(ScenarioError, match=message):
+            self._load(tmp_path, [self.ROWS[0], dict(self.ROWS[1], **edit)])
+        obj = self._scenario_obj()
+        obj["sites"][1].update(edit)
+        with pytest.raises(ScenarioError, match=message):
+            scenario_from_json(json.dumps(obj))
+
+    def test_missing_name_is_named(self, tmp_path):
+        row = {k: v for k, v in self.ROWS[1].items() if k != "name"}
+        with pytest.raises(ScenarioError, match="sites\\[1\\]: missing field 'name'"):
+            self._load(tmp_path, [self.ROWS[0], row])
+
+    def test_not_a_list_or_object(self, tmp_path):
+        with pytest.raises(ScenarioError, match="sites: must be a list"):
+            self._load(tmp_path, {"name": "a"})
+        with pytest.raises(ScenarioError, match="sites\\[0\\]: must be an object"):
+            self._load(tmp_path, ["a"])
 
 class TestUniqueIds:
     """Task ids and target ids are each unique within a scenario."""
