@@ -39,8 +39,6 @@ from .schedule import (
     average_slowdown,
     build_dag,
     embed,
-    extract_assignments,
-    immediate_cost,
     total_slowdown,
     validate,
 )

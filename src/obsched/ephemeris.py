@@ -10,9 +10,16 @@ of immutable inputs and safe to call concurrently.
 The sky of one (site, grid) pair -- local sidereal time and the dark
 steps, where the sun is low enough -- does not depend on the targets.
 ``site_skies`` computes it once for many sites (the sun position once for
-all of them), and ``sky_coverage`` then tests many targets against it on
-the dark steps only, with the same result as the union of
-``visibility_masks_multi`` over the sites.
+all of them), and ``sky_coverage`` then tests many targets against it,
+with the same result as the union of ``visibility_masks_multi`` over the
+sites.  For one site it needs only a few steps per dark run: a target's
+altitude is a monotone function of cos(hour angle) (Meeus, *Astronomical
+Algorithms*, 2nd ed., ch. 13), so over a run shorter than a sidereal day
+its extremes lie at the run's ends or next to a culmination.  That holds
+for the visibility predicate only while it is monotone in altitude, which
+``VisibilityConstraints`` can break (see ``_monotone_in_altitude``); several
+sites, or a predicate that is not monotone, take a walk over the dark
+steps instead.
 """
 from __future__ import annotations
 
@@ -50,6 +57,9 @@ UNOBSERVABLE = math.inf
 
 #: steps per block of the coverage walk in ``sky_coverage``
 COVERAGE_BLOCK = 60
+
+#: sidereal degrees per mean solar day (the GMST polynomial's rate)
+_SIDEREAL_DEG_PER_DAY = 360.98564736629
 
 _J2000 = datetime(2000, 1, 1, 12, 0, 0, tzinfo=timezone.utc)
 _JD_J2000 = 2451545.0
@@ -152,7 +162,7 @@ def gmst_degrees(when: datetime) -> float:
     t = d / 36525.0
     gmst = (
         280.46061837
-        + 360.98564736629 * d
+        + _SIDEREAL_DEG_PER_DAY * d
         + 0.000387933 * t * t
         - t * t * t / 38710000.0
     )
@@ -238,7 +248,7 @@ def _step_jds(grid: TimeGrid) -> np.ndarray:
 def _gmst_vec(jd: np.ndarray) -> np.ndarray:
     d = jd - _JD_J2000
     t = d / 36525.0
-    return (280.46061837 + 360.98564736629 * d + 0.000387933 * t * t - t**3 / 38710000.0) % 360.0
+    return (280.46061837 + _SIDEREAL_DEG_PER_DAY * d + 0.000387933 * t * t - t**3 / 38710000.0) % 360.0
 
 
 def _altitude_vec(ra: np.ndarray, dec: np.ndarray, lat_deg: float, lst: np.ndarray) -> np.ndarray:
@@ -274,12 +284,14 @@ def _target_mask(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Target part of the visibility predicate, sun aside.
 
-    Returns ``(mask, airmass)`` of shape (n_targets, len(lst)): the target
-    is above the altitude cutoff and within the airmass limit.  Every
-    element depends on its own (target, step) inputs only, so evaluating
-    any subset of steps gives the same values as evaluating them all.
+    ``lst`` is one row of steps shared by all targets, or an
+    (n_targets, k) matrix giving each target its own steps.  Returns
+    ``(mask, airmass)`` of shape (n_targets, k): the target is above the
+    altitude cutoff and within the airmass limit.  Every element depends
+    on its own (target, step) inputs only, so evaluating any subset of
+    steps gives the same values as evaluating them all.
     """
-    alt = _altitude_vec(ra[:, None], dec[:, None], lat_deg, lst[None, :])
+    alt = _altitude_vec(ra[:, None], dec[:, None], lat_deg, lst if lst.ndim == 2 else lst[None, :])
     am = np.full(alt.shape, UNOBSERVABLE)
     above = alt > constraints.min_altitude_deg
     if above.any():
@@ -294,7 +306,8 @@ class SiteSky:
 
     ``lst`` is the local sidereal time of every step and ``dark`` marks
     the steps whose sun altitude meets the constraint; ``dark_steps`` and
-    ``dark_lst`` are the same restricted to the dark steps.
+    ``dark_lst`` are the same restricted to the dark steps.  ``lst_step``
+    is how far the local sidereal time advances per step, in degrees.
     """
 
     lat: float
@@ -302,6 +315,7 @@ class SiteSky:
     dark: np.ndarray
     dark_steps: np.ndarray
     dark_lst: np.ndarray
+    lst_step: float
 
 
 def site_skies(
@@ -314,12 +328,13 @@ def site_skies(
     jd = _step_jds(grid)
     gmst = _gmst_vec(jd)
     sun_ra, sun_dec = _sun_radec_vec(jd)
+    lst_step = _SIDEREAL_DEG_PER_DAY * grid.step_minutes / 1440.0
     out = []
     for site in sites:
         lst = (gmst + site.lon) % 360.0
         dark = _altitude_vec(sun_ra, sun_dec, site.lat, lst) <= constraints.max_sun_altitude_deg
         steps = np.flatnonzero(dark)
-        out.append(SiteSky(site.lat, lst, dark, steps, lst[steps]))
+        out.append(SiteSky(site.lat, lst, dark, steps, lst[steps], lst_step))
     return out
 
 
@@ -342,6 +357,72 @@ def visibility_masks_multi(
     return mask & sky.dark[None, :], am
 
 
+#: just above -1.757 deg, where Kasten-Young airmass peaks
+_AIRMASS_PEAK_DEG = -1.75
+
+#: Kasten-Young airmass at the zenith, 4e-8 above its minimum
+_ZENITH_AIRMASS = airmass(90.0)
+
+
+def _monotone_in_altitude(constraints: VisibilityConstraints) -> bool:
+    """Is the target predicate an upper set in altitude -- once it holds,
+    does it hold at every higher altitude too?
+
+    Kasten-Young airmass rises from 0 at -6.07995 deg to its peak (64.85)
+    at -1.757 deg, falls to a minimum 0.016 deg below the zenith, and
+    rises by 4e-8 from there to the zenith.  With a finite airmass limit
+    the predicate is therefore monotone when the altitude cutoff lies
+    past the peak and the limit is at least the zenith value.
+    """
+    return constraints.max_airmass == math.inf or (
+        constraints.min_altitude_deg >= _AIRMASS_PEAK_DEG
+        and constraints.max_airmass >= _ZENITH_AIRMASS
+    )
+
+
+def _one_site_coverage(
+    ra: np.ndarray,
+    dec: np.ndarray,
+    sky: SiteSky,
+    horizon_steps: int,
+    constraints: VisibilityConstraints,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(full, some)`` of ``sky_coverage`` for one site, from at most 10
+    steps per piece of each dark run.
+
+    A dark run is cut into pieces of fewer than 360 deg of hour angle,
+    so a piece holds at most one upper (HA 0) and one lower (HA 180)
+    culmination.  Between them the altitude is monotone in the step, so
+    its extremes on the piece lie at the piece's ends or on the two steps
+    around a culmination; the culmination step is found from the piece's
+    first LST at ``lst_step`` per step, and one step either side of that
+    pair absorbs its rounding.  A monotone predicate holds at some step
+    iff it holds at the highest one, and at every step iff at the lowest.
+    """
+    steps = sky.dark_steps[: np.searchsorted(sky.dark_steps, horizon_steps)]
+    if not steps.size:
+        return np.zeros(ra.size, dtype=bool), np.zeros(ra.size, dtype=bool)
+    per_piece = max(1, int(360.0 / sky.lst_step))
+    # a piece starts at each run's first step and every per_piece steps after
+    idx = np.arange(steps.size)
+    run_start = np.maximum.accumulate(np.where(np.diff(steps, prepend=-2) > 1, idx, 0))
+    first = np.flatnonzero((idx - run_start) % per_piece == 0)
+    s0 = steps[first]
+    s1 = steps[np.append(first[1:], steps.size) - 1]
+    ha0 = sky.lst[s0][None, :] - ra[:, None]  # (targets, pieces)
+    upper = np.floor(s0 + (-ha0 % 360.0) / sky.lst_step)
+    lower = np.floor(s0 + ((180.0 - ha0) % 360.0) / sky.lst_step)
+    near = np.arange(-1, 3)
+    cand = np.concatenate(
+        [np.broadcast_to(np.stack([s0, s1], axis=1), ha0.shape + (2,)),
+         upper[..., None] + near, lower[..., None] + near],
+        axis=2,
+    )
+    cand = np.clip(cand, s0[:, None], s1[:, None]).astype(np.intp).reshape(ra.size, -1)
+    m, _ = _target_mask(ra, dec, sky.lat, sky.lst[cand], constraints)
+    return m.all(axis=1) & (steps.size == horizon_steps), m.any(axis=1)
+
+
 def sky_coverage(
     ra: np.ndarray,
     dec: np.ndarray,
@@ -358,7 +439,15 @@ def sky_coverage(
     ``union`` ORs the sites' ``visibility_masks_multi`` masks; ``some`` is
     None unless ``want_some``.  A site's union entry is its target
     predicate on its dark steps and False on the others, so only dark
-    steps are evaluated.  The horizon is walked in blocks of
+    steps are evaluated.
+
+    One site, with a predicate monotone in altitude
+    (``_monotone_in_altitude``): ``full`` is every horizon step dark and
+    the predicate true at the lowest altitude of each dark run, ``some``
+    the predicate true at the highest, and ``_one_site_coverage`` finds
+    those at the run ends and culminations (Meeus ch. 13).  Otherwise --
+    several sites, whose union is not a function of one altitude, or a
+    non-monotone predicate -- the horizon is walked in blocks of
     ``COVERAGE_BLOCK`` steps, and a target is evaluated on a block only
     while it can still change a flag:
 
@@ -370,6 +459,9 @@ def sky_coverage(
     """
     ra = np.asarray(ra, dtype=np.float64)
     dec = np.asarray(dec, dtype=np.float64)
+    if len(skies) == 1 and _monotone_in_altitude(constraints):
+        full, some = _one_site_coverage(ra, dec, skies[0], horizon_steps, constraints)
+        return full, (some if want_some else None)
     full = np.ones(ra.size, dtype=bool)
     some = np.zeros(ra.size, dtype=bool)
     for b0 in range(0, horizon_steps, COVERAGE_BLOCK):

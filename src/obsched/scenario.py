@@ -307,10 +307,15 @@ def _sample_fields(
 
     The sites' skies are computed once, not once per round, and
     ``sky_coverage`` gives the same flags as a brute-force union of
-    per-site masks (see its docstring for why).  The partially-visible
-    flags are asked for only while fewer than ``num_fields`` partial draws
-    are held: the fill reads at most ``num_fields`` of them, in order, so
-    the draws that would follow are never read.
+    per-site masks (see its docstring for why).  With one site, and a
+    predicate monotone in altitude (no airmass limit, or an altitude
+    cutoff of at least -1.75 deg), it decides each field from the ends
+    and culminations of the dark runs (Meeus, *Astronomical Algorithms*,
+    ch. 13); with several sites it walks the dark steps.  The
+    partially-visible flags are asked for only while fewer than
+    ``num_fields`` partial draws are held: the fill reads at most
+    ``num_fields`` of them, in order, so the draws that would follow are
+    never read.
     """
     if not cfg.visible_fields_only:
         ra, dec = _uniform_fields(rng, cfg.num_fields, cfg.min_field_dec)
@@ -539,6 +544,23 @@ def _require(obj: dict, key: str, ctx: str):
     return obj[key]
 
 
+_MISSING = object()
+_NUMBER = (int, float)
+_TARGET_INTS = ("id", "start_time", "fade_time", "exposure_minutes", "priority", "arrival_step")
+_TASK_INTS = ("id", "target_id", "arrival", "exposure", "deadline", "seq_index")
+
+
+def _typed(obj: dict, key: str, ctx: str, kinds: tuple[type, ...] = (int,)):
+    """``obj[key]``, required and of one of ``kinds`` exactly (a bool is
+    not an int); errors name the JSON path ``ctx.key``."""
+    v = obj.get(key, _MISSING)
+    if type(v) not in kinds:
+        _require(obj, key, ctx)  # raises if the field is missing
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ScenarioError(f"{ctx}.{key}: must be {names}, got {type(v).__name__}")
+    return v
+
+
 def scenario_from_json(text: str) -> Scenario:
     try:
         obj = json.loads(text)
@@ -551,62 +573,49 @@ def scenario_from_json(text: str) -> Scenario:
         )
     g = _require(obj, "grid", "scenario")
     grid = TimeGrid(
-        epoch_utc=datetime.fromisoformat(_require(g, "epoch_utc", "grid")),
-        step_minutes=_require(g, "step_minutes", "grid"),
-        horizon_steps=_require(g, "horizon_steps", "grid"),
+        epoch_utc=datetime.fromisoformat(_typed(g, "epoch_utc", "grid", (str,))),
+        step_minutes=_typed(g, "step_minutes", "grid"),
+        horizon_steps=_typed(g, "horizon_steps", "grid"),
     )
     sites = _sites_from_obj(_require(obj, "sites", "scenario"))
     targets = []
     for i, row in enumerate(_require(obj, "targets", "scenario")):
         ctx = f"targets[{i}]"
         coord = _require(row, "coord", ctx)
-        dec = _require(coord, "dec", ctx)
-        ra = _require(coord, "ra", ctx)
+        dec = _typed(coord, "dec", f"{ctx}.coord", _NUMBER)
+        ra = _typed(coord, "ra", f"{ctx}.coord", _NUMBER)
         if not -90.0 <= dec <= 90.0:
             raise ScenarioError(f"{ctx}: dec out of range")
         if not 0.0 <= ra < 360.0:
             raise ScenarioError(f"{ctx}: ra out of range")
         mode = _require(row, "mode", ctx)
+        kind = _require(mode, "kind", f"{ctx}.mode")
+        gap = _typed(mode, "gap_minutes", f"{ctx}.mode") if "gap_minutes" in mode else 0
+        ints = {key: _typed(row, key, ctx) for key in _TARGET_INTS}
+        filters = tuple(bool(b) for b in _typed(row, "filters_required", ctx, (list,)))
         try:
             targets.append(
-                Target(
-                    id=_require(row, "id", ctx),
-                    coord=SkyCoord(ra, dec),
-                    filters_required=tuple(bool(b) for b in _require(row, "filters_required", ctx)),
-                    start_time=_require(row, "start_time", ctx),
-                    fade_time=_require(row, "fade_time", ctx),
-                    exposure_minutes=_require(row, "exposure_minutes", ctx),
-                    mode=ObsMode(_require(mode, "kind", ctx), mode.get("gap_minutes", 0)),
-                    priority=_require(row, "priority", ctx),
-                    arrival_step=_require(row, "arrival_step", ctx),
-                )
+                Target(coord=SkyCoord(ra, dec), filters_required=filters,
+                       mode=ObsMode(kind, gap), **ints)
             )
         except ScenarioError as exc:
             raise ScenarioError(f"{ctx}: {exc}") from exc
     tasks = []
     for i, row in enumerate(_require(obj, "tasks", "scenario")):
         ctx = f"tasks[{i}]"
+        ints = {key: _typed(row, key, ctx) for key in _TASK_INTS}
+        rho = tuple(bool(b) for b in _typed(row, "rho", ctx, (list,)))
         try:
-            tasks.append(
-                ObservationTask(
-                    id=_require(row, "id", ctx),
-                    target_id=_require(row, "target_id", ctx),
-                    rho=tuple(bool(b) for b in _require(row, "rho", ctx)),
-                    arrival=_require(row, "arrival", ctx),
-                    exposure=_require(row, "exposure", ctx),
-                    deadline=_require(row, "deadline", ctx),
-                    seq_index=_require(row, "seq_index", ctx),
-                )
-            )
+            tasks.append(ObservationTask(rho=rho, **ints))
         except ScenarioError as exc:
             raise ScenarioError(f"{ctx}: {exc}") from exc
     return Scenario(
         grid=grid,
         sites=tuple(sites),
-        num_filters=_require(obj, "num_filters", "scenario"),
+        num_filters=_typed(obj, "num_filters", "scenario"),
         targets=tuple(targets),
         tasks=tuple(tasks),
-        rng_seed=_require(obj, "seed", "scenario"),
+        rng_seed=_typed(obj, "seed", "scenario"),
     )
 
 

@@ -35,10 +35,8 @@ __all__ = [
     "validate",
     "total_slowdown",
     "average_slowdown",
-    "immediate_cost",
     "embed",
     "embedding_length",
-    "extract_assignments",
     "earliest_feasible_start",
     "dump_schedule",
 ]
@@ -435,13 +433,6 @@ def build_dag(
     return build_from_arrays(ctx, rows, site, start)
 
 
-def extract_assignments(dag: ScheduleDag) -> list[Assignment]:
-    return [
-        Assignment(int(dag.ctx.task_id[r]), int(s), int(b))
-        for r, s, b in zip(dag.rows, dag.site, dag.start)
-    ]
-
-
 def validate(dag: ScheduleDag) -> list[Violation]:
     """Re-derive every invariant from scratch; empty list iff feasible.
 
@@ -553,14 +544,6 @@ def average_slowdown(dag: ScheduleDag, *, tasks: str = "scheduled") -> float:
     if len(dag.rows) == 0:
         raise ValueError("average slowdown of an empty schedule is undefined")
     return float(dag.eta.mean())
-
-
-def immediate_cost(dag_before: ScheduleDag, dag_after: ScheduleDag) -> float:
-    """Cost delta of a rewrite: total slowdown before minus after
-    (positive means the rewrite improved the schedule)."""
-    if sorted(dag_before.task_ids) != sorted(dag_after.task_ids):
-        raise ValueError("immediate cost requires identical task sets")
-    return total_slowdown(dag_before) - total_slowdown(dag_after)
 
 
 def embedding_length(n_filters: int, e_max: int, n_sites: int = 1, distributed: bool = False) -> int:

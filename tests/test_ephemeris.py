@@ -231,17 +231,23 @@ def _brute_union(ra, dec, sites, grid, cons):
     return union
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# one-site draws take the run-extremes path unless the airmass limit turns
+# the predicate non-monotone (a cutoff below -1.757 deg); 30-minute steps
+# and all-dark skies (max_sun 91) give runs longer than a sidereal day
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
-    site_idx=st.lists(st.integers(0, len(SITES) - 1), min_size=1, max_size=5, unique=True),
+    site_idx=st.one_of(
+        st.lists(st.integers(0, len(SITES) - 1), min_size=1, max_size=1),
+        st.lists(st.integers(0, len(SITES) - 1), min_size=1, max_size=5, unique=True),
+    ),
     minutes=st.integers(0, 366 * 24 * 60),
-    step_minutes=st.integers(1, 5),
+    step_minutes=st.integers(1, 30),
     horizon=st.one_of(
         st.integers(1, 3 * COVERAGE_BLOCK + 7),
         st.sampled_from([COVERAGE_BLOCK - 1, COVERAGE_BLOCK, COVERAGE_BLOCK + 1, 1440]),
     ),
-    max_airmass=st.sampled_from([1.2, 2.0, 3.0, math.inf]),
-    min_altitude=st.floats(-5.0, 40.0),
+    max_airmass=st.sampled_from([1.0, 1.2, 2.0, 3.0, math.inf]),
+    min_altitude=st.floats(-6.07995, 40.0),
     max_sun=st.sampled_from([-18.0, -12.0, 0.0, 91.0]),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -263,6 +269,38 @@ def test_sky_coverage_matches_brute_force_union(
     assert np.array_equal(some, union.any(axis=1))
     full_only, none = sky_coverage(ra, dec, skies, horizon, cons, want_some=False)
     assert none is None and np.array_equal(full_only, full)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    site_i=st.integers(0, len(SITES) - 1),
+    minutes=st.integers(0, 366 * 24 * 60),
+    step_minutes=st.integers(1, 30),
+    horizon=st.integers(2, 400),
+    ra=st.floats(0.0, 359.999),
+    dec=st.floats(-89.0, 89.0),
+)
+def test_one_site_coverage_finds_the_highest_and_lowest_step(site_i, minutes, step_minutes, horizon, ra, dec):
+    # an altitude cutoff halfway between the two highest (lowest) step
+    # altitudes of an all-dark sky admits the highest step alone (every
+    # step but the lowest); the one-site path must find that step even
+    # when it is the one after a culmination or lies days into the horizon
+    site = SITES[site_i]
+    grid = TimeGrid(
+        datetime(2025, 1, 1, tzinfo=timezone.utc) + timedelta(minutes=minutes), step_minutes, horizon
+    )
+    (sky,) = site_skies([site], grid, VisibilityConstraints(max_sun_altitude_deg=91.0))
+    alt = np.sort([altitude(SkyCoord(ra, dec), site, lst) for lst in sky.lst])
+    for lo, hi in ((alt[-2], alt[-1]), (alt[0], alt[1])):
+        if hi - lo < 1e-6 or (lo + hi) / 2 < -6.07995:
+            continue
+        cons = VisibilityConstraints(math.inf, (lo + hi) / 2, 91.0)
+        full, some = sky_coverage(np.array([ra]), np.array([dec]), [sky], horizon, cons)
+        assert full.tolist() == [False] and some.tolist() == [True]
+    if alt[0] - 1e-6 >= -6.07995:
+        cons = VisibilityConstraints(math.inf, alt[0] - 1e-6, 91.0)
+        full, some = sky_coverage(np.array([ra]), np.array([dec]), [sky], horizon, cons)
+        assert full.tolist() == [True] and some.tolist() == [True]
 
 
 def test_sky_coverage_tells_full_from_partial_across_blocks():
@@ -296,6 +334,22 @@ def test_sky_coverage_sees_the_last_step_of_a_block(edge):
     (union,) = _brute_union(ra, dec, [site], grid, cons)
     last = np.arange(COVERAGE_BLOCK) == COVERAGE_BLOCK - 1
     assert np.array_equal(union, ~last if edge == "dawn" else last)
+    full, some = sky_coverage(ra, dec, site_skies([site], grid, cons), grid.horizon_steps, cons)
+    assert full.tolist() == [False] and some.tolist() == [True]
+
+
+def test_sky_coverage_walks_where_airmass_turns_below_the_horizon():
+    # Kasten-Young airmass falls again below -1.757 deg, under 1.0 near
+    # -6 deg: from Cerro Pachon this target counts as observable only
+    # while it sinks through about -5.4..-6 deg, in the middle of a dark
+    # run and away from any culmination, so its run ends and culminations
+    # alone would call it never observable
+    site = SITES[0]
+    grid = TimeGrid(datetime(2025, 1, 1, tzinfo=timezone.utc), 1, 15)
+    cons = VisibilityConstraints(max_airmass=1.0, min_altitude_deg=-6.0, max_sun_altitude_deg=0.0)
+    ra, dec = np.array([353.10]), np.array([59.78])
+    (union,) = _brute_union(ra, dec, [site], grid, cons)
+    assert union.any() and not union[0] and not union[-1]
     full, some = sky_coverage(ra, dec, site_skies([site], grid, cons), grid.horizon_steps, cons)
     assert full.tolist() == [False] and some.tolist() == [True]
 

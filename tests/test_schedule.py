@@ -14,8 +14,6 @@ from obsched.schedule import (
     embed,
     embedding_length,
     embedding_matrix,
-    extract_assignments,
-    immediate_cost,
     total_slowdown,
     validate,
 )
@@ -25,6 +23,21 @@ def build(scenario, triples, ctx=None):
     return build_dag(
         scenario, [Assignment(t, s, b) for t, s, b in triples], ctx=ctx
     )
+
+
+def extract_assignments(dag):
+    return [
+        Assignment(int(dag.ctx.task_id[r]), int(s), int(b))
+        for r, s, b in zip(dag.rows, dag.site, dag.start)
+    ]
+
+
+def immediate_cost(dag_before, dag_after):
+    """The reward of one rewrite: total slowdown before minus after, over
+    the same task set."""
+    if sorted(dag_before.task_ids) != sorted(dag_after.task_ids):
+        raise ValueError("immediate cost requires identical task sets")
+    return total_slowdown(dag_before) - total_slowdown(dag_after)
 
 
 class TestBuildAndEdges:
