@@ -14,7 +14,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,15 +33,20 @@ from .policy import (
     PolicyNet,
     TrainConfig,
     load_checkpoint,
+    read_checkpoint_header,
     train as train_policy,
 )
 from .rewriter import RandomPolicy, SearchConfig, dump_trajectory, rewrite_search
 from .scenario import (
     GenConfig,
     Scenario,
+    ScenarioError,
+    config_from_obj,
     generate_scenario,
     load_scenario,
     load_sites,
+    read_field,
+    reject_unknown,
     save_scenario,
 )
 from .schedule import (
@@ -197,52 +202,11 @@ def run_online(
 # --- benchmark ---------------------------------------------------------------
 
 def _constraints_from_obj(obj: dict | None) -> VisibilityConstraints:
-    obj = obj or {}
-    unknown = set(obj) - {f.name for f in fields(VisibilityConstraints)}
-    if unknown:
-        raise ValueError(f"unknown constraint fields: {sorted(unknown)}")
-    for name, value in obj.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"constraint field {name!r} must be a number, got {value!r}")
-    return VisibilityConstraints(**obj)
-
-
-#: JSON types accepted for a config field, by the type of its default
-_KINDS = {
-    bool: ((bool,), "a boolean"),
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str,), "a string"),
-}
-
-
-def _is_kind(value, default) -> bool:
-    """Does a JSON value have the type of a config field's default?  A
-    boolean is no number, and a number no boolean."""
-    types, _ = _KINDS[type(default)]
-    return isinstance(value, types) and isinstance(value, bool) == isinstance(default, bool)
+    return config_from_obj(VisibilityConstraints, {} if obj is None else obj, "constraints")
 
 
 def gen_config_from_obj(obj: dict) -> GenConfig:
-    kw = dict(obj)
-    defaults = {f.name: f.default for f in fields(GenConfig)}
-    unknown = set(kw) - set(defaults)
-    if unknown:
-        raise ValueError(f"unknown generation-config fields: {sorted(unknown)}")
-    for name, value in kw.items():
-        default = defaults[name]
-        if isinstance(default, tuple):
-            ok = isinstance(value, (list, tuple)) and len(value) == len(default) and all(
-                _is_kind(v, d) for v, d in zip(value, default)
-            )
-            want = f"a list of {len(default)} values, each {_KINDS[type(default[0])][1]}"
-            kw[name] = tuple(value) if ok else value
-        else:
-            ok = _is_kind(value, default)
-            want = _KINDS[type(default)][1]
-        if not ok:
-            raise ValueError(f"generation-config field {name!r} must be {want}, got {value!r}")
-    return GenConfig(**kw)
+    return config_from_obj(GenConfig, obj)
 
 
 def _bench_one(payload: dict):
@@ -263,20 +227,6 @@ def _bench_one(payload: dict):
     return avg, len(drops), wall
 
 
-def _bench_int(obj: dict, key: str, default: int, lo: int, name: str) -> int:
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < lo:
-        raise ValueError(f"bench-config field {name!r} must be an integer >= {lo}, got {value!r}")
-    return value
-
-
-def _is_scheduler(name) -> bool:
-    try:
-        return bool(_parse_scheduler(name))
-    except (ValueError, AttributeError):
-        return False
-
-
 _BENCH_FIELDS = {
     "gen", "constraints", "seeds", "queue_cap", "schedulers", "variants",
     "checkpoint", "replan_steps",
@@ -290,33 +240,29 @@ def run_benchmark(config: dict, out_dir, *, workers: int | None = None, log=None
     the determinism contract), and slowdown.svg.  Per-cell failures are
     recorded and do not stop the run.
     """
-    unknown = set(config) - _BENCH_FIELDS
-    if unknown:
-        raise ValueError(f"unknown bench-config fields: {sorted(unknown)}")
-    seeds_cfg = config.get("seeds", {})
-    if not isinstance(seeds_cfg, dict):
-        raise ValueError(f"bench-config field 'seeds' must be an object, got {seeds_cfg!r}")
-    unknown = set(seeds_cfg) - {"base", "count"}
-    if unknown:
-        raise ValueError(f"unknown bench-config seeds fields: {sorted(unknown)}")
+    read_field(config, None, "bench config", dict)
+    reject_unknown(config, _BENCH_FIELDS, "bench config")
+    seeds_cfg = read_field(config, "seeds", "", dict, default={})
+    reject_unknown(seeds_cfg, ("base", "count"), "seeds")
     constraints = _constraints_from_obj(config.get("constraints"))
-    seed_base = _bench_int(seeds_cfg, "base", 0, 0, "seeds.base")
-    count = _bench_int(seeds_cfg, "count", 10, 1, "seeds.count")
-    queue_cap = _bench_int(config, "queue_cap", 10, 1, "queue_cap")
-    replan_steps = _bench_int(config, "replan_steps", 30, 1, "replan_steps")
-    schedulers = config.get("schedulers", ["fcfs", "stf"])
-    if not isinstance(schedulers, list) or not all(map(_is_scheduler, schedulers)):
-        raise ValueError(f"bench-config field 'schedulers' must be a list of scheduler names, got {schedulers!r}")
-    variants = config.get("variants", {})
-    if not isinstance(variants, dict) or not all(isinstance(v, dict) for v in variants.values()):
-        raise ValueError(f"bench-config field 'variants' must be an object of objects, got {variants!r}")
+    seed_base = read_field(seeds_cfg, "base", "seeds", int, 0, default=0)
+    count = read_field(seeds_cfg, "count", "seeds", int, 1, default=10)
+    queue_cap = read_field(config, "queue_cap", "", int, 1, default=10)
+    replan_steps = read_field(config, "replan_steps", "", int, 1, default=30)
+    schedulers = read_field(config, "schedulers", "", list, default=["fcfs", "stf"])
+    for j in range(len(schedulers)):
+        name = read_field(schedulers, j, "schedulers", str)
+        try:
+            _parse_scheduler(name)
+        except ValueError:
+            raise ScenarioError(f"schedulers[{j}]: must be a scheduler name, got {name!r}") from None
+    gen = read_field(config, "gen", "", dict, default={})
+    variants = read_field(config, "variants", "", dict, default={}) or {"default": {}}
     gen_cfgs = {
-        vname: gen_config_from_obj({**config.get("gen", {}), **overrides})
-        for vname, overrides in (variants or {"default": {}}).items()
+        vname: gen_config_from_obj({**gen, **read_field(variants, vname, "variants", dict)})
+        for vname in variants
     }
-    checkpoint = config.get("checkpoint")
-    if not isinstance(checkpoint, (str, type(None))):
-        raise ValueError(f"bench-config field 'checkpoint' must be a string, got {checkpoint!r}")
+    checkpoint = read_field(config, "checkpoint", "", str, default=None)
     if workers is None:
         workers = int(os.environ.get("ROARS_THREADS", "0")) or (os.cpu_count() or 1)
     os.makedirs(out_dir, exist_ok=True)
@@ -475,12 +421,13 @@ def grouped_bar_svg(groups, series, values, title="") -> str:
 
 # --- subcommands -------------------------------------------------------------
 
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _cmd_generate(args) -> int:
-    cfg_obj = {}
-    if args.config:
-        with open(args.config) as fh:
-            cfg_obj = json.load(fh)
-    gen_cfg = gen_config_from_obj(cfg_obj)
+    gen_cfg = gen_config_from_obj(_read_json(args.config) if args.config else {})
     sites = load_sites(args.sites) if args.sites else None
     scenario = generate_scenario(gen_cfg, args.seed, sites=sites)
     save_scenario(scenario, args.out)
@@ -519,11 +466,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg_obj = {}
-    if args.scenario_config:
-        with open(args.scenario_config) as fh:
-            cfg_obj = json.load(fh)
-    gen_cfg = gen_config_from_obj(cfg_obj)
+    gen_cfg = gen_config_from_obj(_read_json(args.scenario_config) if args.scenario_config else {})
     train_cfg = TrainConfig(
         batch=args.batch, episode_len=args.episode_len, steps=args.steps
     )
@@ -551,10 +494,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    with open(args.config) as fh:
-        config = json.load(fh)
-    if args.seed is not None:
-        config.setdefault("seeds", {})["base"] = args.seed
+    config = _read_json(args.config)
+    seeds = config.get("seeds") if isinstance(config, dict) else False
+    if args.seed is not None and isinstance(seeds, (dict, type(None))):  # else run_benchmark names the field
+        config = {**config, "seeds": {**(seeds or {}), "base": args.seed}}
     rows = run_benchmark(config, args.out, workers=args.workers, log=print)
     for r in rows:
         print(
@@ -584,7 +527,7 @@ def _cmd_inspect(args) -> int:
             )
     if args.checkpoint:
         with open(args.checkpoint, "rb") as fh:
-            header = json.loads(fh.readline().decode())
+            header, _ = read_checkpoint_header(fh)
         print("checkpoint:", json.dumps(header, indent=1))
     return 0
 

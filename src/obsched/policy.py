@@ -13,7 +13,7 @@ import json
 import multiprocessing as mp
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .autograd import Tensor
 from .ephemeris import VisibilityConstraints
 from .heuristics import schedule_fcfs_list
 from .rewriter import SearchConfig, TrajectoryStep, rewrite_search
-from .scenario import GenConfig, generate_scenario
+from .scenario import GenConfig, generate_scenario, read_field
 from .schedule import (
     DEFAULT_E_MAX,
     ScheduleDag,
@@ -44,6 +44,7 @@ __all__ = [
     "train",
     "save_checkpoint",
     "load_checkpoint",
+    "read_checkpoint_header",
 ]
 
 CHECKPOINT_VERSION = 1
@@ -62,6 +63,11 @@ class PolicyConfig:
     n_sites: int = 1
     e_max: int = DEFAULT_E_MAX
     distributed: bool = False
+
+    def __post_init__(self):
+        for name in ("hidden", "n_filters", "n_sites", "e_max"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be an integer >= 1, got {getattr(self, name)!r}")
 
     @property
     def d_in(self) -> int:
@@ -366,33 +372,32 @@ def save_checkpoint(net: PolicyNet, path, train_step: int = 0) -> None:
             fh.write(net.params[name].value.astype("<f8").tobytes())
 
 
-#: integer header fields and their least allowed value
-_HEADER_INTS = {"hidden": 1, "d_in": 1, "n_filters": 1, "n_sites": 1, "e_max": 1, "train_step": 0}
+def read_checkpoint_header(fh) -> tuple[dict, PolicyConfig]:
+    """Read and check the JSON header line of a checkpoint opened in
+    binary mode; returns the header and the net's config."""
+    try:
+        header = json.loads(fh.readline().decode())
+        if not isinstance(header, dict):
+            raise ValueError("not a JSON object")
+        if read_field(header, "version", "", int) != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {header['version']}")
+        read_field(header, "d_in", "", int, 1)
+        read_field(header, "train_step", "", int, 0)
+        cfg = PolicyConfig(
+            **{f.name: read_field(header, f.name, "", type(f.default)) for f in fields(PolicyConfig)}
+        )
+        if cfg.d_in != header["d_in"]:
+            raise ValueError("d_in disagrees with the other dimensions")
+    except ValueError as exc:  # also UnicodeDecodeError, JSONDecodeError and ScenarioError
+        raise CheckpointError(f"bad checkpoint header: {exc}") from exc
+    return header, cfg
 
 
 def load_checkpoint(path, config: PolicyConfig | None = None) -> tuple[PolicyNet, int]:
     """Rebuild a net from a checkpoint; if ``config`` is given its
     dimensions must match or a CheckpointError is raised."""
     with open(path, "rb") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"bad checkpoint header: {exc}") from exc
-        if not isinstance(header, dict):
-            raise CheckpointError("bad checkpoint header: not a JSON object")
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {header.get('version')}")
-        for name, lo in _HEADER_INTS.items():
-            if type(header.get(name)) is not int or header[name] < lo:  # bool is not int here
-                raise CheckpointError(f"checkpoint header field {name!r} must be an integer >= {lo}")
-        if type(header.get("distributed")) is not bool:
-            raise CheckpointError("checkpoint header field 'distributed' must be a boolean")
-        file_cfg = PolicyConfig(
-            **{k: header[k] for k in ("hidden", "n_filters", "n_sites", "e_max", "distributed")}
-        )
-        if file_cfg.d_in != header["d_in"]:
-            raise CheckpointError("checkpoint header is inconsistent")
+        header, file_cfg = read_checkpoint_header(fh)
         if config is not None and config != file_cfg:
             raise CheckpointError(
                 f"checkpoint shape mismatch: file has {file_cfg}, caller wants {config}"

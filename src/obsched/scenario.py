@@ -9,7 +9,7 @@ Generation is deterministic given a seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from importlib import resources
 from typing import Iterable
@@ -50,7 +50,7 @@ CADENCE = "cadence"
 
 
 class ScenarioError(ValueError):
-    """Malformed scenario data; the message names the offending field."""
+    """Malformed scenario, site or config data; the message names the field."""
 
 
 @dataclass(frozen=True)
@@ -217,6 +217,8 @@ class GenConfig:
     def __post_init__(self):
         if self.arrival_mode not in ("steady", "dynamic"):
             raise ScenarioError(f"arrival_mode invalid: {self.arrival_mode!r}")
+        if self.resource_mix not in ("uniform", "nonuniform"):
+            raise ScenarioError(f"resource_mix invalid: {self.resource_mix!r}")
         for name in ("arrival_prob", "duration_long_frac", "exposure_long_frac",
                      "mode_exposure_count_frac"):
             v = getattr(self, name)
@@ -228,6 +230,7 @@ class GenConfig:
             lo, hi = getattr(self, name)
             if lo > hi or lo < 1:
                 raise ScenarioError(f"{name} bounds inverted or < 1")
+        _epoch(self.epoch_utc, "epoch_utc")
 
     def make_grid(self) -> TimeGrid:
         return TimeGrid(
@@ -252,34 +255,22 @@ def _sites_from_obj(obj) -> list[Site]:
     """Parse a site list, from a site file or a scenario; errors name
     ``sites[i]`` and the field.  A missing or null ``equipment_priority``
     means 1.0, a missing or null ``alt_m`` 0.0."""
-    if not isinstance(obj, list):
-        raise ScenarioError("sites: must be a list")
     sites = []
-    for i, row in enumerate(obj):
-        ctx = f"sites[{i}]"
-        if not isinstance(row, dict):
-            raise ScenarioError(f"{ctx}: must be an object")
-        name = _require(row, "name", ctx)
-        if not isinstance(name, str):
-            raise ScenarioError(f"{ctx}: name must be a string")
-        num = {}
-        for key, default in (("lat_deg", None), ("lon_deg", None), ("alt_m", 0.0), ("equipment_priority", 1.0)):
-            v = _require(row, key, ctx) if default is None else row.get(key)
-            v = default if v is None else v
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not -np.inf < v < np.inf:
-                raise ScenarioError(f"{ctx}: {key} must be a finite number")
-            num[key] = v
-        if not -90.0 <= num["lat_deg"] <= 90.0:
+    for ctx, row in _rows(read_field(obj, None, "sites", list), "sites"):
+        name = read_field(row, "name", ctx, str)
+        lat = read_field(row, "lat_deg", ctx, float)
+        lon = read_field(row, "lon_deg", ctx, float)
+        alt = read_field(row, "alt_m", ctx, float, default=0.0)
+        priority = read_field(row, "equipment_priority", ctx, float, default=1.0)
+        if not -90.0 <= lat <= 90.0:
             raise ScenarioError(f"{ctx}: lat_deg out of range")
-        if not -180.0 < num["lon_deg"] <= 180.0:
+        if not -180.0 < lon <= 180.0:
             raise ScenarioError(f"{ctx}: lon_deg out of range")
-        sites.append(
-            Site(
-                name=name,
-                coord=GeoCoord(num["lat_deg"], num["lon_deg"], num["alt_m"]),
-                equipment_priority=float(num["equipment_priority"]),
-            )
-        )
+        if not abs(alt) < np.inf:
+            raise ScenarioError(f"{ctx}: alt_m out of range")
+        if not abs(priority) < np.inf:
+            raise ScenarioError(f"{ctx}: equipment_priority out of range")
+        sites.append(Site(name=name, coord=GeoCoord(lat, lon, alt), equipment_priority=float(priority)))
     return sites
 
 
@@ -354,13 +345,11 @@ def _sample_filters(rng: np.random.Generator, cfg: GenConfig) -> tuple[bool, ...
         pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
         i, j = pairs[int(rng.integers(len(pairs)))]
         chosen = {i, j}
-    elif cfg.resource_mix == "nonuniform":
+    else:  # nonuniform
         probs = np.asarray(cfg.resource_band_probs, dtype=float)
         probs = probs / probs.sum()  # (0.1,0.2,0.3) -> (1/6,2/6,3/6)
         count = 1 + int(rng.choice(len(probs), p=probs))
         chosen = set(rng.choice(d, size=min(count, d), replace=False).tolist())
-    else:
-        raise ScenarioError(f"resource_mix invalid: {cfg.resource_mix!r}")
     return tuple(i in chosen for i in range(d))
 
 
@@ -538,27 +527,91 @@ def scenario_to_json(s: Scenario) -> str:
     return json.dumps(obj, indent=1)
 
 
-def _require(obj: dict, key: str, ctx: str):
-    if key not in obj:
-        raise ScenarioError(f"{ctx}: missing field {key!r}")
-    return obj[key]
-
-
 _MISSING = object()
-_NUMBER = (int, float)
 _TARGET_INTS = ("id", "start_time", "fade_time", "exposure_minutes", "priority", "arrival_step")
 _TASK_INTS = ("id", "target_id", "arrival", "exposure", "deadline", "seq_index")
 
+#: JSON types accepted for a field of each kind
+_KIND_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,), list: (list,), dict: (dict,)}
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string", list: "a list",
+               dict: "an object"}
 
-def _typed(obj: dict, key: str, ctx: str, kinds: tuple[type, ...] = (int,)):
-    """``obj[key]``, required and of one of ``kinds`` exactly (a bool is
-    not an int); errors name the JSON path ``ctx.key``."""
-    v = obj.get(key, _MISSING)
-    if type(v) not in kinds:
-        _require(obj, key, ctx)  # raises if the field is missing
-        names = " or ".join(k.__name__ for k in kinds)
-        raise ScenarioError(f"{ctx}.{key}: must be {names}, got {type(v).__name__}")
-    return v
+
+def _join(path: str, key) -> str:
+    if type(key) is int:
+        return f"{path}[{key}]"
+    return f"{path}.{key}" if path else key
+
+
+def read_field(obj, key, path: str, kind: type, minimum=None, default=_MISSING):
+    """``obj[key]``, checked to be of ``kind`` (int, float for any number,
+    bool, str, list or dict) and at least ``minimum`` if one is given.
+
+    A bool is never an int or a number, and NaN is never a number.  ``key``
+    is a dict key, a list index, or None for ``obj`` itself; a missing or
+    null key takes ``default`` if one is given.  A ScenarioError reads
+    ``<path>: must be ...`` or ``<path>: missing field '<key>'``."""
+    v = obj.get(key) if type(key) is str else obj if key is None else obj[key]
+    if type(v) in _KIND_TYPES[kind] and (kind is not float or v == v) and (minimum is None or v >= minimum):
+        return v
+    if v is None and type(key) is str:  # no kind takes null
+        if default is not _MISSING:
+            return default
+        if key not in obj:
+            raise ScenarioError(f"{path + ': ' if path else ''}missing field {key!r}")
+    want = _KIND_NAMES[kind] if minimum is None else f"{_KIND_NAMES[kind]} >= {minimum}"
+    got = type(v).__name__ if type(v) in (list, dict) else repr(v)
+    raise ScenarioError(f"{path if key is None else _join(path, key)}: must be {want}, got {got}")
+
+
+def _rows(rows: list, path: str):
+    """``(path[i], row)`` for each row of a list of JSON objects."""
+    return ((f"{path}[{i}]", read_field(rows, i, path, dict)) for i in range(len(rows)))
+
+
+def _flags(row: dict, key: str, path: str) -> tuple[bool, ...]:
+    """A list field of JSON booleans, as a tuple."""
+    flags = read_field(row, key, path, list)
+    for j, b in enumerate(flags):
+        if type(b) is not bool:
+            read_field(flags, j, _join(path, key), bool)
+    return tuple(flags)
+
+
+def reject_unknown(obj: dict, allowed, path: str) -> None:
+    unknown = set(obj) - set(allowed)
+    if unknown:
+        raise ScenarioError(f"{path}: unknown fields {sorted(unknown)}")
+
+
+def config_from_obj(cls, obj, path: str = ""):
+    """Build the config dataclass ``cls`` from a JSON object.  Each field
+    takes its kind from the type of its default; a tuple default wants a
+    list of that length, which becomes a tuple.  Unknown keys are errors,
+    and missing ones keep their defaults."""
+    name = path or "config"
+    read_field(obj, None, name, dict)
+    defaults = {f.name: f.default for f in fields(cls)}
+    reject_unknown(obj, defaults, name)
+    kw = {}
+    for key in obj:
+        default = defaults[key]
+        if type(default) is not tuple:
+            kw[key] = read_field(obj, key, path, type(default))
+            continue
+        items = read_field(obj, key, path, list)
+        where = _join(path, key)
+        if len(items) != len(default):
+            raise ScenarioError(f"{where}: must be a list of {len(default)} values, got {len(items)}")
+        kw[key] = tuple(read_field(items, j, where, type(d)) for j, d in enumerate(default))
+    return cls(**kw)
+
+
+def _epoch(text: str, name: str) -> datetime:
+    try:
+        return datetime.fromisoformat(text)
+    except ValueError:
+        raise ScenarioError(f"{name}: must be an ISO 8601 time, got {text!r}") from None
 
 
 def scenario_from_json(text: str) -> Scenario:
@@ -566,33 +619,31 @@ def scenario_from_json(text: str) -> Scenario:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"not valid JSON: {exc}") from exc
-    version = _require(obj, "version", "scenario")
+    read_field(obj, None, "scenario", dict)
+    version = read_field(obj, "version", "", int)
     if version != SCENARIO_FORMAT_VERSION:
-        raise ScenarioError(
-            f"version mismatch: file has {version}, expected {SCENARIO_FORMAT_VERSION}"
-        )
-    g = _require(obj, "grid", "scenario")
+        raise ScenarioError(f"version mismatch: file has {version}, expected {SCENARIO_FORMAT_VERSION}")
+    g = read_field(obj, "grid", "", dict)
     grid = TimeGrid(
-        epoch_utc=datetime.fromisoformat(_typed(g, "epoch_utc", "grid", (str,))),
-        step_minutes=_typed(g, "step_minutes", "grid"),
-        horizon_steps=_typed(g, "horizon_steps", "grid"),
+        epoch_utc=_epoch(read_field(g, "epoch_utc", "grid", str), "grid.epoch_utc"),
+        step_minutes=read_field(g, "step_minutes", "grid", int, 1),
+        horizon_steps=read_field(g, "horizon_steps", "grid", int, 1),
     )
-    sites = _sites_from_obj(_require(obj, "sites", "scenario"))
+    sites = _sites_from_obj(read_field(obj, "sites", "", list))
     targets = []
-    for i, row in enumerate(_require(obj, "targets", "scenario")):
-        ctx = f"targets[{i}]"
-        coord = _require(row, "coord", ctx)
-        dec = _typed(coord, "dec", f"{ctx}.coord", _NUMBER)
-        ra = _typed(coord, "ra", f"{ctx}.coord", _NUMBER)
+    for ctx, row in _rows(read_field(obj, "targets", "", list), "targets"):
+        coord = read_field(row, "coord", ctx, dict)
+        dec = read_field(coord, "dec", ctx + ".coord", float)
+        ra = read_field(coord, "ra", ctx + ".coord", float)
         if not -90.0 <= dec <= 90.0:
             raise ScenarioError(f"{ctx}: dec out of range")
         if not 0.0 <= ra < 360.0:
             raise ScenarioError(f"{ctx}: ra out of range")
-        mode = _require(row, "mode", ctx)
-        kind = _require(mode, "kind", f"{ctx}.mode")
-        gap = _typed(mode, "gap_minutes", f"{ctx}.mode") if "gap_minutes" in mode else 0
-        ints = {key: _typed(row, key, ctx) for key in _TARGET_INTS}
-        filters = tuple(bool(b) for b in _typed(row, "filters_required", ctx, (list,)))
+        mode = read_field(row, "mode", ctx, dict)
+        kind = read_field(mode, "kind", ctx + ".mode", str)
+        gap = read_field(mode, "gap_minutes", ctx + ".mode", int, default=0)
+        ints = {key: read_field(row, key, ctx, int) for key in _TARGET_INTS}
+        filters = _flags(row, "filters_required", ctx)
         try:
             targets.append(
                 Target(coord=SkyCoord(ra, dec), filters_required=filters,
@@ -601,10 +652,9 @@ def scenario_from_json(text: str) -> Scenario:
         except ScenarioError as exc:
             raise ScenarioError(f"{ctx}: {exc}") from exc
     tasks = []
-    for i, row in enumerate(_require(obj, "tasks", "scenario")):
-        ctx = f"tasks[{i}]"
-        ints = {key: _typed(row, key, ctx) for key in _TASK_INTS}
-        rho = tuple(bool(b) for b in _typed(row, "rho", ctx, (list,)))
+    for ctx, row in _rows(read_field(obj, "tasks", "", list), "tasks"):
+        ints = {key: read_field(row, key, ctx, int) for key in _TASK_INTS}
+        rho = _flags(row, "rho", ctx)
         try:
             tasks.append(ObservationTask(rho=rho, **ints))
         except ScenarioError as exc:
@@ -612,10 +662,10 @@ def scenario_from_json(text: str) -> Scenario:
     return Scenario(
         grid=grid,
         sites=tuple(sites),
-        num_filters=_typed(obj, "num_filters", "scenario"),
+        num_filters=read_field(obj, "num_filters", "", int),
         targets=tuple(targets),
         tasks=tuple(tasks),
-        rng_seed=_typed(obj, "seed", "scenario"),
+        rng_seed=read_field(obj, "seed", "", int),
     )
 
 

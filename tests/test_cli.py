@@ -152,9 +152,13 @@ class TestBenchmark:
         config = {"gen": GEN, "seeds": {"count": 1}, "constraints": {"max_airmas": 2.0}}
         with pytest.raises(ValueError, match="max_airmas"):
             run_benchmark(config, tmp_path / "rep", workers=1)
-        for bad in ("2.0", None, True, [2.0]):
+        for bad in ("2.0", None, True, [2.0], float("nan")):
             with pytest.raises(ValueError, match="min_altitude_deg"):
                 _constraints_from_obj({"min_altitude_deg": bad})
+        # a NaN airmass limit used to leave no step observable
+        with pytest.raises(ValueError, match="^constraints.max_airmass: must be "):
+            _constraints_from_obj({"max_airmass": float("nan")})
+        assert _constraints_from_obj({"max_airmass": float("inf")}).max_airmass == float("inf")
 
     @pytest.mark.parametrize(
         "config, field",
@@ -234,6 +238,10 @@ class TestGenConfigFromObj:
             ({"priority_range": "1-3"}, "priority_range"),
             ({"cadence_gap_range": [5, None]}, "cadence_gap_range"),
             ({"resource_band_probs": [0.1, "0.2", 0.3]}, "resource_band_probs"),
+            ({"min_field_dec": float("nan")}, "min_field_dec"),  # used to fail inside numpy
+            ({"epoch_utc": "noon"}, "epoch_utc"),  # used to pass until generation
+            ({"resource_mix": "lots"}, "resource_mix"),  # used to pass until generation
+            ([["a", 1]], "config: must be an object"),  # used to be read as {"a": 1}
         ],
     )
     def test_wrong_types_named(self, obj, field):
@@ -304,6 +312,45 @@ class TestMain:
         assert main(["inspect", "--scenario", str(sc)]) == 0
         out = capsys.readouterr().out
         assert "targets" in out and "site 0" in out
+
+    @pytest.mark.parametrize(
+        "header",
+        [b'{"version": 99}\n', b"\xff\xfe\n"],
+        ids=["version", "not-utf8"],
+    )
+    def test_inspect_checks_checkpoint_header(self, tmp_path, capsys, header):
+        # inspect used to print any JSON header and exit 0
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(header)
+        assert main(["inspect", "--checkpoint", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: bad checkpoint header: ")
+
+    @pytest.mark.parametrize(
+        "command, config, extra, message",
+        [
+            # used to fail on item assignment to an int
+            ("bench", {"seeds": 7}, ["--seed", "3"], "seeds: must be an object"),
+            # used to report "unknown bench-config fields: [1]"
+            ("bench", [1], ["--seed", "3"], "bench config: must be an object"),
+            ("generate", [["a", 1]], [], "config: must be an object"),
+            # used to train and write a checkpoint that cannot be loaded
+            (
+                "train", GEN,
+                ["--hidden", "0", "--steps", "1", "--batch", "1", "--episode-len", "2",
+                 "--val-every", "1", "--workers", "1"],
+                "hidden: must be an integer >= 1",
+            ),
+        ],
+        ids=["bench-seeds", "bench-list", "generate-list", "train-hidden"],
+    )
+    def test_bad_input_exits_1_before_writing(self, tmp_path, capsys, command, config, extra, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        flag = "--scenario-config" if command == "train" else "--config"
+        assert main([command, flag, str(cfg), "--out", str(out), *extra]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -426,7 +426,7 @@ class TestCheckpoints:
         else:
             header[field] = value
         path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
-        with pytest.raises(CheckpointError, match=f"'{field}'"):
+        with pytest.raises(CheckpointError, match=f"^bad checkpoint header: ({field}: must be |missing field '{field}'$)"):
             load_checkpoint(path)
 
     def test_non_object_header_rejected(self, tmp_path):

@@ -235,8 +235,19 @@ class TestSerialization:
             (("grid", "horizon_steps"), "60"),
             (("tasks", 0, "arrival"), True),
             (("targets", 0, "mode", "gap_minutes"), 5.0),
+            (("tasks", 0), 5),
+            (("grid",), 5),
+            (("targets",), {"coord": 1}),
+            (("targets", 0, "filters_required", 1), 0),
+            (("tasks", 0, "rho", 0), "x"),
+            (("grid", "epoch_utc"), "noon"),
+            (("targets", 0, "coord", "ra"), float("nan")),
+            (("grid", "step_minutes"), 0),
         ],
-        ids=["dec", "exposure", "horizon_steps", "bool-arrival", "float-gap"],
+        ids=[
+            "dec", "exposure", "horizon_steps", "bool-arrival", "float-gap", "int-task",
+            "int-grid", "object-targets", "int-filter", "str-rho", "bad-epoch", "nan-ra", "zero-step",
+        ],
     )
     def test_wrong_type_is_named(self, path, value):
         s = generate_scenario(GenConfig(horizon_steps=60, arrival_prob=0.3), 1)
@@ -295,13 +306,21 @@ class TestSites:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            ({"name": None}, "sites\\[1\\]: name must be a string"),
-            ({"lat_deg": "1"}, "sites\\[1\\]: lat_deg must be a finite number"),
-            ({"lon_deg": True}, "sites\\[1\\]: lon_deg must be a finite number"),
-            ({"alt_m": "high"}, "sites\\[1\\]: alt_m must be a finite number"),
-            ({"equipment_priority": float("nan")}, "sites\\[1\\]: equipment_priority must be a finite number"),
+            pytest.param({"name": None}, "sites\\[1\\]\\.name: must be a string", id="null-name"),
+            pytest.param({"lat_deg": "1"}, "sites\\[1\\]\\.lat_deg: must be a number", id="str-lat_deg"),
+            pytest.param({"lon_deg": True}, "sites\\[1\\]\\.lon_deg: must be a number", id="bool-lon_deg"),
+            pytest.param({"alt_m": "high"}, "sites\\[1\\]\\.alt_m: must be a number", id="str-alt_m"),
+            pytest.param(
+                {"equipment_priority": float("nan")}, "sites\\[1\\]\\.equipment_priority: must be a number",
+                id="nan-equipment_priority",
+            ),
             ({"lat_deg": 91.0}, "sites\\[1\\]: lat_deg out of range"),
             ({"lon_deg": -180.0}, "sites\\[1\\]: lon_deg out of range"),
+            pytest.param({"alt_m": float("inf")}, "sites\\[1\\]: alt_m out of range", id="inf-alt_m"),
+            pytest.param(
+                {"equipment_priority": float("inf")}, "sites\\[1\\]: equipment_priority out of range",
+                id="inf-equipment_priority",
+            ),
         ],
     )
     def test_bad_field_is_named(self, tmp_path, edit, message):
