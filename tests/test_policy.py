@@ -1,18 +1,24 @@
 """Schedule encoder, policy heads, actor-critic losses, checkpoints, and
 trainer mechanics."""
+import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import acceptance_config as acc
 from conftest import G, I, U, UG, toy_scenario
 from obsched import autograd as ag
+from obsched.ephemeris import VisibilityConstraints
 from obsched.policy import (
     CheckpointError,
     PolicyConfig,
     PolicyNet,
     TrainConfig,
+    _instance_seed,
+    _training_instance,
     discounted_returns,
     learning_rate_at,
     load_checkpoint,
@@ -366,6 +372,36 @@ class TestGradientPipeline:
             num = (f(flat + e) - f(flat - e)) / 2e-5
             a = grad[i]
             assert abs(num - a) < 1e-4 * max(1.0, abs(num), abs(a))
+
+
+class TestRolloutPin:
+    """The actions of seeded training rollouts, drawn as a trainer worker
+    draws them: 8 instances of each acceptance recipe at hidden 16,
+    hashed as (region, rule, status) per step."""
+
+    EXPECTED = {
+        "intra": "3c0cbf8fc7f890db71101d2952003d289140588d8ecead6c0f3e92abedf58866",
+        "dist": "1177761fd221f9045a21b9e2842006ed4c9a4beac32064026e1b6cd339125bad",
+    }
+
+    @pytest.mark.parametrize("name", ["intra", "dist"])
+    def test_rollout_sha256(self, name):
+        gen, train_cfg, search_cfg, policy_cfg = acc.recipe(distributed=name == "dist")
+        net = PolicyNet(replace(policy_cfg, hidden=16), seed=5)
+        rollout_cfg = replace(search_cfg, num_steps=train_cfg.episode_len)
+        digest = hashlib.sha256()
+        steps = 0
+        for k in range(8):
+            dag0 = _training_instance(gen, _instance_seed(0, 0, k), VisibilityConstraints())
+            rng = np.random.default_rng(np.random.SeedSequence([0, 0, k, 777]))
+            _, traj = rewrite_search(dag0, net, rollout_cfg, rng, pc=search_cfg.pc_at(0))
+            for t in traj:
+                a = t.action
+                rule = f"root{a.parent_site}" if a.parent_task is None else a.parent_task
+                digest.update(f"{k} {a.region} {rule} {t.status}\n".encode())
+            steps += len(traj)
+        assert steps == 8 * train_cfg.episode_len
+        assert digest.hexdigest() == self.EXPECTED[name]
 
 
 class TestCheckpoints:
