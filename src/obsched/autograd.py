@@ -1,11 +1,11 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Deliberately small: exactly the operations the schedule encoder, its
-heads and the losses need, each with a hand-written vector-Jacobian
-product.  The encoder is one fused ``lstm_cell`` per node plus ``add_n``
-for child sums; ``stack_rows`` turns a dag's node states into one matrix
-and a single ``gather_rows`` copies every candidate's rows out of it, so
-the heads' tape does not grow with the candidate count.
+Deliberately small: exactly the operations the policy's one loss needs,
+each with a hand-written vector-Jacobian product.  Acting is tape-free
+(``no_grad``); the loss replays a whole trajectory: one fused ``lstm_cell``
+per node plus ``add_n`` for child sums, one ``stack_rows`` of all node
+states, one ``gather_rows`` per head, and one ``segment_log_softmax`` for
+every step's chosen rule, so the tape does not grow with the candidate count.
 
 All values are float64.  Gradients accumulate into ``Tensor.grad``;
 ``backward`` walks the tape once in reverse topological order.
@@ -153,15 +153,6 @@ def stack_rows(tensors: list[Tensor]) -> Tensor:
     return Tensor(np.stack([t.value for t in tensors]), tuple(tensors), vjp)
 
 
-def stack0(tensors: list[Tensor]) -> Tensor:
-    """Stack scalars into a 1-D vector."""
-
-    def vjp(g):
-        return tuple(np.asarray(g[i]) for i in range(len(tensors)))
-
-    return Tensor(np.array([float(t.value) for t in tensors]), tuple(tensors), vjp)
-
-
 def gather_rows(x: Tensor, idx: np.ndarray | list, cols: int) -> Tensor:
     """The first ``cols`` columns of rows ``idx`` of the matrix ``x``.
 
@@ -188,26 +179,23 @@ def squeeze_col(x: Tensor) -> Tensor:
     return Tensor(x.value[:, 0], (x,), vjp)
 
 
-def gather1(x: Tensor, idx: int) -> Tensor:
+def segment_log_softmax(x: Tensor, bounds: np.ndarray | list, picks: np.ndarray | list) -> Tensor:
+    """``x[picks[k]] - logsumexp(x[bounds[k]:bounds[k + 1]])`` for each
+    (non-empty) segment ``k``; ``picks[k]`` lies in segment ``k``."""
+    starts = np.asarray(bounds[:-1], dtype=np.intp)
+    lens = np.diff(np.asarray(bounds, dtype=np.intp))
+    picks = np.asarray(picks, dtype=np.intp)
+    z = x.value - np.repeat(np.maximum.reduceat(x.value, starts), lens)
+    e = np.exp(z)
+    total = np.add.reduceat(e, starts)
+    sm = e / np.repeat(total, lens)
+
     def vjp(g):
-        full = np.zeros_like(x.value)
-        full[idx] = g
+        full = -np.repeat(g, lens) * sm
+        full[picks] += g
         return (full,)
 
-    return Tensor(x.value[idx], (x,), vjp)
-
-
-def log_softmax(x: Tensor) -> Tensor:
-    m = float(np.max(x.value))
-    z = x.value - m
-    lse = np.log(np.sum(np.exp(z)))
-    out = z - lse
-    sm = np.exp(out)
-
-    def vjp(g):
-        return (g - sm * np.sum(g),)
-
-    return Tensor(out, (x,), vjp)
+    return Tensor(z[picks] - np.log(total), (x,), vjp)
 
 
 def square(x: Tensor) -> Tensor:

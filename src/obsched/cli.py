@@ -32,11 +32,12 @@ from .policy import (
     PolicyConfig,
     PolicyNet,
     TrainConfig,
+    default_workers,
     load_checkpoint,
     read_checkpoint_header,
     train as train_policy,
 )
-from .rewriter import RandomPolicy, SearchConfig, dump_trajectory, rewrite_search
+from .rewriter import SearchConfig, dump_trajectory, rewrite_search
 from .scenario import (
     GenConfig,
     Scenario,
@@ -114,6 +115,9 @@ def run_online(
     step has passed are frozen (no preemption), and on queue overflow the
     earliest-arrived waiting task's assignment is committed for good.
     """
+    for name, value in (("queue_cap", queue_cap), ("replan_steps", replan_steps)):
+        if value < 1:
+            raise ValueError(f"{name}: must be an integer >= 1, got {value!r}")
     spec = _parse_scheduler(scheduler)
     ctx = SchedulingContext.for_scenario(scenario, constraints)
     if spec["kind"] == "heuristic":
@@ -264,7 +268,7 @@ def run_benchmark(config: dict, out_dir, *, workers: int | None = None, log=None
     }
     checkpoint = read_field(config, "checkpoint", "", str, default=None)
     if workers is None:
-        workers = int(os.environ.get("ROARS_THREADS", "0")) or (os.cpu_count() or 1)
+        workers = default_workers()
     os.makedirs(out_dir, exist_ok=True)
 
     cells = [

@@ -1,11 +1,12 @@
 """Learned rewriting policy: a child-sum tree-LSTM over the schedule DAG,
 a region-scoring head whose softmax is the region-picking policy, a rule
-head scoring (region, candidate-parent) pairs, the actor-critic losses,
+head scoring (region, candidate-parent) pairs, the actor-critic loss,
 and the training loop.
 
 The critic is the region score itself, regressed on the full discounted
 return; the rule head is trained by advantage-weighted log-likelihood.
-Everything runs on the package's own reverse-mode tape (see autograd).
+Acting is tape-free; the one loss, ``losses``, replays each trajectory in
+one batched pass on the package's own reverse-mode tape (see autograd).
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import json
 import multiprocessing as mp
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -197,12 +198,11 @@ class PolicyNet:
         return states
 
     def _encoding(self, dag: ScheduleDag) -> Tensor:
-        """The (n_nodes, 2H) matrix of node states, encoded once per dag."""
-        if self._cache is not None and self._cache[0] is dag:
-            return self._cache[1]
-        states = ag.stack_rows(self.encode(dag))
-        self._cache = (dag, states)
-        return states
+        """The (n_nodes, 2H) node states of the dag acted on, off the tape."""
+        if self._cache is None or self._cache[0] is not dag:
+            with ag.no_grad():
+                self._cache = (dag, ag.stack_rows(self.encode(dag)))
+        return self._cache[1]
 
     def _mlp(self, rows: Tensor, prefix: str) -> Tensor:
         x = ag.relu(ag.linear(rows, self.params[prefix + "_w1"], self.params[prefix + "_b1"]))
@@ -210,46 +210,48 @@ class PolicyNet:
         return ag.squeeze_col(ag.linear(x, self.params[prefix + "_w3"], self.params[prefix + "_b3"]))
 
     def region_scores(self, dag: ScheduleDag, candidates: list[int]) -> Tensor:
-        """Q(s, w) for each candidate region, as one (n,) tensor."""
+        """Q(s, w) for each candidate region, as one (n,) tensor off the tape."""
         nodes = [dag.node_of_task[tid] for tid in candidates]
-        rows = ag.gather_rows(self._encoding(dag), nodes, self.config.hidden)
-        return self._mlp(rows, "reg")
+        with ag.no_grad():
+            return self._mlp(ag.gather_rows(self._encoding(dag), nodes, self.config.hidden), "reg")
 
     def rule_scores(self, dag: ScheduleDag, region: int, candidates: list[tuple]) -> Tensor:
-        """Rule-head logits for (region, candidate-parent) pairs."""
-        region_node = dag.node_of_task[region]
-        pairs = [
-            (region_node, ref if kind == "root" else dag.node_of_task[ref])
-            for kind, ref in candidates
-        ]
-        rows = ag.gather_rows(self._encoding(dag), pairs, self.config.hidden)
-        return self._mlp(rows, "rule")
+        """Rule-head logits for (region, candidate-parent) pairs, off the tape."""
+        with ag.no_grad():
+            rows = ag.gather_rows(self._encoding(dag), _pairs(dag, 0, region, candidates), self.config.hidden)
+            return self._mlp(rows, "rule")
 
     # -- search-policy protocol -------------------------------------------
 
     def pick_region(self, dag, candidates, rng, greedy=False, pc=None):
-        qt = self.region_scores(dag, candidates)
-        q = qt.value
+        q = self.region_scores(dag, candidates).value
         if greedy or (pc is not None and rng.random() < pc):
-            idx = int(np.argmax(q))
-        else:
-            idx = int(rng.choice(len(q), p=region_distribution(q)))
-        return candidates[idx], {"q_all": qt, "index": idx}
+            return candidates[int(np.argmax(q))]
+        return candidates[int(rng.choice(len(q), p=region_distribution(q)))]
 
     def pick_rule(self, dag, region, candidates, rng, greedy=False):
-        logits = self.rule_scores(dag, region, candidates)
-        lp = ag.log_softmax(logits)
+        lp = log_softmax(self.rule_scores(dag, region, candidates).value)
         if greedy:
-            idx = int(np.argmax(lp.value))
-        else:
-            idx = int(rng.choice(lp.value.size, p=np.exp(lp.value)))
-        return candidates[idx], {"logp_all": lp, "index": idx}
+            return candidates[int(np.argmax(lp))]
+        return candidates[int(rng.choice(lp.size, p=np.exp(lp)))]
+
+
+def _pairs(dag: ScheduleDag, offset: int, region: int, candidates: list[tuple]) -> list[tuple[int, int]]:
+    """(region, candidate) row pairs in a state matrix holding ``dag``'s nodes from row ``offset``."""
+    nodes = [ref if kind == "root" else dag.node_of_task[ref] for kind, ref in candidates]
+    return [(offset + dag.node_of_task[region], offset + n) for n in nodes]
 
 
 def region_distribution(scores: np.ndarray) -> np.ndarray:
     """Softmax of region scores, max-subtracted for stability."""
     z = np.exp(np.asarray(scores, dtype=np.float64) - np.max(scores))
     return z / z.sum()
+
+
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-probabilities of the rule policy, max-subtracted for stability."""
+    z = logits - np.max(logits)
+    return z - np.log(np.sum(np.exp(z)))
 
 
 def discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
@@ -285,49 +287,40 @@ def _actor_critic(
     return l_region, l_rule, combined
 
 
-def losses(trajectory: list[TrajectoryStep], config: TrainConfig) -> tuple[Tensor, Tensor, Tensor]:
-    """(L_region, L_rule, combined) for one recorded trajectory, from the
-    scores the policy recorded while acting."""
-    if not trajectory:
-        raise ValueError("empty trajectory")
-    for step in trajectory:
-        if step.region_info is None or step.rule_info is None:
-            raise ValueError("trajectory was not recorded with a scoring policy")
-    qs = ag.stack0(
-        [ag.gather1(s.region_info["q_all"], s.region_info["index"]) for s in trajectory]
-    )
-    logps = ag.stack0(
-        [ag.gather1(s.rule_info["logp_all"], s.rule_info["index"]) for s in trajectory]
-    )
-    return _actor_critic(qs, logps, np.array([s.reward for s in trajectory]), config)
-
-
-def replay_losses(
+def losses(
     net: PolicyNet,
     trajectory: list[TrajectoryStep],
     config: TrainConfig,
     *,
     delta: np.ndarray | None = None,
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """Recompute the losses of a recorded trajectory under the net's
-    current parameters, holding states, candidate sets, and chosen actions
-    fixed.
-
-    The advantage is a stop-gradient in the rule loss; pass ``delta`` to
-    freeze it entirely (as a finite-difference oracle must, since the
-    function being differentiated treats it as a constant).
+    """(L_region, L_rule, combined) of a recorded trajectory under the
+    net's current parameters, with its states, candidates and actions held
+    fixed: each distinct dag is encoded once, each head runs once over all
+    steps' rows.  The advantage is a stop-gradient in the rule loss; pass
+    ``delta`` to freeze it entirely (as a finite-difference oracle must,
+    since the function being differentiated treats it as a constant).
     """
     if not trajectory:
         raise ValueError("empty trajectory")
-    q_list, lp_list = [], []
+    offsets: dict[int, int] = {}
+    states: list[Tensor] = []
+    regions, pairs, bounds, picks = [], [], [0], []
     for s in trajectory:
-        qt = net.region_scores(s.dag, s.region_candidates)
-        q_list.append(ag.gather1(qt, s.region_info["index"]))
-        region = s.action.region
-        lp = ag.log_softmax(net.rule_scores(s.dag, region, s.rule_candidates))
-        lp_list.append(ag.gather1(lp, s.rule_info["index"]))
-    rewards = np.array([s.reward for s in trajectory])
-    return _actor_critic(ag.stack0(q_list), ag.stack0(lp_list), rewards, config, delta)
+        if id(s.dag) not in offsets:
+            offsets[id(s.dag)] = len(states)
+            states.extend(net.encode(s.dag))
+        off, a = offsets[id(s.dag)], s.action
+        regions.append(off + s.dag.node_of_task[a.region])
+        rule = ("root", a.parent_site) if a.parent_task is None else ("task", a.parent_task)
+        picks.append(len(pairs) + s.rule_candidates.index(rule))
+        pairs.extend(_pairs(s.dag, off, a.region, s.rule_candidates))
+        bounds.append(len(pairs))
+    table = ag.stack_rows(states)
+    h = net.config.hidden
+    qs = net._mlp(ag.gather_rows(table, regions, h), "reg")
+    logps = ag.segment_log_softmax(net._mlp(ag.gather_rows(table, pairs, h), "rule"), bounds, picks)
+    return _actor_critic(qs, logps, np.array([s.reward for s in trajectory]), config, delta)
 
 
 class Adam:
@@ -414,6 +407,14 @@ def load_checkpoint(path, config: PolicyConfig | None = None) -> tuple[PolicyNet
 
 # --- training ----------------------------------------------------------------
 
+def default_workers() -> int:
+    """Worker processes by default: ROARS_THREADS, or the CPU count if unset or 0."""
+    raw = os.environ.get("ROARS_THREADS", "0")
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"ROARS_THREADS: must be a non-negative integer, got {raw!r}")
+    return int(raw) or (os.cpu_count() or 1)
+
+
 def _instance_seed(base: int, *branch: int) -> int:
     return int(np.random.SeedSequence([base, *branch]).generate_state(1, np.uint64)[0])
 
@@ -455,7 +456,7 @@ def _rollout_chunk(payload: dict):
         best, traj = rewrite_search(
             dag0, net, rollout_cfg, rng, pc=payload["pc"], greedy=False
         )
-        l_region, l_rule, combined = losses(traj, train_cfg)
+        l_region, l_rule, combined = losses(net, traj, train_cfg)
         if not np.isfinite(combined.value):
             raise FloatingPointError(f"non-finite loss at step {payload['step']}")
         ag.backward(combined)
@@ -485,14 +486,13 @@ def _validation_slowdown(
     sampled from the rule policy) with a fixed seed per instance.
     """
     vals = []
-    with ag.no_grad():
-        for k in range(n_instances):
-            dag0 = _training_instance(gen_cfg, _instance_seed(seed, 555, k), constraints)
-            if dag0 is None:
-                continue
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 556, k]))
-            best, _ = rewrite_search(dag0, net, search_cfg, rng, pc=search_cfg.pc_initial)
-            vals.append(average_slowdown(best))
+    for k in range(n_instances):
+        dag0 = _training_instance(gen_cfg, _instance_seed(seed, 555, k), constraints)
+        if dag0 is None:
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 556, k]))
+        best, _ = rewrite_search(dag0, net, search_cfg, rng, pc=search_cfg.pc_initial)
+        vals.append(average_slowdown(best))
     return float(np.mean(vals)) if vals else float("nan")
 
 
@@ -522,6 +522,8 @@ def train(
 
     Returns the best-validation network and the learning-curve rows.
     """
+    if val_every < 1:
+        raise ValueError(f"val_every: must be an integer >= 1, got {val_every!r}")
     constraints = constraints or VisibilityConstraints()
     if policy_cfg is None:
         policy_cfg = PolicyConfig(
@@ -533,7 +535,7 @@ def train(
     flat = net.flat()
     adam = Adam(flat.size, train_cfg)
     if workers is None:
-        workers = int(os.environ.get("ROARS_THREADS", "0")) or (os.cpu_count() or 1)
+        workers = default_workers()
     workers = max(1, min(workers, train_cfg.batch))
 
     curve: list[dict] = []

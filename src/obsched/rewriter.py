@@ -9,7 +9,7 @@ every state the search visits is feasible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,7 +91,7 @@ class SearchConfig:
 
 @dataclass
 class TrajectoryStep:
-    """One search step: the state acted on, the action, and its outcome."""
+    """One search step, in plain values: the state, candidates, action, outcome."""
 
     step: int
     dag: ScheduleDag
@@ -102,8 +102,6 @@ class TrajectoryStep:
     status: str
     region_candidates: list[int]
     rule_candidates: list[tuple]
-    region_info: object = None
-    rule_info: object = None
 
 
 def candidate_regions(dag: ScheduleDag, frozen: frozenset[int] = frozenset()) -> list[int]:
@@ -229,10 +227,10 @@ class RandomPolicy:
     """Uniform region and rule choices; the search baseline."""
 
     def pick_region(self, dag, candidates, rng, greedy=False, pc=None):
-        return candidates[int(rng.integers(len(candidates)))], None
+        return candidates[int(rng.integers(len(candidates)))]
 
     def pick_rule(self, dag, region, candidates, rng, greedy=False):
-        return candidates[int(rng.integers(len(candidates)))], None
+        return candidates[int(rng.integers(len(candidates)))]
 
 
 def _subsample(items: list, budget: int, rng: np.random.Generator) -> list:
@@ -275,13 +273,13 @@ def rewrite_search(
         if not regions:
             break
         region_cands = _subsample(regions, config.region_candidates, rng)
-        region, region_info = policy.pick_region(cur, region_cands, rng, greedy, pc)
+        region = policy.pick_region(cur, region_cands, rng, greedy, pc)
 
         parents = candidate_parents(cur, region)  # the site roots come first
         roots, tasks = parents[: cur.n_sites], parents[cur.n_sites :]
         budget = max(config.rule_candidates - len(roots), 0)
         rule_cands = roots + _subsample(tasks, budget, rng)
-        parent, rule_info = policy.pick_rule(cur, region, rule_cands, rng, greedy)
+        parent = policy.pick_rule(cur, region, rule_cands, rng, greedy)
 
         if parent[0] == "root":
             action = RewriteAction(region=region, parent_task=None, parent_site=parent[1])
@@ -301,8 +299,6 @@ def rewrite_search(
                 status=status,
                 region_candidates=region_cands,
                 rule_candidates=rule_cands,
-                region_info=region_info,
-                rule_info=rule_info,
             )
         )
         cur = new_dag

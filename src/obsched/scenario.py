@@ -9,10 +9,9 @@ Generation is deterministic given a seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
-from datetime import datetime, timezone
+from dataclasses import dataclass, fields, replace
+from datetime import datetime
 from importlib import resources
-from typing import Iterable
 
 import numpy as np
 
@@ -219,11 +218,14 @@ class GenConfig:
             raise ScenarioError(f"arrival_mode invalid: {self.arrival_mode!r}")
         if self.resource_mix not in ("uniform", "nonuniform"):
             raise ScenarioError(f"resource_mix invalid: {self.resource_mix!r}")
-        for name in ("arrival_prob", "duration_long_frac", "exposure_long_frac",
-                     "mode_exposure_count_frac"):
+        for name in ("arrival_prob", "dynamic_max_prob", "duration_long_frac",
+                     "exposure_long_frac", "mode_exposure_count_frac"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ScenarioError(f"{name} must be in [0,1]")
+        for name in ("num_fields", "num_filters", "num_sites", "step_minutes", "horizon_steps"):
+            if getattr(self, name) < 1:
+                raise ScenarioError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         for name in ("duration_long_range", "duration_short_range",
                      "exposure_long_range", "exposure_short_range",
                      "cadence_gap_range", "priority_range"):

@@ -37,7 +37,6 @@ from obsched.policy import (
     TrainConfig,
     discounted_returns,
     losses,
-    replay_losses,
     _instance_seed,
     _training_instance,
 )
@@ -59,7 +58,7 @@ from obsched.schedule import (
     total_slowdown,
     validate,
 )
-from test_policy import _stub_step
+from test_policy import stub_actor_critic
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -282,20 +281,10 @@ def test_acceptance_6_gradient_correctness():
             dag0, net, SearchConfig(num_steps=6), np.random.default_rng(trial), pc=0.5
         )
         g_ret = discounted_returns(np.array([t.reward for t in traj]), tc.gamma)
-        q0 = np.array(
-            [
-                float(
-                    ag.gather1(
-                        net.region_scores(t.dag, t.region_candidates), t.region_info["index"]
-                    ).value
-                )
-                for t in traj
-            ]
-        )
+        q0 = np.array([net.region_scores(t.dag, [t.action.region]).value[0] for t in traj])
         delta0 = g_ret - q0
         net.zero_grad()
-        net._cache = None
-        _, _, L = replay_losses(net, traj, tc, delta=delta0)
+        _, _, L = losses(net, traj, tc, delta=delta0)
         ag.backward(L)
         flat = net.flat()
         grad = net.grad_flat()
@@ -303,7 +292,7 @@ def test_acceptance_6_gradient_correctness():
         def f(v):
             n2 = PolicyNet(cfg, init=False)
             n2.set_flat(v)
-            _, _, l2 = replay_losses(n2, traj, tc, delta=delta0)
+            _, _, l2 = losses(n2, traj, tc, delta=delta0)
             return float(l2.value)
 
         probe_rng = np.random.default_rng(100 + trial)
@@ -333,12 +322,7 @@ def test_acceptance_7_schedule_arithmetic_spot_checks():
     eta1 = average_slowdown(on_time)
     eta3 = average_slowdown(delayed)
 
-    dag = build_dag(toy_scenario([(0, 5, U)]), [Assignment(0, 0, 0)])
-    traj = [
-        _stub_step(dag, reward=1.0, q=[0.0], logits=[0.0]),
-        _stub_step(dag, reward=1.0, q=[0.0], logits=[0.0]),
-    ]
-    lw, _, _ = losses(traj, TrainConfig(gamma=0.9))
+    lw, _, _ = stub_actor_critic([1.0, 1.0], q=[0.0, 0.0], logps=[0.0, 0.0], config=TrainConfig(gamma=0.9))
     ok = eta1 == 1.0 and eta3 == 3.0 and abs(float(lw.value) - 2.305) < 1e-12
     _report(
         7,

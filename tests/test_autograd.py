@@ -88,8 +88,8 @@ def test_structural_ops():
         s = ag.add_n([a, b, c])
         m = ag.stack_rows([s, b])
         rows = ag.gather_rows(m, [[0, 1], [1, 0], [0, 0]], 3)
-        lp = ag.log_softmax(ag.squeeze_col(ag.linear(rows, w, zero)))
-        return ag.add(ag.gather1(lp, 1), ag.weighted_sum(s, np.arange(6) / 6.0))
+        lp = ag.segment_log_softmax(ag.squeeze_col(ag.linear(rows, w, zero)), [0, 3], [1])
+        return ag.add(ag.mean1d(lp), ag.weighted_sum(s, np.arange(6) / 6.0))
 
     fd_check(loss, [a, b, c], rng)
 
@@ -130,16 +130,50 @@ def test_gather_rows_values_and_accumulation():
 
 def test_losslike_composition():
     rng = np.random.default_rng(5)
-    q0 = ag.Tensor.param(np.array(0.3))
-    q1 = ag.Tensor.param(np.array(-1.2))
+    qs = ag.Tensor.param(np.array([0.3, -1.2]))
     g = np.array([2.0, 0.5])
 
     def loss():
-        qs = ag.stack0([q0, q1])
         lw = ag.mean1d(ag.square(ag.sub_const(qs, g)))
         return ag.add(ag.weighted_sum(qs, np.array([0.1, -0.7])), ag.scale(lw, 10.0))
 
-    fd_check(loss, [q0, q1], rng)
+    fd_check(loss, [qs], rng)
+
+
+# segments [0:3], [3:4], [4:8], [8:10]; the picks repeat values and rows
+SEGMENTS = [0, 3, 4, 8, 10]
+PICKS = [1, 3, 4, 9]
+
+
+def test_segment_log_softmax_gradients():
+    rng = np.random.default_rng(9)
+    x = ag.Tensor.param(rng.uniform(-2, 2, 10))
+    x.value[5] = x.value[4]  # a tie inside a segment
+    w = rng.uniform(-1, 1, len(PICKS))
+    fd_check(lambda: ag.weighted_sum(ag.segment_log_softmax(x, SEGMENTS, PICKS), w), [x], rng, n_probe=10)
+
+
+def test_segment_log_softmax_of_repeated_rows():
+    # rows gathered more than once, as the rule head's shared region rows are
+    rng = np.random.default_rng(10)
+    m = ag.Tensor.param(rng.uniform(-1, 1, (4, 3)))
+    w = ag.Tensor.param(rng.uniform(-1, 1, (1, 6)))
+    zero = ag.Tensor.const(np.zeros(1))
+    pairs = [[2, 0], [2, 1], [2, 2], [0, 0], [3, 1], [3, 3], [3, 0], [3, 1], [1, 2], [1, 1]]
+
+    def loss():
+        logits = ag.squeeze_col(ag.linear(ag.gather_rows(m, pairs, 3), w, zero))
+        return ag.mean1d(ag.segment_log_softmax(logits, SEGMENTS, PICKS))
+
+    fd_check(loss, [m, w], rng, n_probe=12)
+
+
+def test_segment_log_softmax_values():
+    x = np.array([0.5, -1.0, 2.0, 7.0, 1.0, 1.0, -3.0, 0.0, 4.0, 4.5])
+    out = ag.segment_log_softmax(ag.Tensor.param(x), SEGMENTS, PICKS).value
+    want = [x[p] - np.log(np.sum(np.exp(x[a:b]))) for p, a, b in zip(PICKS, SEGMENTS, SEGMENTS[1:])]
+    assert np.allclose(out, want, rtol=0, atol=1e-14)
+    assert out[1] == 0.0  # a one-element segment is certain
 
 
 def test_no_grad_records_nothing():

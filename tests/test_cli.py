@@ -101,6 +101,21 @@ class TestRunOnline:
         refined, _ = run_online(s, "roars-refine", net=net)
         assert total_slowdown(refined) <= total_slowdown(fcfs) + 1e-9
 
+    @pytest.mark.parametrize("sched", ["fcfs", "sqtf", "offline-stf", "oracle", "roars", "roars-refine"])
+    @pytest.mark.parametrize(
+        "kw, field",
+        [
+            ({"queue_cap": 0}, "queue_cap"),  # roars used to run with an empty queue
+            ({"queue_cap": -3}, "queue_cap"),  # roars used to fail in min()
+            ({"replan_steps": 0}, "replan_steps"),  # roars used to never re-plan
+        ],
+    )
+    def test_bad_loop_arguments_named(self, sched, kw, field):
+        s = toy_scenario([(0, 5, U), (3, 5, U)])
+        net = PolicyNet(PolicyConfig(hidden=8, n_filters=3, n_sites=1), seed=0)
+        with pytest.raises(ValueError, match=f"^{field}: must be an integer >= 1"):
+            run_online(s, sched, net=net, **kw)
+
 
 class TestBenchmark:
     def test_rows_cover_grid_and_fcfs_cross_check(self, tmp_path):
@@ -195,6 +210,10 @@ class TestBenchmark:
             ({"replan_steps": 0}, "replan_steps"),
             ({"replan_steps": 2.5}, "replan_steps"),
             ({"checkpoint": 3}, "checkpoint"),
+            # each of these used to fail in every cell, or not at all
+            ({"gen": {**GEN, "step_minutes": 0}}, "step_minutes"),
+            ({"variants": {"a": {"num_sites": 0}}}, "num_sites"),
+            ({"variants": {"a": {"arrival_mode": "dynamic", "dynamic_max_prob": 5.0}}}, "dynamic_max_prob"),
         ],
     )
     def test_bad_bench_values_named_before_work(self, tmp_path, config, field):
@@ -208,6 +227,24 @@ class TestBenchmark:
             _constraints_from_obj({"min_altitude_deg": -10})
         with pytest.raises(ValueError, match="min_altitude_deg"):
             VisibilityConstraints(min_altitude_deg=float("nan"))
+
+    @pytest.mark.parametrize("value", ["abc", "-2", "1.5", ""])
+    def test_bad_thread_count_named(self, tmp_path, monkeypatch, value):
+        # "abc" used to fail as "invalid literal for int() with base 10"
+        monkeypatch.setenv("ROARS_THREADS", value)
+        with pytest.raises(ValueError, match="^ROARS_THREADS: must be a non-negative integer"):
+            run_benchmark({"gen": GEN, "seeds": {"count": 1}}, tmp_path / "rep")
+        assert not (tmp_path / "rep").exists()
+
+    def test_thread_count_read_from_environment(self, monkeypatch):
+        from obsched.policy import default_workers
+
+        monkeypatch.setenv("ROARS_THREADS", "3")
+        assert default_workers() == 3
+        monkeypatch.setenv("ROARS_THREADS", "0")
+        assert default_workers() == (os.cpu_count() or 1)
+        monkeypatch.delenv("ROARS_THREADS")
+        assert default_workers() == (os.cpu_count() or 1)
 
     def test_partial_failures_recorded(self, tmp_path):
         config = {
@@ -239,6 +276,13 @@ class TestGenConfigFromObj:
             ({"cadence_gap_range": [5, None]}, "cadence_gap_range"),
             ({"resource_band_probs": [0.1, "0.2", 0.3]}, "resource_band_probs"),
             ({"min_field_dec": float("nan")}, "min_field_dec"),  # used to fail inside numpy
+            ({"num_sites": 0}, "num_sites"),  # used to generate a 0-site scenario with tasks
+            ({"num_fields": 0}, "num_fields"),  # used to fail inside numpy
+            ({"num_filters": 0}, "num_filters"),
+            ({"step_minutes": 0}, "step_minutes"),
+            ({"horizon_steps": -1}, "horizon_steps"),
+            ({"dynamic_max_prob": 5.0}, "dynamic_max_prob"),  # used to draw from U[0, 5]
+            ({"dynamic_max_prob": -0.1}, "dynamic_max_prob"),
             ({"epoch_utc": "noon"}, "epoch_utc"),  # used to pass until generation
             ({"resource_mix": "lots"}, "resource_mix"),  # used to pass until generation
             ([["a", 1]], "config: must be an object"),  # used to be read as {"a": 1}
@@ -340,8 +384,15 @@ class TestMain:
                  "--val-every", "1", "--workers", "1"],
                 "hidden: must be an integer >= 1",
             ),
+            # used to run an optimizer step, then fail on "integer modulo by zero"
+            (
+                "train", GEN,
+                ["--val-every", "0", "--steps", "1", "--batch", "1", "--episode-len", "2",
+                 "--workers", "1"],
+                "val_every: must be an integer >= 1",
+            ),
         ],
-        ids=["bench-seeds", "bench-list", "generate-list", "train-hidden"],
+        ids=["bench-seeds", "bench-list", "generate-list", "train-hidden", "train-val-every"],
     )
     def test_bad_input_exits_1_before_writing(self, tmp_path, capsys, command, config, extra, message):
         cfg = tmp_path / "cfg.json"
@@ -356,6 +407,13 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--bogus"])
         assert exc.value.code == 2
+
+    def test_simulate_rejects_empty_queue(self, tmp_path, capsys):
+        sc = tmp_path / "s.json"
+        save_scenario(generate_scenario(gen_config_from_obj(GEN), 1), sc)
+        rc = main(["simulate", "--scenario", str(sc), "--scheduler", "fcfs", "--queue-cap", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: queue_cap: must be an integer >= 1, got 0\n"
 
     def test_failure_is_one_line_nonzero(self, tmp_path, capsys):
         rc = main(["simulate", "--scenario", str(tmp_path / "missing.json"), "--scheduler", "stf"])

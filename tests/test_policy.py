@@ -17,17 +17,18 @@ from obsched.policy import (
     PolicyConfig,
     PolicyNet,
     TrainConfig,
+    _actor_critic,
     _instance_seed,
     _training_instance,
     discounted_returns,
     learning_rate_at,
     load_checkpoint,
+    log_softmax,
     losses,
     region_distribution,
-    replay_losses,
     save_checkpoint,
 )
-from obsched.rewriter import SearchConfig, TrajectoryStep, RewriteAction, rewrite_search
+from obsched.rewriter import SearchConfig, rewrite_search
 from obsched.schedule import Assignment, build_dag
 
 CFG = PolicyConfig(hidden=8, n_filters=3, n_sites=1)
@@ -162,9 +163,9 @@ class TestDistributions:
         s = toy_scenario([(0, 5, U), (5, 5, U)])
         dag = build(s, [(0, 0, 0), (1, 0, 5)])
         net = PolicyNet(CFG, seed=0)
-        choice, info = net.pick_rule(dag, 1, [("root", 0)], np.random.default_rng(0))
+        choice = net.pick_rule(dag, 1, [("root", 0)], np.random.default_rng(0))
         assert choice == ("root", 0)
-        assert np.exp(info["logp_all"].value[0]) == pytest.approx(1.0)
+        assert np.exp(log_softmax(net.rule_scores(dag, 1, [choice]).value)[0]) == pytest.approx(1.0)
 
 
 def _fcfs_dag(gen_cfg, seed):
@@ -233,7 +234,7 @@ class TestHeads:
         _, traj = rewrite_search(
             dag0, net, SearchConfig(num_steps=12), np.random.default_rng(1), pc=0.5
         )
-        _, _, total = losses(traj, TrainConfig())
+        _, _, total = losses(net, traj, TrainConfig())
         ops: dict[str, int] = {}
         seen, stack = {id(total)}, [total]
         while stack:
@@ -246,59 +247,41 @@ class TestHeads:
                     seen.add(id(parent))
                     stack.append(parent)
         dags = {id(s.dag): s.dag for s in traj}.values()
-        # the encoder runs once per distinct dag, and its states are stacked once
+        # the encoder runs once per distinct dag, and all their states are
+        # stacked once
         assert ops.pop("lstm_cell") == sum(d.n_nodes for d in dags)
-        assert ops.pop("stack_rows") == len(dags)
+        assert ops.pop("stack_rows") == 1
         ops.pop("add_n", None)
-        # heads and losses: 17 nodes per step and 8 per trajectory, whatever
-        # the number of candidates
-        assert sum(ops.values()) <= 20 * len(traj), ops
+        # heads and losses: a fixed 21 nodes per trajectory, whatever the
+        # number of steps and candidates
+        assert sum(ops.values()) == 21, ops
 
 
-def _stub_step(dag, reward, q, logits, q_idx=0, u_idx=0):
-    return TrajectoryStep(
-        step=0,
-        dag=dag,
-        action=RewriteAction(region=dag.task_ids[0], parent_task=None, parent_site=0),
-        reward=reward,
-        cost_before=0.0,
-        cost_after=0.0,
-        status="applied",
-        region_candidates=list(dag.task_ids),
-        rule_candidates=[("root", 0)],
-        region_info={"q_all": ag.Tensor.param(np.asarray(q, dtype=float)), "index": q_idx},
-        rule_info={"logp_all": ag.log_softmax(ag.Tensor.param(np.asarray(logits, dtype=float))), "index": u_idx},
-    )
+def stub_actor_critic(rewards, q, logps, config):
+    """``_actor_critic`` on constant chosen-region scores and chosen-rule
+    log-probabilities, one per step."""
+    qs = ag.Tensor.param(np.asarray(q, dtype=float))
+    lps = ag.Tensor.param(np.asarray(logps, dtype=float))
+    return _actor_critic(qs, lps, np.asarray(rewards, dtype=float), config)
 
 
 class TestLosses:
-    def _dag(self):
-        s = toy_scenario([(0, 5, U)])
-        return build(s, [(0, 0, 0)])
-
     def test_perfect_critic_gives_zero_loss(self):
-        dag = self._dag()
-        traj = [_stub_step(dag, reward=2.0, q=[2.0], logits=[0.0])]
-        lw, lu, total = losses(traj, TrainConfig())
+        lw, lu, total = stub_actor_critic([2.0], q=[2.0], logps=[0.0], config=TrainConfig())
         assert float(lw.value) == pytest.approx(0.0)
         assert float(lu.value) == pytest.approx(0.0)
         assert float(total.value) == pytest.approx(0.0)
 
     def test_two_step_hand_computed_case(self):
         # rewards (1,1), gamma 0.9, Q=(0,0): G=(1.9,1.0), L_w=(1.9^2+1)/2
-        dag = self._dag()
-        traj = [
-            _stub_step(dag, reward=1.0, q=[0.0], logits=[0.0]),
-            _stub_step(dag, reward=1.0, q=[0.0], logits=[0.0]),
-        ]
-        lw, lu, total = losses(traj, TrainConfig(gamma=0.9))
+        lw, lu, total = stub_actor_critic(
+            [1.0, 1.0], q=[0.0, 0.0], logps=[0.0, 0.0], config=TrainConfig(gamma=0.9)
+        )
         assert float(lw.value) == pytest.approx(2.305)
         assert float(total.value) == pytest.approx(float(lu.value) + 10.0 * 2.305)
 
     def test_zero_rewards_zero_critic(self):
-        dag = self._dag()
-        traj = [_stub_step(dag, reward=0.0, q=[0.0], logits=[0.5])] * 3
-        lw, lu, total = losses(traj, TrainConfig())
+        lw, lu, total = stub_actor_critic([0.0] * 3, q=[0.0] * 3, logps=[0.0] * 3, config=TrainConfig())
         assert float(lw.value) == 0.0
         assert float(lu.value) == 0.0
 
@@ -308,18 +291,58 @@ class TestLosses:
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):
-            losses([], TrainConfig())
+            losses(PolicyNet(CFG), [], TrainConfig())
 
     def test_advantage_is_detached_from_rule_loss(self):
         # the rule-loss gradient w.r.t. Q parameters must vanish when the
         # log-likelihood path does not touch them
-        dag = self._dag()
         q = ag.Tensor.param(np.array([0.7]))
-        step = _stub_step(dag, reward=1.0, q=[0.0], logits=[0.1, -0.2])
-        step.region_info = {"q_all": q, "index": 0}
-        _, lu, _ = losses([step], TrainConfig())
+        lps = ag.Tensor.param(log_softmax(np.array([0.1, -0.2]))[:1])
+        _, lu, _ = _actor_critic(q, lps, np.array([1.0]), TrainConfig())
         ag.backward(lu)
         assert q.grad is None or np.all(q.grad == 0.0)
+
+
+class TestTapeFreeActing:
+    def _trajectory(self, net):
+        from obsched.scenario import GenConfig
+
+        dag0 = _fcfs_dag(GenConfig(horizon_steps=60, arrival_prob=0.25, mode_exposure_count_frac=0.0), 12)
+        _, traj = rewrite_search(dag0, net, SearchConfig(num_steps=8), np.random.default_rng(0), pc=0.5)
+        return traj
+
+    def test_search_leaves_no_tensor_in_its_steps(self):
+        traj = self._trajectory(PolicyNet(CFG, seed=0))
+
+        def tensors(v):
+            if isinstance(v, (list, tuple)):
+                return sum(tensors(x) for x in v)
+            return int(isinstance(v, ag.Tensor))
+
+        assert traj and all(tensors(list(vars(t).values())) == 0 for t in traj)
+
+    def test_scores_record_no_tape(self):
+        net = PolicyNet(CFG, seed=0)
+        t = self._trajectory(net)[0]
+        for scores in (
+            net.region_scores(t.dag, t.region_candidates),
+            net.rule_scores(t.dag, t.action.region, t.rule_candidates),
+        ):
+            assert scores.parents == () and scores.vjp is None
+
+    def test_acting_then_loss_matches_a_fresh_net(self):
+        # acting leaves a tapeless encoding cached; the loss must not use it
+        net = PolicyNet(CFG, seed=0)
+        traj = self._trajectory(net)
+        net.pick_rule(traj[0].dag, traj[0].action.region, traj[0].rule_candidates, np.random.default_rng(1))
+        fresh = PolicyNet(CFG, seed=0)
+        for n in (net, fresh):
+            n.zero_grad()
+            ag.backward(losses(n, traj, TrainConfig())[2])
+        for name in ("enc_wx", "enc_wh", "enc_b"):
+            assert np.any(fresh.params[name].grad != 0.0), name
+            assert np.array_equal(net.params[name].grad, fresh.params[name].grad), name
+        assert np.array_equal(net.grad_flat(), fresh.grad_flat())
 
 
 class TestGradientPipeline:
@@ -340,21 +363,11 @@ class TestGradientPipeline:
             dag0, net, SearchConfig(num_steps=8), np.random.default_rng(0), pc=0.5
         )
         g_ret = discounted_returns(np.array([t.reward for t in traj]), tc.gamma)
-        q0 = np.array(
-            [
-                float(
-                    ag.gather1(
-                        net.region_scores(t.dag, t.region_candidates), t.region_info["index"]
-                    ).value
-                )
-                for t in traj
-            ]
-        )
+        q0 = np.array([net.region_scores(t.dag, [t.action.region]).value[0] for t in traj])
         delta0 = g_ret - q0
 
         net.zero_grad()
-        net._cache = None
-        _, _, total = replay_losses(net, traj, tc, delta=delta0)
+        _, _, total = losses(net, traj, tc, delta=delta0)
         ag.backward(total)
         flat = net.flat()
         grad = net.grad_flat()
@@ -362,7 +375,7 @@ class TestGradientPipeline:
         def f(v):
             n2 = PolicyNet(CFG, init=False)
             n2.set_flat(v)
-            _, _, l2 = replay_losses(n2, traj, tc, delta=delta0)
+            _, _, l2 = losses(n2, traj, tc, delta=delta0)
             return float(l2.value)
 
         rng = np.random.default_rng(5)

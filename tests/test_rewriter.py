@@ -272,8 +272,8 @@ class TestRewritePin:
                 for tid, b in zip(dag.task_ids, dag.start.tolist())
                 if b < now or (phase == 2 and tid % 5 == 0)
             )
-            region, _ = policy.pick_region(dag, candidate_regions(dag, frozen), rng)
-            parent, _ = policy.pick_rule(dag, region, candidate_parents(dag, region), rng)
+            region = policy.pick_region(dag, candidate_regions(dag, frozen), rng)
+            parent = policy.pick_rule(dag, region, candidate_parents(dag, region), rng)
             if parent[0] == "root":
                 action = RewriteAction(region, None, parent[1])
             else:
