@@ -34,5 +34,5 @@ for row in curve:
     print(f"  step {row['step']:3d}: val {row['val_slowdown']:.3f}")
 print(
     "\nThe critic (L_w) falls first as region scores align with realized"
-    "\nreturns; the greedy-rollout validation slowdown follows."
+    "\nreturns; the validation slowdown (sampled with a fixed seed) follows."
 )

@@ -14,7 +14,7 @@ import json
 import multiprocessing as mp
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -198,10 +198,9 @@ class PolicyNet:
         return states
 
     def _encoding(self, dag: ScheduleDag) -> Tensor:
-        """The (n_nodes, 2H) node states of the dag acted on, off the tape."""
+        """The (n_nodes, 2H) node states of the dag acted on, for scoring off the tape."""
         if self._cache is None or self._cache[0] is not dag:
-            with ag.no_grad():
-                self._cache = (dag, ag.stack_rows(self.encode(dag)))
+            self._cache = (dag, ag.stack_rows(self.encode(dag)))
         return self._cache[1]
 
     def _mlp(self, rows: Tensor, prefix: str) -> Tensor:

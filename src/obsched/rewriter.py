@@ -9,7 +9,7 @@ every state the search visits is feasible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 

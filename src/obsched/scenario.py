@@ -9,9 +9,10 @@ Generation is deterministic given a seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
-from datetime import datetime
+from dataclasses import dataclass, field, fields, replace
+from datetime import datetime, timezone
 from importlib import resources
+from typing import Iterable
 
 import numpy as np
 

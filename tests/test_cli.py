@@ -276,6 +276,9 @@ class TestGenConfigFromObj:
             ({"cadence_gap_range": [5, None]}, "cadence_gap_range"),
             ({"resource_band_probs": [0.1, "0.2", 0.3]}, "resource_band_probs"),
             ({"min_field_dec": float("nan")}, "min_field_dec"),  # used to fail inside numpy
+            ({"epoch_utc": "noon"}, "epoch_utc"),  # used to pass until generation
+            ({"resource_mix": "lots"}, "resource_mix"),  # used to pass until generation
+            ([["a", 1]], "config: must be an object"),  # used to be read as {"a": 1}
             ({"num_sites": 0}, "num_sites"),  # used to generate a 0-site scenario with tasks
             ({"num_fields": 0}, "num_fields"),  # used to fail inside numpy
             ({"num_filters": 0}, "num_filters"),
@@ -283,9 +286,6 @@ class TestGenConfigFromObj:
             ({"horizon_steps": -1}, "horizon_steps"),
             ({"dynamic_max_prob": 5.0}, "dynamic_max_prob"),  # used to draw from U[0, 5]
             ({"dynamic_max_prob": -0.1}, "dynamic_max_prob"),
-            ({"epoch_utc": "noon"}, "epoch_utc"),  # used to pass until generation
-            ({"resource_mix": "lots"}, "resource_mix"),  # used to pass until generation
-            ([["a", 1]], "config: must be an object"),  # used to be read as {"a": 1}
         ],
     )
     def test_wrong_types_named(self, obj, field):
