@@ -139,6 +139,7 @@ class PolicyNet:
             value = rng.uniform(-0.1, 0.1, size=shape) if init else np.zeros(shape)
             self.params[name] = Tensor.param(value)
         self._cache: tuple[ScheduleDag, Tensor] | None = None
+        self._memo: tuple[SchedulingContext, dict] | None = None
 
     # -- parameter plumbing --------------------------------------------------
 
@@ -154,7 +155,7 @@ class PolicyNet:
             k += n
         if k != vec.size:
             raise CheckpointError(f"parameter vector size mismatch: {vec.size} != {k}")
-        self._cache = None
+        self._cache = self._memo = None
 
     def grad_flat(self) -> np.ndarray:
         out = []
@@ -169,9 +170,17 @@ class PolicyNet:
 
     # -- forward passes --------------------------------------------------
 
-    def encode(self, dag: ScheduleDag) -> list[Tensor]:
+    def encode(self, dag: ScheduleDag, memo: dict | None = None) -> list[Tensor]:
         """[h; c] state per node, processed in topological order; parents'
-        states are summed elementwise (child-sum), roots start from zeros."""
+        states are summed elementwise (child-sum), roots start from zeros.
+
+        With ``memo`` (tape-free acting only), a node whose embedding row
+        and parents' states were seen before reuses that state: a state is
+        a pure function of the two and the parameters, so it is the very
+        array the same ``lstm_cell`` computed then.
+        """
+        if memo is not None and ag._grad_enabled[-1]:
+            raise RuntimeError("the node-state memo is for tape-free acting only")
         h = self.config.hidden
         emb = embedding_matrix(dag, self.config.distributed, e_max=self.config.e_max)
         order = list(range(dag.n_sites)) + [
@@ -186,6 +195,12 @@ class PolicyNet:
         wx, wh, b = self.params["enc_wx"], self.params["enc_wh"], self.params["enc_b"]
         for node in order:
             parents = dag.parents[node] if node < len(dag.parents) else ()
+            if memo is not None:
+                # every state here lives in the memo, so its id names it
+                key = (emb[node].tobytes(), tuple(id(states[p]) for p in parents))
+                if key in memo:
+                    states[node] = memo[key]
+                    continue
             if not parents:
                 state = zero
             elif len(parents) == 1:
@@ -195,12 +210,17 @@ class PolicyNet:
             if state is None:
                 raise ValueError("dag is not topologically ordered (cycle?)")
             states[node] = ag.lstm_cell(emb[node], state, wx, wh, b)
+            if memo is not None:
+                memo[key] = states[node]
         return states
 
     def _encoding(self, dag: ScheduleDag) -> Tensor:
-        """The (n_nodes, 2H) node states of the dag acted on, for scoring off the tape."""
+        """The (n_nodes, 2H) node states of the dag acted on, for scoring
+        off the tape; node states are memoised per scheduling context."""
         if self._cache is None or self._cache[0] is not dag:
-            self._cache = (dag, ag.stack_rows(self.encode(dag)))
+            if self._memo is None or self._memo[0] is not dag.ctx:
+                self._memo = (dag.ctx, {})
+            self._cache = (dag, ag.stack_rows(self.encode(dag, self._memo[1])))
         return self._cache[1]
 
     def _mlp(self, rows: Tensor, prefix: str) -> Tensor:
@@ -603,8 +623,11 @@ def train(
             save_checkpoint(net, checkpoint_path, train_step=best_step)
             net.set_flat(flat)
 
-    # single-threaded BLAS in the workers: the matrices are small and the
-    # parallelism lives at the trajectory level
+    # single-threaded BLAS in the workers (the matrices are small and the
+    # parallelism lives at the trajectory level).  This reaches spawn-context
+    # workers only, which load numpy afresh; forked workers inherit this
+    # process's BLAS as loaded, so callers export the three variables
+    # before starting Python
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
     pool = None

@@ -167,7 +167,6 @@ def test_acceptance_3_trained_policy_beats_best_heuristic():
                 d, _ = schedule_online_heuristic(s, r, None, 10, ctx=ctx)
                 if len(d.rows):
                     heur[r].append(average_slowdown(d))
-            net._cache = None
             rng = np.random.default_rng(np.random.SeedSequence([acc.SEED, 556, k]))
             best, _ = rewrite_search(dag0, net, search_cfg, rng, pc=search_cfg.pc_initial)
             roars.append(average_slowdown(best))
@@ -392,7 +391,6 @@ def test_acceptance_9_distributed_policy_beats_all_pairs():
                 d, _ = schedule_online_heuristic(s, tr, sr, 10, ctx=ctx)
                 if len(d.rows):
                     pair_means[name].append(average_slowdown(d))
-            net._cache = None
             rng = np.random.default_rng(np.random.SeedSequence([acc.SEED, 556, k]))
             best, _ = rewrite_search(dag0, net, search_cfg, rng, pc=search_cfg.pc_initial)
             roars.append(average_slowdown(best))

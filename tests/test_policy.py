@@ -345,6 +345,89 @@ class TestTapeFreeActing:
         assert np.array_equal(net.grad_flat(), fresh.grad_flat())
 
 
+class TestNodeStateMemo:
+    """Acting reuses node states across the dags of one scheduling
+    context; each reused state must be the one a fresh encode computes."""
+
+    @staticmethod
+    def _checked(net):
+        """Wrap the net's acting encoder so that every state matrix it hands
+        the heads is compared with a fresh, memo-free encode of the dag;
+        returns a (dag, node count) pair per dag checked."""
+        seen = []
+        acting = net._encoding
+
+        def checked(dag):
+            out = acting(dag)
+            if not seen or seen[-1][0] is not dag:
+                assert np.array_equal(out.value, ag.stack_rows(net.encode(dag)).value)
+                seen.append((dag, dag.n_nodes))
+            return out
+
+        net._encoding = checked
+        return seen
+
+    def _intra_dags(self):
+        from obsched.scenario import GenConfig
+
+        gen = GenConfig(horizon_steps=60, arrival_prob=0.25, mode_exposure_count_frac=0.0)
+        return _fcfs_dag(gen, 12), _fcfs_dag(gen, 3)
+
+    def test_online_roars_encodings_match_fresh_encodes(self):
+        from obsched.cli import run_online
+        from obsched.scenario import GenConfig, generate_scenario
+
+        gen = GenConfig(horizon_steps=240, arrival_prob=0.10, mode_exposure_count_frac=0.0, num_sites=5)
+        net = PolicyNet(PolicyConfig(hidden=16, n_filters=3, n_sites=5, distributed=True), seed=0)
+        seen = self._checked(net)
+        dag, _ = run_online(generate_scenario(gen, 1), "roars", net=net, replan_steps=10)
+        assert len(dag.rows) >= 5 and len(seen) >= 20
+        # most nodes were reused, so the check above covered the memo
+        assert len(net._memo[1]) < sum(n for _, n in seen) / 4
+
+    def test_training_rollout_encodings_match_fresh_encodes(self):
+        gen, train_cfg, search_cfg, policy_cfg = acc.recipe(distributed=False)
+        net = PolicyNet(replace(policy_cfg, hidden=16), seed=5)
+        seen = self._checked(net)
+        memo_sizes = 0
+        for k in range(8):
+            dag0 = _training_instance(gen, _instance_seed(0, 0, k), VisibilityConstraints())
+            rng = np.random.default_rng(np.random.SeedSequence([0, 0, k, 777]))
+            rollout_cfg = replace(search_cfg, num_steps=train_cfg.episode_len)
+            rewrite_search(dag0, net, rollout_cfg, rng, pc=search_cfg.pc_at(0))
+            memo_sizes += len(net._memo[1])
+        assert len(seen) >= 10
+        assert memo_sizes < sum(n for _, n in seen)
+
+    def test_set_flat_drops_the_memo(self):
+        dag, _ = self._intra_dags()
+        regions = dag.task_ids
+        net, other = PolicyNet(CFG, seed=0), PolicyNet(CFG, seed=1)
+        net.region_scores(dag, regions)
+        assert net._memo is not None and net._memo[1]
+        net.set_flat(other.flat())
+        assert net._memo is None
+        assert np.array_equal(net.region_scores(dag, regions).value, other.region_scores(dag, regions).value)
+
+    def test_a_new_context_starts_an_empty_memo(self):
+        dag_a, dag_b = self._intra_dags()
+        net, fresh = PolicyNet(CFG, seed=0), PolicyNet(CFG, seed=0)
+        net.region_scores(dag_a, dag_a.task_ids[:1])
+        for n in (net, fresh):
+            n.region_scores(dag_b, dag_b.task_ids[:1])
+        assert net._memo[0] is dag_b.ctx
+        assert len(net._memo[1]) == len(fresh._memo[1]) > 0
+
+    def test_memo_with_the_tape_on_raises(self):
+        dag, _ = self._intra_dags()
+        net = PolicyNet(CFG, seed=0)
+        with pytest.raises(RuntimeError, match="tape-free"):
+            net.encode(dag, {})
+        with ag.no_grad():
+            states = net.encode(dag, {})
+        assert np.array_equal(ag.stack_rows(states).value, ag.stack_rows(net.encode(dag)).value)
+
+
 class TestGradientPipeline:
     def test_full_pipeline_matches_finite_differences(self):
         from obsched.heuristics import TaskRule, schedule_online_heuristic
