@@ -172,12 +172,14 @@ def run_online(
     by_arrival: dict[int, list[int]] = {}
     for r in range(ctx.n_tasks):
         by_arrival.setdefault(int(ctx.arrival[r]), []).append(r)
+    dag = None  # the last re-plan's dag while ``st`` still holds exactly it
 
     for t in range(ctx.horizon):
         # completions of frozen tasks are re-plan triggers too
         events = t in frozen_done
         for r in sorted(by_arrival.get(t, ()), key=lambda r: int(ctx.task_id[r])):
             st.place(r, max(t, st.release(r)))
+            dag = None
             if r in assigned:
                 pending[r] = None
             events = True
@@ -192,15 +194,17 @@ def run_online(
             audit.append(("waiting", t, len(waiting)))
 
         if events and pending:
-            best, _ = rewrite_search(
-                st.to_dag(), net, replan_cfg, rng, greedy=True, frozen=frozenset(frozen), now=t
+            if dag is None:
+                dag = st.to_dag()
+            dag, _ = rewrite_search(
+                dag, net, replan_cfg, rng, greedy=True, frozen=frozenset(frozen), now=t
             )
-            st.load(best)  # in place, so ``assigned`` stays its alias
+            st.load(dag)  # in place, so ``assigned`` stays its alias
 
         for r in [r for r in pending if assigned[r][1] == t]:
             freeze(r, t)  # starts now: no preemption from here on
 
-    return st.to_dag(), st.drops
+    return (st.to_dag() if dag is None else dag), st.drops
 
 
 # --- benchmark ---------------------------------------------------------------

@@ -183,13 +183,8 @@ class PolicyNet:
             raise RuntimeError("the node-state memo is for tape-free acting only")
         h = self.config.hidden
         emb = embedding_matrix(dag, self.config.distributed, e_max=self.config.e_max)
-        order = list(range(dag.n_sites)) + [
-            dag.node_of_task[tid]
-            for tid in sorted(
-                dag.task_ids,
-                key=lambda t: (int(dag.start[dag.node_of_task[t] - dag.n_sites]), t),
-            )
-        ]
+        # roots, then tasks by (start, task id): task nodes are in task-id order
+        order = list(range(dag.n_sites)) + (dag.n_sites + np.argsort(dag.start, kind="stable")).tolist()
         states: list[Tensor | None] = [None] * dag.n_nodes
         zero = Tensor.const(np.zeros(2 * h))
         wx, wh, b = self.params["enc_wx"], self.params["enc_wh"], self.params["enc_b"]

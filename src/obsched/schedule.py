@@ -234,6 +234,7 @@ class ScheduleDag:
         "eta",
         "parents",
         "profile",
+        "task_ids",
         "node_of_task",
     )
 
@@ -245,9 +246,8 @@ class ScheduleDag:
         self.eta = eta
         self.parents = parents
         self.profile = profile
-        self.node_of_task = {
-            int(ctx.task_id[r]): ctx.n_sites + i for i, r in enumerate(rows)
-        }
+        self.task_ids: tuple[int, ...] = tuple(ctx.task_id[rows].tolist())
+        self.node_of_task = {tid: ctx.n_sites + i for i, tid in enumerate(self.task_ids)}
 
     # -- structure ----------------------------------------------------------
 
@@ -262,10 +262,6 @@ class ScheduleDag:
     @property
     def n_nodes(self) -> int:
         return self.ctx.n_sites + len(self.rows)
-
-    @property
-    def task_ids(self) -> list[int]:
-        return [int(self.ctx.task_id[r]) for r in self.rows]
 
     def completion(self) -> np.ndarray:
         return self.start + self.ctx.exposure[self.rows]
@@ -285,7 +281,10 @@ def build_from_arrays(ctx: SchedulingContext, rows, site, start) -> ScheduleDag:
     ``Placement.to_dag`` and ``build_dag``: validates every constraint and
     derives edges.
 
-    Raises InfeasibleAssignmentError on the first violation found.
+    Raises InfeasibleAssignmentError on the first violation found: the
+    lowest task id that breaks a constraint, checked per task in the order
+    site range ("dependency"), ``fits_statically``, resource against the
+    lower-id tasks, cadence.
     """
     order = np.argsort(ctx.task_id[rows], kind="stable")
     rows = np.asarray(rows, dtype=np.int64)[order]
@@ -296,51 +295,81 @@ def build_from_arrays(ctx: SchedulingContext, rows, site, start) -> ScheduleDag:
     if len(set(rows.tolist())) != n:
         raise ValueError("duplicate task in assignments")
 
-    profile = np.zeros((ctx.n_sites, ctx.n_filters, ctx.horizon), dtype=np.uint8)
-    start_by_row = {int(r): int(b) for r, b in zip(rows, start)}
-    release = [0] * n  # arrival + sibling cadence, per scheduled task
+    ns, nf, h = ctx.n_sites, ctx.n_filters, ctx.horizon
+    e = ctx.exposure[rows]
+    arrival = ctx.arrival[rows]
+    tr = ctx.target_row[rows]
 
-    for i in range(n):
-        r, s, b = int(rows[i]), int(site[i]), int(start[i])
-        tid = int(ctx.task_id[r])
-        if not 0 <= s < ctx.n_sites:
-            raise InfeasibleAssignmentError(tid, s, b, "dependency")
-        bad = ctx.fits_statically(r, s, b)
-        if bad is not None:
-            raise InfeasibleAssignmentError(tid, s, b, bad)
-        e = int(ctx.exposure[r])
-        block = profile[s][ctx.rho_idx[r], b : b + e]
-        if block.any():
-            step = b + int(np.argmax(block.max(axis=0) > 0))
-            raise InfeasibleAssignmentError(tid, s, step, "resource")
-        profile[s][ctx.rho_idx[r], b : b + e] = 1
-        release[i] = ctx.release(r, start_by_row.get(int(ctx.prev_sibling[r])))
-        if b < release[i]:
-            raise InfeasibleAssignmentError(tid, s, b, "cadence")
+    # static checks (fits_statically, vectorised): visibility is read only
+    # where the site, arrival and deadline checks pass
+    ok = (site >= 0) & (site < ns) & (start >= arrival) & (start + e <= ctx.limit[rows]) & (start < h)
+    i = np.flatnonzero(ok)
+    si, bi = site[i], start[i]
+    ok[i] = ctx.mask[tr[i], si, bi] & (ctx.vis_until[tr[i], si, bi] >= bi + e[i])
+
+    # occupancy cells of the statically feasible tasks as flat
+    # (site, filter, step) keys, in (task, filter, step) order
+    k = np.arange(int(e.max(initial=0)))
+    live = ok[:, None, None] & ctx.rho[rows][:, :, None] & (k < e[:, None])[:, None, :]
+    ci, cf, ck = np.nonzero(live)
+    keys = (site[ci] * nf + cf) * h + start[ci] + ck
+    profile = np.zeros(ns * nf * h, dtype=np.uint8)
+    profile[keys] = 1
+
+    # arrival + sibling cadence (SchedulingContext.release, per row); a
+    # previous sibling outside the dag does not constrain
+    pos = np.full(ctx.n_tasks, -1, dtype=np.int64)
+    pos[rows] = np.arange(n)
+    prev = ctx.prev_sibling[rows]
+    j = np.flatnonzero(prev >= 0)
+    j = j[pos[prev[j]] >= 0]
+    release = arrival.copy()
+    release[j] = np.maximum(
+        arrival[j], start[pos[prev[j]]] + ctx.exposure[prev[j]] + ctx.sibling_gap[rows[j]]
+    )
+
+    if not ok.all() or np.count_nonzero(profile) != keys.size or (start < release).any():
+        _raise_first_violation(ctx, rows, site, start, ok, release, ci, ck, keys)
+
+    eta = (start + e - arrival) / e
+    root = start == np.maximum(release, ctx.run_start[tr, site, start])
 
     # dependency edges: completions per site -> starts
+    site_l, start_l = site.tolist(), start.tolist()
     comp_map: dict[tuple[int, int], list[int]] = {}
-    for i in range(n):
-        c = int(start[i]) + int(ctx.exposure[int(rows[i])])
-        comp_map.setdefault((int(site[i]), c), []).append(ctx.n_sites + i)
+    for node, key in enumerate(zip(site_l, (start + e).tolist()), ns):
+        comp_map.setdefault(key, []).append(node)
+    parents: list[tuple[int, ...]] = [()] * ns
+    for node, (s, b, at_root) in enumerate(zip(site_l, start_l, root.tolist()), ns):
+        # the root edge: starts as early as its own constraints allow; the
+        # root comes first and the completions ascend, so p is sorted
+        p = [s] if at_root else []
+        p.extend(q for q in comp_map.get((s, b), ()) if q != node)
+        # no predecessor completes at B (e.g. a rewrite vacated the slot
+        # before it): the task still hangs off its site root
+        parents.append(tuple(p) if p else (s,))
 
-    parents: list[tuple[int, ...]] = [() for _ in range(ctx.n_sites)]
-    eta = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        r, s, b = int(rows[i]), int(site[i]), int(start[i])
-        e = int(ctx.exposure[r])
-        eta[i] = (b + e - ctx.arrival[r]) / e
-        p: list[int] = []
-        if b == max(release[i], int(ctx.run_start[int(ctx.target_row[r]), s, b])):
-            p.append(s)  # root edge: starts as early as its own constraints allow
-        p.extend(q for q in comp_map.get((s, b), ()) if q != ctx.n_sites + i)
-        if not p:
-            # no predecessor completes at B (e.g. a rewrite vacated the slot
-            # before it); the task still hangs off its site root
-            p.append(s)
-        parents.append(tuple(sorted(p)))
+    return ScheduleDag(ctx, rows, site, start, eta, tuple(parents), profile.reshape(ns, nf, h))
 
-    return ScheduleDag(ctx, rows, site, start, eta, tuple(parents), profile)
+
+def _raise_first_violation(ctx, rows, site, start, ok, release, ci, ck, keys) -> None:
+    """Raise what a per-task pass in task-id order would raise first; the
+    arguments are ``build_from_arrays``'s, where some check failed."""
+    clash = np.ones(keys.size, dtype=bool)  # a cell a lower-id task holds
+    clash[np.unique(keys, return_index=True)[1]] = False
+    resource = np.zeros(len(rows), dtype=bool)
+    resource[ci[clash]] = True
+    i = int(np.argmax(~ok | resource | (start < release)))
+    r, s, b = int(rows[i]), int(site[i]), int(start[i])
+    tid = int(ctx.task_id[r])
+    if not 0 <= s < ctx.n_sites:
+        raise InfeasibleAssignmentError(tid, s, b, "dependency")
+    bad = ctx.fits_statically(r, s, b)
+    if bad is not None:
+        raise InfeasibleAssignmentError(tid, s, b, bad)
+    if resource[i]:
+        raise InfeasibleAssignmentError(tid, s, b + int(ck[clash & (ci == i)].min()), "resource")
+    raise InfeasibleAssignmentError(tid, s, b, "cadence")
 
 
 class Placement:
@@ -559,45 +588,45 @@ def embed(
     *,
     e_max: int = DEFAULT_E_MAX,
 ) -> np.ndarray:
-    """Feature vector of one scheduled task.
-
-    Layout: the filter demand (placed in its site's block in distributed
-    mode), then one resource-utilization snapshot per execution step,
-    zero padding up to ``e_max`` snapshots, and the task's current
-    slowdown as the final entry.
-    """
-    ctx = dag.ctx
+    """Feature vector of one scheduled task: its row of
+    ``embedding_matrix``."""
     node = dag.node_of_task[task_id]
-    i = node - ctx.n_sites
-    r, s, b = int(dag.rows[i]), int(dag.site[i]), int(dag.start[i])
-    e = int(ctx.exposure[r])
-    if e > e_max:
-        raise ValueError(f"task exposure {e} exceeds e_max {e_max}")
-    d = ctx.n_filters
-    if distributed:
-        width = ctx.n_sites * d
-        head = np.zeros(width)
-        head[s * d : (s + 1) * d] = ctx.rho[r]
-        snaps = dag.profile[:, :, b : b + e].transpose(2, 0, 1).reshape(e, width)
-    else:
-        width = d
-        head = ctx.rho[r].astype(np.float64)
-        snaps = dag.profile[s, :, b : b + e].T
-    vec = np.zeros(width * (e_max + 1) + 1)
-    vec[:width] = head
-    vec[width : width + e * width] = snaps.ravel()
-    vec[-1] = dag.eta[i]
-    return vec
+    return embedding_matrix(dag, distributed, e_max=e_max)[node]
 
 
 def embedding_matrix(
     dag: ScheduleDag, distributed: bool = False, *, e_max: int = DEFAULT_E_MAX
 ) -> np.ndarray:
-    """Embeddings for every node, root rows all-zero, task rows per embed()."""
-    d_in = embedding_length(dag.ctx.n_filters, e_max, dag.ctx.n_sites, distributed)
-    out = np.zeros((dag.n_nodes, d_in))
-    for tid in dag.task_ids:
-        out[dag.node_of_task[tid]] = embed(dag, tid, distributed, e_max=e_max)
+    """Embeddings for every node: root rows all-zero, one row per task.
+
+    Task row layout: the filter demand (placed in its site's block in
+    distributed mode), then one resource-utilization snapshot per
+    execution step, zero padding up to ``e_max`` snapshots, and the task's
+    current slowdown as the final entry.
+    """
+    ctx = dag.ctx
+    rows, n, d = dag.rows, len(dag.rows), ctx.n_filters
+    e = ctx.exposure[rows]
+    over = np.flatnonzero(e > e_max)
+    if over.size:
+        raise ValueError(f"task exposure {int(e[over[0]])} exceeds e_max {e_max}")
+    k = np.arange(e_max)
+    live = k < e[:, None]
+    steps = np.where(live, dag.start[:, None] + k, 0)  # (n, e_max); padding reads step 0
+    if distributed:
+        width = ctx.n_sites * d
+        head = np.zeros((n, width))
+        head[np.arange(n)[:, None], dag.site[:, None] * d + np.arange(d)] = ctx.rho[rows]
+        snaps = dag.profile[:, :, steps].transpose(2, 3, 0, 1)  # (n, e_max, sites, filters)
+    else:
+        width = d
+        head = ctx.rho[rows]
+        snaps = dag.profile[dag.site[:, None], :, steps]  # (n, e_max, filters)
+    out = np.zeros((dag.n_nodes, embedding_length(d, e_max, ctx.n_sites, distributed)))
+    tasks = out[ctx.n_sites :]
+    tasks[:, :width] = head
+    tasks[:, width:-1] = (snaps.reshape(n, e_max, width) * live[:, :, None]).reshape(n, e_max * width)
+    tasks[:, -1] = dag.eta
     return out
 
 

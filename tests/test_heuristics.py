@@ -376,3 +376,62 @@ class TestRegressionPin:
             dag, _ = run_online(s, name)
         assert validate(dag) == []
         assert self._sha(dag) == self.EXPECTED[name]
+
+
+def test_online_replan_reuses_the_last_replan_dag(monkeypatch):
+    """On TestRegressionPin's scenario, a re-plan with no placement since
+    the previous one starts from that re-plan's dag object, and the loop
+    freezes a new dag only after a placement."""
+    from obsched import cli
+    from obsched.policy import PolicyConfig, PolicyNet
+    from obsched.schedule import Placement
+
+    log: list[tuple] = []
+    place, to_dag, search = Placement.place, Placement.to_dag, cli.rewrite_search
+
+    def logged_place(self, *args, **kwargs):
+        log.append(("place",))
+        return place(self, *args, **kwargs)
+
+    def logged_to_dag(self):
+        dag = to_dag(self)
+        log.append(("build", dag))
+        return dag
+
+    def logged_search(dag0, *args, **kwargs):
+        log.append(("replan", dag0))
+        best, traj = search(dag0, *args, **kwargs)
+        log.append(("best", best))
+        return best, traj
+
+    monkeypatch.setattr(Placement, "place", logged_place)
+    monkeypatch.setattr(Placement, "to_dag", logged_to_dag)
+    monkeypatch.setattr(cli, "rewrite_search", logged_search)
+    s = generate_scenario(TestRegressionPin.GEN, TestRegressionPin.SEED)
+    net = PolicyNet(PolicyConfig(hidden=8, n_filters=3, n_sites=5), seed=0)
+    dag, _ = cli.run_online(s, "roars", net=net)
+    log.append(("end", dag))
+
+    last = None  # the previous re-plan's result
+    placed, built = True, []  # since that re-plan, outside rewrite_search
+    reused = rebuilt = 0
+    depth = 0
+    for entry in log:
+        if entry[0] == "place":
+            placed = True
+        elif entry[0] == "build" and depth == 0:
+            built.append(entry[1])
+        elif entry[0] in ("replan", "end"):
+            if placed:
+                assert len(built) == 1 and entry[1] is built[0]
+                rebuilt += 1
+            else:
+                assert built == [] and entry[1] is last
+                reused += 1
+            depth += entry[0] == "replan"
+            placed, built = False, []
+        elif entry[0] == "best":
+            last = entry[1]
+            depth -= 1
+    assert reused > 0 and rebuilt > 0
+    assert TestRegressionPin._sha(dag) == TestRegressionPin.EXPECTED["roars"]

@@ -47,3 +47,20 @@ def test_install_finds_every_binding_and_uninstall_restores_them(tracing):
     for owner, attr, orig, traced in installed:
         assert traced is not orig and traced.__wrapped__ is orig, (owner, attr)
     assert after == before
+
+
+def test_placement_builds_through_the_module_binding(monkeypatch):
+    """perfbench counts ``schedule.build`` by wrapping
+    ``schedule.build_from_arrays``; ``Placement.to_dag`` must look it up
+    there on every call, or the count silently stops."""
+    from conftest import U, toy_scenario
+
+    calls = []
+    build = schedule.build_from_arrays
+    monkeypatch.setattr(
+        schedule, "build_from_arrays", lambda *args: calls.append(args) or build(*args)
+    )
+    st = schedule.Placement(schedule.SchedulingContext.for_scenario(toy_scenario([(0, 5, U)])))
+    st.place(0, 0)
+    dag = st.to_dag()
+    assert len(calls) == 1 and dag.task_ids == (0,)

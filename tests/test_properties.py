@@ -3,6 +3,7 @@ must hold on every instance, not just on hand-picked ones.
 
 Examples are derandomized, so every run checks the same instances.
 """
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,13 @@ from obsched.heuristics import schedule_fcfs_list
 from obsched.policy import PolicyConfig, PolicyNet
 from obsched.rewriter import APPLIED, RewriteAction, candidate_parents, rewrite_step
 from obsched.scenario import GenConfig, generate_scenario, scenario_from_json, scenario_to_json
-from obsched.schedule import validate
+from obsched.schedule import (
+    InfeasibleAssignmentError,
+    ScheduleDag,
+    SchedulingContext,
+    build_from_arrays,
+    validate,
+)
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -95,3 +102,91 @@ def test_json_round_trip_is_byte_identical(scenario):
     again = scenario_from_json(text)
     assert scenario_to_json(again) == text
     assert again == scenario
+
+
+def _build_by_loop(ctx, rows, site, start) -> ScheduleDag:
+    """Reference for ``build_from_arrays``: one pass per task in task-id
+    order, raising at the first violation it meets."""
+    order = np.argsort(ctx.task_id[rows], kind="stable")
+    rows = np.asarray(rows, dtype=np.int64)[order]
+    site = np.asarray(site, dtype=np.int64)[order]
+    start = np.asarray(start, dtype=np.int64)[order]
+    n = len(rows)
+
+    if len(set(rows.tolist())) != n:
+        raise ValueError("duplicate task in assignments")
+
+    profile = np.zeros((ctx.n_sites, ctx.n_filters, ctx.horizon), dtype=np.uint8)
+    start_by_row = {int(r): int(b) for r, b in zip(rows, start)}
+    release = [0] * n
+
+    for i in range(n):
+        r, s, b = int(rows[i]), int(site[i]), int(start[i])
+        tid = int(ctx.task_id[r])
+        if not 0 <= s < ctx.n_sites:
+            raise InfeasibleAssignmentError(tid, s, b, "dependency")
+        bad = ctx.fits_statically(r, s, b)
+        if bad is not None:
+            raise InfeasibleAssignmentError(tid, s, b, bad)
+        e = int(ctx.exposure[r])
+        block = profile[s][ctx.rho_idx[r], b : b + e]
+        if block.any():
+            step = b + int(np.argmax(block.max(axis=0) > 0))
+            raise InfeasibleAssignmentError(tid, s, step, "resource")
+        profile[s][ctx.rho_idx[r], b : b + e] = 1
+        release[i] = ctx.release(r, start_by_row.get(int(ctx.prev_sibling[r])))
+        if b < release[i]:
+            raise InfeasibleAssignmentError(tid, s, b, "cadence")
+
+    comp_map: dict[tuple[int, int], list[int]] = {}
+    for i in range(n):
+        c = int(start[i]) + int(ctx.exposure[int(rows[i])])
+        comp_map.setdefault((int(site[i]), c), []).append(ctx.n_sites + i)
+
+    parents: list[tuple[int, ...]] = [() for _ in range(ctx.n_sites)]
+    eta = np.empty(n, dtype=np.float64)
+    for i in range(n):
+        r, s, b = int(rows[i]), int(site[i]), int(start[i])
+        e = int(ctx.exposure[r])
+        eta[i] = (b + e - ctx.arrival[r]) / e
+        p: list[int] = []
+        if b == max(release[i], int(ctx.run_start[int(ctx.target_row[r]), s, b])):
+            p.append(s)
+        p.extend(q for q in comp_map.get((s, b), ()) if q != ctx.n_sites + i)
+        if not p:
+            p.append(s)
+        parents.append(tuple(sorted(p)))
+
+    return ScheduleDag(ctx, rows, site, start, eta, tuple(parents), profile)
+
+
+def _outcome(build, ctx, rows, site, start):
+    """Every field of the built dag, byte for byte, or the error raised."""
+    try:
+        dag = build(ctx, rows, site, start)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return (
+        dag.rows.tobytes(), dag.site.tobytes(), dag.start.tobytes(), dag.eta.tobytes(),
+        dag.parents, dag.profile.dtype, dag.profile.shape, dag.profile.tobytes(),
+    )
+
+
+@SETTINGS
+@given(scenarios(), st.data())
+def test_build_from_arrays_matches_the_per_task_loop(scenario, data):
+    """Scheduler-built placements, some nudged in site and start (which
+    breaks site range, arrival, deadline, visibility, occupancy and
+    cadence in turn), in shuffled input order: the same dag or the same
+    exception message as the reference loop."""
+    ctx = SchedulingContext.for_scenario(scenario)
+    dag, _ = schedule_fcfs_list(scenario, ctx=ctx)
+    n = len(dag.rows)
+    for _ in range(6):
+        site, start = dag.site.copy(), dag.start.copy()
+        for i in data.draw(st.lists(st.integers(0, n - 1), max_size=3)) if n else []:
+            site[i] += data.draw(st.integers(-1, 1))
+            start[i] += data.draw(st.integers(-6, 6))
+        perm = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+        args = (ctx, dag.rows[perm], site[perm], start[perm])
+        assert _outcome(build_from_arrays, *args) == _outcome(_build_by_loop, *args)

@@ -101,6 +101,34 @@ class TestBuildAndEdges:
         with pytest.raises(ValueError):
             build(s, [(0, 0, 0), (0, 0, 10)])
 
+    def test_lower_id_deadline_beats_higher_id_resource(self):
+        s = toy_scenario([(0, 10, U, 30), (0, 10, G), (0, 10, G)])
+        with pytest.raises(InfeasibleAssignmentError) as err:
+            build(s, [(2, 0, 0), (1, 0, 5), (0, 0, 25)])
+        assert str(err.value) == "infeasible assignment: deadline (task 0, site 0, step 25)"
+
+    def test_resource_names_the_first_busy_step(self):
+        # task 2 spans [3, 13) on u and g: g is busy from 8, u from 5
+        s = toy_scenario([(0, 4, G), (0, 3, U), (0, 10, UG)])
+        with pytest.raises(InfeasibleAssignmentError) as err:
+            build(s, [(0, 0, 8), (1, 0, 5), (2, 0, 3)])
+        assert str(err.value) == "infeasible assignment: resource (task 2, site 0, step 5)"
+
+    def test_resource_is_checked_before_cadence(self):
+        s = toy_scenario(
+            [(0, 5, U), (0, 5, U, None, "t"), (10, 5, U, None, "t")], cadence_gaps={"t": 10}
+        )
+        with pytest.raises(InfeasibleAssignmentError) as err:
+            build(s, [(0, 0, 10), (1, 0, 0), (2, 0, 12)])  # task 2: release 15, u busy at 12
+        assert str(err.value) == "infeasible assignment: resource (task 2, site 0, step 12)"
+
+    @pytest.mark.parametrize("bad_site", [-1, 2])
+    def test_site_out_of_range_is_a_dependency_error(self, bad_site):
+        s = toy_scenario([(0, 10, U), (0, 10, U)], n_sites=2)
+        with pytest.raises(InfeasibleAssignmentError) as err:
+            build(s, [(0, 1, 0), (1, bad_site, 0)])
+        assert str(err.value) == f"infeasible assignment: dependency (task 1, site {bad_site}, step 0)"
+
     def test_build_extract_round_trip(self):
         s = toy_scenario([(0, 10, U), (0, 5, G), (7, 5, I), (0, 5, U)])
         dag = build(s, [(0, 0, 0), (1, 0, 0), (2, 0, 7), (3, 0, 10)])
@@ -254,6 +282,47 @@ class TestEmbedding:
         dag = build(s, [(0, 0, 0)])
         with pytest.raises(ValueError, match="e_max"):
             embed(dag, 0, e_max=20)
+
+    @pytest.mark.parametrize("n_sites", [1, 5])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matrix_matches_a_per_task_reference(self, n_sites, seed):
+        from obsched.heuristics import schedule_fcfs_list
+        from obsched.scenario import GenConfig, generate_scenario
+
+        cfg = GenConfig(horizon_steps=90, arrival_prob=0.3, num_sites=n_sites)
+        dag, _ = schedule_fcfs_list(generate_scenario(cfg, seed))
+        assert len(dag.rows) > 5
+        for distributed in (False, True):
+            assert embedding_matrix(dag, distributed).tobytes() == _embedding_by_task(dag, distributed).tobytes()
+
+    def test_matrix_row_of_a_task_ending_at_the_horizon(self):
+        s = toy_scenario([(0, 5, U), (50, 10, UG), (52, 8, G)], n_sites=5, horizon=60)
+        dag = build(s, [(0, 2, 0), (1, 0, 50), (2, 2, 52)])
+        assert int(dag.start[1]) + 10 == 60 and int(dag.start[2]) + 8 == 60
+        for distributed in (False, True):
+            m = embedding_matrix(dag, distributed, e_max=12)
+            assert m.tobytes() == _embedding_by_task(dag, distributed, 12).tobytes()
+            assert np.array_equal(embed(dag, 1, distributed, e_max=12), m[dag.node_of_task[1]])
+
+
+def _embedding_by_task(dag, distributed, e_max=20):
+    """Reference for ``embedding_matrix``: one task row at a time."""
+    ctx = dag.ctx
+    d = ctx.n_filters
+    width = ctx.n_sites * d if distributed else d
+    out = np.zeros((dag.n_nodes, width * (e_max + 1) + 1))
+    for i, r in enumerate(dag.rows):
+        s, b, e = int(dag.site[i]), int(dag.start[i]), int(ctx.exposure[r])
+        vec = out[ctx.n_sites + i]
+        if distributed:
+            vec[s * d : (s + 1) * d] = ctx.rho[r]
+            snaps = dag.profile[:, :, b : b + e].transpose(2, 0, 1).reshape(e, width)
+        else:
+            vec[:d] = ctx.rho[r]
+            snaps = dag.profile[s, :, b : b + e].T
+        vec[width : width + e * width] = snaps.ravel()
+        vec[-1] = dag.eta[i]
+    return out
 
 
 def test_edge_time_consistency_property():
