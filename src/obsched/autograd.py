@@ -2,10 +2,11 @@
 
 Deliberately small: exactly the operations the policy's one loss needs,
 each with a hand-written vector-Jacobian product.  Acting is tape-free
-(``no_grad``); the loss replays a whole trajectory: one fused ``lstm_cell``
-per node plus ``add_n`` for child sums, one ``stack_rows`` of all node
-states, one ``gather_rows`` per head, and one ``segment_log_softmax`` for
-every step's chosen rule, so the tape does not grow with the candidate count.
+(``no_grad``); the loss replays a whole trajectory: one ``lstm_cell`` per
+distinct node, summing its parents' states itself, one ``stack_rows`` of all
+node states, one ``gather_rows`` per head, and one ``segment_log_softmax``
+for every step's chosen rule, so the tape does not grow with the candidate
+count.
 
 All values are float64.  Gradients accumulate into ``Tensor.grad``;
 ``backward`` walks the tape once in reverse topological order.
@@ -99,12 +100,10 @@ def backward(loss: Tensor) -> None:
 # --- operations -------------------------------------------------------------
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w.T + b for x of shape (n,) or (k, n); w is (m, n), b is (m,)."""
+    """x @ w.T + b for x of shape (k, n); w is (m, n), b is (m,)."""
     out = x.value @ w.value.T + b.value
 
     def vjp(g):
-        if x.value.ndim == 1:
-            return (g @ w.value, np.outer(g, x.value), g)
         return (g @ w.value, g.T @ x.value, g.sum(axis=0))
 
     return Tensor(out, (x, w, b), vjp)
@@ -131,17 +130,6 @@ def scale(a: Tensor, k: float) -> Tensor:
         return (g * k,)
 
     return Tensor(a.value * k, (a,), vjp)
-
-
-def add_n(tensors: list[Tensor]) -> Tensor:
-    out = tensors[0].value.copy()
-    for t in tensors[1:]:
-        out += t.value
-
-    def vjp(g):
-        return tuple(g for _ in tensors)
-
-    return Tensor(out, tuple(tensors), vjp)
 
 
 def stack_rows(tensors: list[Tensor]) -> Tensor:
@@ -230,16 +218,20 @@ def weighted_sum(x: Tensor, w: np.ndarray) -> Tensor:
     return Tensor(float(x.value @ w), (x,), vjp)
 
 
-def lstm_cell(x: np.ndarray, hc: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
-    """One LSTM step on a summed parent state.
+def lstm_cell(x: np.ndarray, parents: list[Tensor], wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+    """One child-sum tree-LSTM step.
 
-    ``x`` is the (constant) input embedding, ``hc`` the concatenated
-    [h; c] parent-state sum of length 2H.  Gate order in the packed
-    weight matrices: input, forget, output, cell.  Returns [h'; c'].
+    ``x`` is the (constant) input embedding and ``parents`` the parents'
+    [h; c] states of length 2H, summed in order (zeros for none); each
+    parent gets the gradient of the sum.  Gate order in the packed weight
+    matrices: input, forget, output, cell.  Returns [h'; c'].
     """
-    hsz = hc.value.size // 2
-    h_in = hc.value[:hsz]
-    c_in = hc.value[hsz:]
+    hsz = wh.value.shape[1]
+    hc = parents[0].value.copy() if parents else np.zeros(2 * hsz)
+    for p in parents[1:]:
+        hc += p.value
+    h_in = hc[:hsz]
+    c_in = hc[hsz:]
     z = wx.value @ x + wh.value @ h_in + b.value
     zi, zf, zo, zg = (z[k * hsz : (k + 1) * hsz] for k in range(4))
     i = 1.0 / (1.0 + np.exp(-zi))
@@ -262,13 +254,7 @@ def lstm_cell(x: np.ndarray, hc: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> T
                 gc * i * (1.0 - g * g),
             ]
         )
-        dh_in = wh.value.T @ dz
-        dc_in = gc * f
-        return (
-            np.concatenate([dh_in, dc_in]),
-            np.outer(dz, x),
-            np.outer(dz, h_in),
-            dz,
-        )
+        dhc = np.concatenate([wh.value.T @ dz, gc * f])
+        return (*[dhc] * len(parents), np.outer(dz, x), np.outer(dz, h_in), dz)
 
-    return Tensor(np.concatenate([h, c]), (hc, wx, wh, b), vjp)
+    return Tensor(np.concatenate([h, c]), (*parents, wx, wh, b), vjp)

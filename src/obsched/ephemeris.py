@@ -134,7 +134,7 @@ class VisibilityConstraints:
     max_sun_altitude_deg: float = -12.0
 
     def __post_init__(self):
-        # below -6.07995 deg the Kasten-Young term takes a negative base
+        # cutoffs stay above the pole of the Kasten-Young formula, at -6.07995 deg
         if not self.min_altitude_deg >= -6.07995:
             raise ValueError(f"min_altitude_deg must be >= -6.07995, got {self.min_altitude_deg!r}")
 
@@ -196,14 +196,13 @@ def altitude(target: SkyCoord, site: GeoCoord, lst_degrees: float) -> float:
 def airmass(alt_degrees: float, *, min_altitude_deg: float = 5.0) -> float:
     """Kasten & Young (1989) relative airmass; UNOBSERVABLE below the cutoff.
 
-    X = 1 / (sin(alt) + 0.50572 (alt_deg + 6.07995)^-1.6364)
+    X = 1 / (sin(alt) + 0.50572 (alt_deg + 6.07995)^-1.6364), taken at the
+    horizon (alt 0, X = 37.92) for any altitude below it.
     """
     if alt_degrees <= min_altitude_deg:
         return UNOBSERVABLE
-    return 1.0 / (
-        math.sin(alt_degrees * _DEG)
-        + 0.50572 * (alt_degrees + 6.07995) ** (-1.6364)
-    )
+    a = max(alt_degrees, 0.0)
+    return 1.0 / (math.sin(a * _DEG) + 0.50572 * (a + 6.07995) ** (-1.6364))
 
 
 def sun_equatorial(when: datetime) -> SkyCoord:
@@ -295,7 +294,7 @@ def _target_mask(
     am = np.full(alt.shape, UNOBSERVABLE)
     above = alt > constraints.min_altitude_deg
     if above.any():
-        a = alt[above]
+        a = np.maximum(alt[above], 0.0)  # as ``airmass``: the horizon's below it
         am[above] = 1.0 / (np.sin(np.radians(a)) + 0.50572 * (a + 6.07995) ** (-1.6364))
     return above & (am <= constraints.max_airmass), am
 
@@ -357,9 +356,6 @@ def visibility_masks_multi(
     return mask & sky.dark[None, :], am
 
 
-#: just above -1.757 deg, where Kasten-Young airmass peaks
-_AIRMASS_PEAK_DEG = -1.75
-
 #: Kasten-Young airmass at the zenith, 4e-8 above its minimum
 _ZENITH_AIRMASS = airmass(90.0)
 
@@ -368,16 +364,12 @@ def _monotone_in_altitude(constraints: VisibilityConstraints) -> bool:
     """Is the target predicate an upper set in altitude -- once it holds,
     does it hold at every higher altitude too?
 
-    Kasten-Young airmass rises from 0 at -6.07995 deg to its peak (64.85)
-    at -1.757 deg, falls to a minimum 0.016 deg below the zenith, and
-    rises by 4e-8 from there to the zenith.  With a finite airmass limit
-    the predicate is therefore monotone when the altitude cutoff lies
-    past the peak and the limit is at least the zenith value.
+    Airmass is the horizon's (37.92) at and below it, falls from there to
+    a minimum 0.016 deg below the zenith, and rises by 4e-8 from there to
+    the zenith.  The predicate is therefore monotone when the airmass
+    limit is at least the zenith value, whatever the altitude cutoff.
     """
-    return constraints.max_airmass == math.inf or (
-        constraints.min_altitude_deg >= _AIRMASS_PEAK_DEG
-        and constraints.max_airmass >= _ZENITH_AIRMASS
-    )
+    return constraints.max_airmass >= _ZENITH_AIRMASS
 
 
 def _one_site_coverage(

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .ephemeris import VisibilityConstraints
-from .scenario import CADENCE, ObservationTask, Scenario, Target
+from .scenario import ObservationTask, Scenario, Target
 from .schedule import (
     Placement,
     ScheduleDag,
@@ -69,15 +69,6 @@ DISTRIBUTED_PAIRS = [
 ]
 
 
-def _target_exposure_count(target: Target) -> int:
-    e = target.exposure_minutes
-    if target.duration < e:
-        return 0
-    if target.mode.kind == CADENCE:
-        return (target.duration - e) // (e + target.mode.gap_minutes) + 1
-    return target.duration // e
-
-
 def rank_key(rule: TaskRule, task: ObservationTask, target: Target) -> tuple:
     """Sort key of a task under a dispatch rule; lower ranks first.
 
@@ -92,7 +83,7 @@ def rank_key(rule: TaskRule, task: ObservationTask, target: Target) -> tuple:
     elif rule == TaskRule.SPT:
         primary = target.duration
     elif rule == TaskRule.RIP:
-        primary = -(sum(task.rho) * _target_exposure_count(target))
+        primary = -(sum(task.rho) * target.n_exposures)
     else:
         raise ValueError(f"unknown task rule: {rule!r}")
     return (primary, task.arrival, task.id)

@@ -174,39 +174,27 @@ class PolicyNet:
         """[h; c] state per node, processed in topological order; parents'
         states are summed elementwise (child-sum), roots start from zeros.
 
-        With ``memo`` (tape-free acting only), a node whose embedding row
-        and parents' states were seen before reuses that state: a state is
-        a pure function of the two and the parameters, so it is the very
-        array the same ``lstm_cell`` computed then.
+        Each node is looked up in ``memo`` (a fresh one if None) by its
+        embedding row and its parents' states: a state is a pure function
+        of the two and the parameters, so a node seen before, in this dag
+        or another, reuses the very state the same ``lstm_cell`` computed
+        then, and is computed once.
         """
-        if memo is not None and ag._grad_enabled[-1]:
-            raise RuntimeError("the node-state memo is for tape-free acting only")
-        h = self.config.hidden
+        memo = {} if memo is None else memo
         emb = embedding_matrix(dag, self.config.distributed, e_max=self.config.e_max)
         # roots, then tasks by (start, task id): task nodes are in task-id order
         order = list(range(dag.n_sites)) + (dag.n_sites + np.argsort(dag.start, kind="stable")).tolist()
         states: list[Tensor | None] = [None] * dag.n_nodes
-        zero = Tensor.const(np.zeros(2 * h))
         wx, wh, b = self.params["enc_wx"], self.params["enc_wh"], self.params["enc_b"]
         for node in order:
-            parents = dag.parents[node] if node < len(dag.parents) else ()
-            if memo is not None:
-                # every state here lives in the memo, so its id names it
-                key = (emb[node].tobytes(), tuple(id(states[p]) for p in parents))
-                if key in memo:
-                    states[node] = memo[key]
-                    continue
-            if not parents:
-                state = zero
-            elif len(parents) == 1:
-                state = states[parents[0]]
-            else:
-                state = ag.add_n([states[p] for p in parents])
-            if state is None:
+            parents = [states[p] for p in (dag.parents[node] if node < len(dag.parents) else ())]
+            if None in parents:
                 raise ValueError("dag is not topologically ordered (cycle?)")
-            states[node] = ag.lstm_cell(emb[node], state, wx, wh, b)
-            if memo is not None:
-                memo[key] = states[node]
+            # every state here lives in the memo, so its id names it
+            key = (emb[node].tobytes(), tuple(map(id, parents)))
+            if key not in memo:
+                memo[key] = ag.lstm_cell(emb[node], parents, wx, wh, b)
+            states[node] = memo[key]
         return states
 
     def _encoding(self, dag: ScheduleDag) -> Tensor:
@@ -310,20 +298,22 @@ def losses(
 ) -> tuple[Tensor, Tensor, Tensor]:
     """(L_region, L_rule, combined) of a recorded trajectory under the
     net's current parameters, with its states, candidates and actions held
-    fixed: each distinct dag is encoded once, each head runs once over all
-    steps' rows.  The advantage is a stop-gradient in the rule loss; pass
-    ``delta`` to freeze it entirely (as a finite-difference oracle must,
-    since the function being differentiated treats it as a constant).
+    fixed: each distinct node of its dags is computed once, each head runs
+    once over all steps' rows.  The advantage is a stop-gradient in the
+    rule loss; pass ``delta`` to freeze it entirely (as a finite-difference
+    oracle must, since the function being differentiated treats it as a
+    constant).
     """
     if not trajectory:
         raise ValueError("empty trajectory")
     offsets: dict[int, int] = {}
+    memo: dict = {}
     states: list[Tensor] = []
     regions, pairs, bounds, picks = [], [], [0], []
     for s in trajectory:
         if id(s.dag) not in offsets:
             offsets[id(s.dag)] = len(states)
-            states.extend(net.encode(s.dag))
+            states.extend(net.encode(s.dag, memo))
         off, a = offsets[id(s.dag)], s.action
         regions.append(off + s.dag.node_of_task[a.region])
         rule = ("root", a.parent_site) if a.parent_task is None else ("task", a.parent_task)

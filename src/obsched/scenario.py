@@ -100,6 +100,13 @@ class Target:
     def duration(self) -> int:
         return self.fade_time - self.start_time
 
+    @property
+    def n_exposures(self) -> int:
+        """How many exposures fit between start and fade, ``exposure_minutes +
+        mode.sibling_gap`` apart (0 if not even one does)."""
+        e = self.exposure_minutes
+        return (self.duration - e) // (e + self.mode.sibling_gap) + 1
+
 
 @dataclass(frozen=True)
 class ObservationTask:
@@ -118,6 +125,10 @@ class ObservationTask:
     seq_index: int
 
     def __post_init__(self):
+        if self.exposure < 1:
+            raise ScenarioError(f"task {self.id}: exposure must be >= 1, got {self.exposure}")
+        if self.arrival < 0:
+            raise ScenarioError(f"task {self.id}: arrival must be >= 0, got {self.arrival}")
         if self.arrival + self.exposure > self.deadline:
             raise ScenarioError(f"task {self.id}: exposure does not fit before deadline")
 
@@ -143,21 +154,27 @@ class Scenario:
     rng_seed: int = 0
 
     def __post_init__(self):
-        target_ids: set[int] = set()
+        targets: dict[int, Target] = {}
         for t in self.targets:
-            if t.id in target_ids:
+            if t.id in targets:
                 raise ScenarioError(f"target {t.id}: duplicate target id")
             if len(t.filters_required) != self.num_filters:
                 raise ScenarioError(f"target {t.id}: filters_required length != num_filters")
-            target_ids.add(t.id)
+            targets[t.id] = t
         siblings: dict[int, list[ObservationTask]] = {}
         task_ids: set[int] = set()
         for task in self.tasks:
             if task.id in task_ids:
                 raise ScenarioError(f"task {task.id}: duplicate task id")
             task_ids.add(task.id)
-            if task.target_id not in target_ids:
+            if task.target_id not in targets:
                 raise ScenarioError(f"task {task.id}: unknown target {task.target_id}")
+            want = targets[task.target_id].exposure_minutes
+            if task.exposure != want:
+                raise ScenarioError(
+                    f"task {task.id}: exposure differs from target {task.target_id}'s "
+                    f"exposure_minutes ({task.exposure} != {want})"
+                )
             if len(task.rho) != self.num_filters:
                 raise ScenarioError(f"task {task.id}: rho length != num_filters")
             siblings.setdefault(task.target_id, []).append(task)
@@ -168,8 +185,6 @@ class Scenario:
                     raise ScenarioError(f"task {task.id}: seq_index {task.seq_index} breaks 0..{len(seq) - 1}")
                 if m and task.arrival <= seq[m - 1].arrival:
                     raise ScenarioError(f"task {task.id}: arrival must exceed the previous sibling's")
-                if task.exposure != seq[0].exposure:
-                    raise ScenarioError(f"task {task.id}: exposure differs from its siblings'")
 
     def target_by_id(self, target_id: int) -> Target:
         for t in self.targets:
@@ -363,36 +378,25 @@ def _sample_int(rng: np.random.Generator, lohi: tuple[int, int]) -> int:
 def target_to_tasks(target: Target, *, id_base: int = 0) -> list[ObservationTask]:
     """Split a target into its exposure tasks per its observation mode.
 
-    Exposure-count mode packs floor(duration / exposure) back-to-back
-    exposures; cadence mode spaces them ``exposure + gap`` apart.  Tasks
-    that would not complete by the fade time are cut; an empty list is a
-    valid result when not even one exposure fits.
+    Its ``n_exposures`` tasks start ``exposure + mode.sibling_gap`` apart:
+    back to back in exposure-count mode, ``gap`` idle steps apart in
+    cadence mode.  An empty list is a valid result when not even one
+    exposure fits.
     """
     e = target.exposure_minutes
-    out: list[ObservationTask] = []
-    if target.mode.kind == EXPOSURE_COUNT:
-        k = target.duration // e
-        starts = [target.start_time + m * e for m in range(k)]
-    else:
-        stride = e + target.mode.gap_minutes
-        starts = []
-        m = 0
-        while target.start_time + m * stride + e <= target.fade_time:
-            starts.append(target.start_time + m * stride)
-            m += 1
-    for m, a in enumerate(starts):
-        out.append(
-            ObservationTask(
-                id=id_base + m,
-                target_id=target.id,
-                rho=target.filters_required,
-                arrival=a,
-                exposure=e,
-                deadline=target.fade_time,
-                seq_index=m,
-            )
+    stride = e + target.mode.sibling_gap
+    return [
+        ObservationTask(
+            id=id_base + m,
+            target_id=target.id,
+            rho=target.filters_required,
+            arrival=target.start_time + m * stride,
+            exposure=e,
+            deadline=target.fade_time,
+            seq_index=m,
         )
-    return out
+        for m in range(target.n_exposures)
+    ]
 
 
 def generate_scenario(

@@ -42,21 +42,13 @@ def test_linear_relu_stack():
     )
 
 
-def test_linear_vector_input():
-    rng = np.random.default_rng(1)
-    w = ag.Tensor.param(rng.uniform(-1, 1, (3, 4)))
-    b = ag.Tensor.param(rng.uniform(-1, 1, 3))
-    x = ag.Tensor.param(rng.uniform(-1, 1, 4))
-    fd_check(lambda: ag.mean1d(ag.linear(x, w, b)), [w, b, x], rng)
-
-
 def test_single_linear_layer_closed_form():
-    # squared loss of one linear layer: dL/dW = 2 (W x - y) x^T
+    # squared loss of one linear layer on one row: dL/dW = 2 (W x - y) x^T
     rng = np.random.default_rng(2)
     w = ag.Tensor.param(rng.uniform(-1, 1, (3, 4)))
     x = rng.uniform(-1, 1, 4)
     y = rng.uniform(-1, 1, 3)
-    xt = ag.Tensor.const(x)
+    xt = ag.Tensor.const(x[None, :])
     b = ag.Tensor.const(np.zeros(3))
     loss = ag.mean1d(ag.square(ag.sub_const(ag.linear(xt, w, b), y)))
     ag.backward(loss)
@@ -66,14 +58,16 @@ def test_single_linear_layer_closed_form():
 
 
 def test_lstm_cell_gradients():
+    # a root (zero state), one parent, and a child sum of three parents
     rng = np.random.default_rng(3)
     h = 5
     wx = ag.Tensor.param(rng.uniform(-0.5, 0.5, (4 * h, 7)))
     wh = ag.Tensor.param(rng.uniform(-0.5, 0.5, (4 * h, h)))
     b = ag.Tensor.param(rng.uniform(-0.5, 0.5, 4 * h))
-    hc = ag.Tensor.param(rng.uniform(-1, 1, 2 * h))
     x = rng.uniform(-1, 1, 7)
-    fd_check(lambda: ag.mean1d(ag.lstm_cell(x, hc, wx, wh, b)), [wx, wh, b, hc], rng)
+    for n_parents in (0, 1, 3):
+        parents = [ag.Tensor.param(rng.uniform(-1, 1, 2 * h)) for _ in range(n_parents)]
+        fd_check(lambda: ag.mean1d(ag.lstm_cell(x, parents, wx, wh, b)), [wx, wh, b, *parents], rng)
 
 
 def test_structural_ops():
@@ -85,7 +79,7 @@ def test_structural_ops():
     zero = ag.Tensor.const(np.zeros(1))
 
     def loss():
-        s = ag.add_n([a, b, c])
+        s = ag.add(ag.add(a, b), c)
         m = ag.stack_rows([s, b])
         rows = ag.gather_rows(m, [[0, 1], [1, 0], [0, 0]], 3)
         lp = ag.segment_log_softmax(ag.squeeze_col(ag.linear(rows, w, zero)), [0, 3], [1])
@@ -179,7 +173,7 @@ def test_segment_log_softmax_values():
 def test_no_grad_records_nothing():
     w = ag.Tensor.param(np.ones((2, 2)))
     with ag.no_grad():
-        out = ag.linear(ag.Tensor.const(np.ones(2)), w, ag.Tensor.const(np.zeros(2)))
+        out = ag.linear(ag.Tensor.const(np.ones((1, 2))), w, ag.Tensor.const(np.zeros(2)))
     assert out.parents == () and out.vjp is None
 
 

@@ -232,8 +232,9 @@ class TestHeads:
         dag0 = _fcfs_dag(gen, 5)
         net = PolicyNet(CFG, seed=0)
         _, traj = rewrite_search(
-            dag0, net, SearchConfig(num_steps=12), np.random.default_rng(1), pc=0.5
+            dag0, net, SearchConfig(num_steps=12), np.random.default_rng(0), pc=0.5
         )
+        keys, n_nodes = _shared_nodes(net, traj)
         _, _, total = losses(net, traj, TrainConfig())
         ops: dict[str, int] = {}
         seen, stack = {id(total)}, [total]
@@ -246,15 +247,25 @@ class TestHeads:
                 if id(parent) not in seen:
                     seen.add(id(parent))
                     stack.append(parent)
-        dags = {id(s.dag): s.dag for s in traj}.values()
-        # the encoder runs once per distinct dag, and all their states are
-        # stacked once
-        assert ops.pop("lstm_cell") == sum(d.n_nodes for d in dags)
+        # one cell per distinct node of the trajectory's dags, fewer than
+        # their nodes, and all their states are stacked once
+        assert ops.pop("lstm_cell") == keys < n_nodes
         assert ops.pop("stack_rows") == 1
-        ops.pop("add_n", None)
         # heads and losses: a fixed 21 nodes per trajectory, whatever the
         # number of steps and candidates
         assert sum(ops.values()) == 21, ops
+
+
+def _shared_nodes(net, traj):
+    """(distinct memo keys, total nodes) over a trajectory's distinct dags,
+    which must be at least two."""
+    dags = list({id(s.dag): s.dag for s in traj}.values())
+    assert len(dags) >= 2
+    memo = {}
+    with ag.no_grad():
+        for dag in dags:
+            net.encode(dag, memo)
+    return len(memo), sum(d.n_nodes for d in dags)
 
 
 def stub_actor_critic(rewards, q, logps, config):
@@ -418,14 +429,38 @@ class TestNodeStateMemo:
         assert net._memo[0] is dag_b.ctx
         assert len(net._memo[1]) == len(fresh._memo[1]) > 0
 
-    def test_memo_with_the_tape_on_raises(self):
-        dag, _ = self._intra_dags()
+    def test_loss_through_shared_nodes_matches_finite_differences(self):
+        # three distinct dags share most of their nodes, so most encoder
+        # cells feed the loss through several dags' rows
+        from obsched.scenario import GenConfig
+
+        dag0 = _fcfs_dag(GenConfig(horizon_steps=60, arrival_prob=0.25, mode_exposure_count_frac=0.0), 13)
         net = PolicyNet(CFG, seed=0)
-        with pytest.raises(RuntimeError, match="tape-free"):
-            net.encode(dag, {})
-        with ag.no_grad():
-            states = net.encode(dag, {})
-        assert np.array_equal(ag.stack_rows(states).value, ag.stack_rows(net.encode(dag)).value)
+        tc = TrainConfig(episode_len=8)
+        _, traj = rewrite_search(dag0, net, SearchConfig(num_steps=8), np.random.default_rng(0), pc=0.5)
+        keys, n_nodes = _shared_nodes(net, traj)
+        assert keys < n_nodes / 2
+        delta = discounted_returns(np.array([t.reward for t in traj]), tc.gamma) - np.array(
+            [net.region_scores(t.dag, [t.action.region]).value[0] for t in traj]
+        )
+        net.zero_grad()
+        ag.backward(losses(net, traj, tc, delta=delta)[2])
+        flat, grad = net.flat(), net.grad_flat()
+
+        def f(v):
+            n2 = PolicyNet(CFG, init=False)
+            n2.set_flat(v)
+            return float(losses(n2, traj, tc, delta=delta)[2].value)
+
+        # the encoder's weights come first in the flat vector; its 30
+        # steepest entries each take a share of the gradient from every dag
+        n_enc = sum(net.params[k].value.size for k in ("enc_wx", "enc_wh", "enc_b"))
+        steepest = np.argsort(-np.abs(grad[:n_enc]), kind="stable")[:30]
+        for i in np.concatenate([steepest, np.random.default_rng(6).choice(flat.size, 10, replace=False)]):
+            e = np.zeros_like(flat)
+            e[i] = 1e-5
+            num = (f(flat + e) - f(flat - e)) / 2e-5
+            assert abs(num - grad[i]) < 1e-6 * max(1.0, abs(num), abs(grad[i])), i
 
 
 class TestGradientPipeline:

@@ -70,6 +70,14 @@ class TestTargetToTasks:
             for task in target_to_tasks(t):
                 assert task.arrival + task.exposure <= task.deadline
 
+    def test_exposure_count_matches_the_starts_that_fit(self):
+        for kind, gap in ((EXPOSURE_COUNT, 0), (CADENCE, 1), (CADENCE, 7)):
+            for e in (1, 3, 10):
+                for d in range(1, 40):
+                    t = _target(start=5, fade=5 + d, exposure=e, mode=ObsMode(kind, gap))
+                    fits = [m for m in range(d + 1) if m * (e + gap) + e <= d]
+                    assert t.n_exposures == len(fits) == len(target_to_tasks(t)), (kind, gap, e, d)
+
     def test_sibling_spacing(self):
         t = _target(start=0, fade=120, exposure=10, mode=ObsMode(CADENCE, 15))
         tasks = target_to_tasks(t)
@@ -357,6 +365,38 @@ class TestUniqueIds:
         dup = obj["targets"][0]["id"]
         obj["targets"][1]["id"] = dup
         with pytest.raises(ScenarioError, match=f"target {dup}: duplicate target id"):
+            scenario_from_json(json.dumps(obj))
+
+
+class TestMalformedTasks:
+    """A task's exposure is at least one step and its target's, and its
+    arrival is not negative; JSON errors name the row, task and field."""
+
+    @staticmethod
+    def _obj():
+        return json.loads(scenario_to_json(generate_scenario(GenConfig(horizon_steps=240, arrival_prob=0.3), 4)))
+
+    def test_zero_exposure_is_named(self):
+        obj = self._obj()
+        task = obj["tasks"][1]
+        task["exposure"] = 0
+        with pytest.raises(ScenarioError, match=rf"^tasks\[1\]: task {task['id']}: exposure must be >= 1, got 0$"):
+            scenario_from_json(json.dumps(obj))
+
+    def test_negative_arrival_is_named(self):
+        obj = self._obj()
+        task = obj["tasks"][2]
+        task["arrival"] = -1
+        with pytest.raises(ScenarioError, match=rf"^tasks\[2\]: task {task['id']}: arrival must be >= 0, got -1$"):
+            scenario_from_json(json.dumps(obj))
+
+    def test_exposure_other_than_the_targets_is_named(self):
+        obj = self._obj()
+        task = next(t for t in obj["tasks"] if t["seq_index"] == 0 and t["exposure"] > 1)
+        want = task["exposure"]
+        task["exposure"] -= 1
+        match = rf"task {task['id']}: exposure differs from target {task['target_id']}'s exposure_minutes \({want - 1} != {want}\)"
+        with pytest.raises(ScenarioError, match=match):
             scenario_from_json(json.dumps(obj))
 
 
