@@ -38,7 +38,6 @@ from .schedule import (
     SchedulingContext,
     average_slowdown,
     build_dag,
-    embed,
     total_slowdown,
     validate,
 )

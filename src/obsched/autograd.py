@@ -56,15 +56,11 @@ class Tensor:
         else:
             self.grad += g
 
-    # convenience constructors -------------------------------------------
+    # convenience constructor --------------------------------------------
 
     @staticmethod
     def param(value) -> "Tensor":
         return Tensor(np.array(value, dtype=np.float64))
-
-    @staticmethod
-    def const(value) -> "Tensor":
-        return Tensor(value)
 
 
 def backward(loss: Tensor) -> None:

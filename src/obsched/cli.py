@@ -178,7 +178,7 @@ def run_online(
         # completions of frozen tasks are re-plan triggers too
         events = t in frozen_done
         for r in sorted(by_arrival.get(t, ()), key=lambda r: int(ctx.task_id[r])):
-            st.place(r, max(t, st.release(r)))
+            st.place(r, t)
             dag = None
             if r in assigned:
                 pending[r] = None

@@ -9,9 +9,9 @@ rule-minimal task is forced out and committed to its earliest feasible
 (site, start).  Tasks with no statically feasible start left (visibility
 or deadline) are dropped and reported.
 
-Every scheduler here but the oracle commits through `schedule.Placement`;
-this module only adds the dispatch rules, the site-choice keys and the
-queue loop.
+Every scheduler here, the oracle included, commits through
+`schedule.Placement`; this module only adds the dispatch rules, the
+site-choice keys, the queue loop and the oracle's search.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .schedule import (
     ScheduleDag,
     SchedulingContext,
     build_from_arrays,
-    earliest_feasible_start,
+    earliest_feasible_start,  # unused here; perfbench/tracing.py wraps this binding
 )
 
 __all__ = [
@@ -123,12 +123,6 @@ def schedule_online_heuristic(
     def key(row: int) -> tuple:
         return rank_key(task_rule, scenario.tasks[row], scenario.targets[int(ctx.target_row[row])])
 
-    def fits_now(row: int, site: int, t: int) -> bool:
-        if ctx.fits_statically(row, site, t) is not None:
-            return False
-        e = int(ctx.exposure[row])
-        return not st.profile[site][ctx.rho_idx[row], t : t + e].any()
-
     last_start: dict[int, int] = {}
 
     def static_last_start(row: int) -> int:
@@ -156,7 +150,7 @@ def schedule_online_heuristic(
         while len(queue) > queue_cap:
             ready = [r for r in queue if int(ctx.prev_sibling[r]) not in queue]
             victim = min(ready, key=key)
-            st.place(victim, max(st.release(victim), t), _site_key(ctx, victim, site_rule))
+            st.place(victim, t, _site_key(ctx, victim, site_rule))
             queue.remove(victim)
 
         # start every task that can begin right now, best-ranked first
@@ -165,7 +159,7 @@ def schedule_online_heuristic(
             for r in queue:
                 if int(ctx.prev_sibling[r]) in queue or st.release(r) > t:
                     continue
-                sites_now = [s for s in range(ctx.n_sites) if fits_now(r, s, t)]
+                sites_now = [s for s in range(ctx.n_sites) if st.fits(r, s, t)]
                 if sites_now:
                     startable.append((r, sites_now))
             if not startable:
@@ -195,7 +189,7 @@ def _list_schedule(ctx: SchedulingContext, key) -> tuple[ScheduleDag, list[int]]
     previous sibling, already placed or dropped."""
     st = Placement(ctx)
     for r in sorted(range(ctx.n_tasks), key=key):
-        st.place(r, st.release(r))
+        st.place(r)
     return st.to_dag(), st.drops
 
 
@@ -252,61 +246,39 @@ def brute_force_optimal(
     if n == 0:
         return build_from_arrays(ctx, empty, empty, empty)
 
+    st = Placement(ctx)
     best_cost = np.inf
     best: list[tuple[int, int, int]] | None = None
 
-    profile = np.zeros((ctx.n_sites, ctx.n_filters, ctx.horizon), dtype=np.uint8)
-    placed: dict[int, tuple[int, int]] = {}
-
-    def release_of(row: int) -> int | None:
-        prev = int(ctx.prev_sibling[row])
-        rel = int(ctx.arrival[row])
-        if prev < 0:
-            return rel
-        if prev not in placed:
-            return None
-        _, b = placed[prev]
-        return max(rel, b + int(ctx.exposure[prev]) + int(ctx.sibling_gap[row]))
-
-    def static_ok(row: int, s: int, b: int) -> bool:
-        if ctx.fits_statically(row, s, b) is not None:
-            return False
-        e = int(ctx.exposure[row])
-        return not profile[s][ctx.rho_idx[row], b : b + e].any()
-
     def candidates(row: int, floor_start: int, floor_id: int) -> list[tuple[int, int]]:
-        rel = release_of(row)
-        if rel is None:
-            return []
         tid = int(ctx.task_id[row])
-        lo = max(rel, floor_start if tid > floor_id else floor_start + 1)
+        lo = st.release(row, floor_start if tid > floor_id else floor_start + 1)
         out: set[tuple[int, int]] = set()
         tr = int(ctx.target_row[row])
         for s in range(ctx.n_sites):
-            b0 = earliest_feasible_start(ctx, profile, row, s, lo)
+            b0 = st.fit(row, s, lo)
             if b0 is not None:
                 out.add((s, b0))
-            for r2, (s2, b2) in placed.items():
+            for r2, (s2, b2) in st.committed.items():
                 if s2 != s:
                     continue
                 c2 = b2 + int(ctx.exposure[r2])
-                if c2 >= lo and static_ok(row, s, c2):
+                if c2 >= lo and st.fits(row, s, c2):
                     out.add((s, c2))
             run_start = ctx.run_start[tr, s]
             for w in np.unique(run_start[run_start >= lo]).tolist():
-                if static_ok(row, s, int(w)):
+                if st.fits(row, s, int(w)):
                     out.add((s, int(w)))
         return sorted(out, key=lambda sb: (sb[1], sb[0]))
 
     def lower_bound(rest: list[int]) -> float:
         lb = 0.0
         for row in rest:
-            rel = release_of(row)
-            lo = int(ctx.arrival[row]) if rel is None else rel
+            lo = st.release(row)
             e = int(ctx.exposure[row])
             b = None
             for s in range(ctx.n_sites):
-                cand = earliest_feasible_start(ctx, profile, row, s, lo)
+                cand = st.fit(row, s, lo)
                 if cand is not None:
                     b = cand if b is None else min(b, cand)
             if b is None:
@@ -316,30 +288,25 @@ def brute_force_optimal(
 
     def dfs(cost: float, floor_start: int, floor_id: int) -> None:
         nonlocal best_cost, best
-        rest = [r for r in range(n) if r not in placed]
+        rest = [r for r in range(n) if r not in st.committed]
         if not rest:
             if cost < best_cost - 1e-12:
                 best_cost = cost
-                best = [(r, s, b) for r, (s, b) in placed.items()]
+                best = [(r, s, b) for r, (s, b) in st.committed.items()]
             return
         if cost + lower_bound(rest) >= best_cost - 1e-12:
             return
         for row in rest:
             prev = int(ctx.prev_sibling[row])
-            if prev >= 0 and prev not in placed:
+            if prev >= 0 and prev not in st.committed:
                 continue  # siblings go in sequence order
             for s, b in candidates(row, floor_start, floor_id):
                 e = int(ctx.exposure[row])
-                placed[row] = (s, b)
-                profile[s][ctx.rho_idx[row], b : b + e] = 1
+                st.commit(row, s, b)
                 dfs(cost + (b + e - int(ctx.arrival[row])) / e, b, int(ctx.task_id[row]))
-                profile[s][ctx.rho_idx[row], b : b + e] = 0
-                del placed[row]
+                st.uncommit(row)
 
     dfs(0.0, 0, -1)
     if best is None:
         raise ValueError("no feasible schedule")
-    rows = np.array([r for r, _, _ in best], dtype=np.int64)
-    site = np.array([s for _, s, _ in best], dtype=np.int64)
-    start = np.array([b for _, _, b in best], dtype=np.int64)
-    return build_from_arrays(ctx, rows, site, start)
+    return build_from_arrays(ctx, *np.array(best, dtype=np.int64).T)

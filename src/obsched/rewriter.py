@@ -9,7 +9,7 @@ every state the search visits is feasible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,8 +160,8 @@ def rewrite_step(
     st = Placement(ctx).load(dag)
 
     def release(r: int) -> int:
-        rel = st.release(r)
-        return now if now > rel and int(ctx.task_id[r]) not in frozen else rel
+        # frozen tasks may have started before the clock
+        return st.release(r, 0 if int(ctx.task_id[r]) in frozen else now)
 
     def refit(r: int, site: int) -> bool:
         b = st.fit(r, site, release(r))

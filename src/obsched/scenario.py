@@ -9,10 +9,9 @@ Generation is deterministic given a seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
-from datetime import datetime, timezone
+from dataclasses import dataclass, fields, replace
+from datetime import datetime
 from importlib import resources
-from typing import Iterable
 
 import numpy as np
 
@@ -186,12 +185,6 @@ class Scenario:
                 if m and task.arrival <= seq[m - 1].arrival:
                     raise ScenarioError(f"task {task.id}: arrival must exceed the previous sibling's")
 
-    def target_by_id(self, target_id: int) -> Target:
-        for t in self.targets:
-            if t.id == target_id:
-                return t
-        raise KeyError(target_id)
-
 
 @dataclass(frozen=True)
 class GenConfig:
@@ -248,6 +241,17 @@ class GenConfig:
             lo, hi = getattr(self, name)
             if lo > hi or lo < 1:
                 raise ScenarioError(f"{name} bounds inverted or < 1")
+        probs = self.resource_band_probs
+        if not (all(0.0 <= p < np.inf for p in probs) and sum(probs) > 0.0):
+            raise ScenarioError(
+                f"resource_band_probs must be finite and >= 0 with a positive sum, got {probs!r}"
+            )
+        if self.resource_mix == "uniform" and self.num_filters < 2:
+            raise ScenarioError(
+                f"num_filters must be >= 2 for resource_mix 'uniform', got {self.num_filters!r}"
+            )
+        if not -90.0 <= self.min_field_dec <= 90.0:
+            raise ScenarioError(f"min_field_dec must be in [-90, 90], got {self.min_field_dec!r}")
         _epoch(self.epoch_utc, "epoch_utc")
 
     def make_grid(self) -> TimeGrid:
@@ -669,7 +673,7 @@ def scenario_from_json(text: str) -> Scenario:
     return Scenario(
         grid=grid,
         sites=tuple(sites),
-        num_filters=read_field(obj, "num_filters", "", int),
+        num_filters=read_field(obj, "num_filters", "", int, 1),
         targets=tuple(targets),
         tasks=tuple(tasks),
         rng_seed=read_field(obj, "seed", "", int),

@@ -4,10 +4,11 @@ task embedding vectors.
 
 A schedule is stored as a value object (`ScheduleDag`): cheap to clone,
 never mutated after construction.  `Placement` is the one mutable
-builder: the schedulers, the learned online loop and the rewriter commit
-and uncommit rows on it and freeze the result with `to_dag`, so outside
-the two oracles (`validate`, `heuristics.brute_force_optimal`) only it
-and `build_from_arrays` write an occupancy profile.  Edge semantics: a
+placement model: every scheduler, the exhaustive oracle, the learned
+online loop and the rewriter take releases and fits from it, commit and
+uncommit rows on it and freeze the result with `to_dag`.  Outside it
+only `validate` (the independent reference) and `build_from_arrays`
+(the whole-dag array form) write an occupancy profile.  Edge semantics: a
 task hangs off its site's root node when it starts as early as its own
 constraints allow (arrival, sibling cadence, visibility-window opening);
 otherwise it must start exactly when some same-site task completes, and
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -35,8 +36,8 @@ __all__ = [
     "validate",
     "total_slowdown",
     "average_slowdown",
-    "embed",
     "embedding_length",
+    "embedding_matrix",
     "earliest_feasible_start",
     "dump_schedule",
 ]
@@ -75,10 +76,10 @@ class SchedulingContext:
     """Precomputed per-scenario tables: task arrays and visibility physics.
 
     Built once per (scenario, constraints) and shared by every dag over
-    that scenario; read-only after construction.  It owns the placement
-    model every scheduler and the rewriter share: the sibling-cadence
-    release (``release``) and the static visibility + deadline window
-    lookup (``static_starts``).
+    that scenario; read-only after construction.  It owns the static
+    half of the placement model: the visibility + deadline window lookup
+    (``static_starts``, ``fits_statically``).  The sibling-cadence
+    release depends on what is committed, so it lives on ``Placement``.
     """
 
     def __init__(self, scenario: Scenario, constraints: VisibilityConstraints):
@@ -116,7 +117,7 @@ class SchedulingContext:
             prev = by_target.get((t.target_id, t.seq_index - 1))
             if prev is not None:
                 self.prev_sibling[r] = prev
-                self.sibling_gap[r] = scenario.target_by_id(t.target_id).mode.sibling_gap
+                self.sibling_gap[r] = scenario.targets[tgt_row[t.target_id]].mode.sibling_gap
 
         # visibility per (target, site): step mask, airmass, and for every
         # step the start of its visible run / first invisible step after it
@@ -144,15 +145,6 @@ class SchedulingContext:
         cls, scenario: Scenario, constraints: VisibilityConstraints | None = None
     ) -> "SchedulingContext":
         return cls(scenario, constraints or VisibilityConstraints())
-
-    def release(self, row: int, prev_start: int | None) -> int:
-        """Earliest start allowed by arrival and sibling cadence, given the
-        start of the previous sibling (None: no sibling constrains it)."""
-        rel = int(self.arrival[row])
-        if prev_start is None:
-            return rel
-        prev = int(self.prev_sibling[row])
-        return max(rel, prev_start + int(self.exposure[prev]) + int(self.sibling_gap[row]))
 
     # -- static feasibility of one task at (site, start), other tasks aside --
 
@@ -316,7 +308,7 @@ def build_from_arrays(ctx: SchedulingContext, rows, site, start) -> ScheduleDag:
     profile = np.zeros(ns * nf * h, dtype=np.uint8)
     profile[keys] = 1
 
-    # arrival + sibling cadence (SchedulingContext.release, per row); a
+    # arrival + sibling cadence (Placement.release at now=0, per row); a
     # previous sibling outside the dag does not constrain
     pos = np.full(ctx.n_tasks, -1, dtype=np.int64)
     pos[rows] = np.arange(n)
@@ -374,8 +366,10 @@ def _raise_first_violation(ctx, rows, site, start, ok, release, ci, ck, keys) ->
 
 class Placement:
     """Mutable occupancy of one schedule under construction: the one
-    commit path for the schedulers, the learned online loop and the
-    rewriter.
+    commit path for the schedulers, the exhaustive oracle, the learned
+    online loop and the rewriter, and the one home of the sibling-cadence
+    release (``release``) and of the point and earliest fits (``fits``,
+    ``fit``).
 
     ``committed`` maps row -> (site, start), ``profile`` holds the
     occupancy those commits make, and ``drops`` the dropped task ids in
@@ -396,15 +390,28 @@ class Placement:
         self.profile = dag.profile.copy()
         return self
 
-    def release(self, row: int) -> int:
-        """Earliest start allowed by arrival and sibling cadence; a
-        previous sibling that is not committed does not constrain it."""
-        prev = self.committed.get(int(self.ctx.prev_sibling[row]))
-        return self.ctx.release(row, None if prev is None else prev[1])
+    def release(self, row: int, now: int = 0) -> int:
+        """Earliest start allowed by the clock ``now``, arrival and sibling
+        cadence; a previous sibling that is not committed does not
+        constrain it."""
+        ctx = self.ctx
+        rel = max(int(now), int(ctx.arrival[row]))
+        prev = int(ctx.prev_sibling[row])
+        if prev in self.committed:
+            rel = max(rel, self.committed[prev][1] + int(ctx.exposure[prev]) + int(ctx.sibling_gap[row]))
+        return rel
 
     def fit(self, row: int, site: int, lo: int) -> int | None:
         """Earliest start >= lo where the task fits on the site now."""
         return earliest_feasible_start(self.ctx, self.profile, row, site, lo)
+
+    def fits(self, row: int, site: int, start: int) -> bool:
+        """Whether the task fits statically at (site, start) with all its
+        filters free for the whole exposure; release aside."""
+        if self.ctx.fits_statically(row, site, start) is not None:
+            return False
+        e = int(self.ctx.exposure[row])
+        return not self.profile[site][self.ctx.rho_idx[row], start : start + e].any()
 
     def commit(self, row: int, site: int, start: int) -> None:
         e = int(self.ctx.exposure[row])
@@ -421,11 +428,12 @@ class Placement:
     def drop(self, row: int) -> None:
         self.drops.append(int(self.ctx.task_id[row]))
 
-    def place(self, row: int, lo: int, key=None) -> None:
+    def place(self, row: int, now: int = 0, key=None) -> None:
         """Commit the task at the ``key``-minimal (site, start) among each
-        site's earliest feasible start >= lo, or drop it when no site has
-        room.  The default key takes the earliest start, then the lower
-        site index."""
+        site's earliest feasible start from ``release(row, now)``, or drop
+        it when no site has room.  The default key takes the earliest
+        start, then the lower site index."""
+        lo = self.release(row, now)
         cands = [(s, b) for s in range(self.ctx.n_sites) if (b := self.fit(row, s, lo)) is not None]
         if cands:
             self.commit(row, *min(cands, key=key or (lambda sb: (sb[1], sb[0]))))
@@ -579,19 +587,6 @@ def embedding_length(n_filters: int, e_max: int, n_sites: int = 1, distributed: 
     if distributed:
         return n_sites * n_filters * (e_max + 1) + 1
     return n_filters * (e_max + 1) + 1
-
-
-def embed(
-    dag: ScheduleDag,
-    task_id: int,
-    distributed: bool = False,
-    *,
-    e_max: int = DEFAULT_E_MAX,
-) -> np.ndarray:
-    """Feature vector of one scheduled task: its row of
-    ``embedding_matrix``."""
-    node = dag.node_of_task[task_id]
-    return embedding_matrix(dag, distributed, e_max=e_max)[node]
 
 
 def embedding_matrix(

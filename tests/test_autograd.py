@@ -34,7 +34,7 @@ def test_linear_relu_stack():
     b1 = ag.Tensor.param(rng.uniform(-1, 1, 4))
     w2 = ag.Tensor.param(rng.uniform(-1, 1, (1, 4)))
     b2 = ag.Tensor.param(rng.uniform(-1, 1, 1))
-    x = ag.Tensor.const(rng.uniform(-1, 1, (5, 3)))
+    x = ag.Tensor(rng.uniform(-1, 1, (5, 3)))
     fd_check(
         lambda: ag.mean1d(ag.squeeze_col(ag.linear(ag.relu(ag.linear(x, w1, b1)), w2, b2))),
         [w1, b1, w2, b2],
@@ -48,8 +48,8 @@ def test_single_linear_layer_closed_form():
     w = ag.Tensor.param(rng.uniform(-1, 1, (3, 4)))
     x = rng.uniform(-1, 1, 4)
     y = rng.uniform(-1, 1, 3)
-    xt = ag.Tensor.const(x[None, :])
-    b = ag.Tensor.const(np.zeros(3))
+    xt = ag.Tensor(x[None, :])
+    b = ag.Tensor(np.zeros(3))
     loss = ag.mean1d(ag.square(ag.sub_const(ag.linear(xt, w, b), y)))
     ag.backward(loss)
     residual = w.value @ x - y
@@ -75,8 +75,8 @@ def test_structural_ops():
     a = ag.Tensor.param(rng.uniform(-1, 1, 6))
     b = ag.Tensor.param(rng.uniform(-1, 1, 6))
     c = ag.Tensor.param(rng.uniform(-1, 1, 6))
-    w = ag.Tensor.const(rng.uniform(-1, 1, (1, 6)))
-    zero = ag.Tensor.const(np.zeros(1))
+    w = ag.Tensor(rng.uniform(-1, 1, (1, 6)))
+    zero = ag.Tensor(np.zeros(1))
 
     def loss():
         s = ag.add(ag.add(a, b), c)
@@ -152,7 +152,7 @@ def test_segment_log_softmax_of_repeated_rows():
     rng = np.random.default_rng(10)
     m = ag.Tensor.param(rng.uniform(-1, 1, (4, 3)))
     w = ag.Tensor.param(rng.uniform(-1, 1, (1, 6)))
-    zero = ag.Tensor.const(np.zeros(1))
+    zero = ag.Tensor(np.zeros(1))
     pairs = [[2, 0], [2, 1], [2, 2], [0, 0], [3, 1], [3, 3], [3, 0], [3, 1], [1, 2], [1, 1]]
 
     def loss():
@@ -173,7 +173,7 @@ def test_segment_log_softmax_values():
 def test_no_grad_records_nothing():
     w = ag.Tensor.param(np.ones((2, 2)))
     with ag.no_grad():
-        out = ag.linear(ag.Tensor.const(np.ones((1, 2))), w, ag.Tensor.const(np.zeros(2)))
+        out = ag.linear(ag.Tensor(np.ones((1, 2))), w, ag.Tensor(np.zeros(2)))
     assert out.parents == () and out.vjp is None
 
 

@@ -30,7 +30,8 @@ from obsched.schedule import (
 class TestRankKey:
     def test_stf_prefers_short_exposure(self):
         s = toy_scenario([(0, 3, U), (0, 7, G)])
-        keys = [rank_key(TaskRule.STF, t, s.target_by_id(t.target_id)) for t in s.tasks]
+        targets = {t.id: t for t in s.targets}
+        keys = [rank_key(TaskRule.STF, t, targets[t.target_id]) for t in s.tasks]
         assert keys[0] < keys[1]
 
     def test_rip_resource_intensity(self):
@@ -331,6 +332,43 @@ class TestBruteForce:
                 for perm in permutations(range(5))
             )
             assert total_completion == best
+
+
+class TestBruteForcePin:
+    """The exhaustive oracle over a fixed sweep of generated scenarios of
+    one to six tasks on one to three sites, cadence siblings included: the
+    hash covers each instance's schedule dump or its error text.  It was
+    recorded before the oracle committed through the shared placement
+    state, so any change to its candidates, bound or commits shows here."""
+
+    SEEDS = 300
+    EXPECTED = (149, 28, "2153c6847d6f761ec5854c91c17aaec64f2f53bfe2c24655d3534d15b3f54852")
+
+    @staticmethod
+    def gen(n_sites: int) -> GenConfig:
+        return GenConfig(
+            horizon_steps=40, arrival_prob=0.08, duration_long_frac=0.3,
+            duration_short_range=(6, 20), duration_long_range=(21, 40),
+            exposure_long_range=(4, 8), exposure_short_range=(1, 3),
+            cadence_gap_range=(1, 6), num_fields=12, num_sites=n_sites,
+        )
+
+    def test_oracle_sweep_sha256(self):
+        digest = hashlib.sha256()
+        cases = infeasible = 0
+        for seed in range(self.SEEDS):
+            s = generate_scenario(self.gen(1 + seed % 3), seed)
+            if not 1 <= len(s.tasks) <= 6:
+                continue
+            cases += 1
+            fh = io.StringIO()
+            try:
+                dump_schedule(brute_force_optimal(s), fh)
+            except ValueError as exc:
+                infeasible += 1
+                fh.write(f"error: {exc}\n")
+            digest.update(f"{seed}\n{fh.getvalue()}".encode())
+        assert (cases, infeasible, digest.hexdigest()) == self.EXPECTED
 
 
 class TestRegressionPin:

@@ -14,6 +14,7 @@ from obsched.rewriter import APPLIED, RewriteAction, candidate_parents, rewrite_
 from obsched.scenario import GenConfig, generate_scenario, scenario_from_json, scenario_to_json
 from obsched.schedule import (
     InfeasibleAssignmentError,
+    Placement,
     ScheduleDag,
     SchedulingContext,
     build_from_arrays,
@@ -134,7 +135,11 @@ def _build_by_loop(ctx, rows, site, start) -> ScheduleDag:
             step = b + int(np.argmax(block.max(axis=0) > 0))
             raise InfeasibleAssignmentError(tid, s, step, "resource")
         profile[s][ctx.rho_idx[r], b : b + e] = 1
-        release[i] = ctx.release(r, start_by_row.get(int(ctx.prev_sibling[r])))
+        release[i] = int(ctx.arrival[r])
+        prev = int(ctx.prev_sibling[r])
+        if prev in start_by_row:
+            gap = int(ctx.exposure[prev]) + int(ctx.sibling_gap[r])
+            release[i] = max(release[i], start_by_row[prev] + gap)
         if b < release[i]:
             raise InfeasibleAssignmentError(tid, s, b, "cadence")
 
@@ -190,3 +195,21 @@ def test_build_from_arrays_matches_the_per_task_loop(scenario, data):
         perm = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
         args = (ctx, dag.rows[perm], site[perm], start[perm])
         assert _outcome(build_from_arrays, *args) == _outcome(_build_by_loop, *args)
+
+
+@SETTINGS
+@given(scenarios(), st.data())
+def test_point_fit_agrees_with_the_earliest_fit(scenario, data):
+    """On an FCFS-list placement with a few tasks taken out again, a task
+    fits at (site, start) exactly when its earliest fit from that start is
+    that start, for every site and every start of the grid."""
+    ctx = SchedulingContext.for_scenario(scenario)
+    dag, _ = schedule_fcfs_list(scenario, ctx=ctx)
+    pl = Placement(ctx).load(dag)
+    rows = data.draw(st.lists(st.integers(0, ctx.n_tasks - 1), max_size=3)) if ctx.n_tasks else []
+    for r in rows:
+        if r in pl.committed:
+            pl.uncommit(r)
+        for s in range(ctx.n_sites):
+            for b in range(ctx.horizon + 1):
+                assert pl.fits(r, s, b) == (pl.fit(r, s, b) == b), (r, s, b)

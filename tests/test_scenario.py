@@ -140,8 +140,9 @@ class TestGeneration:
             for task in s.tasks:
                 assert task.arrival + task.exposure <= task.deadline
                 by_target.setdefault(task.target_id, []).append(task)
+            targets = {t.id: t for t in s.targets}
             for tid, tasks in by_target.items():
-                target = s.target_by_id(tid)
+                target = targets[tid]
                 stride = target.exposure_minutes + target.mode.sibling_gap
                 for a, b in zip(tasks, tasks[1:]):
                     assert b.arrival - a.arrival == stride
@@ -156,6 +157,31 @@ class TestGeneration:
     def test_inverted_bounds_rejected(self):
         with pytest.raises(ScenarioError):
             GenConfig(exposure_long_range=(20, 10))
+
+    @pytest.mark.parametrize(
+        "kw, field",
+        [
+            (dict(resource_band_probs=(0.0, 0.0, 0.0)), "resource_band_probs"),
+            (dict(resource_band_probs=(-0.1, 0.2, 0.3)), "resource_band_probs"),
+            (dict(resource_band_probs=(float("inf"), 0.2, 0.3)), "resource_band_probs"),
+            (dict(num_filters=1, resource_mix="uniform"), "num_filters"),
+            (dict(min_field_dec=float("inf")), "min_field_dec"),
+            (dict(min_field_dec=-float("inf")), "min_field_dec"),
+            (dict(min_field_dec=-100.0), "min_field_dec"),
+        ],
+        ids=["zero-sum-bands", "negative-band", "inf-band", "uniform-one-filter",
+             "inf-dec", "minus-inf-dec", "dec-below-pole"],
+    )
+    def test_unusable_config_is_named(self, kw, field):
+        """Each of these used to load and then fail inside numpy's sampler
+        with a message that did not name the field."""
+        with pytest.raises(ScenarioError, match=f"^{field} must be"):
+            GenConfig(**kw)
+
+    def test_edge_configs_still_generate(self):
+        for kw in (dict(resource_band_probs=(0.0, 0.0, 1.0)), dict(num_filters=2, resource_mix="uniform"),
+                   dict(min_field_dec=-90.0), dict(min_field_dec=90.0)):
+            generate_scenario(GenConfig(horizon_steps=30, arrival_prob=0.3, **kw, **FAST), 0)
 
     @pytest.mark.parametrize(
         "cfg, seed, digest",
@@ -273,6 +299,14 @@ class TestSerialization:
         obj = json.loads(scenario_to_json(s))
         obj["version"] = 999
         with pytest.raises(ScenarioError, match="version"):
+            scenario_from_json(json.dumps(obj))
+
+    def test_negative_num_filters_is_named(self):
+        """With no targets nothing else catches it: the context used to
+        fail with "cannot reshape"."""
+        obj = json.loads(scenario_to_json(generate_scenario(GenConfig(arrival_prob=0.0, **FAST), 0)))
+        obj["num_filters"] = -1
+        with pytest.raises(ScenarioError, match="^num_filters: must be an integer >= 1, got -1$"):
             scenario_from_json(json.dumps(obj))
 
     def test_missing_field_is_named(self):

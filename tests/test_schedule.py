@@ -11,7 +11,6 @@ from obsched.schedule import (
     SchedulingContext,
     average_slowdown,
     build_dag,
-    embed,
     embedding_length,
     embedding_matrix,
     total_slowdown,
@@ -244,7 +243,7 @@ class TestEmbedding:
     def test_solo_task_utilization_is_own_demand(self):
         s = toy_scenario([(0, 4, UG)])
         dag = build(s, [(0, 0, 0)])
-        v = embed(dag, 0, e_max=20)
+        v = embedding_matrix(dag, e_max=20)[dag.node_of_task[0]]
         d = 3
         assert v.shape == (64,)
         assert np.array_equal(v[:d], [1, 1, 0])
@@ -256,14 +255,14 @@ class TestEmbedding:
     def test_busy_site_shows_in_utilization(self):
         s = toy_scenario([(0, 4, U), (0, 4, G)])
         dag = build(s, [(0, 0, 0), (1, 0, 0)])
-        v = embed(dag, 0, e_max=20)
+        v = embedding_matrix(dag, e_max=20)[dag.node_of_task[0]]
         for step in range(4):
             assert np.array_equal(v[3 + step * 3 : 6 + step * 3], [1, 1, 0])
 
     def test_distributed_layout_site_major(self):
         s = toy_scenario([(0, 4, U), (0, 4, G)], n_sites=2)
         dag = build(s, [(0, 0, 0), (1, 1, 0)])
-        v = embed(dag, 1, distributed=True, e_max=20)
+        v = embedding_matrix(dag, distributed=True, e_max=20)[dag.node_of_task[1]]
         assert v.shape == (2 * 3 * 21 + 1,)
         width = 6
         assert np.array_equal(v[:width], [0, 0, 0, 0, 1, 0])  # demand in site-1 block
@@ -281,7 +280,7 @@ class TestEmbedding:
         s = toy_scenario([(0, 25, U)])
         dag = build(s, [(0, 0, 0)])
         with pytest.raises(ValueError, match="e_max"):
-            embed(dag, 0, e_max=20)
+            embedding_matrix(dag, e_max=20)
 
     @pytest.mark.parametrize("n_sites", [1, 5])
     @pytest.mark.parametrize("seed", range(3))
@@ -302,7 +301,6 @@ class TestEmbedding:
         for distributed in (False, True):
             m = embedding_matrix(dag, distributed, e_max=12)
             assert m.tobytes() == _embedding_by_task(dag, distributed, 12).tobytes()
-            assert np.array_equal(embed(dag, 1, distributed, e_max=12), m[dag.node_of_task[1]])
 
 
 def _embedding_by_task(dag, distributed, e_max=20):
