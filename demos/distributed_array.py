@@ -20,9 +20,9 @@ for seed in seeds:
     scenario = generate_scenario(cfg, seed)
     if not scenario.tasks:
         continue
-    ctx = SchedulingContext.for_scenario(scenario)
+    ctx = SchedulingContext(scenario)
     for name, task_rule, site_rule in DISTRIBUTED_PAIRS:
-        dag, dr = schedule_online_heuristic(scenario, task_rule, site_rule, ctx=ctx)
+        dag, dr = schedule_online_heuristic(ctx, task_rule, site_rule)
         if len(dag.rows):
             means[name].append(average_slowdown(dag))
         drops[name] += len(dr)

@@ -22,8 +22,8 @@ cfg = GenConfig(
     horizon_steps=60, arrival_prob=0.2, exposure_long_frac=0.3, mode_exposure_count_frac=1.0
 )
 scenario = generate_scenario(cfg, seed=21)
-ctx = SchedulingContext.for_scenario(scenario)
-dag, drops = schedule_online_heuristic(scenario, TaskRule.FCFS, None, ctx=ctx)
+ctx = SchedulingContext(scenario)
+dag, drops = schedule_online_heuristic(ctx, TaskRule.FCFS, None)
 print(f"FCFS initial schedule: {len(dag.rows)} tasks, total slowdown {total_slowdown(dag):.2f}")
 for i, tid in enumerate(dag.task_ids):
     r = dag.rows[i]
@@ -55,5 +55,5 @@ print(f"\nrandom rewriting, 100 steps ({sum(1 for t in traj if t.status=='applie
 print("\n".join(marks) or "  no improvement found")
 
 if ctx.n_tasks <= 6:  # the oracle schedules every task of the scenario
-    opt = brute_force_optimal(scenario, ctx=ctx)
+    opt = brute_force_optimal(ctx)
     print(f"\nexhaustive optimum for comparison: {total_slowdown(opt):.2f}")

@@ -9,6 +9,8 @@ benchmark/training worker pools.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -119,15 +121,14 @@ def run_online(
         if value < 1:
             raise ValueError(f"{name}: must be an integer >= 1, got {value!r}")
     spec = _parse_scheduler(scheduler)
-    ctx = SchedulingContext.for_scenario(scenario, constraints)
+    ctx = SchedulingContext(scenario, constraints)
     if spec["kind"] == "heuristic":
-        return schedule_online_heuristic(
-            scenario, spec["task_rule"], spec["site_rule"], queue_cap, ctx=ctx
-        )
+        # rules stay positional: perfbench/tracing.py names the span from args[1:3]
+        return schedule_online_heuristic(ctx, spec["task_rule"], spec["site_rule"], queue_cap)
     if spec["kind"] == "offline-stf":
-        return schedule_offline_stf(scenario, ctx=ctx)
+        return schedule_offline_stf(ctx)
     if spec["kind"] == "oracle":
-        return brute_force_optimal(scenario, ctx=ctx), []
+        return brute_force_optimal(ctx), []
 
     if net is None:
         if checkpoint is None:
@@ -144,7 +145,7 @@ def run_online(
 
     if spec["kind"] == "roars-refine":
         # the evaluation protocol: refine a complete arrival-order schedule
-        dag0, drops = schedule_fcfs_list(scenario, ctx=ctx)
+        dag0, drops = schedule_fcfs_list(ctx)
         if len(dag0.rows) == 0:
             return dag0, drops
         best, traj = rewrite_search(dag0, net, search_cfg, rng, pc=search_cfg.pc_initial)
@@ -324,16 +325,17 @@ def run_benchmark(config: dict, out_dir, *, workers: int | None = None, log=None
             )
 
     with open(os.path.join(out_dir, "report.csv"), "w", newline="") as fh:
-        fh.write("variant,scheduler,instances,mean_avg_slowdown,drop_count,seed\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["variant", "scheduler", "instances", "mean_avg_slowdown", "drop_count", "seed"])
         for r in rows:
-            fh.write(
-                f"{r.variant},{r.scheduler},{r.instances},"
-                f"{r.mean_avg_slowdown:.6f},{r.drop_count},{r.seed}\n"
+            out.writerow(
+                [r.variant, r.scheduler, r.instances, f"{r.mean_avg_slowdown:.6f}", r.drop_count, r.seed]
             )
     with open(os.path.join(out_dir, "timings.csv"), "w", newline="") as fh:
-        fh.write("variant,scheduler,wall_time_s\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["variant", "scheduler", "wall_time_s"])
         for r in rows:
-            fh.write(f"{r.variant},{r.scheduler},{r.wall_time_s:.3f}\n")
+            out.writerow([r.variant, r.scheduler, f"{r.wall_time_s:.3f}"])
     svg = grouped_bar_svg(
         groups=list(gen_cfgs),
         series=schedulers,
@@ -361,9 +363,17 @@ _PALETTE = [
 ]
 
 
+def _escape(text: str) -> str:
+    """XML character data for ``text``, as ``xml.sax.saxutils.escape``
+    gives it without importing urllib and some forty other modules."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def grouped_bar_svg(groups, series, values, title="") -> str:
     """Self-contained grouped-bar chart; the plotted numbers are embedded
-    in a <desc> block so the figure carries its own data table."""
+    as CSV in a <desc> block so the figure carries its own data table.
+    Names are written as XML-escaped text, so any name keeps it
+    well-formed."""
     w_bar, gap, group_gap = 18, 2, 24
     left, top, height = 60, 30, 220
     n_g, n_s = len(groups), len(series)
@@ -372,19 +382,18 @@ def grouped_bar_svg(groups, series, values, title="") -> str:
     finite = [v for v in values.values() if v is not None and np.isfinite(v)]
     vmax = max(finite) if finite else 1.0
     vmax = vmax * 1.15 or 1.0
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{top + height + 70}">',
-        "<desc>",
-        "variant,scheduler,mean_avg_slowdown",
-    ]
+    table = io.StringIO()
+    out = csv.writer(table, lineterminator="\n")
+    out.writerow(["variant", "scheduler", "mean_avg_slowdown"])
     for g in groups:
         for s in series:
             v = values.get((g, s))
-            lines.append(f"{g},{s},{'' if v is None or not np.isfinite(v) else f'{v:.6f}'}")
-    lines.append("</desc>")
-    lines.append(
-        f'<text x="{left}" y="18" font-family="sans-serif" font-size="13">{title}</text>'
-    )
+            out.writerow([g, s, "" if v is None or not np.isfinite(v) else f"{v:.6f}"])
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{top + height + 70}">',
+        f"<desc>\n{_escape(table.getvalue())}</desc>",
+        f'<text x="{left}" y="18" font-family="sans-serif" font-size="13">{_escape(title)}</text>',
+    ]
     # y axis with 5 ticks
     for k in range(6):
         v = vmax * k / 5
@@ -410,7 +419,7 @@ def grouped_bar_svg(groups, series, values, title="") -> str:
             x += w_bar + gap
         lines.append(
             f'<text x="{x - (n_s * (w_bar + gap)) // 2}" y="{top + height + 14}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="10">{g}</text>'
+            f'text-anchor="middle" font-family="sans-serif" font-size="10">{_escape(g)}</text>'
         )
         x += group_gap
     for j, s in enumerate(series):
@@ -421,7 +430,7 @@ def grouped_bar_svg(groups, series, values, title="") -> str:
         )
         lines.append(
             f'<text x="{left + chart_w + 30}" y="{y + 9}" font-family="sans-serif" '
-            f'font-size="10">{s}</text>'
+            f'font-size="10">{_escape(s)}</text>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
@@ -520,7 +529,7 @@ def _cmd_bench(args) -> int:
 def _cmd_inspect(args) -> int:
     if args.scenario:
         s = load_scenario(args.scenario)
-        ctx = SchedulingContext.for_scenario(s)
+        ctx = SchedulingContext(s)
         vis_frac = ctx.mask.mean(axis=(0, 2)) if len(s.targets) else np.zeros(len(s.sites))
         print(f"scenario: {len(s.targets)} targets, {len(s.tasks)} tasks, seed {s.rng_seed}")
         print(
@@ -596,6 +605,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError(f"seed: must be an integer >= 0, got {args.seed}")
         return args.fn(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

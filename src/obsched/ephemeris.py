@@ -134,7 +134,8 @@ class VisibilityConstraints:
     max_sun_altitude_deg: float = -12.0
 
     def __post_init__(self):
-        # cutoffs stay above the pole of the Kasten-Young formula, at -6.07995 deg
+        # an input limit only: airmass is taken at max(alt, 0), so the
+        # Kasten-Young pole at this altitude is never reached
         if not self.min_altitude_deg >= -6.07995:
             raise ValueError(f"min_altitude_deg must be >= -6.07995, got {self.min_altitude_deg!r}")
 

@@ -9,9 +9,11 @@ rule-minimal task is forced out and committed to its earliest feasible
 (site, start).  Tasks with no statically feasible start left (visibility
 or deadline) are dropped and reported.
 
-Every scheduler here, the oracle included, commits through
-`schedule.Placement`; this module only adds the dispatch rules, the
-site-choice keys, the queue loop and the oracle's search.
+Every scheduler here takes the scenario as one `SchedulingContext`,
+which carries its tables and visibility constraints, and commits
+through `schedule.Placement`, the oracle included; this module only adds
+the dispatch rules, the site-choice keys, the queue loop and the
+oracle's search.
 """
 from __future__ import annotations
 
@@ -19,8 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .ephemeris import VisibilityConstraints
-from .scenario import ObservationTask, Scenario, Target
+from .scenario import ObservationTask, Target
 from .schedule import (
     Placement,
     ScheduleDag,
@@ -68,6 +69,9 @@ DISTRIBUTED_PAIRS = [
     ("rptf", TaskRule.RIP, SiteRule.BEST_PRIORITY),
 ]
 
+#: the exhaustive oracle's instance size limit
+BRUTE_FORCE_MAX_TASKS = 6
+
 
 def rank_key(rule: TaskRule, task: ObservationTask, target: Target) -> tuple:
     """Sort key of a task under a dispatch rule; lower ranks first.
@@ -102,13 +106,10 @@ def _site_key(ctx: SchedulingContext, row: int, site_rule: SiteRule | None):
 
 
 def schedule_online_heuristic(
-    scenario: Scenario,
+    ctx: SchedulingContext,
     task_rule: TaskRule,
     site_rule: SiteRule | None = None,
     queue_cap: int = 10,
-    constraints: VisibilityConstraints | None = None,
-    *,
-    ctx: SchedulingContext | None = None,
 ) -> tuple[ScheduleDag, list[int]]:
     """Simulate the arrival stream under a dispatch rule.
 
@@ -117,7 +118,7 @@ def schedule_online_heuristic(
     """
     if queue_cap < 1:
         raise ValueError("queue_cap must be >= 1")
-    ctx = ctx or SchedulingContext.for_scenario(scenario, constraints)
+    scenario = ctx.scenario
     st = Placement(ctx)
 
     def key(row: int) -> tuple:
@@ -193,41 +194,24 @@ def _list_schedule(ctx: SchedulingContext, key) -> tuple[ScheduleDag, list[int]]
     return st.to_dag(), st.drops
 
 
-def schedule_fcfs_list(
-    scenario: Scenario,
-    constraints: VisibilityConstraints | None = None,
-    *,
-    ctx: SchedulingContext | None = None,
-) -> tuple[ScheduleDag, list[int]]:
+def schedule_fcfs_list(ctx: SchedulingContext) -> tuple[ScheduleDag, list[int]]:
     """Arrival-order list scheduling of the whole task sequence: each task
     in (required start, id) order goes to its earliest feasible (site,
     start).  This is the cheap constructive initializer the rewriting
     search starts from; tasks with no feasible slot are dropped."""
-    ctx = ctx or SchedulingContext.for_scenario(scenario, constraints)
     return _list_schedule(ctx, lambda r: (int(ctx.arrival[r]), int(ctx.task_id[r])))
 
 
-def schedule_offline_stf(
-    scenario: Scenario,
-    constraints: VisibilityConstraints | None = None,
-    *,
-    ctx: SchedulingContext | None = None,
-) -> tuple[ScheduleDag, list[int]]:
+def schedule_offline_stf(ctx: SchedulingContext) -> tuple[ScheduleDag, list[int]]:
     """Offline baseline: the whole task sequence is known at t=0; tasks are
     placed in ascending exposure order, each at its earliest feasible slot
     (still respecting required start times)."""
-    ctx = ctx or SchedulingContext.for_scenario(scenario, constraints)
     return _list_schedule(ctx, lambda r: (int(ctx.exposure[r]), int(ctx.arrival[r]), int(ctx.task_id[r])))
 
 
-def brute_force_optimal(
-    scenario: Scenario,
-    constraints: VisibilityConstraints | None = None,
-    *,
-    ctx: SchedulingContext | None = None,
-    max_tasks: int = 6,
-) -> ScheduleDag:
-    """Exhaustive minimum-total-slowdown schedule for tiny instances.
+def brute_force_optimal(ctx: SchedulingContext) -> ScheduleDag:
+    """Exhaustive minimum-total-slowdown schedule for tiny instances of at
+    most ``BRUTE_FORCE_MAX_TASKS`` tasks.
 
     Enumerates left-shifted schedules only: every task starts at its
     release point (arrival / sibling release / visibility-window opening)
@@ -238,10 +222,9 @@ def brute_force_optimal(
     Raises ValueError("no feasible schedule") when the instance cannot be
     fully scheduled.
     """
-    ctx = ctx or SchedulingContext.for_scenario(scenario, constraints)
     n = ctx.n_tasks
-    if n > max_tasks:
-        raise ValueError(f"brute force limited to {max_tasks} tasks, got {n}")
+    if n > BRUTE_FORCE_MAX_TASKS:
+        raise ValueError(f"brute force limited to {BRUTE_FORCE_MAX_TASKS} tasks, got {n}")
     empty = np.empty(0, dtype=np.int64)
     if n == 0:
         return build_from_arrays(ctx, empty, empty, empty)

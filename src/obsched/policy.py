@@ -20,7 +20,6 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .ephemeris import VisibilityConstraints
 from .heuristics import schedule_fcfs_list
 from .rewriter import SearchConfig, TrajectoryStep, rewrite_search
 from .scenario import GenConfig, generate_scenario, read_field
@@ -423,15 +422,15 @@ def _instance_seed(base: int, *branch: int) -> int:
     return int(np.random.SeedSequence([base, *branch]).generate_state(1, np.uint64)[0])
 
 
-def _training_instance(gen_cfg: GenConfig, seed_int: int, constraints: VisibilityConstraints):
+def _training_instance(gen_cfg: GenConfig, seed_int: int):
     """Scenario + FCFS initial schedule; resamples (deterministically)
     until the initial schedule has at least two tasks to rewrite."""
     for retry in range(30):
         s = generate_scenario(gen_cfg, _instance_seed(seed_int, retry))
-        ctx = SchedulingContext.for_scenario(s, constraints)
+        ctx = SchedulingContext(s)
         if ctx.n_tasks < 2:
             continue
-        dag, _ = schedule_fcfs_list(s, ctx=ctx)
+        dag, _ = schedule_fcfs_list(ctx)
         if len(dag.rows) >= 2:
             return dag
     return None
@@ -445,12 +444,11 @@ def _rollout_chunk(payload: dict):
     train_cfg: TrainConfig = payload["train_cfg"]
     search_cfg: SearchConfig = payload["search_cfg"]
     gen_cfg: GenConfig = payload["gen_cfg"]
-    constraints: VisibilityConstraints = payload["constraints"]
     rollout_cfg = replace(search_cfg, num_steps=train_cfg.episode_len)
     net.zero_grad()
     stats = []
     for k in payload["indices"]:
-        dag0 = _training_instance(gen_cfg, _instance_seed(payload["seed"], payload["step"], k), constraints)
+        dag0 = _training_instance(gen_cfg, _instance_seed(payload["seed"], payload["step"], k))
         if dag0 is None:
             stats.append(None)
             continue
@@ -480,7 +478,6 @@ def _validation_slowdown(
     net: PolicyNet,
     gen_cfg: GenConfig,
     search_cfg: SearchConfig,
-    constraints: VisibilityConstraints,
     seed: int,
     n_instances: int,
 ) -> float:
@@ -491,7 +488,7 @@ def _validation_slowdown(
     """
     vals = []
     for k in range(n_instances):
-        dag0 = _training_instance(gen_cfg, _instance_seed(seed, 555, k), constraints)
+        dag0 = _training_instance(gen_cfg, _instance_seed(seed, 555, k))
         if dag0 is None:
             continue
         rng = np.random.default_rng(np.random.SeedSequence([seed, 556, k]))
@@ -507,7 +504,6 @@ def train(
     policy_cfg: PolicyConfig | None = None,
     *,
     seed: int = 0,
-    constraints: VisibilityConstraints | None = None,
     checkpoint_path=None,
     curve_path=None,
     workers: int | None = None,
@@ -528,7 +524,6 @@ def train(
     """
     if val_every < 1:
         raise ValueError(f"val_every: must be an integer >= 1, got {val_every!r}")
-    constraints = constraints or VisibilityConstraints()
     if policy_cfg is None:
         policy_cfg = PolicyConfig(
             n_filters=gen_cfg.num_filters,
@@ -558,7 +553,6 @@ def train(
                 "train_cfg": train_cfg,
                 "search_cfg": search_cfg,
                 "gen_cfg": gen_cfg,
-                "constraints": constraints,
                 "seed": seed,
                 "step": step,
                 "pc": pc,
@@ -581,9 +575,7 @@ def train(
     def evaluate(step: int, stats) -> None:
         nonlocal best_val, best_flat, best_step
         net.set_flat(flat)
-        val = _validation_slowdown(
-            net, gen_cfg, search_cfg, constraints, seed, val_instances
-        )
+        val = _validation_slowdown(net, gen_cfg, search_cfg, seed, val_instances)
         if np.isfinite(val) and val < best_val:
             best_val = val
             best_flat = flat.copy()

@@ -19,7 +19,6 @@ from .ephemeris import (
     GeoCoord,
     SkyCoord,
     TimeGrid,
-    VisibilityConstraints,
     site_skies,
     sky_coverage,
 )
@@ -308,9 +307,9 @@ def _sample_fields(
     cfg: GenConfig,
     grid: TimeGrid,
     sites: list[Site],
-    constraints: VisibilityConstraints,
 ) -> list[SkyCoord]:
-    """Sky fields for one scenario.
+    """Sky fields for one scenario, under the default
+    ``VisibilityConstraints``.
 
     When ``visible_fields_only`` is set (the default), a candidate field
     is kept only when every step of the horizon is observable from at
@@ -334,7 +333,7 @@ def _sample_fields(
         ra, dec = _uniform_fields(rng, cfg.num_fields, cfg.min_field_dec)
         return [SkyCoord(float(r), float(d)) for r, d in zip(ra, dec)]
 
-    skies = site_skies([s.coord for s in sites], grid, constraints)
+    skies = site_skies([s.coord for s in sites], grid)
     out: list[SkyCoord] = []
     partial: list[SkyCoord] = []
     for _ in range(40):
@@ -342,9 +341,7 @@ def _sample_fields(
             break
         ra, dec = _uniform_fields(rng, cfg.num_fields, cfg.min_field_dec)
         want_some = len(partial) < cfg.num_fields
-        full, some = sky_coverage(
-            ra, dec, skies, grid.horizon_steps, constraints, want_some=want_some
-        )
+        full, some = sky_coverage(ra, dec, skies, grid.horizon_steps, want_some=want_some)
         for r, d in zip(ra[full], dec[full]):
             if len(out) < cfg.num_fields:
                 out.append(SkyCoord(float(r), float(d)))
@@ -408,13 +405,14 @@ def generate_scenario(
     seed: int,
     *,
     sites: list[Site] | None = None,
-    constraints=None,
 ) -> Scenario:
     """Draw one scenario: arrival stream, target properties, and tasks.
 
     Deterministic given (config, seed, sites).  Site equipment priorities
     are sampled uniformly in [0,1] here unless the caller provides sites
-    that already carry them.
+    that already carry them.  Fields are sampled under the default
+    ``VisibilityConstraints``; the constraints a schedule runs under are
+    the ``SchedulingContext``'s.
     """
     rng = np.random.default_rng(seed)
     grid = config.make_grid()
@@ -428,9 +426,7 @@ def generate_scenario(
     else:
         rng.uniform(0.0, 1.0, size=len(sites))  # keep the stream aligned
 
-    fields = _sample_fields(
-        rng, config, grid, sites, constraints or VisibilityConstraints()
-    )
+    fields = _sample_fields(rng, config, grid, sites)
 
     targets: list[Target] = []
     tasks: list[ObservationTask] = []

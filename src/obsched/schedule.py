@@ -75,14 +75,17 @@ class Assignment:
 class SchedulingContext:
     """Precomputed per-scenario tables: task arrays and visibility physics.
 
-    Built once per (scenario, constraints) and shared by every dag over
-    that scenario; read-only after construction.  It owns the static
-    half of the placement model: the visibility + deadline window lookup
-    (``static_starts``, ``fits_statically``).  The sibling-cadence
+    The one way a scenario reaches the schedulers and ``build_dag``:
+    built once per (scenario, constraints), with the default
+    ``VisibilityConstraints`` when none are given, and shared by every
+    dag over that scenario; read-only after construction.  It owns the
+    static half of the placement model: the visibility + deadline window
+    lookup (``static_starts``, ``fits_statically``).  The sibling-cadence
     release depends on what is committed, so it lives on ``Placement``.
     """
 
-    def __init__(self, scenario: Scenario, constraints: VisibilityConstraints):
+    def __init__(self, scenario: Scenario, constraints: VisibilityConstraints | None = None):
+        constraints = constraints or VisibilityConstraints()
         self.scenario = scenario
         self.constraints = constraints
         self.horizon = scenario.grid.horizon_steps
@@ -139,12 +142,6 @@ class SchedulingContext:
                 self.vis_until[:, si] = np.minimum.accumulate(inv[:, ::-1], axis=1)[:, ::-1]
                 prev_inv = np.maximum.accumulate(np.where(~m, idx[None, :], np.int32(-1)), axis=1)
                 self.run_start[:, si] = np.where(m, prev_inv + 1, np.int32(-1))
-
-    @classmethod
-    def for_scenario(
-        cls, scenario: Scenario, constraints: VisibilityConstraints | None = None
-    ) -> "SchedulingContext":
-        return cls(scenario, constraints or VisibilityConstraints())
 
     # -- static feasibility of one task at (site, start), other tasks aside --
 
@@ -244,19 +241,12 @@ class ScheduleDag:
     # -- structure ----------------------------------------------------------
 
     @property
-    def scenario(self) -> Scenario:
-        return self.ctx.scenario
-
-    @property
     def n_sites(self) -> int:
         return self.ctx.n_sites
 
     @property
     def n_nodes(self) -> int:
         return self.ctx.n_sites + len(self.rows)
-
-    def completion(self) -> np.ndarray:
-        return self.start + self.ctx.exposure[self.rows]
 
     def __eq__(self, other) -> bool:
         return (
@@ -448,15 +438,8 @@ class Placement:
         return build_from_arrays(self.ctx, rows, site, start)
 
 
-def build_dag(
-    scenario: Scenario,
-    assignments: Iterable[Assignment],
-    constraints: VisibilityConstraints | None = None,
-    *,
-    ctx: SchedulingContext | None = None,
-) -> ScheduleDag:
+def build_dag(ctx: SchedulingContext, assignments: Iterable[Assignment]) -> ScheduleDag:
     """Construct and fully validate a schedule DAG from assignments."""
-    ctx = ctx or SchedulingContext.for_scenario(scenario, constraints)
     assignments = list(assignments)
     rows = np.empty(len(assignments), dtype=np.int64)
     site = np.empty(len(assignments), dtype=np.int64)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 
-from obsched.ephemeris import VisibilityConstraints
 from obsched.policy import (
     PolicyConfig,
     TrainConfig,
@@ -80,7 +79,6 @@ def train_or_load(distributed: bool, log=None):
         search_cfg,
         policy_cfg,
         seed=SEED,
-        constraints=VisibilityConstraints(),
         checkpoint_path=path,
         curve_path=path.replace(".ckpt", "_curve.csv"),
         val_every=VAL_EVERY,

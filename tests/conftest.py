@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from datetime import datetime, timezone
 
-import numpy as np
 import pytest
 
 from obsched.ephemeris import GeoCoord, SkyCoord, TimeGrid, local_sidereal_time

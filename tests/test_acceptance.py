@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import acceptance_config as acc
-from conftest import G, I, U, UG, UGI, toy_scenario
+from conftest import U, toy_scenario
 from obsched import autograd as ag
-from obsched.cli import main, run_benchmark
+from obsched.cli import main
 from obsched.ephemeris import (
     GeoCoord,
     SkyCoord,
@@ -87,16 +87,16 @@ def test_acceptance_1_oracle_equivalence():
     total_opt = 0.0
     for seed in range(200):
         s = _small_instance(seed)
-        ctx = SchedulingContext.for_scenario(s)
-        opt = brute_force_optimal(s, ctx=ctx)
+        ctx = SchedulingContext(s)
+        opt = brute_force_optimal(ctx)
         opt_cost = total_slowdown(opt)
         for rule in TaskRule:
-            dag, drops = schedule_online_heuristic(s, rule, None, ctx=ctx)
+            dag, drops = schedule_online_heuristic(ctx, rule, None)
             assert not drops, "small instances must never drop"
             comparisons += 1
             if opt_cost <= total_slowdown(dag) + 1e-9:
                 dominated += 1
-        init, drops = schedule_fcfs_list(s, ctx=ctx)
+        init, drops = schedule_fcfs_list(ctx)
         assert not drops
         best = init
         for restart in range(10):
@@ -131,9 +131,9 @@ def test_acceptance_2_heuristic_ordering():
         s = generate_scenario(cfg, seed)
         if not s.tasks:
             continue
-        ctx = SchedulingContext.for_scenario(s)
+        ctx = SchedulingContext(s)
         for r in TaskRule:
-            dag, _ = schedule_online_heuristic(s, r, None, 10, ctx=ctx)
+            dag, _ = schedule_online_heuristic(ctx, r, None, 10)
             if len(dag.rows):
                 sums[r].append(average_slowdown(dag))
     m = {r: float(np.mean(sums[r])) for r in TaskRule}
@@ -154,17 +154,16 @@ def test_acceptance_2_heuristic_ordering():
 def test_acceptance_3_trained_policy_beats_best_heuristic():
     net = acc.train_or_load(distributed=False, log=print)
     gen, _, search_cfg, _ = acc.recipe(distributed=False)
-    cons = VisibilityConstraints()
     heur = {r: [] for r in TaskRule}
     roars = []
     with ag.no_grad():
         for k in range(100):
-            dag0 = _training_instance(gen, _instance_seed(acc.SEED, 555, k), cons)
+            dag0 = _training_instance(gen, _instance_seed(acc.SEED, 555, k))
             if dag0 is None:
                 continue
-            s, ctx = dag0.ctx.scenario, dag0.ctx
+            ctx = dag0.ctx
             for r in TaskRule:
-                d, _ = schedule_online_heuristic(s, r, None, 10, ctx=ctx)
+                d, _ = schedule_online_heuristic(ctx, r, None, 10)
                 if len(d.rows):
                     heur[r].append(average_slowdown(d))
             rng = np.random.default_rng(np.random.SeedSequence([acc.SEED, 556, k]))
@@ -191,9 +190,9 @@ def test_acceptance_4_offline_dominance():
         s = generate_scenario(cfg, seed)
         if not s.tasks:
             continue
-        ctx = SchedulingContext.for_scenario(s)
-        off, _ = schedule_offline_stf(s, ctx=ctx)
-        on, _ = schedule_online_heuristic(s, TaskRule.FCFS, None, 10, ctx=ctx)
+        ctx = SchedulingContext(s)
+        off, _ = schedule_offline_stf(ctx)
+        on, _ = schedule_online_heuristic(ctx, TaskRule.FCFS, None, 10)
         if not len(off.rows) or not len(on.rows):
             continue
         comparable += 1
@@ -214,8 +213,8 @@ def test_acceptance_5_feasibility_invariants():
         s = generate_scenario(cfg, seed)
         if not s.tasks:
             continue
-        ctx = SchedulingContext.for_scenario(s)
-        dag, _ = schedule_fcfs_list(s, ctx=ctx)
+        ctx = SchedulingContext(s)
+        dag, _ = schedule_fcfs_list(ctx)
         if len(dag.rows) >= 3:
             dags.append(dag)
     steps_total = 100_000
@@ -273,7 +272,7 @@ def test_acceptance_6_gradient_correctness():
                 (int(rng_master.integers(0, 15)), int(rng_master.integers(1, 6)), rho if any(rho) else U)
             )
         s = toy_scenario(specs, horizon=60)
-        dag0, drops = schedule_fcfs_list(s)
+        dag0, drops = schedule_fcfs_list(SchedulingContext(s))
         assert not drops
         net = PolicyNet(cfg, seed=trial)
         _, traj = rewrite_search(
@@ -316,8 +315,8 @@ def test_acceptance_6_gradient_correctness():
 
 def test_acceptance_7_schedule_arithmetic_spot_checks():
     s1 = toy_scenario([(10, 5, U)])
-    on_time = build_dag(s1, [Assignment(0, 0, 10)])
-    delayed = build_dag(s1, [Assignment(0, 0, 20)])
+    on_time = build_dag(SchedulingContext(s1), [Assignment(0, 0, 10)])
+    delayed = build_dag(SchedulingContext(s1), [Assignment(0, 0, 20)])
     eta1 = average_slowdown(on_time)
     eta3 = average_slowdown(delayed)
 
@@ -378,17 +377,16 @@ def test_acceptance_8_ephemeris_properties():
 def test_acceptance_9_distributed_policy_beats_all_pairs():
     net = acc.train_or_load(distributed=True, log=print)
     gen, _, search_cfg, _ = acc.recipe(distributed=True)
-    cons = VisibilityConstraints()
     pair_means = {name: [] for name, _, _ in DISTRIBUTED_PAIRS}
     roars = []
     with ag.no_grad():
         for k in range(100):
-            dag0 = _training_instance(gen, _instance_seed(acc.SEED, 555, k), cons)
+            dag0 = _training_instance(gen, _instance_seed(acc.SEED, 555, k))
             if dag0 is None:
                 continue
-            s, ctx = dag0.ctx.scenario, dag0.ctx
+            ctx = dag0.ctx
             for name, tr, sr in DISTRIBUTED_PAIRS:
-                d, _ = schedule_online_heuristic(s, tr, sr, 10, ctx=ctx)
+                d, _ = schedule_online_heuristic(ctx, tr, sr, 10)
                 if len(d.rows):
                     pair_means[name].append(average_slowdown(d))
             rng = np.random.default_rng(np.random.SeedSequence([acc.SEED, 556, k]))

@@ -1,7 +1,10 @@
 """Subcommands, the online learned-scheduler loop, benchmark outputs, and
 byte-level determinism of generated artifacts."""
+import csv
+import io
 import json
 import os
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -17,10 +20,10 @@ from obsched.cli import (
     run_online,
 )
 from obsched.ephemeris import VisibilityConstraints
-from obsched.heuristics import SiteRule, TaskRule
-from obsched.policy import PolicyConfig, PolicyNet, save_checkpoint
-from obsched.scenario import GenConfig, generate_scenario, save_scenario
-from obsched.schedule import average_slowdown, total_slowdown, validate
+from obsched.heuristics import SiteRule, TaskRule, schedule_online_heuristic
+from obsched.policy import PolicyConfig, PolicyNet
+from obsched.scenario import GenConfig, generate_scenario, save_scenario, scenario_to_json
+from obsched.schedule import SchedulingContext, average_slowdown, total_slowdown, validate
 
 GEN = {
     "horizon_steps": 60,
@@ -116,6 +119,16 @@ class TestRunOnline:
         with pytest.raises(ValueError, match=f"^{field}: must be an integer >= 1"):
             run_online(s, sched, net=net, **kw)
 
+    def test_constraints_reach_the_scheduler(self):
+        s = generate_scenario(gen_config_from_obj(GEN), 1)
+        tight = VisibilityConstraints(max_airmass=1.5)
+        dag, drops = run_online(s, "stf", constraints=tight)
+        want, want_drops = schedule_online_heuristic(SchedulingContext(s, tight), TaskRule.STF)
+        assert dag == want and drops == want_drops
+        assert dag.ctx.constraints == tight
+        default, _ = run_online(s, "stf")
+        assert dag != default
+
 
 class TestBenchmark:
     def test_rows_cover_grid_and_fcfs_cross_check(self, tmp_path):
@@ -133,12 +146,10 @@ class TestBenchmark:
         assert "<desc>" in svg and "fcfs" in svg
 
         # the report's FCFS mean equals direct per-instance averaging
-        from obsched.heuristics import schedule_online_heuristic
-
         vals = []
         for k in range(3):
             s = generate_scenario(gen_config_from_obj(GEN), k)
-            dag, _ = schedule_online_heuristic(s, TaskRule.FCFS, None, 10)
+            dag, _ = schedule_online_heuristic(SchedulingContext(s), TaskRule.FCFS, None, 10)
             if len(dag.rows):
                 vals.append(average_slowdown(dag))
         fcfs_row = next(r for r in rows if r.scheduler == "fcfs")
@@ -159,6 +170,24 @@ class TestBenchmark:
         assert (tmp_path / "a" / "slowdown.svg").read_bytes() == (
             tmp_path / "b" / "slowdown.svg"
         ).read_bytes()
+
+    def test_names_with_csv_and_xml_specials_parse_back(self, tmp_path):
+        # a comma used to add a field to the row, and "<" or "&" made the
+        # SVG not well-formed
+        names = ["a,b", 'x<y&z "q"']
+        config = {"gen": GEN, "seeds": {"count": 1}, "schedulers": ["fcfs"],
+                  "variants": {n: {} for n in names}}
+        run_benchmark(config, tmp_path, workers=1)
+        for name, width in (("report.csv", 6), ("timings.csv", 3)):
+            with open(tmp_path / name, newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert [len(r) for r in rows] == [width] * 3
+            assert [r[:2] for r in rows[1:]] == [[n, "fcfs"] for n in names]
+        svg = minidom.parse(str(tmp_path / "slowdown.svg"))
+        table = [r for r in csv.reader(io.StringIO(svg.getElementsByTagName("desc")[0].firstChild.data)) if r]
+        assert [r[:2] for r in table] == [["variant", "scheduler"]] + [[n, "fcfs"] for n in names]
+        texts = {t.firstChild.data for t in svg.getElementsByTagName("text")}
+        assert set(names) <= texts
 
     def test_constraints_fields_checked(self, tmp_path):
         assert _constraints_from_obj(None) == VisibilityConstraints()
@@ -222,7 +251,8 @@ class TestBenchmark:
         assert not (tmp_path / "rep").exists()
 
     def test_min_altitude_below_airmass_domain_rejected(self):
-        # below -6.07995 deg the airmass formula returns NaN with a warning
+        # -6.07995 deg is the lowest cutoff accepted (the Kasten-Young pole);
+        # airmass itself is taken at max(alt, 0)
         with pytest.raises(ValueError, match="min_altitude_deg"):
             _constraints_from_obj({"min_altitude_deg": -10})
         with pytest.raises(ValueError, match="min_altitude_deg"):
@@ -391,14 +421,29 @@ class TestMain:
                  "--workers", "1"],
                 "val_every: must be an integer >= 1",
             ),
+            # used to fail as "expected non-negative integer", naming no field
+            ("generate", GEN, ["--seed", "-1"], "error: seed: must be an integer >= 0, got -1"),
+            (
+                "train", GEN,
+                ["--seed", "-1", "--steps", "1", "--batch", "1", "--episode-len", "2",
+                 "--val-every", "1", "--workers", "1"],
+                "error: seed: must be an integer >= 0, got -1",
+            ),
+            # used to be accepted silently
+            (
+                "simulate", json.loads(scenario_to_json(toy_scenario([(0, 5, U)]))),
+                ["--scheduler", "stf", "--seed", "-2"],
+                "error: seed: must be an integer >= 0, got -2",
+            ),
         ],
-        ids=["bench-seeds", "bench-list", "generate-list", "train-hidden", "train-val-every"],
+        ids=["bench-seeds", "bench-list", "generate-list", "train-hidden", "train-val-every",
+             "generate-seed", "train-seed", "simulate-seed"],
     )
     def test_bad_input_exits_1_before_writing(self, tmp_path, capsys, command, config, extra, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         out = tmp_path / "out"
-        flag = "--scenario-config" if command == "train" else "--config"
+        flag = {"train": "--scenario-config", "simulate": "--scenario"}.get(command, "--config")
         assert main([command, flag, str(cfg), "--out", str(out), *extra]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()

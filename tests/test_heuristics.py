@@ -6,8 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from conftest import G, I, U, UG, UGI, toy_scenario
-from obsched.ephemeris import VisibilityConstraints
+from conftest import G, U, UGI, toy_scenario
 from obsched.heuristics import (
     SiteRule,
     TaskRule,
@@ -65,13 +64,13 @@ class TestRankKey:
 class TestOnline:
     def test_single_task_starts_on_time(self):
         s = toy_scenario([(7, 5, U)])
-        dag, drops = schedule_online_heuristic(s, TaskRule.FCFS)
+        dag, drops = schedule_online_heuristic(SchedulingContext(s), TaskRule.FCFS)
         assert drops == []
         assert average_slowdown(dag) == pytest.approx(1.0)
 
     def test_capacity_one_serializes(self):
         s = toy_scenario([(0, 5, U), (0, 5, U)])
-        dag, drops = schedule_online_heuristic(s, TaskRule.FCFS)
+        dag, drops = schedule_online_heuristic(SchedulingContext(s), TaskRule.FCFS)
         assert drops == []
         starts = sorted(int(b) for b in dag.start)
         assert starts == [0, 5]
@@ -79,10 +78,10 @@ class TestOnline:
 
     def test_stf_prefers_short_under_contention(self):
         s = toy_scenario([(0, 9, U), (0, 3, U)])
-        dag, _ = schedule_online_heuristic(s, TaskRule.STF)
+        dag, _ = schedule_online_heuristic(SchedulingContext(s), TaskRule.STF)
         by_task = {t: int(dag.start[i]) for i, t in enumerate(dag.task_ids)}
         assert by_task[1] == 0 and by_task[0] == 3
-        dag, _ = schedule_online_heuristic(s, TaskRule.FCFS)
+        dag, _ = schedule_online_heuristic(SchedulingContext(s), TaskRule.FCFS)
         by_task = {t: int(dag.start[i]) for i, t in enumerate(dag.task_ids)}
         assert by_task[0] == 0 and by_task[1] == 9
 
@@ -91,26 +90,26 @@ class TestOnline:
         # commitments, and everything still serializes feasibly
         specs = [(0, 2, U, 60) for _ in range(12)]
         s = toy_scenario(specs)
-        dag, drops = schedule_online_heuristic(s, TaskRule.FCFS, queue_cap=10)
+        dag, drops = schedule_online_heuristic(SchedulingContext(s), TaskRule.FCFS, queue_cap=10)
         assert len(dag.rows) + len(drops) == 12
         assert validate(dag) == []
 
     def test_deterministic(self):
         cfg = GenConfig(horizon_steps=90, arrival_prob=0.25)
         s = generate_scenario(cfg, 5)
-        ctx = SchedulingContext.for_scenario(s)
-        d1, dr1 = schedule_online_heuristic(s, TaskRule.STF, None, ctx=ctx)
-        d2, dr2 = schedule_online_heuristic(s, TaskRule.STF, None, ctx=ctx)
+        ctx = SchedulingContext(s)
+        d1, dr1 = schedule_online_heuristic(ctx, TaskRule.STF, None)
+        d2, dr2 = schedule_online_heuristic(ctx, TaskRule.STF, None)
         assert d1 == d2 and dr1 == dr2
 
     def test_every_heuristic_output_validates(self):
         cfg = GenConfig(horizon_steps=90, arrival_prob=0.25, num_sites=2)
         for seed in (0, 1):
             s = generate_scenario(cfg, seed)
-            ctx = SchedulingContext.for_scenario(s)
+            ctx = SchedulingContext(s)
             for rule in TaskRule:
                 for srule in (None, SiteRule.BEST_QUALITY, SiteRule.BEST_PRIORITY):
-                    dag, _ = schedule_online_heuristic(s, rule, srule, ctx=ctx)
+                    dag, _ = schedule_online_heuristic(ctx, rule, srule)
                     assert validate(dag) == []
 
 
@@ -221,8 +220,8 @@ def test_online_simulator_matches_independent_oracle(rule):
         s = generate_scenario(cfg, seed)
         if len(s.tasks) < 10:
             continue
-        ctx = SchedulingContext.for_scenario(s)
-        dag, drops = schedule_online_heuristic(s, rule, None, 10, ctx=ctx)
+        ctx = SchedulingContext(s)
+        dag, drops = schedule_online_heuristic(ctx, rule, None, 10)
         got = {t: (int(dag.site[i]), int(dag.start[i])) for i, t in enumerate(dag.task_ids)}
         want, want_drops = _independent_online_sim(s, ctx, rule)
         assert got == want
@@ -232,14 +231,14 @@ def test_online_simulator_matches_independent_oracle(rule):
 class TestOffline:
     def test_disjoint_tasks_all_on_time(self):
         s = toy_scenario([(0, 5, U), (10, 5, U), (20, 5, U)])
-        dag, drops = schedule_offline_stf(s)
+        dag, drops = schedule_offline_stf(SchedulingContext(s))
         assert drops == []
         assert average_slowdown(dag) == pytest.approx(1.0)
 
     def test_two_task_contention_matches_online_stf(self):
         s = toy_scenario([(0, 5, U), (0, 5, U)])
-        off, _ = schedule_offline_stf(s)
-        on, _ = schedule_online_heuristic(s, TaskRule.STF)
+        off, _ = schedule_offline_stf(SchedulingContext(s))
+        on, _ = schedule_online_heuristic(SchedulingContext(s), TaskRule.STF)
         assert off == on
 
     def test_offline_usually_beats_online_fcfs(self):
@@ -249,9 +248,9 @@ class TestOffline:
             s = generate_scenario(cfg, seed)
             if not s.tasks:
                 continue
-            ctx = SchedulingContext.for_scenario(s)
-            off, _ = schedule_offline_stf(s, ctx=ctx)
-            on, _ = schedule_online_heuristic(s, TaskRule.FCFS, None, ctx=ctx)
+            ctx = SchedulingContext(s)
+            off, _ = schedule_offline_stf(ctx)
+            on, _ = schedule_online_heuristic(ctx, TaskRule.FCFS, None)
             if not len(off.rows) or not len(on.rows):
                 continue
             comparable += 1
@@ -266,24 +265,24 @@ class TestOffline:
 class TestBruteForce:
     def test_single_task(self):
         s = toy_scenario([(4, 6, U)])
-        dag = brute_force_optimal(s)
+        dag = brute_force_optimal(SchedulingContext(s))
         assert int(dag.start[0]) == 4
 
     def test_two_symmetric_contenders(self):
         s = toy_scenario([(0, 5, U), (0, 5, U)])
-        dag = brute_force_optimal(s)
+        dag = brute_force_optimal(SchedulingContext(s))
         assert total_slowdown(dag) == pytest.approx(3.0)  # 1 + 2
 
     def test_infeasible_instance_raises(self):
         # two tasks, same filter, both must finish by step 5
         s = toy_scenario([(0, 5, U, 5), (0, 5, U, 5)])
         with pytest.raises(ValueError, match="no feasible schedule"):
-            brute_force_optimal(s)
+            brute_force_optimal(SchedulingContext(s))
 
     def test_too_many_tasks_guarded(self):
         s = toy_scenario([(0, 2, U)] * 7)
         with pytest.raises(ValueError, match="limited"):
-            brute_force_optimal(s)
+            brute_force_optimal(SchedulingContext(s))
 
     def test_oracle_dominates_heuristics_on_random_instances(self):
         rng = np.random.default_rng(0)
@@ -299,12 +298,12 @@ class TestBruteForce:
             ]
             specs = [(a, e, rho if any(rho) else U) for a, e, rho in specs]
             s = toy_scenario(specs)
-            ctx = SchedulingContext.for_scenario(s)
-            opt = brute_force_optimal(s, ctx=ctx)
+            ctx = SchedulingContext(s)
+            opt = brute_force_optimal(ctx)
             assert validate(opt) == []
             assert len(opt.rows) == n
             for rule in TaskRule:
-                dag, drops = schedule_online_heuristic(s, rule, None, ctx=ctx)
+                dag, drops = schedule_online_heuristic(ctx, rule, None)
                 if drops or len(dag.rows) < n:
                     continue
                 assert total_slowdown(opt) <= total_slowdown(dag) + 1e-9
@@ -319,7 +318,7 @@ class TestBruteForce:
         for trial in range(5):
             exps = [int(e) for e in rng.integers(1, 9, size=5)]
             s = toy_scenario([(0, e, U) for e in exps])
-            dag, drops = schedule_online_heuristic(s, TaskRule.STF, None)
+            dag, drops = schedule_online_heuristic(SchedulingContext(s), TaskRule.STF, None)
             assert not drops
             # STF ordering == sorted by (exposure, id)
             order = [t for _, t in sorted(zip(dag.start, dag.task_ids))]
@@ -363,7 +362,7 @@ class TestBruteForcePin:
             cases += 1
             fh = io.StringIO()
             try:
-                dump_schedule(brute_force_optimal(s), fh)
+                dump_schedule(brute_force_optimal(SchedulingContext(s)), fh)
             except ValueError as exc:
                 infeasible += 1
                 fh.write(f"error: {exc}\n")
@@ -405,7 +404,7 @@ class TestRegressionPin:
         s = generate_scenario(self.GEN, self.SEED)
         audit: list = []
         if name == "fcfs-list":
-            dag, _ = schedule_fcfs_list(s)
+            dag, _ = schedule_fcfs_list(SchedulingContext(s))
         elif name == "roars":
             net = PolicyNet(PolicyConfig(hidden=8, n_filters=3, n_sites=5), seed=0)
             dag, _ = run_online(s, "roars", net=net, audit=audit)

@@ -1,13 +1,15 @@
-"""Source hygiene of the package, checked with the standard library only:
-every public name a module lists resolves, and no module imports a name
-it never uses, apart from the bindings perfbench/tracing.py wraps."""
+"""Source hygiene of the package, its tests and demos, checked with the
+standard library only: every public name a module lists resolves, and no
+file imports a name it never uses, apart from the bindings
+perfbench/tracing.py wraps."""
 import ast
 import importlib
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "obsched"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "obsched"
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 
 #: imported only so that perfbench/tracing.py can wrap them where the
@@ -43,3 +45,12 @@ def test_every_all_entry_resolves(name):
 def test_no_unused_import_outside_the_perfbench_bindings():
     unused = {(name, imp) for name in MODULES for imp in _unused_imports(SRC / f"{name}.py")}
     assert unused == PERFBENCH_ONLY
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py")),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_no_unused_import_in_tests_and_demos(path):
+    assert _unused_imports(path) == set()

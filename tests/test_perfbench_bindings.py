@@ -60,7 +60,7 @@ def test_placement_builds_through_the_module_binding(monkeypatch):
     monkeypatch.setattr(
         schedule, "build_from_arrays", lambda *args: calls.append(args) or build(*args)
     )
-    st = schedule.Placement(schedule.SchedulingContext.for_scenario(toy_scenario([(0, 5, U)])))
+    st = schedule.Placement(schedule.SchedulingContext(toy_scenario([(0, 5, U)])))
     st.place(0, 0)
     dag = st.to_dag()
     assert len(calls) == 1 and dag.task_ids == (0,)

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 import acceptance_config as acc
-from conftest import G, I, U, UG, toy_scenario
+from conftest import G, I, U, toy_scenario
 from obsched import autograd as ag
-from obsched.ephemeris import VisibilityConstraints
 from obsched.policy import (
     CheckpointError,
     PolicyConfig,
@@ -29,13 +28,13 @@ from obsched.policy import (
     save_checkpoint,
 )
 from obsched.rewriter import SearchConfig, rewrite_search
-from obsched.schedule import Assignment, build_dag
+from obsched.schedule import Assignment, SchedulingContext, build_dag
 
 CFG = PolicyConfig(hidden=8, n_filters=3, n_sites=1)
 
 
 def build(scenario, triples):
-    return build_dag(scenario, [Assignment(t, s, b) for t, s, b in triples])
+    return build_dag(SchedulingContext(scenario), [Assignment(t, s, b) for t, s, b in triples])
 
 
 def _scalar_lstm(wx, wh, b, x, h_in, c_in):
@@ -172,7 +171,7 @@ def _fcfs_dag(gen_cfg, seed):
     from obsched.heuristics import schedule_fcfs_list
     from obsched.scenario import generate_scenario
 
-    dag, _ = schedule_fcfs_list(generate_scenario(gen_cfg, seed))
+    dag, _ = schedule_fcfs_list(SchedulingContext(generate_scenario(gen_cfg, seed)))
     assert len(dag.rows) >= 3
     return dag
 
@@ -402,7 +401,7 @@ class TestNodeStateMemo:
         seen = self._checked(net)
         memo_sizes = 0
         for k in range(8):
-            dag0 = _training_instance(gen, _instance_seed(0, 0, k), VisibilityConstraints())
+            dag0 = _training_instance(gen, _instance_seed(0, 0, k))
             rng = np.random.default_rng(np.random.SeedSequence([0, 0, k, 777]))
             rollout_cfg = replace(search_cfg, num_steps=train_cfg.episode_len)
             rewrite_search(dag0, net, rollout_cfg, rng, pc=search_cfg.pc_at(0))
@@ -467,12 +466,11 @@ class TestGradientPipeline:
     def test_full_pipeline_matches_finite_differences(self):
         from obsched.heuristics import TaskRule, schedule_online_heuristic
         from obsched.scenario import GenConfig, generate_scenario
-        from obsched.schedule import SchedulingContext
 
         gen = GenConfig(horizon_steps=60, arrival_prob=0.25, mode_exposure_count_frac=0.0)
         s = generate_scenario(gen, 12)
-        ctx = SchedulingContext.for_scenario(s)
-        dag0, _ = schedule_online_heuristic(s, TaskRule.FCFS, None, ctx=ctx)
+        ctx = SchedulingContext(s)
+        dag0, _ = schedule_online_heuristic(ctx, TaskRule.FCFS, None)
         assert len(dag0.rows) >= 2
 
         net = PolicyNet(CFG, seed=0)
@@ -523,7 +521,7 @@ class TestRolloutPin:
         digest = hashlib.sha256()
         steps = 0
         for k in range(8):
-            dag0 = _training_instance(gen, _instance_seed(0, 0, k), VisibilityConstraints())
+            dag0 = _training_instance(gen, _instance_seed(0, 0, k))
             rng = np.random.default_rng(np.random.SeedSequence([0, 0, k, 777]))
             _, traj = rewrite_search(dag0, net, rollout_cfg, rng, pc=search_cfg.pc_at(0))
             for t in traj:

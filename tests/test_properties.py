@@ -49,7 +49,7 @@ def _net(scenario) -> PolicyNet:
 def test_every_scheduler_yields_a_valid_partition(scenario):
     ids = {t.id for t in scenario.tasks}
     net = _net(scenario)
-    results = {"fcfs-list": schedule_fcfs_list(scenario)}
+    results = {"fcfs-list": schedule_fcfs_list(SchedulingContext(scenario))}
     for name in SCHEDULERS:
         results[name] = run_online(scenario, name, net=net, replan_steps=5)
     for name, (dag, drops) in results.items():
@@ -70,7 +70,7 @@ def test_applied_rewrites_stay_feasible(scenario, data):
     """Every action from a chain of states: an applied rewrite gives a
     valid dag over the same tasks with the frozen tasks in place; any
     other outcome returns the input dag itself."""
-    dag, _ = schedule_fcfs_list(scenario)
+    dag, _ = schedule_fcfs_list(SchedulingContext(scenario))
     if len(dag.rows) < 2:
         return
     frozen = frozenset(data.draw(st.sets(st.sampled_from(dag.task_ids), max_size=2)))
@@ -184,8 +184,8 @@ def test_build_from_arrays_matches_the_per_task_loop(scenario, data):
     breaks site range, arrival, deadline, visibility, occupancy and
     cadence in turn), in shuffled input order: the same dag or the same
     exception message as the reference loop."""
-    ctx = SchedulingContext.for_scenario(scenario)
-    dag, _ = schedule_fcfs_list(scenario, ctx=ctx)
+    ctx = SchedulingContext(scenario)
+    dag, _ = schedule_fcfs_list(ctx)
     n = len(dag.rows)
     for _ in range(6):
         site, start = dag.site.copy(), dag.start.copy()
@@ -203,8 +203,8 @@ def test_point_fit_agrees_with_the_earliest_fit(scenario, data):
     """On an FCFS-list placement with a few tasks taken out again, a task
     fits at (site, start) exactly when its earliest fit from that start is
     that start, for every site and every start of the grid."""
-    ctx = SchedulingContext.for_scenario(scenario)
-    dag, _ = schedule_fcfs_list(scenario, ctx=ctx)
+    ctx = SchedulingContext(scenario)
+    dag, _ = schedule_fcfs_list(ctx)
     pl = Placement(ctx).load(dag)
     rows = data.draw(st.lists(st.integers(0, ctx.n_tasks - 1), max_size=3)) if ctx.n_tasks else []
     for r in rows:

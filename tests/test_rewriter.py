@@ -22,6 +22,7 @@ from obsched.rewriter import (
 from obsched.scenario import GenConfig, generate_scenario
 from obsched.schedule import (
     Assignment,
+    SchedulingContext,
     build_dag,
     dump_schedule,
     total_slowdown,
@@ -30,7 +31,7 @@ from obsched.schedule import (
 
 
 def build(scenario, triples):
-    return build_dag(scenario, [Assignment(t, s, b) for t, s, b in triples])
+    return build_dag(SchedulingContext(scenario), [Assignment(t, s, b) for t, s, b in triples])
 
 
 class TestCandidates:
@@ -259,7 +260,7 @@ class TestRewritePin:
     }
 
     def _chain(self, gen, seed):
-        dag, _ = schedule_fcfs_list(generate_scenario(gen, seed))
+        dag, _ = schedule_fcfs_list(SchedulingContext(generate_scenario(gen, seed)))
         rng = np.random.default_rng(seed)
         policy = RandomPolicy()
         digest = hashlib.sha256()
@@ -359,10 +360,10 @@ class TestSearch:
                     (int(rng.integers(0, 20)), int(rng.integers(1, 7)), rho if any(rho) else U)
                 )
             s = toy_scenario(specs)
-            opt = brute_force_optimal(s)
+            opt = brute_force_optimal(SchedulingContext(s))
             from obsched.heuristics import TaskRule, schedule_online_heuristic
 
-            init, drops = schedule_online_heuristic(s, TaskRule.FCFS, None)
+            init, drops = schedule_online_heuristic(SchedulingContext(s), TaskRule.FCFS, None)
             assert not drops
             best = init
             for restart in range(10):

@@ -3,7 +3,7 @@ task embeddings."""
 import numpy as np
 import pytest
 
-from conftest import G, I, U, UG, UGI, toy_scenario
+from conftest import G, I, U, UG, toy_scenario
 from obsched.schedule import (
     Assignment,
     InfeasibleAssignmentError,
@@ -18,10 +18,8 @@ from obsched.schedule import (
 )
 
 
-def build(scenario, triples, ctx=None):
-    return build_dag(
-        scenario, [Assignment(t, s, b) for t, s, b in triples], ctx=ctx
-    )
+def build(scenario, triples):
+    return build_dag(SchedulingContext(scenario), [Assignment(t, s, b) for t, s, b in triples])
 
 
 def extract_assignments(dag):
@@ -131,7 +129,7 @@ class TestBuildAndEdges:
     def test_build_extract_round_trip(self):
         s = toy_scenario([(0, 10, U), (0, 5, G), (7, 5, I), (0, 5, U)])
         dag = build(s, [(0, 0, 0), (1, 0, 0), (2, 0, 7), (3, 0, 10)])
-        again = build_dag(s, extract_assignments(dag), ctx=dag.ctx)
+        again = build_dag(dag.ctx, extract_assignments(dag))
         assert again == dag
 
 
@@ -289,7 +287,7 @@ class TestEmbedding:
         from obsched.scenario import GenConfig, generate_scenario
 
         cfg = GenConfig(horizon_steps=90, arrival_prob=0.3, num_sites=n_sites)
-        dag, _ = schedule_fcfs_list(generate_scenario(cfg, seed))
+        dag, _ = schedule_fcfs_list(SchedulingContext(generate_scenario(cfg, seed)))
         assert len(dag.rows) > 5
         for distributed in (False, True):
             assert embedding_matrix(dag, distributed).tobytes() == _embedding_by_task(dag, distributed).tobytes()
@@ -332,8 +330,8 @@ def test_edge_time_consistency_property():
     cfg = GenConfig(horizon_steps=90, arrival_prob=0.25, mode_exposure_count_frac=0.5)
     for seed in range(4):
         s = generate_scenario(cfg, seed)
-        ctx = SchedulingContext.for_scenario(s)
-        dag, _ = schedule_online_heuristic(s, TaskRule.STF, None, ctx=ctx)
+        ctx = SchedulingContext(s)
+        dag, _ = schedule_online_heuristic(ctx, TaskRule.STF, None)
         comp = {}
         for i, r in enumerate(dag.rows):
             comp.setdefault(
