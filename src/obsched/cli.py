@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -236,6 +237,9 @@ def _bench_one(payload: dict):
     return avg, len(drops), wall
 
 
+#: text XML 1.0 can hold, escaped or not: the variant names slowdown.svg takes
+_XML_TEXT = re.compile(r"[\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]*")
+
 _BENCH_FIELDS = {
     "gen", "constraints", "seeds", "queue_cap", "schedulers", "variants",
     "checkpoint", "replan_steps",
@@ -267,13 +271,15 @@ def run_benchmark(config: dict, out_dir, *, workers: int | None = None, log=None
             raise ScenarioError(f"schedulers[{j}]: must be a scheduler name, got {name!r}") from None
     gen = read_field(config, "gen", "", dict, default={})
     variants = read_field(config, "variants", "", dict, default={}) or {"default": {}}
+    for vname in variants:
+        if not _XML_TEXT.fullmatch(vname):
+            raise ScenarioError(f"variants: name {vname!r} holds a character XML 1.0 forbids")
     gen_cfgs = {
         vname: gen_config_from_obj({**gen, **read_field(variants, vname, "variants", dict)})
         for vname in variants
     }
     checkpoint = read_field(config, "checkpoint", "", str, default=None)
-    if workers is None:
-        workers = default_workers()
+    workers = read_field(default_workers() if workers is None else workers, None, "workers", int, 1)
     os.makedirs(out_dir, exist_ok=True)
 
     cells = [
@@ -372,8 +378,8 @@ def _escape(text: str) -> str:
 def grouped_bar_svg(groups, series, values, title="") -> str:
     """Self-contained grouped-bar chart; the plotted numbers are embedded
     as CSV in a <desc> block so the figure carries its own data table.
-    Names are written as XML-escaped text, so any name keeps it
-    well-formed."""
+    Names are written as XML-escaped text, and must hold only characters
+    XML 1.0 allows (``run_benchmark`` checks its variant names)."""
     w_bar, gap, group_gap = 18, 2, 24
     left, top, height = 60, 30, 220
     n_g, n_s = len(groups), len(series)
@@ -530,7 +536,7 @@ def _cmd_inspect(args) -> int:
     if args.scenario:
         s = load_scenario(args.scenario)
         ctx = SchedulingContext(s)
-        vis_frac = ctx.mask.mean(axis=(0, 2)) if len(s.targets) else np.zeros(len(s.sites))
+        vis_frac = (ctx.run_left > 0).mean(axis=(0, 2)) if len(s.targets) else np.zeros(len(s.sites))
         print(f"scenario: {len(s.targets)} targets, {len(s.tasks)} tasks, seed {s.rng_seed}")
         print(
             f"grid: {s.grid.horizon_steps} x {s.grid.step_minutes} min from "

@@ -248,10 +248,11 @@ def brute_force_optimal(ctx: SchedulingContext) -> ScheduleDag:
                 c2 = b2 + int(ctx.exposure[r2])
                 if c2 >= lo and st.fits(row, s, c2):
                     out.add((s, c2))
-            run_start = ctx.run_start[tr, s]
-            for w in np.unique(run_start[run_start >= lo]).tolist():
-                if st.fits(row, s, int(w)):
-                    out.add((s, int(w)))
+            rl = ctx.run_left[tr, s]  # window openings: visible steps after hidden ones
+            w = lo + np.flatnonzero(rl[lo:] > 0)
+            for b in w[(w == 0) | (rl[w - 1] == 0)].tolist():
+                if st.fits(row, s, b):
+                    out.add((s, b))
         return sorted(out, key=lambda sb: (sb[1], sb[0]))
 
     def lower_bound(rest: list[int]) -> float:

@@ -74,36 +74,38 @@ class PolicyConfig:
         return embedding_length(self.n_filters, self.e_max, self.n_sites, self.distributed)
 
 
+#: the published region-loss weight, learning-rate schedule and Adam settings
+ALPHA = 10.0
+LR = 1e-4
+LR_DECAY = 0.9
+LR_DECAY_EVERY = 1000
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Trainer hyperparameters.
 
-    The loss weight, discount, learning-rate schedule, and batch size are
-    the published settings; ``episode_len`` is the rollout length used
-    while training (evaluation rollouts use the search config's step
-    budget).
+    The discount and batch size are the published settings;
+    ``episode_len`` is the rollout length used while training (evaluation
+    rollouts use the search config's step budget).
     """
 
-    alpha: float = 10.0
     gamma: float = 0.9
-    lr: float = 1e-4
-    lr_decay: float = 0.9
-    lr_decay_every: int = 1000
     batch: int = 128
     episode_len: int = 25
     steps: int = 2000
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
-        for name in ("alpha", "gamma", "lr", "lr_decay", "batch", "episode_len", "steps"):
+        for name in ("gamma", "batch", "episode_len", "steps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
 
-def learning_rate_at(cfg: TrainConfig, step: int) -> float:
-    return cfg.lr * cfg.lr_decay ** (step // cfg.lr_decay_every)
+def learning_rate_at(step: int) -> float:
+    return LR * LR_DECAY ** (step // LR_DECAY_EVERY)
 
 
 _PARAM_SPECS = [
@@ -284,7 +286,7 @@ def _actor_critic(
     if delta is None:
         delta = g - qs.value  # critic baseline, detached
     l_rule = ag.weighted_sum(logps, -delta)
-    combined = ag.add(l_rule, ag.scale(l_region, config.alpha))
+    combined = ag.add(l_rule, ag.scale(l_region, ALPHA))
     return l_region, l_rule, combined
 
 
@@ -329,20 +331,18 @@ def losses(
 class Adam:
     """Standard Adam on a flat parameter vector."""
 
-    def __init__(self, size: int, cfg: TrainConfig):
+    def __init__(self, size: int):
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
-        self.cfg = cfg
 
     def step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-        b1, b2, eps = self.cfg.adam_beta1, self.cfg.adam_beta2, self.cfg.adam_eps
         self.t += 1
-        self.m = b1 * self.m + (1.0 - b1) * grad
-        self.v = b2 * self.v + (1.0 - b2) * grad * grad
-        mhat = self.m / (1.0 - b1**self.t)
-        vhat = self.v / (1.0 - b2**self.t)
-        return params - lr * mhat / (np.sqrt(vhat) + eps)
+        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grad
+        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grad * grad
+        mhat = self.m / (1.0 - ADAM_BETA1**self.t)
+        vhat = self.v / (1.0 - ADAM_BETA2**self.t)
+        return params - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 # --- checkpoints -------------------------------------------------------------
@@ -522,8 +522,9 @@ def train(
 
     Returns the best-validation network and the learning-curve rows.
     """
-    if val_every < 1:
-        raise ValueError(f"val_every: must be an integer >= 1, got {val_every!r}")
+    read_field(val_every, None, "val_every", int, 1)
+    workers = read_field(default_workers() if workers is None else workers, None, "workers", int, 1)
+    workers = min(workers, train_cfg.batch)
     if policy_cfg is None:
         policy_cfg = PolicyConfig(
             n_filters=gen_cfg.num_filters,
@@ -532,10 +533,7 @@ def train(
         )
     net = PolicyNet(policy_cfg, seed=seed)
     flat = net.flat()
-    adam = Adam(flat.size, train_cfg)
-    if workers is None:
-        workers = default_workers()
-    workers = max(1, min(workers, train_cfg.batch))
+    adam = Adam(flat.size)
 
     curve: list[dict] = []
     best_val = np.inf
@@ -619,7 +617,7 @@ def train(
             grad, stats = run_batch(step, pool)
             if not np.all(np.isfinite(grad)):
                 raise FloatingPointError(f"non-finite gradient at step {step}")
-            flat = adam.step(flat, grad, learning_rate_at(train_cfg, step))
+            flat = adam.step(flat, grad, learning_rate_at(step))
             if (step + 1) % val_every == 0 or step + 1 == train_cfg.steps:
                 evaluate(step + 1, stats)
     finally:

@@ -8,11 +8,12 @@ placement model: every scheduler, the exhaustive oracle, the learned
 online loop and the rewriter take releases and fits from it, commit and
 uncommit rows on it and freeze the result with `to_dag`.  Outside it
 only `validate` (the independent reference) and `build_from_arrays`
-(the whole-dag array form) write an occupancy profile.  Edge semantics: a
-task hangs off its site's root node when it starts as early as its own
-constraints allow (arrival, sibling cadence, visibility-window opening);
-otherwise it must start exactly when some same-site task completes, and
-one edge per such predecessor is present.
+(the whole-dag array form) write an occupancy profile.  Visibility is
+one table, ``SchedulingContext.run_left``.  Edge semantics: a task hangs
+off its site's root node when it starts at its release (arrival, sibling
+cadence) or on the first step of its visible run; it also hangs off every
+same-site task whose completion equals its start, and off the root alone
+when it has neither.
 """
 from __future__ import annotations
 
@@ -80,8 +81,10 @@ class SchedulingContext:
     ``VisibilityConstraints`` when none are given, and shared by every
     dag over that scenario; read-only after construction.  It owns the
     static half of the placement model: the visibility + deadline window
-    lookup (``static_starts``, ``fits_statically``).  The sibling-cadence
-    release depends on what is committed, so it lives on ``Placement``.
+    lookup (``static_starts``, ``fits_statically``) over ``run_left``, the
+    number of consecutive observable steps from each (target, site, step),
+    0 where the target is not observable.  The sibling-cadence release
+    depends on what is committed, so it lives on ``Placement``.
     """
 
     def __init__(self, scenario: Scenario, constraints: VisibilityConstraints | None = None):
@@ -122,26 +125,21 @@ class SchedulingContext:
                 self.prev_sibling[r] = prev
                 self.sibling_gap[r] = scenario.targets[tgt_row[t.target_id]].mode.sibling_gap
 
-        # visibility per (target, site): step mask, airmass, and for every
-        # step the start of its visible run / first invisible step after it
+        # visibility per (target, site, step): airmass and run_left
         nt, ns, h = len(scenario.targets), self.n_sites, self.horizon
-        self.mask = np.zeros((nt, ns, h), dtype=bool)
         self.air = np.full((nt, ns, h), np.inf)
-        # step indices lie in [-1, horizon]: int32 halves the two tables
-        self.run_start = np.full((nt, ns, h), -1, dtype=np.int32)
-        self.vis_until = np.zeros((nt, ns, h), dtype=np.int32)
+        # run lengths lie in [0, horizon]: int32 halves the table
+        self.run_left = np.zeros((nt, ns, h), dtype=np.int32)
         if nt:
             ra = np.array([t.coord.ra for t in scenario.targets])
             dec = np.array([t.coord.dec for t in scenario.targets])
             idx = np.arange(h, dtype=np.int32)
             for si, site in enumerate(scenario.sites):
                 m, am = visibility_masks_multi(ra, dec, site.coord, scenario.grid, constraints)
-                self.mask[:, si] = m
                 self.air[:, si] = am
-                inv = np.where(~m, idx[None, :], np.int32(h))
-                self.vis_until[:, si] = np.minimum.accumulate(inv[:, ::-1], axis=1)[:, ::-1]
-                prev_inv = np.maximum.accumulate(np.where(~m, idx[None, :], np.int32(-1)), axis=1)
-                self.run_start[:, si] = np.where(m, prev_inv + 1, np.int32(-1))
+                # first unobservable step at or after each step, minus the step
+                inv = np.where(m, np.int32(h), idx[None, :])
+                self.run_left[:, si] = np.minimum.accumulate(inv[:, ::-1], axis=1)[:, ::-1] - idx
 
     # -- static feasibility of one task at (site, start), other tasks aside --
 
@@ -150,20 +148,18 @@ class SchedulingContext:
         allow, occupancy aside.
 
         Returns ``(first, ok)`` with ``first = max(lo, arrival)``: a start
-        at ``first + k`` keeps the whole exposure inside one visibility
-        window and completes by ``limit`` iff ``k < ok.size and ok[k]``.
-        ``ok`` is empty when no step of ``[first, limit - exposure]`` is
-        visible.
+        at ``first + k`` keeps the whole exposure inside one visible run
+        (``run_left >= exposure``) and completes by ``limit`` iff
+        ``k < ok.size and ok[k]``.  ``ok`` is empty when no start of
+        ``[first, limit - exposure]`` fits.
         """
         e = int(self.exposure[row])
         lo = max(int(lo), int(self.arrival[row]))
         hi = int(self.limit[row]) - e
         if hi >= lo:
-            tr = int(self.target_row[row])
-            vis = self.mask[tr, site, lo : hi + 1]
-            if vis.any():  # cheap exit for the many sites that never see the target
-                fits = self.vis_until[tr, site, lo : hi + 1] >= np.arange(lo + e, hi + e + 1)
-                return lo, vis & fits
+            ok = self.run_left[int(self.target_row[row]), site, lo : hi + 1] >= e
+            if ok.any():  # cheap exit for the many sites that never see the target
+                return lo, ok
         return lo, np.zeros(0, dtype=bool)
 
     def fits_statically(self, row: int, site: int, start: int) -> str | None:
@@ -173,10 +169,7 @@ class SchedulingContext:
             return "arrival"
         if start + e > self.limit[row]:
             return "deadline"
-        tr = int(self.target_row[row])
-        if start >= self.horizon or not self.mask[tr, site, start]:
-            return "visibility"
-        if self.vis_until[tr, site, start] < start + e:
+        if self.run_left[int(self.target_row[row]), site, start] < e:
             return "visibility"
         return None
 
@@ -284,10 +277,9 @@ def build_from_arrays(ctx: SchedulingContext, rows, site, start) -> ScheduleDag:
 
     # static checks (fits_statically, vectorised): visibility is read only
     # where the site, arrival and deadline checks pass
-    ok = (site >= 0) & (site < ns) & (start >= arrival) & (start + e <= ctx.limit[rows]) & (start < h)
+    ok = (site >= 0) & (site < ns) & (start >= arrival) & (start + e <= ctx.limit[rows])
     i = np.flatnonzero(ok)
-    si, bi = site[i], start[i]
-    ok[i] = ctx.mask[tr[i], si, bi] & (ctx.vis_until[tr[i], si, bi] >= bi + e[i])
+    ok[i] = ctx.run_left[tr[i], site[i], start[i]] >= e[i]
 
     # occupancy cells of the statically feasible tasks as flat
     # (site, filter, step) keys, in (task, filter, step) order
@@ -314,7 +306,8 @@ def build_from_arrays(ctx: SchedulingContext, rows, site, start) -> ScheduleDag:
         _raise_first_violation(ctx, rows, site, start, ok, release, ci, ck, keys)
 
     eta = (start + e - arrival) / e
-    root = start == np.maximum(release, ctx.run_start[tr, site, start])
+    # the root edge: the release, or its visible run's first step (start - 1 = -1 at 0)
+    root = (start == release) | (start == 0) | (ctx.run_left[tr, site, start - 1] == 0)
 
     # dependency edges: completions per site -> starts
     site_l, start_l = site.tolist(), start.tolist()
@@ -323,8 +316,7 @@ def build_from_arrays(ctx: SchedulingContext, rows, site, start) -> ScheduleDag:
         comp_map.setdefault(key, []).append(node)
     parents: list[tuple[int, ...]] = [()] * ns
     for node, (s, b, at_root) in enumerate(zip(site_l, start_l, root.tolist()), ns):
-        # the root edge: starts as early as its own constraints allow; the
-        # root comes first and the completions ascend, so p is sorted
+        # the root comes first and the completions ascend, so p is sorted
         p = [s] if at_root else []
         p.extend(q for q in comp_map.get((s, b), ()) if q != node)
         # no predecessor completes at B (e.g. a rewrite vacated the slot
@@ -507,8 +499,8 @@ def validate(dag: ScheduleDag) -> list[Violation]:
         tid = int(ctx.task_id[r])
         want: list[int] = []
         tr = int(ctx.target_row[r])
-        if b < ctx.horizon and ctx.mask[tr, s, b]:
-            if b == max(release[i], int(ctx.run_start[tr, s, b])):
+        if b < ctx.horizon and ctx.run_left[tr, s, b] > 0 and b >= release[i]:
+            if b == release[i] or b == 0 or ctx.run_left[tr, s, b - 1] == 0:
                 want.append(s)
         want.extend(q for q in comp_map.get((s, b), ()) if q != ctx.n_sites + i)
         if not want:

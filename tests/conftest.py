@@ -5,9 +5,17 @@ from __future__ import annotations
 
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 
-from obsched.ephemeris import GeoCoord, SkyCoord, TimeGrid, local_sidereal_time
+from obsched.ephemeris import (
+    GeoCoord,
+    SkyCoord,
+    TimeGrid,
+    VisibilityConstraints,
+    local_sidereal_time,
+    visibility_masks_multi,
+)
 from obsched.scenario import (
     CADENCE,
     EXPOSURE_COUNT,
@@ -101,6 +109,19 @@ def toy_scenario(
         tasks=tuple(tasks),
         rng_seed=0,
     )
+
+
+def visible_steps(scenario, constraints: VisibilityConstraints) -> np.ndarray:
+    """Observability per (target, site, step), straight from the
+    ephemeris: the reference the context's visibility table is checked
+    against."""
+    ra = np.array([t.coord.ra for t in scenario.targets])
+    dec = np.array([t.coord.dec for t in scenario.targets])
+    out = np.zeros((len(ra), len(scenario.sites), scenario.grid.horizon_steps), dtype=bool)
+    if len(ra):
+        for si, site in enumerate(scenario.sites):
+            out[:, si] = visibility_masks_multi(ra, dec, site.coord, scenario.grid, constraints)[0]
+    return out
 
 
 U = (True, False, False)

@@ -243,6 +243,8 @@ class TestBenchmark:
             ({"gen": {**GEN, "step_minutes": 0}}, "step_minutes"),
             ({"variants": {"a": {"num_sites": 0}}}, "num_sites"),
             ({"variants": {"a": {"arrival_mode": "dynamic", "dynamic_max_prob": 5.0}}}, "dynamic_max_prob"),
+            # used to run every cell, then write an SVG no XML parser reads
+            ({"variants": {"a\x01b": {}}}, "variants"),
         ],
     )
     def test_bad_bench_values_named_before_work(self, tmp_path, config, field):
@@ -435,9 +437,20 @@ class TestMain:
                 ["--scheduler", "stf", "--seed", "-2"],
                 "error: seed: must be an integer >= 0, got -2",
             ),
+            # used to run one worker, or serially, without a word
+            (
+                "train", GEN,
+                ["--workers", "-3", "--steps", "1", "--batch", "1", "--episode-len", "2",
+                 "--val-every", "1"],
+                "error: workers: must be an integer >= 1, got -3",
+            ),
+            (
+                "bench", {"gen": GEN, "seeds": {"count": 1}}, ["--workers", "0"],
+                "error: workers: must be an integer >= 1, got 0",
+            ),
         ],
         ids=["bench-seeds", "bench-list", "generate-list", "train-hidden", "train-val-every",
-             "generate-seed", "train-seed", "simulate-seed"],
+             "generate-seed", "train-seed", "simulate-seed", "train-workers", "bench-workers"],
     )
     def test_bad_input_exits_1_before_writing(self, tmp_path, capsys, command, config, extra, message):
         cfg = tmp_path / "cfg.json"

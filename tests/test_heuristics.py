@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from conftest import G, U, UGI, toy_scenario
+from conftest import G, U, UGI, toy_scenario, visible_steps
 from obsched.heuristics import (
     SiteRule,
     TaskRule,
@@ -117,6 +117,7 @@ def _independent_online_sim(s, ctx, rule, queue_cap=10):
     """Step-by-step re-simulation of the online dispatch semantics with
     naive data structures; the oracle for the simulator."""
     horizon, nsites, nf = ctx.horizon, ctx.n_sites, ctx.n_filters
+    vis = visible_steps(s, ctx.constraints)
     busy = np.zeros((nsites, nf, horizon), dtype=bool)
     placed: dict[int, tuple[int, int]] = {}
     dropped: set[int] = set()
@@ -147,7 +148,7 @@ def _independent_online_sim(s, ctx, rule, queue_cap=10):
         if b < t.arrival or b + t.exposure > min(t.deadline, horizon):
             return False
         tr = next(i for i, tt in enumerate(s.targets) if tt.id == t.target_id)
-        if not all(ctx.mask[tr, site, b : b + t.exposure]):
+        if not vis[tr, site, b : b + t.exposure].all():
             return False
         for f in range(nf):
             if t.rho[f] and busy[site, f, b : b + t.exposure].any():
@@ -167,7 +168,7 @@ def _independent_online_sim(s, ctx, rule, queue_cap=10):
         best = -1
         for site in range(nsites):
             for b in range(t.arrival, min(t.deadline, horizon) - t.exposure + 1):
-                if all(ctx.mask[tr, site, b : b + t.exposure]):
+                if vis[tr, site, b : b + t.exposure].all():
                     best = max(best, b)
         return best
 

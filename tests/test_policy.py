@@ -603,10 +603,9 @@ class TestCheckpoints:
 
 class TestTrainerMechanics:
     def test_learning_rate_schedule(self):
-        tc = TrainConfig()
-        assert learning_rate_at(tc, 0) == pytest.approx(1e-4)
-        assert learning_rate_at(tc, 2500) == pytest.approx(1e-4 * 0.9**2)
-        assert learning_rate_at(tc, 999) == pytest.approx(1e-4)
+        assert learning_rate_at(0) == pytest.approx(1e-4)
+        assert learning_rate_at(2500) == pytest.approx(1e-4 * 0.9**2)
+        assert learning_rate_at(999) == pytest.approx(1e-4)
 
     def test_single_worker_training_is_reproducible(self):
         from obsched.scenario import GenConfig

@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import visible_steps
 from obsched.cli import run_online
 from obsched.heuristics import schedule_fcfs_list
 from obsched.policy import PolicyConfig, PolicyNet
@@ -107,7 +108,9 @@ def test_json_round_trip_is_byte_identical(scenario):
 
 def _build_by_loop(ctx, rows, site, start) -> ScheduleDag:
     """Reference for ``build_from_arrays``: one pass per task in task-id
-    order, raising at the first violation it meets."""
+    order, raising at the first violation it meets.  Visibility comes from
+    the ephemeris, not from the context's table."""
+    vis = visible_steps(ctx.scenario, ctx.constraints)
     order = np.argsort(ctx.task_id[rows], kind="stable")
     rows = np.asarray(rows, dtype=np.int64)[order]
     site = np.asarray(site, dtype=np.int64)[order]
@@ -126,10 +129,13 @@ def _build_by_loop(ctx, rows, site, start) -> ScheduleDag:
         tid = int(ctx.task_id[r])
         if not 0 <= s < ctx.n_sites:
             raise InfeasibleAssignmentError(tid, s, b, "dependency")
-        bad = ctx.fits_statically(r, s, b)
-        if bad is not None:
-            raise InfeasibleAssignmentError(tid, s, b, bad)
         e = int(ctx.exposure[r])
+        if b < ctx.arrival[r]:
+            raise InfeasibleAssignmentError(tid, s, b, "arrival")
+        if b + e > min(ctx.deadline[r], ctx.horizon):
+            raise InfeasibleAssignmentError(tid, s, b, "deadline")
+        if not vis[ctx.target_row[r], s, b : b + e].all():
+            raise InfeasibleAssignmentError(tid, s, b, "visibility")
         block = profile[s][ctx.rho_idx[r], b : b + e]
         if block.any():
             step = b + int(np.argmax(block.max(axis=0) > 0))
@@ -154,8 +160,11 @@ def _build_by_loop(ctx, rows, site, start) -> ScheduleDag:
         r, s, b = int(rows[i]), int(site[i]), int(start[i])
         e = int(ctx.exposure[r])
         eta[i] = (b + e - ctx.arrival[r]) / e
+        opening = b  # first step of the visible run b lies in
+        while opening > 0 and vis[ctx.target_row[r], s, opening - 1]:
+            opening -= 1
         p: list[int] = []
-        if b == max(release[i], int(ctx.run_start[int(ctx.target_row[r]), s, b])):
+        if b == max(release[i], opening):
             p.append(s)
         p.extend(q for q in comp_map.get((s, b), ()) if q != ctx.n_sites + i)
         if not p:
