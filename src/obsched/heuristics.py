@@ -213,11 +213,16 @@ def brute_force_optimal(ctx: SchedulingContext) -> ScheduleDag:
     """Exhaustive minimum-total-slowdown schedule for tiny instances of at
     most ``BRUTE_FORCE_MAX_TASKS`` tasks.
 
-    Enumerates left-shifted schedules only: every task starts at its
-    release point (arrival / sibling release / visibility-window opening)
-    or exactly when another task completes.  Any feasible schedule can be
-    left-shifted into this form without increasing its cost, so the search
-    is exact.  Each schedule is visited once, in nondecreasing start order.
+    Enumerates left-shifted schedules only, in nondecreasing start order:
+    every task starts at its earliest fit from the search floor, or exactly
+    when a task committed before it completes on the same site.  In an
+    optimal schedule no task can start a step earlier, so each start is
+    blocked by its release, a hidden step just before it (a window
+    opening) or a busy filter there, and the earliest fit is the start in
+    the first two cases.  A window opening needs no candidate of its own:
+    a task fitting earlier would end before the hidden step and clash
+    with no later task, so moving it there would lower the cost.  The
+    search is therefore exact.  Each schedule is visited once.
 
     Raises ValueError("no feasible schedule") when the instance cannot be
     fully scheduled.
@@ -237,7 +242,6 @@ def brute_force_optimal(ctx: SchedulingContext) -> ScheduleDag:
         tid = int(ctx.task_id[row])
         lo = st.release(row, floor_start if tid > floor_id else floor_start + 1)
         out: set[tuple[int, int]] = set()
-        tr = int(ctx.target_row[row])
         for s in range(ctx.n_sites):
             b0 = st.fit(row, s, lo)
             if b0 is not None:
@@ -248,11 +252,6 @@ def brute_force_optimal(ctx: SchedulingContext) -> ScheduleDag:
                 c2 = b2 + int(ctx.exposure[r2])
                 if c2 >= lo and st.fits(row, s, c2):
                     out.add((s, c2))
-            rl = ctx.run_left[tr, s]  # window openings: visible steps after hidden ones
-            w = lo + np.flatnonzero(rl[lo:] > 0)
-            for b in w[(w == 0) | (rl[w - 1] == 0)].tolist():
-                if st.fits(row, s, b):
-                    out.add((s, b))
         return sorted(out, key=lambda sb: (sb[1], sb[0]))
 
     def lower_bound(rest: list[int]) -> float:

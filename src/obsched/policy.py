@@ -5,8 +5,14 @@ and the training loop.
 
 The critic is the region score itself, regressed on the full discounted
 return; the rule head is trained by advantage-weighted log-likelihood.
-Acting is tape-free; the one loss, ``losses``, replays each trajectory in
-one batched pass on the package's own reverse-mode tape (see autograd).
+Acting is tape-free and scores each dag once, when it first encodes it:
+the region head runs over every node, and the rule head's first layer is
+split into its region and parent halves, each applied to every node, so
+a step only indexes the region scores and runs the rule head's last two
+layers on its candidates.  The one loss, ``losses``, replays each
+trajectory in one batched pass on the package's own reverse-mode tape
+(see autograd), with the rule head's first layer on the concatenated
+(region, parent) rows.
 """
 from __future__ import annotations
 
@@ -139,7 +145,7 @@ class PolicyNet:
             shape = shape_fn(config.hidden, config.d_in)
             value = rng.uniform(-0.1, 0.1, size=shape) if init else np.zeros(shape)
             self.params[name] = Tensor.param(value)
-        self._cache: tuple[ScheduleDag, Tensor] | None = None
+        self._cache: tuple[ScheduleDag, np.ndarray, np.ndarray, np.ndarray] | None = None
         self._memo: tuple[SchedulingContext, dict] | None = None
 
     # -- parameter plumbing --------------------------------------------------
@@ -199,30 +205,43 @@ class PolicyNet:
         return states
 
     def _encoding(self, dag: ScheduleDag) -> Tensor:
-        """The (n_nodes, 2H) node states of the dag acted on, for scoring
-        off the tape; node states are memoised per scheduling context."""
-        if self._cache is None or self._cache[0] is not dag:
-            if self._memo is None or self._memo[0] is not dag.ctx:
-                self._memo = (dag.ctx, {})
-            self._cache = (dag, ag.stack_rows(self.encode(dag, self._memo[1])))
-        return self._cache[1]
+        """The (n_nodes, 2H) node states of ``dag``, off the tape; node
+        states are memoised per scheduling context."""
+        if self._memo is None or self._memo[0] is not dag.ctx:
+            self._memo = (dag.ctx, {})
+        return ag.stack_rows(self.encode(dag, self._memo[1]))
 
-    def _mlp(self, rows: Tensor, prefix: str) -> Tensor:
-        x = ag.relu(ag.linear(rows, self.params[prefix + "_w1"], self.params[prefix + "_b1"]))
-        x = ag.relu(ag.linear(x, self.params[prefix + "_w2"], self.params[prefix + "_b2"]))
+    def _tables(self, dag: ScheduleDag) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-node head tables of the dag acted on, computed once per dag:
+        every node's region score, and every node's ``h`` through the
+        region half (plus ``rule_b1``) and the parent half of ``rule_w1``."""
+        if self._cache is None or self._cache[0] is not dag:
+            h, p = self.config.hidden, {k: t.value for k, t in self.params.items()}
+            with ag.no_grad():
+                x = self._encoding(dag).value[:, :h]
+                q = self._mlp(Tensor(x @ p["reg_w1"].T + p["reg_b1"]), "reg").value
+            a = x @ p["rule_w1"][:, :h].T + p["rule_b1"]
+            self._cache = (dag, q, a, x @ p["rule_w1"][:, h:].T)
+        return self._cache[1:]
+
+    def _mlp(self, pre: Tensor, prefix: str) -> Tensor:
+        """Layers 2 and 3 of a head, from its first layer's pre-activation."""
+        x = ag.relu(ag.linear(ag.relu(pre), self.params[prefix + "_w2"], self.params[prefix + "_b2"]))
         return ag.squeeze_col(ag.linear(x, self.params[prefix + "_w3"], self.params[prefix + "_b3"]))
 
     def region_scores(self, dag: ScheduleDag, candidates: list[int]) -> Tensor:
-        """Q(s, w) for each candidate region, as one (n,) tensor off the tape."""
-        nodes = [dag.node_of_task[tid] for tid in candidates]
-        with ag.no_grad():
-            return self._mlp(ag.gather_rows(self._encoding(dag), nodes, self.config.hidden), "reg")
+        """Q(s, w) for each candidate region, as one (n,) tensor off the
+        tape, indexed from the dag's all-node region scores."""
+        q, _, _ = self._tables(dag)
+        return Tensor(q[[dag.node_of_task[tid] for tid in candidates]])
 
     def rule_scores(self, dag: ScheduleDag, region: int, candidates: list[tuple]) -> Tensor:
-        """Rule-head logits for (region, candidate-parent) pairs, off the tape."""
+        """Rule-head logits for (region, candidate-parent) pairs, off the
+        tape: the region's and the candidates' first-layer halves from the
+        dag's tables, summed, then the head's last two layers."""
+        _, a, b = self._tables(dag)
         with ag.no_grad():
-            rows = ag.gather_rows(self._encoding(dag), _pairs(dag, 0, region, candidates), self.config.hidden)
-            return self._mlp(rows, "rule")
+            return self._mlp(Tensor(a[dag.node_of_task[region]] + b[_nodes(dag, candidates)]), "rule")
 
     # -- search-policy protocol -------------------------------------------
 
@@ -239,10 +258,14 @@ class PolicyNet:
         return candidates[int(rng.choice(lp.size, p=np.exp(lp)))]
 
 
+def _nodes(dag: ScheduleDag, candidates: list[tuple]) -> list[int]:
+    """The dag nodes of ("root", site) / ("task", id) rule candidates."""
+    return [ref if kind == "root" else dag.node_of_task[ref] for kind, ref in candidates]
+
+
 def _pairs(dag: ScheduleDag, offset: int, region: int, candidates: list[tuple]) -> list[tuple[int, int]]:
     """(region, candidate) row pairs in a state matrix holding ``dag``'s nodes from row ``offset``."""
-    nodes = [ref if kind == "root" else dag.node_of_task[ref] for kind, ref in candidates]
-    return [(offset + dag.node_of_task[region], offset + n) for n in nodes]
+    return [(offset + dag.node_of_task[region], offset + n) for n in _nodes(dag, candidates)]
 
 
 def region_distribution(scores: np.ndarray) -> np.ndarray:
@@ -322,9 +345,10 @@ def losses(
         pairs.extend(_pairs(s.dag, off, a.region, s.rule_candidates))
         bounds.append(len(pairs))
     table = ag.stack_rows(states)
-    h = net.config.hidden
-    qs = net._mlp(ag.gather_rows(table, regions, h), "reg")
-    logps = ag.segment_log_softmax(net._mlp(ag.gather_rows(table, pairs, h), "rule"), bounds, picks)
+    h, p = net.config.hidden, net.params
+    qs = net._mlp(ag.linear(ag.gather_rows(table, regions, h), p["reg_w1"], p["reg_b1"]), "reg")
+    rule = net._mlp(ag.linear(ag.gather_rows(table, pairs, h), p["rule_w1"], p["rule_b1"]), "rule")
+    logps = ag.segment_log_softmax(rule, bounds, picks)
     return _actor_critic(qs, logps, np.array([s.reward for s in trajectory]), config, delta)
 
 
@@ -521,8 +545,11 @@ def train(
     best parameters.
 
     Returns the best-validation network and the learning-curve rows.
+    Until a validation value is finite (as with ``val_instances=0``), the
+    latest evaluated parameters stand in for the best.
     """
     read_field(val_every, None, "val_every", int, 1)
+    read_field(val_instances, None, "val_instances", int, 0)
     workers = read_field(default_workers() if workers is None else workers, None, "workers", int, 1)
     workers = min(workers, train_cfg.batch)
     if policy_cfg is None:
@@ -574,10 +601,11 @@ def train(
         nonlocal best_val, best_flat, best_step
         net.set_flat(flat)
         val = _validation_slowdown(net, gen_cfg, search_cfg, seed, val_instances)
-        if np.isfinite(val) and val < best_val:
-            best_val = val
+        if val < best_val or best_val == np.inf:  # no finite value yet: keep the latest
             best_flat = flat.copy()
             best_step = step
+            if np.isfinite(val):
+                best_val = val
         row = {
             "step": step,
             "train_loss": float(np.mean([s[0] for s in stats])) if stats else float("nan"),

@@ -3,6 +3,7 @@ meridian, so visibility is guaranteed for the whole horizon and tests can
 exercise pure scheduling logic under the real predicate."""
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -25,6 +26,7 @@ from obsched.scenario import (
     Site,
     Target,
 )
+from obsched.schedule import SchedulingContext
 
 # midwinter midnight at Greenwich: the sun sits far below -12 deg all night
 EPOCH = datetime(2025, 6, 21, 0, 0, tzinfo=timezone.utc)
@@ -109,6 +111,22 @@ def toy_scenario(
         tasks=tuple(tasks),
         rng_seed=0,
     )
+
+
+def transit_context(task_specs, transits, n_sites: int = 1, west_deg: float | None = None) -> SchedulingContext:
+    """``toy_scenario`` with target ``k`` moved to transit site 0 at step
+    ``transits[k]``, seen above 85 deg only: an equatorial target seen from
+    the equator stands at 90 - |hour angle| deg, so it is visible for the
+    ~40 steps around its transit.  ``west_deg`` moves site 1 that far west
+    of site 0, so that each target transits it 4 steps per degree later."""
+    s = toy_scenario(task_specs, n_sites=n_sites)
+    if west_deg is not None:
+        s = replace(s, sites=(s.sites[0], replace(s.sites[1], coord=GeoCoord(0.0, -west_deg))) + s.sites[2:])
+    targets = tuple(
+        replace(t, coord=SkyCoord(local_sidereal_time(EPOCH, b, s.sites[0].coord), 0.0))
+        for t, b in zip(s.targets, transits)
+    )
+    return SchedulingContext(replace(s, targets=targets), VisibilityConstraints(min_altitude_deg=85.0))
 
 
 def visible_steps(scenario, constraints: VisibilityConstraints) -> np.ndarray:

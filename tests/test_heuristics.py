@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from conftest import G, U, UGI, toy_scenario, visible_steps
+from conftest import G, U, UGI, toy_scenario, transit_context, visible_steps
 from obsched.heuristics import (
     SiteRule,
     TaskRule,
@@ -273,6 +273,25 @@ class TestBruteForce:
         s = toy_scenario([(0, 5, U), (0, 5, U)])
         dag = brute_force_optimal(SchedulingContext(s))
         assert total_slowdown(dag) == pytest.approx(3.0)  # 1 + 2
+
+    def test_unique_optimum_at_a_later_window_opening(self):
+        # site 1 lies 10 deg west, so its windows open 40 steps later.  Task
+        # 0 (due by 36) fits on site 0 only from its opening at 6; task 1,
+        # on the same filter, then fits on site 0 neither before it nor
+        # after it, and waits for its window on site 1 to open at 42: not
+        # its arrival, not its earliest fit (site 0, step 3) and no task's
+        # completion
+        ctx = transit_context([(0, 30, U, 36), (0, 10, U)], (25, 22), n_sites=2, west_deg=10.0)
+        assert [int(np.argmax(ctx.run_left[1, s] > 0)) for s in (0, 1)] == [3, 42]
+        dag = brute_force_optimal(ctx)
+        fh = io.StringIO()
+        dump_schedule(dag, fh)
+        assert fh.getvalue() == (
+            '{"task_id": 0, "site": 0, "start": 6, "slowdown": 1.2}\n'
+            '{"task_id": 1, "site": 1, "start": 42, "slowdown": 5.2}\n'
+        )
+        assert total_slowdown(dag) == pytest.approx(6.4)
+        assert dag.parents[dag.node_of_task[1]] == (1,) and validate(dag) == []
 
     def test_infeasible_instance_raises(self):
         # two tasks, same filter, both must finish by step 5

@@ -176,20 +176,41 @@ def _fcfs_dag(gen_cfg, seed):
     return dag
 
 
+def _numpy_mlp_top(p, pre, prefix):
+    """Layers 2 and 3 of a head, from its first layer's pre-activation."""
+    x = np.where(pre > 0.0, pre, 0.0)
+    x = x @ p[prefix + "_w2"].T + p[prefix + "_b2"]
+    x = np.where(x > 0.0, x, 0.0)
+    return (x @ p[prefix + "_w3"].T + p[prefix + "_b3"])[:, 0]
+
+
 def _numpy_heads(net, dag, regions, region, rule_cands):
-    """The heads as plain numpy over per-node state rows: each candidate's
-    first H state entries, concatenated after the region's for the rule
-    head, through the same three linears and relus."""
+    """The heads as plain numpy in their once-per-dag form: the region head
+    over every node's first H state entries, then indexed; the rule head's
+    first layer split into its region half (plus its bias) and its parent
+    half, each applied to every node, then one region row added to the
+    candidates' rows and passed through the last two linears and relus."""
+    h = net.config.hidden
+    x = np.stack([s.value for s in net.encode(dag)])[:, :h]
+    p = {k: v.value for k, v in net.params.items()}
+    q_all = _numpy_mlp_top(p, x @ p["reg_w1"].T + p["reg_b1"], "reg")
+    a = x @ p["rule_w1"][:, :h].T + p["rule_b1"]
+    b = x @ p["rule_w1"][:, h:].T
+    nodes = [ref if kind == "root" else dag.node_of_task[ref] for kind, ref in rule_cands]
+    q = q_all[[dag.node_of_task[t] for t in regions]]
+    return q, _numpy_mlp_top(p, a[dag.node_of_task[region]] + b[nodes], "rule")
+
+
+def _concatenated_heads(net, dag, regions, region, rule_cands):
+    """The heads in the loss's form: each candidate's first H state
+    entries, concatenated after the region's for the rule head, through
+    the full first linear layer."""
     h = net.config.hidden
     states = [s.value for s in net.encode(dag)]
     p = {k: v.value for k, v in net.params.items()}
 
     def mlp(rows, prefix):
-        x = rows @ p[prefix + "_w1"].T + p[prefix + "_b1"]
-        x = np.where(x > 0.0, x, 0.0)
-        x = x @ p[prefix + "_w2"].T + p[prefix + "_b2"]
-        x = np.where(x > 0.0, x, 0.0)
-        return (x @ p[prefix + "_w3"].T + p[prefix + "_b3"])[:, 0]
+        return _numpy_mlp_top(p, rows @ p[prefix + "_w1"].T + p[prefix + "_b1"], prefix)
 
     q = mlp(np.stack([states[dag.node_of_task[t]][:h] for t in regions]), "reg")
     region_h = states[dag.node_of_task[region]][:h]
@@ -198,31 +219,47 @@ def _numpy_heads(net, dag, regions, region, rule_cands):
     return q, u
 
 
-class TestHeads:
-    @pytest.mark.parametrize(
-        "gen_kw, seed",
-        [
-            (dict(horizon_steps=240, arrival_prob=0.10, mode_exposure_count_frac=0.0), 3),
-            (dict(horizon_steps=60, arrival_prob=0.25, mode_exposure_count_frac=0.0, num_sites=5), 4),
-        ],
-        ids=["intra", "five-site"],
-    )
-    def test_scores_bitwise_equal_numpy_composition(self, gen_kw, seed):
-        from obsched.rewriter import candidate_parents, candidate_regions
-        from obsched.scenario import GenConfig
+HEAD_CASES = pytest.mark.parametrize(
+    "gen_kw, seed",
+    [
+        (dict(horizon_steps=240, arrival_prob=0.10, mode_exposure_count_frac=0.0), 3),
+        (dict(horizon_steps=60, arrival_prob=0.25, mode_exposure_count_frac=0.0, num_sites=5), 4),
+    ],
+    ids=["intra", "five-site"],
+)
 
-        gen = GenConfig(**gen_kw)
-        dag = _fcfs_dag(gen, seed)
-        cfg = PolicyConfig(
-            hidden=64, n_filters=3, n_sites=gen.num_sites, distributed=gen.num_sites > 1
-        )
-        net = PolicyNet(cfg, seed=2)
-        regions = candidate_regions(dag)
-        for region in regions[:3] + regions[-2:]:
-            rule_cands = candidate_parents(dag, region) + [("root", 0)]
+
+def _head_case(gen_kw, seed):
+    """(net, dag, candidate regions, [(region, rule candidates)]) for a
+    hidden-64 net on an FCFS dag: the first three and last two regions."""
+    from obsched.rewriter import candidate_parents, candidate_regions
+    from obsched.scenario import GenConfig
+
+    gen = GenConfig(**gen_kw)
+    dag = _fcfs_dag(gen, seed)
+    cfg = PolicyConfig(hidden=64, n_filters=3, n_sites=gen.num_sites, distributed=gen.num_sites > 1)
+    regions = candidate_regions(dag)
+    rules = [(r, candidate_parents(dag, r) + [("root", 0)]) for r in regions[:3] + regions[-2:]]
+    return PolicyNet(cfg, seed=2), dag, regions, rules
+
+
+class TestHeads:
+    @HEAD_CASES
+    def test_scores_bitwise_equal_numpy_composition(self, gen_kw, seed):
+        net, dag, regions, rules = _head_case(gen_kw, seed)
+        for region, rule_cands in rules:
             q, u = _numpy_heads(net, dag, regions, region, rule_cands)
             assert np.array_equal(net.region_scores(dag, regions).value, q)
             assert np.array_equal(net.rule_scores(dag, region, rule_cands).value, u)
+
+    @HEAD_CASES
+    def test_scores_match_the_concatenated_first_layer(self, gen_kw, seed):
+        # splitting the first layer is exact algebra: only rounding moves
+        net, dag, regions, rules = _head_case(gen_kw, seed)
+        for region, rule_cands in rules:
+            q, u = _concatenated_heads(net, dag, regions, region, rule_cands)
+            np.testing.assert_allclose(net.region_scores(dag, regions).value, q, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(net.rule_scores(dag, region, rule_cands).value, u, rtol=1e-12, atol=0)
 
     def test_tape_has_no_per_candidate_nodes(self):
         from obsched.scenario import GenConfig
@@ -462,6 +499,57 @@ class TestNodeStateMemo:
             assert abs(num - grad[i]) < 1e-6 * max(1.0, abs(num), abs(grad[i])), i
 
 
+class TestPerDagScores:
+    """Acting computes the head tables once per dag it acts on; each step
+    only indexes them and runs the rule head's last two layers."""
+
+    def test_heads_run_once_per_distinct_dag(self):
+        gen, train_cfg, search_cfg, policy_cfg = acc.recipe(distributed=False)
+        net = PolicyNet(replace(policy_cfg, hidden=16), seed=5)
+        passes, encoded = [], []
+        top, encoding = net._mlp, net._encoding
+
+        def counted_top(pre, prefix):
+            passes.append((prefix, len(pre.value)))
+            return top(pre, prefix)
+
+        def counted_encoding(dag):
+            encoded.append(dag)
+            return encoding(dag)
+
+        net._mlp, net._encoding = counted_top, counted_encoding
+        dag0 = _training_instance(gen, _instance_seed(0, 0, 1))
+        rng = np.random.default_rng(np.random.SeedSequence([0, 0, 1, 777]))
+        rollout_cfg = replace(search_cfg, num_steps=train_cfg.episode_len)
+        _, traj = rewrite_search(dag0, net, rollout_cfg, rng, pc=search_cfg.pc_at(0))
+        dags = list({id(t.dag): t.dag for t in traj}.values())
+        assert len(traj) == 25 and 2 <= len(dags) < len(traj) / 2
+        assert encoded == dags
+        # the region head over every node, once per dag
+        assert [n for k, n in passes if k == "reg"] == [d.n_nodes for d in dags]
+        # the rule head's last two layers, once per step on its candidates
+        assert [n for k, n in passes if k == "rule"] == [len(t.rule_candidates) for t in traj]
+
+    def test_set_flat_drops_the_tables(self):
+        from obsched.rewriter import candidate_parents
+        from obsched.scenario import GenConfig
+
+        dag = _fcfs_dag(GenConfig(horizon_steps=60, arrival_prob=0.25, mode_exposure_count_frac=0.0), 12)
+        regions = dag.task_ids
+        rule_cands = candidate_parents(dag, regions[-1])
+        net, other = PolicyNet(CFG, seed=0), PolicyNet(CFG, seed=1)
+
+        def scores(n):
+            return n.region_scores(dag, regions).value, n.rule_scores(dag, regions[-1], rule_cands).value
+
+        before = scores(net)
+        net.set_flat(other.flat())
+        after, fresh = scores(net), scores(other)
+        for b, a, f in zip(before, after, fresh):
+            assert not np.array_equal(b, a)
+            assert np.array_equal(a, f)
+
+
 class TestGradientPipeline:
     def test_full_pipeline_matches_finite_differences(self):
         from obsched.heuristics import TaskRule, schedule_online_heuristic
@@ -628,3 +716,37 @@ class TestTrainerMechanics:
         n1, _ = train(gen, tc, sc, CFG, seed=11, workers=2, val_every=100, val_instances=1)
         n2, _ = train(gen, tc, sc, CFG, seed=11, workers=2, val_every=100, val_instances=1)
         assert np.array_equal(n1.flat(), n2.flat())
+
+    def test_no_validation_returns_and_checkpoints_the_latest_weights(self, tmp_path):
+        # with no finite validation value the final parameters stand in for
+        # the best; a run whose one evaluation is finite keeps the same ones
+        from obsched.scenario import GenConfig
+        from obsched.policy import train
+
+        gen = GenConfig(horizon_steps=60, arrival_prob=0.25, mode_exposure_count_frac=0.0)
+        tc = TrainConfig(batch=2, episode_len=5, steps=2)
+        sc = SearchConfig(num_steps=10)
+        latest, _ = train(gen, tc, sc, CFG, seed=11, workers=1, val_every=100, val_instances=1)
+        path = tmp_path / "m.ckpt"
+        net, curve = train(
+            gen, tc, sc, CFG, seed=11, workers=1, val_every=100, val_instances=0, checkpoint_path=path
+        )
+        assert [r["step"] for r in curve] == [2] and math.isnan(curve[0]["val_slowdown"])
+        assert not np.array_equal(net.flat(), PolicyNet(CFG, seed=11).flat())
+        assert np.array_equal(net.flat(), latest.flat())
+        saved, step = load_checkpoint(path)
+        assert step == 2 and np.array_equal(saved.flat(), latest.flat())
+
+    def test_negative_validation_count_is_named(self):
+        from obsched.scenario import GenConfig, ScenarioError
+        from obsched.policy import train
+
+        with pytest.raises(ScenarioError, match=r"^val_instances: must be an integer >= 0, got -3$"):
+            train(
+                GenConfig(horizon_steps=60, arrival_prob=0.25, mode_exposure_count_frac=0.0),
+                TrainConfig(batch=2, episode_len=5, steps=1),
+                SearchConfig(num_steps=10),
+                CFG,
+                workers=1,
+                val_instances=-3,
+            )

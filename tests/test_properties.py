@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import visible_steps
+from conftest import G, U, UG, transit_context, visible_steps
 from obsched.cli import run_online
 from obsched.heuristics import schedule_fcfs_list
 from obsched.policy import PolicyConfig, PolicyNet
@@ -186,24 +186,61 @@ def _outcome(build, ctx, rows, site, start):
     )
 
 
-@SETTINGS
-@given(scenarios(), st.data())
-def test_build_from_arrays_matches_the_per_task_loop(scenario, data):
+@st.composite
+def transit_contexts(draw):
+    """Contexts of toy scenarios whose targets are seen only for ~40 steps
+    around their transits (see ``transit_context``), so that most windows
+    open after their tasks arrive."""
+    specs = draw(
+        st.lists(
+            st.tuples(st.integers(0, 30), st.integers(1, 10), st.sampled_from([U, G, UG])),
+            min_size=2,
+            max_size=8,
+        )
+    )
+    transits = draw(st.lists(st.integers(0, 80), min_size=len(specs), max_size=len(specs)))
+    n_sites = draw(st.sampled_from([1, 2]))
+    return transit_context(specs, transits, n_sites, west_deg=5.0 if n_sites == 2 else None)
+
+
+def _check_build_against_loop(ctx, data):
     """Scheduler-built placements, some nudged in site and start (which
     breaks site range, arrival, deadline, visibility, occupancy and
     cadence in turn), in shuffled input order: the same dag or the same
-    exception message as the reference loop."""
-    ctx = SchedulingContext(scenario)
+    exception message as the reference loop.  The last round moves a task
+    onto a later opening of its target's window and another task to
+    complete there, so the opening's root edge meets a completion edge."""
     dag, _ = schedule_fcfs_list(ctx)
     n = len(dag.rows)
-    for _ in range(6):
+    vis = visible_steps(ctx.scenario, ctx.constraints)
+    for k in range(7):
         site, start = dag.site.copy(), dag.start.copy()
         for i in data.draw(st.lists(st.integers(0, n - 1), max_size=3)) if n else []:
             site[i] += data.draw(st.integers(-1, 1))
             start[i] += data.draw(st.integers(-6, 6))
+        if k == 6 and n >= 2:  # the last round: onto a later window opening
+            i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            seen = vis[ctx.target_row[dag.rows[i]], site[i]] if 0 <= site[i] < ctx.n_sites else []
+            first = int(ctx.arrival[dag.rows[i]]) + 1
+            opens = [b for b in range(first, len(seen)) if seen[b] and not seen[b - 1]]
+            if opens:
+                start[i], site[j] = opens[0], site[i]
+                start[j] = opens[0] - ctx.exposure[dag.rows[j]]
         perm = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
         args = (ctx, dag.rows[perm], site[perm], start[perm])
         assert _outcome(build_from_arrays, *args) == _outcome(_build_by_loop, *args)
+
+
+@SETTINGS
+@given(scenarios(), st.data())
+def test_build_from_arrays_matches_the_per_task_loop(scenario, data):
+    _check_build_against_loop(SchedulingContext(scenario), data)
+
+
+@SETTINGS
+@given(transit_contexts(), st.data())
+def test_build_from_arrays_matches_the_per_task_loop_where_windows_open(ctx, data):
+    _check_build_against_loop(ctx, data)
 
 
 @SETTINGS

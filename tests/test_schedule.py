@@ -1,12 +1,10 @@
 """DAG construction, edge rules, validation, slowdown arithmetic, and
 task embeddings."""
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import EPOCH, G, I, U, UG, toy_scenario, visible_steps
-from obsched.ephemeris import SkyCoord, VisibilityConstraints, local_sidereal_time
+from conftest import G, I, U, UG, toy_scenario, transit_context, visible_steps
 from obsched.scenario import GenConfig, generate_scenario
 from obsched.schedule import (
     Assignment,
@@ -50,19 +48,6 @@ def _run_lengths(vis: np.ndarray) -> np.ndarray:
     return out[..., :-1]
 
 
-def _transit_context(task_specs, transits, n_sites=1) -> SchedulingContext:
-    """``toy_scenario`` with target ``k`` moved to transit site 0 at step
-    ``transits[k]``, seen above 85 deg only: an equatorial target seen from
-    the equator stands at 90 - |hour angle| deg, so it is visible for the
-    ~40 steps around its transit."""
-    s = toy_scenario(task_specs, n_sites=n_sites)
-    targets = tuple(
-        replace(t, coord=SkyCoord(local_sidereal_time(EPOCH, b, s.sites[0].coord), 0.0))
-        for t, b in zip(s.targets, transits)
-    )
-    return SchedulingContext(replace(s, targets=targets), VisibilityConstraints(min_altitude_deg=85.0))
-
-
 class TestRunLeft:
     """``SchedulingContext.run_left`` against a step-by-step count over the
     ephemeris' own visibility masks."""
@@ -84,7 +69,7 @@ class TestRunLeft:
     def test_windows_touching_both_ends_of_the_horizon(self):
         # transits before, on the first, inside, on the last and after the
         # 60-step horizon
-        ctx = _transit_context([(0, 5, U, None, k) for k in range(5)], (-25, 0, 30, 59, 85), 2)
+        ctx = transit_context([(0, 5, U, None, k) for k in range(5)], (-25, 0, 30, 59, 85), 2)
         want = self.check(ctx)
         assert want[:, :, 0].any() and want[:, :, -1].any()  # runs reach both ends
         assert (want[:, :, 1:] > want[:, :, :-1]).any()  # and some open inside
@@ -116,7 +101,7 @@ class TestBuildAndEdges:
     def test_root_edge_where_a_later_window_opens(self):
         # task 1 arrives at 0 but its target is first visible at 11, when
         # task 0 (visible from 1) completes: it hangs off both
-        ctx = _transit_context([(1, 10, U), (0, 5, G)], (20, 30))
+        ctx = transit_context([(1, 10, U), (0, 5, G)], (20, 30))
         assert ctx.run_left[0, 0, 1] >= 10 and ctx.run_left[1, 0, 10] == 0 < ctx.run_left[1, 0, 11]
         dag = build_dag(ctx, [Assignment(0, 0, 1), Assignment(1, 0, 11)])
         assert dag.parents[dag.node_of_task[1]] == (0, dag.node_of_task[0])
