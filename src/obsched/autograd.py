@@ -1,12 +1,14 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Deliberately small: exactly the operations the policy's one loss needs,
-each with a hand-written vector-Jacobian product.  Acting is tape-free
-(``no_grad``); the loss replays a whole trajectory: one ``lstm_cell`` per
-distinct node, summing its parents' states itself, one ``stack_rows`` of all
-node states, one ``gather_rows`` per head, and one ``segment_log_softmax``
-for every step's chosen rule, so the tape does not grow with the candidate
-count.
+each with a hand-written vector-Jacobian product.  The network is fixed,
+so the tape is shaped like it.  One child-sum tree-LSTM kernel,
+``lstm_rows``, serves acting and learning alike: acting calls it to grow
+a state table off the tape, and the loss records it as one ``tree_lstm``
+node over a trajectory's distinct nodes.  With one ``gather_rows`` and
+three layers per head, one ``segment_log_softmax`` for every step's
+chosen rule and the policy's fused actor-critic node, each trajectory
+records a fixed 17 nodes, whatever its steps and candidates.
 
 All values are float64.  Gradients accumulate into ``Tensor.grad``;
 ``backward`` walks the tape once in reverse topological order.
@@ -114,29 +116,6 @@ def relu(x: Tensor) -> Tensor:
     return Tensor(np.where(m, x.value, 0.0), (x,), vjp)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    def vjp(g):
-        return (g, g)
-
-    return Tensor(a.value + b.value, (a, b), vjp)
-
-
-def scale(a: Tensor, k: float) -> Tensor:
-    def vjp(g):
-        return (g * k,)
-
-    return Tensor(a.value * k, (a,), vjp)
-
-
-def stack_rows(tensors: list[Tensor]) -> Tensor:
-    """Stack 1-D tensors into an (n, d) matrix."""
-
-    def vjp(g):
-        return tuple(g[i] for i in range(len(tensors)))
-
-    return Tensor(np.stack([t.value for t in tensors]), tuple(tensors), vjp)
-
-
 def gather_rows(x: Tensor, idx: np.ndarray | list, cols: int) -> Tensor:
     """The first ``cols`` columns of rows ``idx`` of the matrix ``x``.
 
@@ -182,75 +161,66 @@ def segment_log_softmax(x: Tensor, bounds: np.ndarray | list, picks: np.ndarray 
     return Tensor(z[picks] - np.log(total), (x,), vjp)
 
 
-def square(x: Tensor) -> Tensor:
-    def vjp(g):
-        return (2.0 * g * x.value,)
+def lstm_rows(x: np.ndarray, parents, wx: np.ndarray, wh: np.ndarray, b: np.ndarray, hc: np.ndarray, lo: int = 0):
+    """The child-sum tree-LSTM forward kernel, filling rows ``lo:`` of the
+    state table ``hc`` in place, one row at a time.
 
-    return Tensor(x.value * x.value, (x,), vjp)
-
-
-def mean1d(x: Tensor) -> Tensor:
-    n = x.value.size
-
-    def vjp(g):
-        return (np.full_like(x.value, float(g) / n),)
-
-    return Tensor(x.value.mean(), (x,), vjp)
-
-
-def sub_const(x: Tensor, c: np.ndarray) -> Tensor:
-    def vjp(g):
-        return (g,)
-
-    return Tensor(x.value - c, (x,), vjp)
-
-
-def weighted_sum(x: Tensor, w: np.ndarray) -> Tensor:
-    """Dot with a constant weight vector."""
-
-    def vjp(g):
-        return (float(g) * w,)
-
-    return Tensor(float(x.value @ w), (x,), vjp)
+    ``x[k]`` is the input embedding of row ``lo + k`` and ``parents[k]``
+    the earlier rows whose [h; c] states it sums, in order (zeros for
+    none).  Gate order in the packed weight matrices: input, forget,
+    output, cell.  Row ``r`` of ``hc`` becomes [h; c] of length 2H.
+    """
+    hsz = wh.shape[1]
+    for k, ps in enumerate(parents):
+        hc_in = hc[ps[0]].copy() if ps else np.zeros(2 * hsz)
+        for p in ps[1:]:
+            hc_in += hc[p]
+        z = wx @ x[k] + wh @ hc_in[:hsz] + b
+        zi, zf, zo, zg = (z[j * hsz : (j + 1) * hsz] for j in range(4))
+        i = 1.0 / (1.0 + np.exp(-zi))
+        f = 1.0 / (1.0 + np.exp(-zf))
+        o = 1.0 / (1.0 + np.exp(-zo))
+        c = f * hc_in[hsz:] + i * np.tanh(zg)
+        hc[lo + k, :hsz] = o * np.tanh(c)
+        hc[lo + k, hsz:] = c
 
 
-def lstm_cell(x: np.ndarray, parents: list[Tensor], wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
-    """One child-sum tree-LSTM step.
+def tree_lstm(x: np.ndarray, parents, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+    """The (n, 2H) table of child-sum tree-LSTM states of ``n`` rows in
+    topological order, as one tape node (see ``lstm_rows`` for ``x`` and
+    ``parents``).
 
-    ``x`` is the (constant) input embedding and ``parents`` the parents'
-    [h; c] states of length 2H, summed in order (zeros for none); each
-    parent gets the gradient of the sum.  Gate order in the packed weight
-    matrices: input, forget, output, cell.  Returns [h'; c'].
+    The vjp walks the rows in reverse, handing each row's input-state
+    gradient to its parent rows, then forms dWx = dZᵀX, dWh = dZᵀH_in and
+    db = ΣdZ over the gate pre-activations Z.
     """
     hsz = wh.value.shape[1]
-    hc = parents[0].value.copy() if parents else np.zeros(2 * hsz)
-    for p in parents[1:]:
-        hc += p.value
-    h_in = hc[:hsz]
-    c_in = hc[hsz:]
-    z = wx.value @ x + wh.value @ h_in + b.value
-    zi, zf, zo, zg = (z[k * hsz : (k + 1) * hsz] for k in range(4))
-    i = 1.0 / (1.0 + np.exp(-zi))
-    f = 1.0 / (1.0 + np.exp(-zf))
-    o = 1.0 / (1.0 + np.exp(-zo))
-    g = np.tanh(zg)
-    c = f * c_in + i * g
-    tc = np.tanh(c)
-    h = o * tc
+    hc = np.zeros((len(parents), 2 * hsz))
+    lstm_rows(x, parents, wx.value, wh.value, b.value, hc)
 
     def vjp(grad):
-        gh = grad[:hsz]
-        gc = grad[hsz:] + gh * o * (1.0 - tc * tc)
-        go = gh * tc
-        dz = np.concatenate(
-            [
-                gc * g * i * (1.0 - i),
-                gc * c_in * f * (1.0 - f),
-                go * o * (1.0 - o),
-                gc * i * (1.0 - g * g),
-            ]
+        # each row's summed input state, added in the forward's order
+        hc_in = np.array([sum((hc[p] for p in ps), np.zeros(2 * hsz)) for ps in parents])
+        z = x @ wx.value.T + hc_in[:, :hsz] @ wh.value.T + b.value
+        sig = 1.0 / (1.0 + np.exp(-z[:, : 3 * hsz]))
+        i, f, o = sig[:, :hsz], sig[:, hsz : 2 * hsz], sig[:, 2 * hsz :]
+        g = np.tanh(z[:, 3 * hsz :])
+        tc = np.tanh(hc[:, hsz:])
+        dc_dh = o * (1.0 - tc * tc)
+        # dZ of a row is this times its (dc, dc, dh, dc)
+        dz_dhc = np.concatenate(
+            [g * i * (1.0 - i), hc_in[:, hsz:] * f * (1.0 - f), tc * o * (1.0 - o), i * (1.0 - g * g)], axis=1
         )
-        dhc = np.concatenate([wh.value.T @ dz, gc * f])
-        return (*[dhc] * len(parents), np.outer(dz, x), np.outer(dz, h_in), dz)
+        dhc = grad.copy()
+        dz = np.empty_like(z)
+        for r in range(len(parents) - 1, -1, -1):
+            gh = dhc[r, :hsz]
+            gc = dhc[r, hsz:] + gh * dc_dh[r]
+            dz[r] = np.concatenate((gc, gc, gh, gc)) * dz_dhc[r]
+            if parents[r]:
+                d_in = np.concatenate((dz[r] @ wh.value, gc * f[r]))
+                for p in parents[r]:
+                    dhc[p] += d_in
+        return (dz.T @ x, dz.T @ hc_in[:, :hsz], dz.sum(axis=0))
 
-    return Tensor(np.concatenate([h, c]), (*parents, wx, wh, b), vjp)
+    return Tensor(hc, (wx, wh, b), vjp)

@@ -149,7 +149,7 @@ def run_online(
         dag0, drops = schedule_fcfs_list(ctx)
         if len(dag0.rows) == 0:
             return dag0, drops
-        best, traj = rewrite_search(dag0, net, search_cfg, rng, pc=search_cfg.pc_initial)
+        best, traj = rewrite_search(dag0, net, search_cfg, rng)
         if trace is not None:
             dump_trajectory(traj, trace)
         return best, drops
@@ -314,7 +314,8 @@ def run_benchmark(config: dict, out_dir, *, workers: int | None = None, log=None
     for vname in gen_cfgs:
         for sched in schedulers:
             res = by_key.get((vname, sched), [])
-            good = [r for r in res if r[0] is not None and np.isfinite(r[0])]
+            ran = [r for r in res if r[0] is not None]
+            good = [r for r in ran if np.isfinite(r[0])]  # a cell that scheduled nothing has no average
             failures = [r for r in res if r[0] is None]
             if log and failures:
                 log(f"{vname}/{sched}: {len(failures)} failed instances ({failures[0][3]})")
@@ -324,8 +325,8 @@ def run_benchmark(config: dict, out_dir, *, workers: int | None = None, log=None
                     variant=vname,
                     instances=len(good),
                     mean_avg_slowdown=float(np.mean([r[0] for r in good])) if good else float("nan"),
-                    drop_count=int(sum(r[1] for r in good)),
-                    wall_time_s=float(sum(r[2] for r in good)),
+                    drop_count=int(sum(r[1] for r in ran)),
+                    wall_time_s=float(sum(r[2] for r in ran)),
                     seed=seed_base,
                 )
             )

@@ -5,14 +5,18 @@ and the training loop.
 
 The critic is the region score itself, regressed on the full discounted
 return; the rule head is trained by advantage-weighted log-likelihood.
-Acting is tape-free and scores each dag once, when it first encodes it:
+``encode`` only keys a dag's nodes to rows of a table of distinct node
+states; one LSTM kernel, ``autograd.lstm_rows``, fills that table for
+acting and learning alike.  Acting is tape-free: it grows one table per
+scheduling context, and scores each dag once, when it first encodes it:
 the region head runs over every node, and the rule head's first layer is
 split into its region and parent halves, each applied to every node, so
 a step only indexes the region scores and runs the rule head's last two
 layers on its candidates.  The one loss, ``losses``, replays each
 trajectory in one batched pass on the package's own reverse-mode tape
-(see autograd), with the rule head's first layer on the concatenated
-(region, parent) rows.
+(see autograd): one ``tree_lstm`` node over the trajectory's distinct
+nodes, the heads with the rule head's first layer on the concatenated
+(region, parent) rows, and one actor-critic node, a fixed 17 tape nodes.
 """
 from __future__ import annotations
 
@@ -21,13 +25,14 @@ import multiprocessing as mp
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from itertools import islice
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
 from .heuristics import schedule_fcfs_list
-from .rewriter import SearchConfig, TrajectoryStep, rewrite_search
+from .rewriter import SearchConfig, TrajectoryStep, pc_at, rewrite_search
 from .scenario import GenConfig, generate_scenario, read_field
 from .schedule import (
     DEFAULT_E_MAX,
@@ -146,7 +151,7 @@ class PolicyNet:
             value = rng.uniform(-0.1, 0.1, size=shape) if init else np.zeros(shape)
             self.params[name] = Tensor.param(value)
         self._cache: tuple[ScheduleDag, np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._memo: tuple[SchedulingContext, dict] | None = None
+        self._memo: tuple[SchedulingContext, dict, np.ndarray] | None = None
 
     # -- parameter plumbing --------------------------------------------------
 
@@ -177,39 +182,45 @@ class PolicyNet:
 
     # -- forward passes --------------------------------------------------
 
-    def encode(self, dag: ScheduleDag, memo: dict | None = None) -> list[Tensor]:
-        """[h; c] state per node, processed in topological order; parents'
-        states are summed elementwise (child-sum), roots start from zeros.
+    def encode(self, dag: ScheduleDag, memo: dict | None = None) -> list[int]:
+        """Each node's row in a table of tree-LSTM states, visiting the
+        nodes in topological order.
 
-        Each node is looked up in ``memo`` (a fresh one if None) by its
-        embedding row and its parents' states: a state is a pure function
-        of the two and the parameters, so a node seen before, in this dag
-        or another, reuses the very state the same ``lstm_cell`` computed
-        then, and is computed once.
+        ``memo`` (a fresh one if None) maps each row's key, the node's
+        embedding row (as bytes) and its parents' rows, to the row, in
+        row order.  A state is a pure function of the two and the
+        parameters, so a node seen before, in this dag or another, keeps
+        its row and is computed once.  ``_node_rows`` turns the keys into
+        the rows' inputs to ``autograd.lstm_rows`` and ``tree_lstm``.
         """
         memo = {} if memo is None else memo
         emb = embedding_matrix(dag, self.config.distributed, e_max=self.config.e_max)
         # roots, then tasks by (start, task id): task nodes are in task-id order
         order = list(range(dag.n_sites)) + (dag.n_sites + np.argsort(dag.start, kind="stable")).tolist()
-        states: list[Tensor | None] = [None] * dag.n_nodes
-        wx, wh, b = self.params["enc_wx"], self.params["enc_wh"], self.params["enc_b"]
+        rows: list = [None] * dag.n_nodes
         for node in order:
-            parents = [states[p] for p in (dag.parents[node] if node < len(dag.parents) else ())]
+            parents = tuple(rows[p] for p in (dag.parents[node] if node < len(dag.parents) else ()))
             if None in parents:
                 raise ValueError("dag is not topologically ordered (cycle?)")
-            # every state here lives in the memo, so its id names it
-            key = (emb[node].tobytes(), tuple(map(id, parents)))
-            if key not in memo:
-                memo[key] = ag.lstm_cell(emb[node], parents, wx, wh, b)
-            states[node] = memo[key]
-        return states
+            rows[node] = memo.setdefault((emb[node].tobytes(), parents), len(memo))
+        return rows
 
-    def _encoding(self, dag: ScheduleDag) -> Tensor:
-        """The (n_nodes, 2H) node states of ``dag``, off the tape; node
-        states are memoised per scheduling context."""
+    def _encoding(self, dag: ScheduleDag) -> np.ndarray:
+        """The (n_nodes, 2H) node states of ``dag``, off the tape, from a
+        state table kept per scheduling context: only the rows new to its
+        memo are computed."""
         if self._memo is None or self._memo[0] is not dag.ctx:
-            self._memo = (dag.ctx, {})
-        return ag.stack_rows(self.encode(dag, self._memo[1]))
+            self._memo = (dag.ctx, {}, np.empty((0, 2 * self.config.hidden)))
+        ctx, memo, hc = self._memo
+        lo = len(memo)
+        rows = self.encode(dag, memo)
+        if len(memo) > len(hc):  # at least double the table, keeping its rows
+            hc = np.resize(hc, (2 * len(memo), hc.shape[1]))
+            self._memo = (ctx, memo, hc)
+        p = self.params
+        x, parents = _node_rows(islice(memo, lo, None), self.config.d_in)
+        ag.lstm_rows(x, parents, p["enc_wx"].value, p["enc_wh"].value, p["enc_b"].value, hc, lo)
+        return hc[rows]
 
     def _tables(self, dag: ScheduleDag) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-node head tables of the dag acted on, computed once per dag:
@@ -217,8 +228,8 @@ class PolicyNet:
         region half (plus ``rule_b1``) and the parent half of ``rule_w1``."""
         if self._cache is None or self._cache[0] is not dag:
             h, p = self.config.hidden, {k: t.value for k, t in self.params.items()}
+            x = self._encoding(dag)[:, :h]
             with ag.no_grad():
-                x = self._encoding(dag).value[:, :h]
                 q = self._mlp(Tensor(x @ p["reg_w1"].T + p["reg_b1"]), "reg").value
             a = x @ p["rule_w1"][:, :h].T + p["rule_b1"]
             self._cache = (dag, q, a, x @ p["rule_w1"][:, h:].T)
@@ -263,9 +274,12 @@ def _nodes(dag: ScheduleDag, candidates: list[tuple]) -> list[int]:
     return [ref if kind == "root" else dag.node_of_task[ref] for kind, ref in candidates]
 
 
-def _pairs(dag: ScheduleDag, offset: int, region: int, candidates: list[tuple]) -> list[tuple[int, int]]:
-    """(region, candidate) row pairs in a state matrix holding ``dag``'s nodes from row ``offset``."""
-    return [(offset + dag.node_of_task[region], offset + n) for n in _nodes(dag, candidates)]
+def _node_rows(keys, d_in: int) -> tuple[np.ndarray, list[tuple]]:
+    """The embedding rows and parent rows of ``encode`` memo keys, as
+    ``autograd.lstm_rows`` takes them."""
+    keys = list(keys)
+    x = np.frombuffer(b"".join(k[0] for k in keys)).reshape(len(keys), d_in)
+    return x, [k[1] for k in keys]
 
 
 def region_distribution(scores: np.ndarray) -> np.ndarray:
@@ -295,9 +309,10 @@ def _actor_critic(
     rewards: np.ndarray,
     config: TrainConfig,
     delta: np.ndarray | None = None,
-) -> tuple[Tensor, Tensor, Tensor]:
+) -> tuple[float, float, Tensor]:
     """(L_region, L_rule, combined) from the chosen-region scores and the
-    chosen-parent log-probabilities of one trajectory.
+    chosen-parent log-probabilities of one trajectory: the two losses as
+    floats, and combined = L_rule + ALPHA * L_region as one tape node.
 
     L_region regresses each step's chosen-region score on the discounted
     return from that step; L_rule is the advantage-weighted negative
@@ -305,12 +320,17 @@ def _actor_critic(
     constant (no gradient through the critic).
     """
     g = discounted_returns(rewards, config.gamma)
-    l_region = ag.mean1d(ag.square(ag.sub_const(qs, g)))
+    err = qs.value - g
+    l_region = float((err * err).mean())
     if delta is None:
         delta = g - qs.value  # critic baseline, detached
-    l_rule = ag.weighted_sum(logps, -delta)
-    combined = ag.add(l_rule, ag.scale(l_region, ALPHA))
-    return l_region, l_rule, combined
+    l_rule = float(logps.value @ -delta)
+
+    def vjp(grad):
+        w = float(grad)
+        return (2.0 * (w * ALPHA / err.size) * err, w * -delta)
+
+    return l_region, l_rule, Tensor(l_rule + l_region * ALPHA, (qs, logps), vjp)
 
 
 def losses(
@@ -319,33 +339,31 @@ def losses(
     config: TrainConfig,
     *,
     delta: np.ndarray | None = None,
-) -> tuple[Tensor, Tensor, Tensor]:
+) -> tuple[float, float, Tensor]:
     """(L_region, L_rule, combined) of a recorded trajectory under the
     net's current parameters, with its states, candidates and actions held
-    fixed: each distinct node of its dags is computed once, each head runs
-    once over all steps' rows.  The advantage is a stop-gradient in the
+    fixed: one ``tree_lstm`` node computes each distinct node of its dags
+    once, and each head runs once over all steps' rows.  The advantage is a stop-gradient in the
     rule loss; pass ``delta`` to freeze it entirely (as a finite-difference
     oracle must, since the function being differentiated treats it as a
     constant).
     """
     if not trajectory:
         raise ValueError("empty trajectory")
-    offsets: dict[int, int] = {}
     memo: dict = {}
-    states: list[Tensor] = []
+    rows_of: dict[int, list[int]] = {}
     regions, pairs, bounds, picks = [], [], [0], []
     for s in trajectory:
-        if id(s.dag) not in offsets:
-            offsets[id(s.dag)] = len(states)
-            states.extend(net.encode(s.dag, memo))
-        off, a = offsets[id(s.dag)], s.action
-        regions.append(off + s.dag.node_of_task[a.region])
+        if id(s.dag) not in rows_of:
+            rows_of[id(s.dag)] = net.encode(s.dag, memo)
+        rows, a = rows_of[id(s.dag)], s.action
+        regions.append(rows[s.dag.node_of_task[a.region]])
         rule = ("root", a.parent_site) if a.parent_task is None else ("task", a.parent_task)
         picks.append(len(pairs) + s.rule_candidates.index(rule))
-        pairs.extend(_pairs(s.dag, off, a.region, s.rule_candidates))
+        pairs.extend((regions[-1], rows[n]) for n in _nodes(s.dag, s.rule_candidates))
         bounds.append(len(pairs))
-    table = ag.stack_rows(states)
     h, p = net.config.hidden, net.params
+    table = ag.tree_lstm(*_node_rows(memo, net.config.d_in), p["enc_wx"], p["enc_wh"], p["enc_b"])
     qs = net._mlp(ag.linear(ag.gather_rows(table, regions, h), p["reg_w1"], p["reg_b1"]), "reg")
     rule = net._mlp(ag.linear(ag.gather_rows(table, pairs, h), p["rule_w1"], p["rule_b1"]), "rule")
     logps = ag.segment_log_softmax(rule, bounds, picks)
@@ -489,8 +507,8 @@ def _rollout_chunk(payload: dict):
         stats.append(
             (
                 float(combined.value),
-                float(l_region.value),
-                float(l_rule.value),
+                l_region,
+                l_rule,
                 total_slowdown(best),
                 total_slowdown(dag0),
             )
@@ -516,7 +534,7 @@ def _validation_slowdown(
         if dag0 is None:
             continue
         rng = np.random.default_rng(np.random.SeedSequence([seed, 556, k]))
-        best, _ = rewrite_search(dag0, net, search_cfg, rng, pc=search_cfg.pc_initial)
+        best, _ = rewrite_search(dag0, net, search_cfg, rng)
         vals.append(average_slowdown(best))
     return float(np.mean(vals)) if vals else float("nan")
 
@@ -568,7 +586,7 @@ def train(
     best_step = 0
 
     def run_batch(step: int, pool) -> tuple[np.ndarray, list]:
-        pc = search_cfg.pc_at(step)
+        pc = pc_at(step)
         idx = list(range(train_cfg.batch))
         chunks = [idx[i::workers] for i in range(workers)]
         payloads = [

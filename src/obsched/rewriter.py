@@ -24,6 +24,7 @@ from .schedule import (
 __all__ = [
     "RewriteAction",
     "SearchConfig",
+    "pc_at",
     "TrajectoryStep",
     "RandomPolicy",
     "candidate_regions",
@@ -52,31 +53,35 @@ class RewriteAction:
             raise ValueError("a task cannot become its own parent")
 
 
+#: the exploitation probability schedule: with probability p_c the
+#: best-scored region is taken, otherwise the region is re-sampled from the
+#: region policy; p_c decays by PC_DECAY every PC_DECAY_EVERY trainer steps
+#: down to PC_FLOOR
+PC_INITIAL = 0.5
+PC_DECAY = 0.8
+PC_DECAY_EVERY = 1000
+PC_FLOOR = 0.01
+
+
+def pc_at(trainer_step: int) -> float:
+    return max(PC_FLOOR, PC_INITIAL * PC_DECAY ** (trainer_step // PC_DECAY_EVERY))
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Search-loop knobs.
 
     ``region_candidates``/``rule_candidates`` are the scoring budgets
-    (15 each for one site, 30 each for a distributed array).  ``pc_*``
-    defines the exploitation probability schedule: with probability p_c
-    the best-scored region is taken, otherwise the region is re-sampled
-    from the region policy; p_c decays by ``pc_decay`` every
-    ``pc_decay_every`` trainer steps down to ``pc_floor``.
+    (15 each for one site, 30 each for a distributed array).
     """
 
     num_steps: int = 100
     region_candidates: int = 15
     rule_candidates: int = 15
-    pc_initial: float = 0.5
-    pc_decay: float = 0.8
-    pc_decay_every: int = 1000
-    pc_floor: float = 0.01
 
     def __post_init__(self):
         if self.region_candidates < 1 or self.rule_candidates < 1:
             raise ValueError("candidate budgets must be >= 1")
-        if not 0.0 < self.pc_floor <= 1.0 or not 0.0 <= self.pc_initial <= 1.0:
-            raise ValueError("p_c bounds out of range")
 
     @classmethod
     def for_mode(cls, distributed: bool, **kw) -> "SearchConfig":
@@ -84,9 +89,6 @@ class SearchConfig:
         kw.setdefault("region_candidates", n)
         kw.setdefault("rule_candidates", n)
         return cls(**kw)
-
-    def pc_at(self, trainer_step: int) -> float:
-        return max(self.pc_floor, self.pc_initial * self.pc_decay ** (trainer_step // self.pc_decay_every))
 
 
 @dataclass
@@ -246,7 +248,7 @@ def rewrite_search(
     config: SearchConfig,
     rng: np.random.Generator,
     *,
-    pc: float | None = None,
+    pc: float = PC_INITIAL,
     greedy: bool = False,
     frozen: frozenset[int] = frozenset(),
     now: int = 0,
@@ -262,8 +264,6 @@ def rewrite_search(
     changes the state (converged).  ``frozen`` tasks never move, and no
     other task moves to start before ``now``.
     """
-    if pc is None:
-        pc = config.pc_initial
     cur = dag0
     best = dag0
     best_cost = total_slowdown(dag0)

@@ -167,7 +167,7 @@ def test_acceptance_3_trained_policy_beats_best_heuristic():
                 if len(d.rows):
                     heur[r].append(average_slowdown(d))
             rng = np.random.default_rng(np.random.SeedSequence([acc.SEED, 556, k]))
-            best, _ = rewrite_search(dag0, net, search_cfg, rng, pc=search_cfg.pc_initial)
+            best, _ = rewrite_search(dag0, net, search_cfg, rng)
             roars.append(average_slowdown(best))
     m = {r.value: float(np.mean(v)) for r, v in heur.items()}
     best_h = min(m.values())
@@ -321,15 +321,15 @@ def test_acceptance_7_schedule_arithmetic_spot_checks():
     eta3 = average_slowdown(delayed)
 
     lw, _, _ = stub_actor_critic([1.0, 1.0], q=[0.0, 0.0], logps=[0.0, 0.0], config=TrainConfig(gamma=0.9))
-    ok = eta1 == 1.0 and eta3 == 3.0 and abs(float(lw.value) - 2.305) < 1e-12
+    ok = eta1 == 1.0 and eta3 == 3.0 and abs(lw - 2.305) < 1e-12
     _report(
         7,
         ok,
-        f"eta(B=A)={eta1}, eta(A=10,E=5,B=20)={eta3}, two-step critic loss={float(lw.value)}",
+        f"eta(B=A)={eta1}, eta(A=10,E=5,B=20)={eta3}, two-step critic loss={lw}",
     )
     assert eta1 == 1.0
     assert eta3 == 3.0
-    assert float(lw.value) == pytest.approx(2.305, abs=1e-12)
+    assert lw == pytest.approx(2.305, abs=1e-12)
 
 
 def test_acceptance_8_ephemeris_properties():
@@ -390,7 +390,7 @@ def test_acceptance_9_distributed_policy_beats_all_pairs():
                 if len(d.rows):
                     pair_means[name].append(average_slowdown(d))
             rng = np.random.default_rng(np.random.SeedSequence([acc.SEED, 556, k]))
-            best, _ = rewrite_search(dag0, net, search_cfg, rng, pc=search_cfg.pc_initial)
+            best, _ = rewrite_search(dag0, net, search_cfg, rng)
             roars.append(average_slowdown(best))
     m = {name: float(np.mean(v)) for name, v in pair_means.items()}
     mean_roars = float(np.mean(roars))

@@ -1,8 +1,34 @@
-"""Finite-difference checks of every tape operation and tape mechanics."""
+"""Finite-difference checks of every tape operation and tape mechanics.
+
+The package's tape ends in the policy's actor-critic node (see
+test_policy.py), so these checks reduce to a scalar through test-local
+ops of their own.
+"""
 import numpy as np
 import pytest
 
 from obsched import autograd as ag
+
+
+def dot(x, w):
+    """Test-local op: the sum of ``x`` times a constant array of its shape."""
+    w = np.asarray(w, dtype=np.float64)
+    return ag.Tensor(float(np.sum(x.value * w)), (x,), lambda g: (float(g) * w,))
+
+
+def mean(x):
+    return dot(x, np.full(x.value.shape, 1.0 / x.value.size))
+
+
+def total(*xs):
+    """Test-local op: the sum of scalar tensors."""
+    return ag.Tensor(sum(float(x.value) for x in xs), xs, lambda g: (g,) * len(xs))
+
+
+def mean_squared_error(x, target):
+    """Test-local op: the mean of ``(x - target) ** 2``."""
+    err = x.value - target
+    return ag.Tensor(float(np.mean(err * err)), (x,), lambda g: (float(g) * 2.0 * err / err.size,))
 
 
 def fd_check(make_loss, params, rng, n_probe=6, h=1e-6, tol=1e-6):
@@ -36,7 +62,7 @@ def test_linear_relu_stack():
     b2 = ag.Tensor.param(rng.uniform(-1, 1, 1))
     x = ag.Tensor(rng.uniform(-1, 1, (5, 3)))
     fd_check(
-        lambda: ag.mean1d(ag.squeeze_col(ag.linear(ag.relu(ag.linear(x, w1, b1)), w2, b2))),
+        lambda: mean(ag.squeeze_col(ag.linear(ag.relu(ag.linear(x, w1, b1)), w2, b2))),
         [w1, b1, w2, b2],
         rng,
     )
@@ -50,47 +76,76 @@ def test_single_linear_layer_closed_form():
     y = rng.uniform(-1, 1, 3)
     xt = ag.Tensor(x[None, :])
     b = ag.Tensor(np.zeros(3))
-    loss = ag.mean1d(ag.square(ag.sub_const(ag.linear(xt, w, b), y)))
+    loss = mean_squared_error(ag.linear(xt, w, b), y)
     ag.backward(loss)
     residual = w.value @ x - y
     expected = 2.0 * np.outer(residual, x) / 3.0  # mean over the 3 outputs
     assert np.allclose(w.grad, expected, atol=1e-12)
 
 
-def test_lstm_cell_gradients():
-    # a root (zero state), one parent, and a child sum of three parents
-    rng = np.random.default_rng(3)
-    h = 5
-    wx = ag.Tensor.param(rng.uniform(-0.5, 0.5, (4 * h, 7)))
+# rows of a tree-LSTM table: two roots; a parent (row 2) shared by two
+# children (rows 3 and 4), which are the two parents of a diamond's foot
+# (row 5); and a child summing a root and a later row
+TREE = [(), (), (0,), (2,), (2,), (3, 4), (1, 5)]
+
+
+def _tree_params(rng, h, d):
+    wx = ag.Tensor.param(rng.uniform(-0.5, 0.5, (4 * h, d)))
     wh = ag.Tensor.param(rng.uniform(-0.5, 0.5, (4 * h, h)))
     b = ag.Tensor.param(rng.uniform(-0.5, 0.5, 4 * h))
-    x = rng.uniform(-1, 1, 7)
-    for n_parents in (0, 1, 3):
-        parents = [ag.Tensor.param(rng.uniform(-1, 1, 2 * h)) for _ in range(n_parents)]
-        fd_check(lambda: ag.mean1d(ag.lstm_cell(x, parents, wx, wh, b)), [wx, wh, b, *parents], rng)
+    return wx, wh, b
+
+
+def test_tree_lstm_gradients():
+    rng = np.random.default_rng(3)
+    h, d = 5, 7
+    wx, wh, b = _tree_params(rng, h, d)
+    x = rng.uniform(-1, 1, (len(TREE), d))
+    w = rng.uniform(-1, 1, (len(TREE), 2 * h))
+    fd_check(lambda: dot(ag.tree_lstm(x, TREE, wx, wh, b), w), [wx, wh, b], rng, n_probe=40)
+
+
+def test_tree_lstm_rows_against_a_per_row_reference():
+    # each row from its parents' summed states, in the row order given
+    rng = np.random.default_rng(11)
+    h, d = 4, 6
+    wx, wh, b = _tree_params(rng, h, d)
+    x = rng.uniform(-1, 1, (len(TREE), d))
+    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
+    want = np.zeros((len(TREE), 2 * h))
+    for r, ps in enumerate(TREE):
+        hc_in = sum((want[p] for p in ps), np.zeros(2 * h))
+        z = wx.value @ x[r] + wh.value @ hc_in[:h] + b.value
+        c = sig(z[h : 2 * h]) * hc_in[h:] + sig(z[:h]) * np.tanh(z[3 * h :])
+        want[r] = np.concatenate([sig(z[2 * h : 3 * h]) * np.tanh(c), c])
+    got = ag.tree_lstm(x, TREE, wx, wh, b).value
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    # the kernel fills rows from ``lo`` on, reading the earlier ones
+    grown = got.copy()
+    grown[4:] = np.nan
+    ag.lstm_rows(x[4:], TREE[4:], wx.value, wh.value, b.value, grown, 4)
+    assert np.array_equal(grown, got)
 
 
 def test_structural_ops():
     rng = np.random.default_rng(4)
-    a = ag.Tensor.param(rng.uniform(-1, 1, 6))
-    b = ag.Tensor.param(rng.uniform(-1, 1, 6))
-    c = ag.Tensor.param(rng.uniform(-1, 1, 6))
+    m = ag.Tensor.param(rng.uniform(-1, 1, (2, 6)))
     w = ag.Tensor(rng.uniform(-1, 1, (1, 6)))
     zero = ag.Tensor(np.zeros(1))
 
     def loss():
-        s = ag.add(ag.add(a, b), c)
-        m = ag.stack_rows([s, b])
+        # m and w each reach the loss along two paths
         rows = ag.gather_rows(m, [[0, 1], [1, 0], [0, 0]], 3)
         lp = ag.segment_log_softmax(ag.squeeze_col(ag.linear(rows, w, zero)), [0, 3], [1])
-        return ag.add(ag.mean1d(lp), ag.weighted_sum(s, np.arange(6) / 6.0))
+        q = ag.squeeze_col(ag.linear(ag.gather_rows(m, [1, 0, 1], 6), w, zero))
+        return total(mean(lp), dot(q, [0.3, -0.2, 0.5]))
 
-    fd_check(loss, [a, b, c], rng)
+    fd_check(loss, [m], rng, n_probe=12)
 
 
 def _gather_loss(x, idx, cols, rng):
     target = rng.uniform(-1, 1, ag.gather_rows(x, idx, cols).value.shape)
-    return lambda: ag.mean1d(ag.square(ag.sub_const(ag.gather_rows(x, idx, cols), target)))
+    return lambda: mean_squared_error(ag.gather_rows(x, idx, cols), target)
 
 
 def test_gather_rows_repeated_row():
@@ -118,20 +173,8 @@ def test_gather_rows_values_and_accumulation():
     x = ag.Tensor.param(np.arange(12.0).reshape(3, 4))
     out = ag.gather_rows(x, [[2, 0], [2, 2]], 3)
     assert np.array_equal(out.value, [[8, 9, 10, 0, 1, 2], [8, 9, 10, 8, 9, 10]])
-    ag.backward(ag.mean1d(out))
+    ag.backward(mean(out))
     assert np.allclose(x.grad * 12, [[1, 1, 1, 0], [0, 0, 0, 0], [3, 3, 3, 0]], rtol=0, atol=1e-15)
-
-
-def test_losslike_composition():
-    rng = np.random.default_rng(5)
-    qs = ag.Tensor.param(np.array([0.3, -1.2]))
-    g = np.array([2.0, 0.5])
-
-    def loss():
-        lw = ag.mean1d(ag.square(ag.sub_const(qs, g)))
-        return ag.add(ag.weighted_sum(qs, np.array([0.1, -0.7])), ag.scale(lw, 10.0))
-
-    fd_check(loss, [qs], rng)
 
 
 # segments [0:3], [3:4], [4:8], [8:10]; the picks repeat values and rows
@@ -144,7 +187,7 @@ def test_segment_log_softmax_gradients():
     x = ag.Tensor.param(rng.uniform(-2, 2, 10))
     x.value[5] = x.value[4]  # a tie inside a segment
     w = rng.uniform(-1, 1, len(PICKS))
-    fd_check(lambda: ag.weighted_sum(ag.segment_log_softmax(x, SEGMENTS, PICKS), w), [x], rng, n_probe=10)
+    fd_check(lambda: dot(ag.segment_log_softmax(x, SEGMENTS, PICKS), w), [x], rng, n_probe=10)
 
 
 def test_segment_log_softmax_of_repeated_rows():
@@ -157,7 +200,7 @@ def test_segment_log_softmax_of_repeated_rows():
 
     def loss():
         logits = ag.squeeze_col(ag.linear(ag.gather_rows(m, pairs, 3), w, zero))
-        return ag.mean1d(ag.segment_log_softmax(logits, SEGMENTS, PICKS))
+        return mean(ag.segment_log_softmax(logits, SEGMENTS, PICKS))
 
     fd_check(loss, [m, w], rng, n_probe=12)
 
@@ -188,7 +231,7 @@ def test_backward_rejects_nonscalar_and_nonfinite():
 
 def test_constant_loss_has_zero_gradient():
     w = ag.Tensor.param(np.ones(4))
-    loss = ag.weighted_sum(w, np.zeros(4))
+    loss = dot(w, np.zeros(4))
     ag.backward(loss)
     assert np.all(w.grad == 0.0)
 
@@ -196,5 +239,5 @@ def test_constant_loss_has_zero_gradient():
 def test_grad_accumulates_across_backwards():
     w = ag.Tensor.param(np.array([1.0, 2.0]))
     for _ in range(3):
-        ag.backward(ag.weighted_sum(w, np.array([1.0, 1.0])))
+        ag.backward(dot(w, np.array([1.0, 1.0])))
     assert np.allclose(w.grad, [3.0, 3.0])

@@ -155,6 +155,16 @@ class TestBenchmark:
         fcfs_row = next(r for r in rows if r.scheduler == "fcfs")
         assert fcfs_row.mean_avg_slowdown == pytest.approx(float(np.mean(vals)))
 
+    def test_drops_of_cells_that_scheduled_nothing_are_counted(self, tmp_path):
+        # no target ever reaches airmass 1, so every task is dropped and no
+        # cell has an average slowdown
+        gen = {"horizon_steps": 60, "arrival_prob": 0.25}
+        config = {"gen": gen, "constraints": {"max_airmass": 1.0}, "seeds": {"count": 2}, "schedulers": ["fcfs"]}
+        (row,) = run_benchmark(config, tmp_path, workers=1)
+        tasks = sum(len(generate_scenario(gen_config_from_obj(gen), k).tasks) for k in range(2))
+        assert (row.instances, row.drop_count) == (0, tasks) and tasks > 0
+        assert (tmp_path / "report.csv").read_text().splitlines()[1] == f"default,fcfs,0,nan,{tasks},0"
+
     def test_byte_identical_reruns(self, tmp_path):
         config = {
             "gen": GEN,

@@ -1,7 +1,8 @@
 """Source hygiene of the package, its tests and demos, checked with the
-standard library only: every public name a module lists resolves, and no
+standard library only: every public name a module lists resolves, no
 file imports a name it never uses, apart from the bindings
-perfbench/tracing.py wraps."""
+perfbench/tracing.py wraps, and every autograd function has a caller in
+the package."""
 import ast
 import importlib
 import pathlib
@@ -54,3 +55,16 @@ def test_no_unused_import_outside_the_perfbench_bindings():
 )
 def test_no_unused_import_in_tests_and_demos(path):
     assert _unused_imports(path) == set()
+
+
+def _called_names(path: pathlib.Path) -> set[str]:
+    calls = (node.func for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call))
+    return {f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None) for f in calls}
+
+
+def test_every_autograd_function_is_called_from_another_module():
+    # a tape op that no runtime path uses would linger for its tests alone
+    tree = ast.parse((SRC / "autograd.py").read_text())
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    called = set().union(*(_called_names(SRC / f"{name}.py") for name in MODULES if name != "autograd"))
+    assert defined and defined - called == set()

@@ -12,12 +12,14 @@ import acceptance_config as acc
 from conftest import G, I, U, toy_scenario
 from obsched import autograd as ag
 from obsched.policy import (
+    ALPHA,
     CheckpointError,
     PolicyConfig,
     PolicyNet,
     TrainConfig,
     _actor_critic,
     _instance_seed,
+    _node_rows,
     _training_instance,
     discounted_returns,
     learning_rate_at,
@@ -27,10 +29,26 @@ from obsched.policy import (
     region_distribution,
     save_checkpoint,
 )
-from obsched.rewriter import SearchConfig, rewrite_search
+from obsched.rewriter import SearchConfig, pc_at, rewrite_search
 from obsched.schedule import Assignment, SchedulingContext, build_dag
+from test_autograd import fd_check
 
 CFG = PolicyConfig(hidden=8, n_filters=3, n_sites=1)
+
+
+def _one_shot(net, memo):
+    """The state table of an ``encode`` memo's rows, as one ``tree_lstm``
+    forward off the tape."""
+    p = net.params
+    with ag.no_grad():
+        return ag.tree_lstm(*_node_rows(memo, net.config.d_in), p["enc_wx"], p["enc_wh"], p["enc_b"]).value
+
+
+def _states(net, dag):
+    """Each node's [h; c] state, from a fresh memo's one-shot table."""
+    memo = {}
+    rows = net.encode(dag, memo)
+    return _one_shot(net, memo)[rows]
 
 
 def build(scenario, triples):
@@ -62,12 +80,12 @@ class TestEncoder:
         dag = build(s, [(0, 0, 0)])
         cfg = PolicyConfig(hidden=2, n_filters=3, n_sites=1)
         net = PolicyNet(cfg, seed=1)
-        states = net.encode(dag)
+        states = _states(net, dag)
         wx = net.params["enc_wx"].value
         wh = net.params["enc_wh"].value
         b = net.params["enc_b"].value
         h, c = _scalar_lstm(wx, wh, b, [0.0] * cfg.d_in, [0.0, 0.0], [0.0, 0.0])
-        assert np.allclose(states[0].value, np.array(h + c))
+        assert np.allclose(states[0], np.array(h + c))
 
     def test_diamond_parent_sum_against_scalar_oracle(self):
         # two tasks finish together at step 5; the third starts there and has
@@ -79,7 +97,7 @@ class TestEncoder:
 
         cfg = PolicyConfig(hidden=2, n_filters=3, n_sites=1)
         net = PolicyNet(cfg, seed=3)
-        states = net.encode(dag)
+        states = _states(net, dag)
         from obsched.schedule import embedding_matrix
 
         emb = embedding_matrix(dag, e_max=cfg.e_max)
@@ -96,22 +114,20 @@ class TestEncoder:
         h0c0 = node_state(emb[dag.node_of_task[0]], [root])
         h1c1 = node_state(emb[dag.node_of_task[1]], [root])
         h2c2 = node_state(emb[n2], [h0c0, h1c1])
-        assert np.allclose(states[n2].value, np.array(h2c2[0] + h2c2[1]), atol=1e-12)
+        assert np.allclose(states[n2], np.array(h2c2[0] + h2c2[1]), atol=1e-12)
 
     def test_parent_order_invariance(self):
         s = toy_scenario([(0, 5, U), (0, 5, G), (0, 4, I)])
         dag = build(s, [(0, 0, 0), (1, 0, 0), (2, 0, 5)])
         net = PolicyNet(CFG, seed=0)
-        a = net.encode(dag)
+        a = _states(net, dag)
         hacked_parents = tuple(
             tuple(reversed(p)) for p in dag.parents
         )
         from obsched.schedule import ScheduleDag
 
         dag2 = ScheduleDag(dag.ctx, dag.rows, dag.site, dag.start, dag.eta, hacked_parents, dag.profile)
-        b = net.encode(dag2)
-        for x, y in zip(a, b):
-            assert np.allclose(x.value, y.value)
+        assert np.allclose(a, _states(net, dag2))
 
     def test_cycle_raises(self):
         s = toy_scenario([(0, 5, U), (0, 5, G)])
@@ -191,7 +207,7 @@ def _numpy_heads(net, dag, regions, region, rule_cands):
     half, each applied to every node, then one region row added to the
     candidates' rows and passed through the last two linears and relus."""
     h = net.config.hidden
-    x = np.stack([s.value for s in net.encode(dag)])[:, :h]
+    x = _states(net, dag)[:, :h]
     p = {k: v.value for k, v in net.params.items()}
     q_all = _numpy_mlp_top(p, x @ p["reg_w1"].T + p["reg_b1"], "reg")
     a = x @ p["rule_w1"][:, :h].T + p["rule_b1"]
@@ -206,7 +222,7 @@ def _concatenated_heads(net, dag, regions, region, rule_cands):
     entries, concatenated after the region's for the rule head, through
     the full first linear layer."""
     h = net.config.hidden
-    states = [s.value for s in net.encode(dag)]
+    states = _states(net, dag)
     p = {k: v.value for k, v in net.params.items()}
 
     def mlp(rows, prefix):
@@ -262,34 +278,51 @@ class TestHeads:
             np.testing.assert_allclose(net.rule_scores(dag, region, rule_cands).value, u, rtol=1e-12, atol=0)
 
     def test_tape_has_no_per_candidate_nodes(self):
-        from obsched.scenario import GenConfig
+        # a fixed 17 op nodes per trajectory, whatever its steps, dags and
+        # candidates: one tree-LSTM node, two three-layer heads, one rule
+        # softmax and the actor-critic tail
+        census = {
+            "tree_lstm": 1, "gather_rows": 2, "linear": 6, "relu": 4, "squeeze_col": 2,
+            "segment_log_softmax": 1, "_actor_critic": 1,
+        }
+        shapes = set()
+        for distributed in (False, True):
+            gen, train_cfg, search_cfg, policy_cfg = acc.recipe(distributed)
+            net = PolicyNet(replace(policy_cfg, hidden=16), seed=5)
+            rollout_cfg = replace(search_cfg, num_steps=train_cfg.episode_len)
+            for k in range(4):
+                dag0 = _training_instance(gen, _instance_seed(0, 0, k))
+                rng = np.random.default_rng(np.random.SeedSequence([0, 0, k, 777]))
+                _, traj = rewrite_search(dag0, net, rollout_cfg, rng, pc=pc_at(0))
+                ops, table = _op_census(losses(net, traj, train_cfg)[2])
+                assert ops == census, ops
+                # the one node holds each distinct node of the trajectory's dags once
+                dags = {id(t.dag): t.dag for t in traj}.values()
+                memo: dict = {}
+                for dag in dags:
+                    net.encode(dag, memo)
+                assert len(table.value) == len(memo) <= sum(d.n_nodes for d in dags)
+                shapes.add((len(dags), len(memo), sum(len(t.rule_candidates) for t in traj)))
+        # trajectories of differing distinct dags, rows and candidates alike
+        assert all(len({shape[i] for shape in shapes}) > 1 for i in range(3))
 
-        gen = GenConfig(horizon_steps=240, arrival_prob=0.10, mode_exposure_count_frac=0.0)
-        dag0 = _fcfs_dag(gen, 5)
-        net = PolicyNet(CFG, seed=0)
-        _, traj = rewrite_search(
-            dag0, net, SearchConfig(num_steps=12), np.random.default_rng(0), pc=0.5
-        )
-        keys, n_nodes = _shared_nodes(net, traj)
-        _, _, total = losses(net, traj, TrainConfig())
-        ops: dict[str, int] = {}
-        seen, stack = {id(total)}, [total]
-        while stack:
-            node = stack.pop()
-            if node.vjp is not None:
-                op = node.vjp.__qualname__.split(".")[0]
-                ops[op] = ops.get(op, 0) + 1
-            for parent in node.parents:
-                if id(parent) not in seen:
-                    seen.add(id(parent))
-                    stack.append(parent)
-        # one cell per distinct node of the trajectory's dags, fewer than
-        # their nodes, and all their states are stacked once
-        assert ops.pop("lstm_cell") == keys < n_nodes
-        assert ops.pop("stack_rows") == 1
-        # heads and losses: a fixed 21 nodes per trajectory, whatever the
-        # number of steps and candidates
-        assert sum(ops.values()) == 21, ops
+
+def _op_census(loss):
+    """Op name -> node count over the tape behind ``loss``, and its tree-LSTM node."""
+    ops: dict[str, int] = {}
+    table = None
+    seen, stack = {id(loss)}, [loss]
+    while stack:
+        node = stack.pop()
+        if node.vjp is not None:
+            op = node.vjp.__qualname__.split(".")[0]
+            ops[op] = ops.get(op, 0) + 1
+            table = node if op == "tree_lstm" else table
+        for parent in node.parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return ops, table
 
 
 def _shared_nodes(net, traj):
@@ -298,9 +331,8 @@ def _shared_nodes(net, traj):
     dags = list({id(s.dag): s.dag for s in traj}.values())
     assert len(dags) >= 2
     memo = {}
-    with ag.no_grad():
-        for dag in dags:
-            net.encode(dag, memo)
+    for dag in dags:
+        net.encode(dag, memo)
     return len(memo), sum(d.n_nodes for d in dags)
 
 
@@ -315,8 +347,8 @@ def stub_actor_critic(rewards, q, logps, config):
 class TestLosses:
     def test_perfect_critic_gives_zero_loss(self):
         lw, lu, total = stub_actor_critic([2.0], q=[2.0], logps=[0.0], config=TrainConfig())
-        assert float(lw.value) == pytest.approx(0.0)
-        assert float(lu.value) == pytest.approx(0.0)
+        assert lw == pytest.approx(0.0)
+        assert lu == pytest.approx(0.0)
         assert float(total.value) == pytest.approx(0.0)
 
     def test_two_step_hand_computed_case(self):
@@ -324,13 +356,13 @@ class TestLosses:
         lw, lu, total = stub_actor_critic(
             [1.0, 1.0], q=[0.0, 0.0], logps=[0.0, 0.0], config=TrainConfig(gamma=0.9)
         )
-        assert float(lw.value) == pytest.approx(2.305)
-        assert float(total.value) == pytest.approx(float(lu.value) + 10.0 * 2.305)
+        assert lw == pytest.approx(2.305)
+        assert float(total.value) == pytest.approx(lu + 10.0 * 2.305)
 
     def test_zero_rewards_zero_critic(self):
         lw, lu, total = stub_actor_critic([0.0] * 3, q=[0.0] * 3, logps=[0.0] * 3, config=TrainConfig())
-        assert float(lw.value) == 0.0
-        assert float(lu.value) == 0.0
+        assert lw == 0.0
+        assert lu == 0.0
 
     def test_gamma_zero_reduces_returns_to_rewards(self):
         r = np.array([3.0, -1.0, 2.0])
@@ -341,13 +373,24 @@ class TestLosses:
             losses(PolicyNet(CFG), [], TrainConfig())
 
     def test_advantage_is_detached_from_rule_loss(self):
-        # the rule-loss gradient w.r.t. Q parameters must vanish when the
-        # log-likelihood path does not touch them
-        q = ag.Tensor.param(np.array([0.7]))
-        lps = ag.Tensor.param(log_softmax(np.array([0.1, -0.2]))[:1])
-        _, lu, _ = _actor_critic(q, lps, np.array([1.0]), TrainConfig())
-        ag.backward(lu)
-        assert q.grad is None or np.all(q.grad == 0.0)
+        # the chosen-region scores get the region loss's gradient alone: the
+        # advantage that weights the rule loss passes none back to them
+        q = ag.Tensor.param(np.array([0.7, -0.3]))
+        lps = ag.Tensor.param(log_softmax(np.array([0.1, -0.2])))
+        rewards = np.array([1.0, 0.5])
+        _, _, total = _actor_critic(q, lps, rewards, TrainConfig())
+        ag.backward(total)
+        g = discounted_returns(rewards, TrainConfig().gamma)
+        np.testing.assert_allclose(q.grad, ALPHA * (q.value - g), rtol=1e-15, atol=0)  # 2 (q - g) / 2 steps
+        np.testing.assert_allclose(lps.grad, q.value - g, rtol=1e-15, atol=0)
+
+    def test_actor_critic_matches_finite_differences(self):
+        # with the advantage frozen, as a finite-difference oracle needs it
+        rng = np.random.default_rng(5)
+        q = ag.Tensor.param(rng.uniform(-1, 1, 5))
+        lps = ag.Tensor.param(rng.uniform(-2, 0, 5))
+        rewards, delta = rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 5)
+        fd_check(lambda: _actor_critic(q, lps, rewards, TrainConfig(), delta)[2], [q, lps], rng, n_probe=5)
 
 
 class TestTapeFreeActing:
@@ -399,15 +442,16 @@ class TestNodeStateMemo:
     @staticmethod
     def _checked(net):
         """Wrap the net's acting encoder so that every state matrix it hands
-        the heads is compared with a fresh, memo-free encode of the dag;
-        returns a (dag, node count) pair per dag checked."""
+        the heads is compared, bit for bit, with a one-shot ``tree_lstm``
+        forward over a fresh memo of the dag; returns a (dag, node count)
+        pair per dag checked."""
         seen = []
         acting = net._encoding
 
         def checked(dag):
             out = acting(dag)
             if not seen or seen[-1][0] is not dag:
-                assert np.array_equal(out.value, ag.stack_rows(net.encode(dag)).value)
+                assert np.array_equal(out, _states(net, dag))
                 seen.append((dag, dag.n_nodes))
             return out
 
@@ -431,6 +475,14 @@ class TestNodeStateMemo:
         assert len(dag.rows) >= 5 and len(seen) >= 20
         # most nodes were reused, so the check above covered the memo
         assert len(net._memo[1]) < sum(n for _, n in seen) / 4
+        self._assert_table_is_one_shot(net)
+
+    @staticmethod
+    def _assert_table_is_one_shot(net):
+        """Acting's state table, grown dag by dag, equals one ``tree_lstm``
+        forward over its memo's rows, bit for bit."""
+        _, memo, table = net._memo
+        assert np.array_equal(table[: len(memo)], _one_shot(net, memo))
 
     def test_training_rollout_encodings_match_fresh_encodes(self):
         gen, train_cfg, search_cfg, policy_cfg = acc.recipe(distributed=False)
@@ -441,8 +493,9 @@ class TestNodeStateMemo:
             dag0 = _training_instance(gen, _instance_seed(0, 0, k))
             rng = np.random.default_rng(np.random.SeedSequence([0, 0, k, 777]))
             rollout_cfg = replace(search_cfg, num_steps=train_cfg.episode_len)
-            rewrite_search(dag0, net, rollout_cfg, rng, pc=search_cfg.pc_at(0))
+            rewrite_search(dag0, net, rollout_cfg, rng, pc=pc_at(0))
             memo_sizes += len(net._memo[1])
+            self._assert_table_is_one_shot(net)
         assert len(seen) >= 10
         assert memo_sizes < sum(n for _, n in seen)
 
@@ -521,7 +574,7 @@ class TestPerDagScores:
         dag0 = _training_instance(gen, _instance_seed(0, 0, 1))
         rng = np.random.default_rng(np.random.SeedSequence([0, 0, 1, 777]))
         rollout_cfg = replace(search_cfg, num_steps=train_cfg.episode_len)
-        _, traj = rewrite_search(dag0, net, rollout_cfg, rng, pc=search_cfg.pc_at(0))
+        _, traj = rewrite_search(dag0, net, rollout_cfg, rng, pc=pc_at(0))
         dags = list({id(t.dag): t.dag for t in traj}.values())
         assert len(traj) == 25 and 2 <= len(dags) < len(traj) / 2
         assert encoded == dags
@@ -611,7 +664,7 @@ class TestRolloutPin:
         for k in range(8):
             dag0 = _training_instance(gen, _instance_seed(0, 0, k))
             rng = np.random.default_rng(np.random.SeedSequence([0, 0, k, 777]))
-            _, traj = rewrite_search(dag0, net, rollout_cfg, rng, pc=search_cfg.pc_at(0))
+            _, traj = rewrite_search(dag0, net, rollout_cfg, rng, pc=pc_at(0))
             for t in traj:
                 a = t.action
                 rule = f"root{a.parent_site}" if a.parent_task is None else a.parent_task

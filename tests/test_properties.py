@@ -45,14 +45,13 @@ def _net(scenario) -> PolicyNet:
     return PolicyNet(PolicyConfig(hidden=4, n_filters=3, n_sites=n_sites, distributed=n_sites > 1))
 
 
-@SETTINGS
-@given(scenarios())
-def test_every_scheduler_yields_a_valid_partition(scenario):
+def _check_partition(ctx):
+    scenario = ctx.scenario
     ids = {t.id for t in scenario.tasks}
     net = _net(scenario)
-    results = {"fcfs-list": schedule_fcfs_list(SchedulingContext(scenario))}
+    results = {"fcfs-list": schedule_fcfs_list(ctx)}
     for name in SCHEDULERS:
-        results[name] = run_online(scenario, name, net=net, replan_steps=5)
+        results[name] = run_online(scenario, name, net=net, replan_steps=5, constraints=ctx.constraints)
     for name, (dag, drops) in results.items():
         assert validate(dag) == [], name
         scheduled = set(dag.task_ids)
@@ -60,18 +59,22 @@ def test_every_scheduler_yields_a_valid_partition(scenario):
         assert not scheduled & set(drops) and scheduled | set(drops) == ids, name
 
 
+@SETTINGS
+@given(scenarios())
+def test_every_scheduler_yields_a_valid_partition(scenario):
+    _check_partition(SchedulingContext(scenario))
+
+
 def _placement(dag, tid) -> tuple[int, int]:
     i = dag.node_of_task[tid] - dag.n_sites
     return int(dag.site[i]), int(dag.start[i])
 
 
-@SETTINGS
-@given(scenarios(), st.data())
-def test_applied_rewrites_stay_feasible(scenario, data):
+def _check_rewrites(ctx, data):
     """Every action from a chain of states: an applied rewrite gives a
     valid dag over the same tasks with the frozen tasks in place; any
     other outcome returns the input dag itself."""
-    dag, _ = schedule_fcfs_list(SchedulingContext(scenario))
+    dag, _ = schedule_fcfs_list(ctx)
     if len(dag.rows) < 2:
         return
     frozen = frozenset(data.draw(st.sets(st.sampled_from(dag.task_ids), max_size=2)))
@@ -95,6 +98,12 @@ def test_applied_rewrites_stay_feasible(scenario, data):
         if not applied:
             break
         dag = applied[data.draw(st.integers(0, len(applied) - 1))]
+
+
+@SETTINGS
+@given(scenarios(), st.data())
+def test_applied_rewrites_stay_feasible(scenario, data):
+    _check_rewrites(SchedulingContext(scenario), data)
 
 
 @SETTINGS
@@ -243,19 +252,43 @@ def test_build_from_arrays_matches_the_per_task_loop_where_windows_open(ctx, dat
     _check_build_against_loop(ctx, data)
 
 
-@SETTINGS
-@given(scenarios(), st.data())
-def test_point_fit_agrees_with_the_earliest_fit(scenario, data):
+def _check_point_fit(ctx, data):
     """On an FCFS-list placement with a few tasks taken out again, a task
     fits at (site, start) exactly when its earliest fit from that start is
     that start, for every site and every start of the grid."""
-    ctx = SchedulingContext(scenario)
     dag, _ = schedule_fcfs_list(ctx)
     pl = Placement(ctx).load(dag)
-    rows = data.draw(st.lists(st.integers(0, ctx.n_tasks - 1), max_size=3)) if ctx.n_tasks else []
+    rows = data.draw(st.lists(st.integers(0, ctx.n_tasks - 1), min_size=1, max_size=3)) if ctx.n_tasks else []
     for r in rows:
         if r in pl.committed:
             pl.uncommit(r)
         for s in range(ctx.n_sites):
             for b in range(ctx.horizon + 1):
                 assert pl.fits(r, s, b) == (pl.fit(r, s, b) == b), (r, s, b)
+
+
+@SETTINGS
+@given(scenarios(), st.data())
+def test_point_fit_agrees_with_the_earliest_fit(scenario, data):
+    _check_point_fit(SchedulingContext(scenario), data)
+
+
+# the three properties above again, on contexts whose windows open after
+# their tasks arrive (see ``transit_contexts``)
+
+@SETTINGS
+@given(transit_contexts())
+def test_every_scheduler_yields_a_valid_partition_where_windows_open(ctx):
+    _check_partition(ctx)
+
+
+@SETTINGS
+@given(transit_contexts(), st.data())
+def test_applied_rewrites_stay_feasible_where_windows_open(ctx, data):
+    _check_rewrites(ctx, data)
+
+
+@SETTINGS
+@given(transit_contexts(), st.data())
+def test_point_fit_agrees_with_the_earliest_fit_where_windows_open(ctx, data):
+    _check_point_fit(ctx, data)

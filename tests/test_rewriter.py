@@ -16,6 +16,7 @@ from obsched.rewriter import (
     candidate_parents,
     candidate_regions,
     dump_trajectory,
+    pc_at,
     rewrite_search,
     rewrite_step,
 )
@@ -391,7 +392,6 @@ class TestSearch:
         assert set(lines[0]) == {"step", "region", "rule", "cost_before", "cost_after", "rejected"}
 
     def test_pc_schedule(self):
-        cfg = SearchConfig()
-        assert cfg.pc_at(0) == pytest.approx(0.5)
-        assert cfg.pc_at(3000) == pytest.approx(0.5 * 0.8**3)
-        assert cfg.pc_at(10 ** 7) == pytest.approx(0.01)
+        assert pc_at(0) == pytest.approx(0.5)
+        assert pc_at(3000) == pytest.approx(0.5 * 0.8**3)
+        assert pc_at(10 ** 7) == pytest.approx(0.01)
