@@ -18,8 +18,9 @@ Algorithms*, 2nd ed., ch. 13), so over a run shorter than a sidereal day
 its extremes lie at the run's ends or next to a culmination.  That holds
 for the visibility predicate only while it is monotone in altitude, which
 ``VisibilityConstraints`` can break (see ``_monotone_in_altitude``); several
-sites, or a predicate that is not monotone, take a walk over the dark
-steps instead.
+sites, or a predicate that is not monotone, take two passes instead: every
+``COVERAGE_STRIDE``-th step for all targets, then the other steps for the
+targets the first pass left undecided.
 """
 from __future__ import annotations
 
@@ -55,8 +56,8 @@ __all__ = [
 #: +inf means "airmass <= limit" naturally rejects unobservable steps.
 UNOBSERVABLE = math.inf
 
-#: steps per block of the coverage walk in ``sky_coverage``
-COVERAGE_BLOCK = 60
+#: ``sky_coverage``'s first pass evaluates every this many horizon steps
+COVERAGE_STRIDE = 60
 
 #: sidereal degrees per mean solar day (the GMST polynomial's rate)
 _SIDEREAL_DEG_PER_DAY = 360.98564736629
@@ -305,16 +306,13 @@ class SiteSky:
     """The target-independent sky of one site over one grid.
 
     ``lst`` is the local sidereal time of every step and ``dark`` marks
-    the steps whose sun altitude meets the constraint; ``dark_steps`` and
-    ``dark_lst`` are the same restricted to the dark steps.  ``lst_step``
-    is how far the local sidereal time advances per step, in degrees.
+    the steps whose sun altitude meets the constraint.  ``lst_step`` is
+    how far the local sidereal time advances per step, in degrees.
     """
 
     lat: float
     lst: np.ndarray
     dark: np.ndarray
-    dark_steps: np.ndarray
-    dark_lst: np.ndarray
     lst_step: float
 
 
@@ -333,8 +331,7 @@ def site_skies(
     for site in sites:
         lst = (gmst + site.lon) % 360.0
         dark = _altitude_vec(sun_ra, sun_dec, site.lat, lst) <= constraints.max_sun_altitude_deg
-        steps = np.flatnonzero(dark)
-        out.append(SiteSky(site.lat, lst, dark, steps, lst[steps], lst_step))
+        out.append(SiteSky(site.lat, lst, dark, lst_step))
     return out
 
 
@@ -392,7 +389,7 @@ def _one_site_coverage(
     pair absorbs its rounding.  A monotone predicate holds at some step
     iff it holds at the highest one, and at every step iff at the lowest.
     """
-    steps = sky.dark_steps[: np.searchsorted(sky.dark_steps, horizon_steps)]
+    steps = np.flatnonzero(sky.dark[:horizon_steps])
     if not steps.size:
         return np.zeros(ra.size, dtype=bool), np.zeros(ra.size, dtype=bool)
     per_piece = max(1, int(360.0 / sky.lst_step))
@@ -440,15 +437,15 @@ def sky_coverage(
     the predicate true at the highest, and ``_one_site_coverage`` finds
     those at the run ends and culminations (Meeus ch. 13).  Otherwise --
     several sites, whose union is not a function of one altitude, or a
-    non-monotone predicate -- the horizon is walked in blocks of
-    ``COVERAGE_BLOCK`` steps, and a target is evaluated on a block only
-    while it can still change a flag:
+    non-monotone predicate -- the union is evaluated in two passes over
+    disjoint step sets, each ANDed into ``full`` and ORed into ``some``:
 
-    - ``full`` turns False at the first block holding a step that no site
-      observes, i.e. only where the union is False; a target that
-      reaches the end was observed at every step.
-    - ``some`` turns True at the first observed step; a target still
-      False at the end was evaluated on every dark step of every site.
+    - pass 1 takes every target at every ``COVERAGE_STRIDE``-th step; a
+      target with an unobserved step there is not ``full``, and one with
+      an observed step there is ``some``;
+    - pass 2 takes the other steps, only for the targets pass 1 left
+      undecided: ``full`` still True, or ``some`` still False when
+      ``want_some``.  The others keep flags no further step can change.
     """
     ra = np.asarray(ra, dtype=np.float64)
     dec = np.asarray(dec, dtype=np.float64)
@@ -457,18 +454,18 @@ def sky_coverage(
         return full, (some if want_some else None)
     full = np.ones(ra.size, dtype=bool)
     some = np.zeros(ra.size, dtype=bool)
-    for b0 in range(0, horizon_steps, COVERAGE_BLOCK):
+    every = np.arange(horizon_steps)
+    sampled = every % COVERAGE_STRIDE == 0
+    for steps in (every[sampled], every[~sampled]):
         rows = np.flatnonzero(full | ~some if want_some else full)
         if not rows.size:
             break
-        b1 = min(b0 + COVERAGE_BLOCK, horizon_steps)
-        cover = np.zeros((rows.size, b1 - b0), dtype=bool)
-        ra_r, dec_r = ra[rows], dec[rows]
+        cover = np.zeros((rows.size, steps.size), dtype=bool)
         for sky in skies:
-            i0, i1 = np.searchsorted(sky.dark_steps, (b0, b1))
-            if i1 > i0:
-                m, _ = _target_mask(ra_r, dec_r, sky.lat, sky.dark_lst[i0:i1], constraints)
-                cover[:, sky.dark_steps[i0:i1] - b0] |= m
+            dark = np.flatnonzero(sky.dark[steps])
+            if dark.size:
+                m, _ = _target_mask(ra[rows], dec[rows], sky.lat, sky.lst[steps[dark]], constraints)
+                cover[:, dark] |= m
         full[rows] &= cover.all(axis=1)
         some[rows] |= cover.any(axis=1)
     return full, (some if want_some else None)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields, replace
 from datetime import datetime
+from functools import cache
 from importlib import resources
 
 import numpy as np
@@ -262,9 +263,14 @@ class GenConfig:
 
 
 def default_sites() -> list[Site]:
-    """The bundled five-site list (equipment priorities left at 1.0)."""
+    """The bundled five-site list (equipment priorities left at 1.0); a new list per call."""
+    return list(_bundled_sites())
+
+
+@cache
+def _bundled_sites() -> tuple[Site, ...]:
     text = resources.files("obsched.data").joinpath("sites.json").read_text()
-    return _sites_from_obj(json.loads(text))
+    return tuple(_sites_from_obj(json.loads(text)))
 
 
 def load_sites(path) -> list[Site]:
@@ -275,9 +281,12 @@ def load_sites(path) -> list[Site]:
 def _sites_from_obj(obj) -> list[Site]:
     """Parse a site list, from a site file or a scenario; errors name
     ``sites[i]`` and the field.  A missing or null ``equipment_priority``
-    means 1.0, a missing or null ``alt_m`` 0.0."""
+    means 1.0, a missing or null ``alt_m`` 0.0; an empty list is an error."""
+    rows = read_field(obj, None, "sites", list)
+    if not rows:
+        raise ScenarioError("sites: must hold at least one site")
     sites = []
-    for ctx, row in _rows(read_field(obj, None, "sites", list), "sites"):
+    for ctx, row in _rows(rows, "sites"):
         name = read_field(row, "name", ctx, str)
         lat = read_field(row, "lat_deg", ctx, float)
         lon = read_field(row, "lon_deg", ctx, float)
@@ -295,11 +304,11 @@ def _sites_from_obj(obj) -> list[Site]:
     return sites
 
 
-def _uniform_fields(rng: np.random.Generator, n: int, min_dec: float) -> tuple[np.ndarray, np.ndarray]:
+def _uniform_fields(rng: np.random.Generator, n: int, min_dec: float) -> np.ndarray:
     # uniform on the sphere above min_dec: ra ~ U[0,360), sin(dec) ~ U[sin(min_dec), 1]
     ra = rng.uniform(0.0, 360.0, size=n)
     s = rng.uniform(np.sin(np.radians(min_dec)), 1.0, size=n)
-    return ra, np.degrees(np.arcsin(s))
+    return np.stack([ra, np.degrees(np.arcsin(s))])
 
 
 def _sample_fields(
@@ -307,9 +316,9 @@ def _sample_fields(
     cfg: GenConfig,
     grid: TimeGrid,
     sites: list[Site],
-) -> list[SkyCoord]:
+) -> np.ndarray:
     """Sky fields for one scenario, under the default
-    ``VisibilityConstraints``.
+    ``VisibilityConstraints``: a (2, ``num_fields``) array of ra and dec.
 
     When ``visible_fields_only`` is set (the default), a candidate field
     is kept only when every step of the horizon is observable from at
@@ -319,42 +328,45 @@ def _sample_fields(
 
     The sites' skies are computed once, not once per round, and
     ``sky_coverage`` gives the same flags as a brute-force union of
-    per-site masks (see its docstring for why).  With one site, and a
-    predicate monotone in altitude (no airmass limit, or an altitude
-    cutoff of at least -1.75 deg), it decides each field from the ends
-    and culminations of the dark runs (Meeus, *Astronomical Algorithms*,
-    ch. 13); with several sites it walks the dark steps.  The
+    per-site masks (see its docstring for why): from the ends and
+    culminations of the dark runs for one site, and from a sampled pass
+    plus a pass over the undecided fields for several.  The
     partially-visible flags are asked for only while fewer than
     ``num_fields`` partial draws are held: the fill reads at most
     ``num_fields`` of them, in order, so the draws that would follow are
     never read.
     """
+    n = cfg.num_fields
     if not cfg.visible_fields_only:
-        ra, dec = _uniform_fields(rng, cfg.num_fields, cfg.min_field_dec)
-        return [SkyCoord(float(r), float(d)) for r, d in zip(ra, dec)]
+        return _uniform_fields(rng, n, cfg.min_field_dec)
 
     skies = site_skies([s.coord for s in sites], grid)
-    out: list[SkyCoord] = []
-    partial: list[SkyCoord] = []
+    kept: list[np.ndarray] = []  # (2, k) chunks of full fields, in draw order
+    partial: list[np.ndarray] = []  # and of partial ones
     for _ in range(40):
-        if len(out) >= cfg.num_fields:
+        if sum(c.shape[1] for c in kept) >= n:
             break
-        ra, dec = _uniform_fields(rng, cfg.num_fields, cfg.min_field_dec)
-        want_some = len(partial) < cfg.num_fields
-        full, some = sky_coverage(ra, dec, skies, grid.horizon_steps, want_some=want_some)
-        for r, d in zip(ra[full], dec[full]):
-            if len(out) < cfg.num_fields:
-                out.append(SkyCoord(float(r), float(d)))
+        fields = _uniform_fields(rng, n, cfg.min_field_dec)
+        want_some = sum(c.shape[1] for c in partial) < n
+        full, some = sky_coverage(*fields, skies, grid.horizon_steps, want_some=want_some)
+        kept.append(fields[:, full])
         if want_some:
-            partial.extend(SkyCoord(float(r), float(d)) for r, d in zip(ra[some & ~full], dec[some & ~full]))
-    for c in partial:
-        if len(out) >= cfg.num_fields:
-            break
-        out.append(c)
-    while len(out) < cfg.num_fields:
-        ra, dec = _uniform_fields(rng, cfg.num_fields - len(out), cfg.min_field_dec)
-        out.extend(SkyCoord(float(r), float(d)) for r, d in zip(ra, dec))
+            partial.append(fields[:, some & ~full])
+    out = np.concatenate(kept + partial, axis=1)[:, :n]
+    if out.shape[1] < n:
+        out = np.concatenate([out, _uniform_fields(rng, n - out.shape[1], cfg.min_field_dec)], axis=1)
     return out
+
+
+@cache
+def _band_cdf(probs: tuple[float, ...]) -> np.ndarray:
+    """The band-count cdf that ``rng.choice(len(probs), p=probs)`` draws
+    one uniform against, normalised as that call normalises it."""
+    p = np.asarray(probs, dtype=float)
+    cdf = (p / p.sum()).cumsum()  # (0.1,0.2,0.3) -> (1/6,3/6,6/6)
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
 
 
 def _sample_filters(rng: np.random.Generator, cfg: GenConfig) -> tuple[bool, ...]:
@@ -365,9 +377,7 @@ def _sample_filters(rng: np.random.Generator, cfg: GenConfig) -> tuple[bool, ...
         i, j = pairs[int(rng.integers(len(pairs)))]
         chosen = {i, j}
     else:  # nonuniform
-        probs = np.asarray(cfg.resource_band_probs, dtype=float)
-        probs = probs / probs.sum()  # (0.1,0.2,0.3) -> (1/6,2/6,3/6)
-        count = 1 + int(rng.choice(len(probs), p=probs))
+        count = 1 + int(_band_cdf(cfg.resource_band_probs).searchsorted(rng.random(), side="right"))
         chosen = set(rng.choice(d, size=min(count, d), replace=False).tolist())
     return tuple(i in chosen for i in range(d))
 
@@ -423,6 +433,8 @@ def generate_scenario(
             raise ScenarioError("num_sites exceeds the default site list")
         prios = rng.uniform(0.0, 1.0, size=len(base))
         sites = [replace(s, equipment_priority=float(p)) for s, p in zip(base, prios)]
+    elif not sites:
+        raise ScenarioError("sites: must hold at least one site")
     else:
         rng.uniform(0.0, 1.0, size=len(sites))  # keep the stream aligned
 
@@ -438,7 +450,7 @@ def generate_scenario(
             p = rng.uniform(0.0, config.dynamic_max_prob)
         if rng.random() >= p:
             continue
-        coord = fields[int(rng.integers(len(fields)))]
+        coord = SkyCoord(*fields[:, int(rng.integers(fields.shape[1]))])
         long_dur = rng.random() < config.duration_long_frac
         duration = _sample_int(
             rng, config.duration_long_range if long_dur else config.duration_short_range

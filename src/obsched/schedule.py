@@ -106,7 +106,11 @@ class SchedulingContext:
         self.rho = np.array([t.rho for t in scenario.tasks], dtype=bool).reshape(
             n, self.n_filters
         )
-        self.rho_idx = [np.flatnonzero(self.rho[r]) for r in range(n)]
+        # each task's filter indices: one read-only array per distinct pattern
+        shared = {rho: np.flatnonzero(rho) for rho in {t.rho for t in scenario.tasks}}
+        for idx in shared.values():
+            idx.flags.writeable = False
+        self.rho_idx = [shared[t.rho] for t in scenario.tasks]
 
         tgt_row = {t.id: i for i, t in enumerate(scenario.targets)}
         self.target_row = np.array(

@@ -476,6 +476,14 @@ class TestMain:
             main(["generate", "--bogus"])
         assert exc.value.code == 2
 
+    def test_generate_rejects_an_empty_site_list(self, tmp_path, capsys):
+        # used to write a scenario whose every task is dropped
+        sites, out = tmp_path / "sites.json", tmp_path / "s.json"
+        sites.write_text("[]")
+        assert main(["generate", "--sites", str(sites), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: sites: must hold at least one site\n"
+        assert not out.exists()
+
     def test_simulate_rejects_empty_queue(self, tmp_path, capsys):
         sc = tmp_path / "s.json"
         save_scenario(generate_scenario(gen_config_from_obj(GEN), 1), sc)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obsched.ephemeris import (
-    COVERAGE_BLOCK,
+    COVERAGE_STRIDE,
     UNOBSERVABLE,
     GeoCoord,
     SkyCoord,
@@ -218,7 +218,7 @@ def test_skycoord_normalization():
         GeoCoord(0.0, 181.0)
 
 
-# --- sky coverage: the dark-step, block-pruned union flags ---------------------
+# --- sky coverage: the dark-step union flags, decided in two passes ------------
 
 SITES = [s.coord for s in default_sites()]
 
@@ -243,8 +243,8 @@ def _brute_union(ra, dec, sites, grid, cons):
     minutes=st.integers(0, 366 * 24 * 60),
     step_minutes=st.integers(1, 30),
     horizon=st.one_of(
-        st.integers(1, 3 * COVERAGE_BLOCK + 7),
-        st.sampled_from([COVERAGE_BLOCK - 1, COVERAGE_BLOCK, COVERAGE_BLOCK + 1, 1440]),
+        st.integers(1, 3 * COVERAGE_STRIDE + 7),
+        st.sampled_from([COVERAGE_STRIDE - 1, COVERAGE_STRIDE, COVERAGE_STRIDE + 1, 1440]),
     ),
     max_airmass=st.sampled_from([1.0, 1.2, 2.0, 3.0, math.inf]),
     min_altitude=st.floats(-6.07995, 40.0),
@@ -308,7 +308,7 @@ def test_sky_coverage_tells_full_from_partial_across_blocks():
     # every step from Chile, while an equatorial one rises and sets; a
     # horizon of 2.5 blocks ends inside a partial block
     site = SITES[0]
-    horizon = 2 * COVERAGE_BLOCK + COVERAGE_BLOCK // 2
+    horizon = 2 * COVERAGE_STRIDE + COVERAGE_STRIDE // 2
     grid = TimeGrid(datetime(2025, 6, 21, tzinfo=timezone.utc), 4, horizon)
     cons = VisibilityConstraints(max_airmass=math.inf, max_sun_altitude_deg=91.0)
     ra, dec = np.array([0.0, 0.0, 0.0]), np.array([-80.0, 0.0, 80.0])
@@ -329,13 +329,42 @@ def test_sky_coverage_sees_the_last_step_of_a_block(edge):
     day = TimeGrid(datetime(2025, 6, 21, tzinfo=timezone.utc), 1, 1440)
     (dark,) = _brute_union(ra, dec, [site], day, cons)
     flips = np.flatnonzero(dark[:-1] & ~dark[1:] if edge == "dawn" else ~dark[:-1] & dark[1:]) + 1
-    k = int(flips[flips >= COVERAGE_BLOCK][0])
-    grid = TimeGrid(day.time_at(k - (COVERAGE_BLOCK - 1)), 1, COVERAGE_BLOCK)
+    k = int(flips[flips >= COVERAGE_STRIDE][0])
+    grid = TimeGrid(day.time_at(k - (COVERAGE_STRIDE - 1)), 1, COVERAGE_STRIDE)
     (union,) = _brute_union(ra, dec, [site], grid, cons)
-    last = np.arange(COVERAGE_BLOCK) == COVERAGE_BLOCK - 1
+    last = np.arange(COVERAGE_STRIDE) == COVERAGE_STRIDE - 1
     assert np.array_equal(union, ~last if edge == "dawn" else last)
     full, some = sky_coverage(ra, dec, site_skies([site], grid, cons), grid.horizon_steps, cons)
     assert full.tolist() == [False] and some.tolist() == [True]
+
+
+@pytest.mark.parametrize("culmination", ["lower", "upper"])
+def test_two_site_coverage_decides_between_sampled_steps(culmination):
+    # in an all-dark sky, an altitude cutoff halfway between the two lowest
+    # (highest) step altitudes leaves exactly one step uncovered (covered):
+    # the one at the lower (upper) culmination, put strictly between two
+    # steps of the first pass, which therefore reads the target as full
+    # (never seen).  La Palma never sees this target, but makes the union
+    # a several-site one.
+    pachon, la_palma = SITES[0], SITES[1]
+    horizon, k = 2 * COVERAGE_STRIDE + 7, COVERAGE_STRIDE + 17
+    grid = TimeGrid(datetime(2025, 3, 1, tzinfo=timezone.utc), 1, horizon)
+    lst = [local_sidereal_time(grid.epoch_utc, s, pachon) for s in range(horizon)]
+    ra = (lst[k] + 0.1 + (180.0 if culmination == "lower" else 0.0)) % 360.0
+    alt = np.array([altitude(SkyCoord(ra, -70.0), pachon, x) for x in lst])
+    order = np.argsort(alt)
+    pair = order[:2] if culmination == "lower" else order[-2:]
+    assert k in pair and k % COVERAGE_STRIDE
+    cons = VisibilityConstraints(math.inf, alt[pair].mean(), 91.0)
+    ra, dec = np.array([ra]), np.array([-70.0])
+    (union,) = _brute_union(ra, dec, [pachon, la_palma], grid, cons)
+    at_k = np.arange(horizon) == k
+    assert np.array_equal(union, ~at_k if culmination == "lower" else at_k)
+    skies = site_skies([pachon, la_palma], grid, cons)
+    full, some = sky_coverage(ra, dec, skies, horizon, cons)
+    assert full.tolist() == [False] and some.tolist() == [True]
+    full, _ = sky_coverage(ra, dec, skies, horizon, cons, want_some=False)
+    assert full.tolist() == [False]
 
 
 def test_no_airmass_below_the_horizon():

@@ -24,6 +24,7 @@ from obsched.scenario import (
     scenario_to_json,
     target_to_tasks,
 )
+from obsched.scenario import _sample_filters
 
 FAST = dict(visible_fields_only=False, num_fields=10)
 
@@ -126,6 +127,21 @@ class TestGeneration:
         frac = counts[1:] / total
         for got, want in zip(frac, (1 / 6, 2 / 6, 3 / 6)):
             assert abs(got - want) < 0.02
+
+    def test_band_count_is_the_draw_choice_makes(self):
+        # the band count takes from the stream exactly what
+        # ``rng.choice(3, p=...)`` takes, so scenarios keep their bytes
+        for probs in [(0.10, 0.20, 0.30), (0.0, 0.0, 5.0), (0.7, 0.1, 0.2)]:
+            cfg = GenConfig(resource_band_probs=probs, num_filters=5)
+            p = np.asarray(probs, dtype=float)
+            p = p / p.sum()
+            for seed in range(50):
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(10):
+                    count = 1 + int(a.choice(3, p=p))
+                    want = set(a.choice(5, size=count, replace=False).tolist())
+                    assert _sample_filters(b, cfg) == tuple(i in want for i in range(5))
+                assert a.random() == b.random()
 
     def test_uniform_resource_mix_is_pairs(self):
         cfg = GenConfig(horizon_steps=120, arrival_prob=0.5, resource_mix="uniform", **FAST)
@@ -233,6 +249,29 @@ def test_one_site_scenario_sweep_is_pinned(cfg, count, digest):
     # one-site coverage is decided from a few steps per dark run; these
     # digests were taken from the walk over every dark step, so a field
     # flag that differs from it moves them
+    h = hashlib.sha256()
+    for seed in range(count):
+        h.update(scenario_to_json(generate_scenario(cfg, seed)).encode())
+    assert h.hexdigest() == digest
+
+
+FIVE = replace(INTRA, num_sites=5)
+
+
+@pytest.mark.parametrize(
+    "cfg, count, digest",
+    [
+        (FIVE, 60, "cd1368edac8202f940fcedd7b76c4c7df7af276351ddf961b3f9863300ee7ae9"),
+        # 20 hours: dusk and dawn inside the horizon, so partial fields
+        (replace(FIVE, step_minutes=5), 30, "ddd9585844e76efd7b5c3be00a40ed751fc58f97d1b13daddcaa9d5aae9bc868"),
+        (replace(FIVE, horizon_steps=1440), 6, "ca89fb167f2782b8f98214f5ba103d8c29c6b3a7ab15e0e8472368b545876b7c"),
+    ],
+    ids=["240x5", "step5", "1440x5"],
+)
+def test_five_site_scenario_sweep_is_pinned(cfg, count, digest):
+    # several-site coverage samples the horizon first and then finishes
+    # only the undecided fields; these digests were taken from a walk over
+    # every dark step of every site, so a field flag that differs moves them
     h = hashlib.sha256()
     for seed in range(count):
         h.update(scenario_to_json(generate_scenario(cfg, seed)).encode())
@@ -377,6 +416,25 @@ class TestSites:
         row = {k: v for k, v in self.ROWS[1].items() if k != "name"}
         with pytest.raises(ScenarioError, match="sites\\[1\\]: missing field 'name'"):
             self._load(tmp_path, [self.ROWS[0], row])
+
+    def test_empty_list_is_rejected(self, tmp_path):
+        # each of these used to give a scenario whose every task is dropped
+        with pytest.raises(ScenarioError, match="^sites: must hold at least one site$"):
+            self._load(tmp_path, [])
+        obj = self._scenario_obj()
+        obj["sites"] = []
+        with pytest.raises(ScenarioError, match="^sites: must hold at least one site$"):
+            scenario_from_json(json.dumps(obj))
+        with pytest.raises(ScenarioError, match="^sites: must hold at least one site$"):
+            generate_scenario(GenConfig(horizon_steps=60), 1, sites=[])
+
+    def test_default_sites_is_a_new_list_each_call(self):
+        first = default_sites()
+        names = [s.name for s in first]
+        first.append(first[0])
+        first.reverse()
+        assert default_sites() is not first
+        assert [s.name for s in default_sites()] == names
 
     def test_not_a_list_or_object(self, tmp_path):
         with pytest.raises(ScenarioError, match="sites: must be a list"):

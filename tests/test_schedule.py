@@ -76,6 +76,15 @@ class TestRunLeft:
         assert not want[0].any() and not want[4].any()
 
 
+def test_tasks_with_one_filter_pattern_share_one_read_only_index():
+    ctx = SchedulingContext(toy_scenario([(0, 5, UG), (3, 5, U), (9, 5, UG), (12, 5, G)]))
+    assert ctx.rho_idx[0] is ctx.rho_idx[2]
+    assert ctx.rho_idx[0].tolist() == [0, 1] and ctx.rho_idx[1].tolist() == [0]
+    assert ctx.rho_idx[3].tolist() == [1] and ctx.rho_idx[1] is not ctx.rho_idx[3]
+    with pytest.raises(ValueError, match="read-only"):
+        ctx.rho_idx[0][0] = 2
+
+
 class TestBuildAndEdges:
     def test_three_on_time_tasks_form_a_star(self, three_task_scenario):
         dag = build(three_task_scenario, [(0, 0, 5), (1, 0, 5), (2, 0, 5)])
