@@ -1,37 +1,24 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Deliberately small: exactly the operations the policy's one loss needs,
-each with a hand-written vector-Jacobian product.  The network is fixed,
-so the tape is shaped like it.  One child-sum tree-LSTM kernel,
-``lstm_rows``, serves acting and learning alike: acting calls it to grow
-a state table off the tape, and the loss records it as one ``tree_lstm``
-node over a trajectory's distinct nodes.  With one ``gather_rows`` and
-three layers per head, one ``segment_log_softmax`` for every step's
-chosen rule and the policy's fused actor-critic node, each trajectory
-records a fixed 17 nodes, whatever its steps and candidates.
+The policy's network is fixed, so the tape is shaped like it: each
+trajectory's loss records two nodes.  One is ``tree_lstm``, the child-sum
+tree-LSTM over the trajectory's distinct dag nodes; its kernel,
+``lstm_rows``, also grows acting's state tables, off the tape.  The
+other is the policy's head-and-loss node (see ``policy.losses``), whose
+hand-written vjp runs both heads backward and hands the state table its
+gradient.  ``Tensor`` and ``backward`` stay, rather than one function
+returning the flat gradient, because perfbench/tracing.py wraps
+``backward`` and walks ``loss.parents``, until the benchmark can time the
+gradient without them (ROADMAP.md, item 2).
 
 All values are float64.  Gradients accumulate into ``Tensor.grad``;
 ``backward`` walks the tape once in reverse topological order.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "backward"]
-
-_grad_enabled = [True]
-
-
-@contextmanager
-def no_grad():
-    """Disable tape recording (forward values only)."""
-    _grad_enabled.append(False)
-    try:
-        yield
-    finally:
-        _grad_enabled.pop()
+__all__ = ["Tensor", "backward"]
 
 
 class Tensor:
@@ -42,19 +29,18 @@ class Tensor:
     def __init__(self, value, parents=(), vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        if _grad_enabled[-1]:
-            self.parents = parents
-            self.vjp = vjp
-        else:
-            self.parents = ()
-            self.vjp = None
+        self.parents = parents
+        self.vjp = vjp
 
     def zero_grad(self):
         self.grad = None
 
     def add_grad(self, g):
+        """Accumulate ``g``.  The first gradient is kept as it is, not
+        copied: every vjp returns fresh float64 arrays, which no other
+        node holds."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = g
         else:
             self.grad += g
 
@@ -95,71 +81,7 @@ def backward(loss: Tensor) -> None:
                 parent.add_grad(g)
 
 
-# --- operations -------------------------------------------------------------
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w.T + b for x of shape (k, n); w is (m, n), b is (m,)."""
-    out = x.value @ w.value.T + b.value
-
-    def vjp(g):
-        return (g @ w.value, g.T @ x.value, g.sum(axis=0))
-
-    return Tensor(out, (x, w, b), vjp)
-
-
-def relu(x: Tensor) -> Tensor:
-    m = x.value > 0.0
-
-    def vjp(g):
-        return (g * m,)
-
-    return Tensor(np.where(m, x.value, 0.0), (x,), vjp)
-
-
-def gather_rows(x: Tensor, idx: np.ndarray | list, cols: int) -> Tensor:
-    """The first ``cols`` columns of rows ``idx`` of the matrix ``x``.
-
-    A 1-D ``idx`` gives a (len(idx), cols) matrix.  A 2-D ``idx`` of shape
-    (n, k) puts each index tuple's k row slices side by side, giving an
-    (n, k * cols) matrix.  Repeated indices accumulate their gradients.
-    """
-    idx = np.asarray(idx, dtype=np.intp)
-
-    def vjp(g):
-        full = np.zeros_like(x.value)
-        np.add.at(full, (idx, slice(0, cols)), g.reshape(idx.shape + (cols,)))
-        return (full,)
-
-    return Tensor(x.value[idx, :cols].reshape(len(idx), -1), (x,), vjp)
-
-
-def squeeze_col(x: Tensor) -> Tensor:
-    """(n, 1) matrix to an (n,) vector."""
-
-    def vjp(g):
-        return (g[:, None],)
-
-    return Tensor(x.value[:, 0], (x,), vjp)
-
-
-def segment_log_softmax(x: Tensor, bounds: np.ndarray | list, picks: np.ndarray | list) -> Tensor:
-    """``x[picks[k]] - logsumexp(x[bounds[k]:bounds[k + 1]])`` for each
-    (non-empty) segment ``k``; ``picks[k]`` lies in segment ``k``."""
-    starts = np.asarray(bounds[:-1], dtype=np.intp)
-    lens = np.diff(np.asarray(bounds, dtype=np.intp))
-    picks = np.asarray(picks, dtype=np.intp)
-    z = x.value - np.repeat(np.maximum.reduceat(x.value, starts), lens)
-    e = np.exp(z)
-    total = np.add.reduceat(e, starts)
-    sm = e / np.repeat(total, lens)
-
-    def vjp(g):
-        full = -np.repeat(g, lens) * sm
-        full[picks] += g
-        return (full,)
-
-    return Tensor(z[picks] - np.log(total), (x,), vjp)
-
+# --- the tree-LSTM ------------------------------------------------------------
 
 def lstm_rows(x: np.ndarray, parents, wx: np.ndarray, wh: np.ndarray, b: np.ndarray, hc: np.ndarray, lo: int = 0):
     """The child-sum tree-LSTM forward kernel, filling rows ``lo:`` of the

@@ -7,16 +7,19 @@ The critic is the region score itself, regressed on the full discounted
 return; the rule head is trained by advantage-weighted log-likelihood.
 ``encode`` only keys a dag's nodes to rows of a table of distinct node
 states; one LSTM kernel, ``autograd.lstm_rows``, fills that table for
-acting and learning alike.  Acting is tape-free: it grows one table per
-scheduling context, and scores each dag once, when it first encodes it:
-the region head runs over every node, and the rule head's first layer is
-split into its region and parent halves, each applied to every node, so
-a step only indexes the region scores and runs the rule head's last two
-layers on its candidates.  The one loss, ``losses``, replays each
-trajectory in one batched pass on the package's own reverse-mode tape
-(see autograd): one ``tree_lstm`` node over the trajectory's distinct
-nodes, the heads with the rule head's first layer on the concatenated
-(region, parent) rows, and one actor-critic node, a fixed 17 tape nodes.
+acting and learning alike, and one numpy function, ``_mlp``, runs the
+heads' last two layers for both.  Acting is plain numpy: it grows one
+table per scheduling context, and scores each dag once, when it first
+encodes it: the region head runs over every node, and the rule head's
+first layer is split into its region and parent halves, each applied to
+every node, so a step only indexes the region scores and runs the rule
+head's last two layers on its candidates.  The one loss, ``losses``,
+replays each trajectory in one batched pass and records two nodes on the
+package's reverse-mode tape (see autograd): one ``tree_lstm`` node over
+the trajectory's distinct nodes, and one head-and-loss node whose
+hand-written vjp runs both heads backward through ``_mlp_vjp``.  The
+tape's ``Tensor`` and ``backward`` remain for perfbench's bindings, which
+wrap ``autograd.backward`` and walk ``loss.parents``.
 """
 from __future__ import annotations
 
@@ -222,48 +225,44 @@ class PolicyNet:
         ag.lstm_rows(x, parents, p["enc_wx"].value, p["enc_wh"].value, p["enc_b"].value, hc, lo)
         return hc[rows]
 
+    def _weights(self) -> dict[str, np.ndarray]:
+        return {k: t.value for k, t in self.params.items()}
+
     def _tables(self, dag: ScheduleDag) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-node head tables of the dag acted on, computed once per dag:
         every node's region score, and every node's ``h`` through the
         region half (plus ``rule_b1``) and the parent half of ``rule_w1``."""
         if self._cache is None or self._cache[0] is not dag:
-            h, p = self.config.hidden, {k: t.value for k, t in self.params.items()}
+            h, p = self.config.hidden, self._weights()
             x = self._encoding(dag)[:, :h]
-            with ag.no_grad():
-                q = self._mlp(Tensor(x @ p["reg_w1"].T + p["reg_b1"]), "reg").value
+            q, _ = _mlp(p, "reg", x @ p["reg_w1"].T + p["reg_b1"])
             a = x @ p["rule_w1"][:, :h].T + p["rule_b1"]
             self._cache = (dag, q, a, x @ p["rule_w1"][:, h:].T)
         return self._cache[1:]
 
-    def _mlp(self, pre: Tensor, prefix: str) -> Tensor:
-        """Layers 2 and 3 of a head, from its first layer's pre-activation."""
-        x = ag.relu(ag.linear(ag.relu(pre), self.params[prefix + "_w2"], self.params[prefix + "_b2"]))
-        return ag.squeeze_col(ag.linear(x, self.params[prefix + "_w3"], self.params[prefix + "_b3"]))
-
-    def region_scores(self, dag: ScheduleDag, candidates: list[int]) -> Tensor:
-        """Q(s, w) for each candidate region, as one (n,) tensor off the
-        tape, indexed from the dag's all-node region scores."""
+    def region_scores(self, dag: ScheduleDag, candidates: list[int]) -> np.ndarray:
+        """Q(s, w) for each candidate region, indexed from the dag's
+        all-node region scores."""
         q, _, _ = self._tables(dag)
-        return Tensor(q[[dag.node_of_task[tid] for tid in candidates]])
+        return q[[dag.node_of_task[tid] for tid in candidates]]
 
-    def rule_scores(self, dag: ScheduleDag, region: int, candidates: list[tuple]) -> Tensor:
-        """Rule-head logits for (region, candidate-parent) pairs, off the
-        tape: the region's and the candidates' first-layer halves from the
-        dag's tables, summed, then the head's last two layers."""
+    def rule_scores(self, dag: ScheduleDag, region: int, candidates: list[tuple]) -> np.ndarray:
+        """Rule-head logits for (region, candidate-parent) pairs: the
+        region's and the candidates' first-layer halves from the dag's
+        tables, summed, then the head's last two layers."""
         _, a, b = self._tables(dag)
-        with ag.no_grad():
-            return self._mlp(Tensor(a[dag.node_of_task[region]] + b[_nodes(dag, candidates)]), "rule")
+        return _mlp(self._weights(), "rule", a[dag.node_of_task[region]] + b[_nodes(dag, candidates)])[0]
 
     # -- search-policy protocol -------------------------------------------
 
     def pick_region(self, dag, candidates, rng, greedy=False, pc=None):
-        q = self.region_scores(dag, candidates).value
+        q = self.region_scores(dag, candidates)
         if greedy or (pc is not None and rng.random() < pc):
             return candidates[int(np.argmax(q))]
         return candidates[int(rng.choice(len(q), p=region_distribution(q)))]
 
     def pick_rule(self, dag, region, candidates, rng, greedy=False):
-        lp = log_softmax(self.rule_scores(dag, region, candidates).value)
+        lp = log_softmax(self.rule_scores(dag, region, candidates))
         if greedy:
             return candidates[int(np.argmax(lp))]
         return candidates[int(rng.choice(lp.size, p=np.exp(lp)))]
@@ -303,16 +302,50 @@ def discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
     return out
 
 
+def _mlp(p: dict[str, np.ndarray], prefix: str, pre: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Layers 2 and 3 of a head, from its first layer's pre-activation
+    ``pre``: the (n,) outputs, and the hidden values ``_mlp_vjp`` needs."""
+    x1 = np.where(pre > 0.0, pre, 0.0)
+    z2 = x1 @ p[prefix + "_w2"].T + p[prefix + "_b2"]
+    x2 = np.where(z2 > 0.0, z2, 0.0)
+    return (x2 @ p[prefix + "_w3"].T + p[prefix + "_b3"])[:, 0], (pre, x1, z2, x2)
+
+
+def _mlp_vjp(p: dict[str, np.ndarray], prefix: str, x: np.ndarray, hidden: tuple, g: np.ndarray):
+    """A head run backward from the gradient ``g`` of its (n,) outputs,
+    where ``x`` is its first layer's input and ``hidden`` what ``_mlp``
+    returned: the gradient of ``x``, and of the head's six parameters in
+    declared order."""
+    pre, x1, z2, x2 = hidden
+    g3 = g[:, None]
+    g2 = (g3 @ p[prefix + "_w3"]) * (z2 > 0.0)
+    g1 = (g2 @ p[prefix + "_w2"]) * (pre > 0.0)
+    return g1 @ p[prefix + "_w1"], (
+        g1.T @ x, g1.sum(axis=0), g2.T @ x1, g2.sum(axis=0), g3.T @ x2, g3.sum(axis=0)
+    )
+
+
+def _scatter_rows(idx: np.ndarray, g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The gradient of gathering the leading columns of rows ``idx`` of a
+    ``shape`` matrix, from the gathered rows' gradient ``g``: each row of
+    ``g`` (or, for an (n, k) ``idx``, each of its k slices) added, in
+    order, into the leading columns of its row; the rest is zero."""
+    cols = g.size // idx.size
+    keys = idx[..., None] * shape[1] + np.arange(cols)
+    return np.bincount(keys.ravel(), weights=g.ravel(), minlength=shape[0] * shape[1]).reshape(shape)
+
+
 def _actor_critic(
-    qs: Tensor,
-    logps: Tensor,
+    qs: np.ndarray,
+    logps: np.ndarray,
     rewards: np.ndarray,
     config: TrainConfig,
     delta: np.ndarray | None = None,
-) -> tuple[float, float, Tensor]:
-    """(L_region, L_rule, combined) from the chosen-region scores and the
-    chosen-parent log-probabilities of one trajectory: the two losses as
-    floats, and combined = L_rule + ALPHA * L_region as one tape node.
+) -> tuple[float, float, float, np.ndarray, np.ndarray]:
+    """(L_region, L_rule, combined, dq, dlogp) from the chosen-region
+    scores and the chosen-parent log-probabilities of one trajectory: the
+    two losses, combined = L_rule + ALPHA * L_region, and the gradients of
+    combined with respect to ``qs`` and ``logps``.
 
     L_region regresses each step's chosen-region score on the discounted
     return from that step; L_rule is the advantage-weighted negative
@@ -320,17 +353,12 @@ def _actor_critic(
     constant (no gradient through the critic).
     """
     g = discounted_returns(rewards, config.gamma)
-    err = qs.value - g
+    err = qs - g
     l_region = float((err * err).mean())
     if delta is None:
-        delta = g - qs.value  # critic baseline, detached
-    l_rule = float(logps.value @ -delta)
-
-    def vjp(grad):
-        w = float(grad)
-        return (2.0 * (w * ALPHA / err.size) * err, w * -delta)
-
-    return l_region, l_rule, Tensor(l_rule + l_region * ALPHA, (qs, logps), vjp)
+        delta = g - qs  # critic baseline, detached
+    l_rule = float(logps @ -delta)
+    return l_region, l_rule, l_rule + l_region * ALPHA, 2.0 * (ALPHA / err.size) * err, -delta
 
 
 def losses(
@@ -342,10 +370,17 @@ def losses(
 ) -> tuple[float, float, Tensor]:
     """(L_region, L_rule, combined) of a recorded trajectory under the
     net's current parameters, with its states, candidates and actions held
-    fixed: one ``tree_lstm`` node computes each distinct node of its dags
-    once, and each head runs once over all steps' rows.  The advantage is a stop-gradient in the
-    rule loss; pass ``delta`` to freeze it entirely (as a finite-difference
-    oracle must, since the function being differentiated treats it as a
+    fixed; combined = L_rule + ALPHA * L_region is a tape node.
+
+    Two nodes make the tape: one ``tree_lstm`` node computes each
+    distinct node of the trajectory's dags once, and one head-and-loss
+    node gathers every step's region row and (region, parent) pair rows
+    from its table, runs each head once over all of them, takes each
+    step's rule log-softmax and the actor-critic terms.  Its vjp runs both
+    heads backward through ``_mlp_vjp`` and scatters their row gradients
+    into the table's.  The advantage is a stop-gradient in the rule loss;
+    pass ``delta`` to freeze it entirely (as a finite-difference oracle
+    must, since the function being differentiated treats it as a
     constant).
     """
     if not trajectory:
@@ -362,12 +397,38 @@ def losses(
         picks.append(len(pairs) + s.rule_candidates.index(rule))
         pairs.extend((regions[-1], rows[n]) for n in _nodes(s.dag, s.rule_candidates))
         bounds.append(len(pairs))
-    h, p = net.config.hidden, net.params
+    h, p, w = net.config.hidden, net.params, net._weights()
     table = ag.tree_lstm(*_node_rows(memo, net.config.d_in), p["enc_wx"], p["enc_wh"], p["enc_b"])
-    qs = net._mlp(ag.linear(ag.gather_rows(table, regions, h), p["reg_w1"], p["reg_b1"]), "reg")
-    rule = net._mlp(ag.linear(ag.gather_rows(table, pairs, h), p["rule_w1"], p["rule_b1"]), "rule")
-    logps = ag.segment_log_softmax(rule, bounds, picks)
-    return _actor_critic(qs, logps, np.array([s.reward for s in trajectory]), config, delta)
+    regions, pairs = np.array(regions, dtype=np.intp), np.array(pairs, dtype=np.intp)
+    x_reg = table.value[regions, :h]
+    x_rule = table.value[pairs, :h].reshape(len(pairs), -1)
+    qs, reg_hidden = _mlp(w, "reg", x_reg @ w["reg_w1"].T + w["reg_b1"])
+    logits, rule_hidden = _mlp(w, "rule", x_rule @ w["rule_w1"].T + w["rule_b1"])
+    # each step's rule log-softmax over its segment of the pair rows
+    lens = np.diff(bounds)
+    z = logits - np.repeat(np.maximum.reduceat(logits, bounds[:-1]), lens)
+    e = np.exp(z)
+    total = np.add.reduceat(e, bounds[:-1])
+    sm = e / np.repeat(total, lens)
+    logps = z[picks] - np.log(total)
+    rewards = np.array([s.reward for s in trajectory])
+    l_region, l_rule, combined, dq, dlogp = _actor_critic(qs, logps, rewards, config, delta)
+
+    def vjp(grad):
+        scale = float(grad)
+        gx_reg, g_reg = _mlp_vjp(w, "reg", x_reg, reg_hidden, scale * dq)
+        glp = scale * dlogp
+        g_logits = -np.repeat(glp, lens) * sm
+        g_logits[picks] += glp
+        gx_rule, g_rule = _mlp_vjp(w, "rule", x_rule, rule_hidden, g_logits)
+        # two scatters, summed after: one scatter over both would add each
+        # row's terms in another order, and so change the gradient's bits
+        shape = table.value.shape
+        g_table = _scatter_rows(regions, gx_reg, shape) + _scatter_rows(pairs, gx_rule, shape)
+        return (g_table, *g_reg, *g_rule)
+
+    heads = tuple(p[name] for name, _ in _PARAM_SPECS[3:])
+    return l_region, l_rule, Tensor(combined, (table, *heads), vjp)
 
 
 class Adam:

@@ -156,19 +156,18 @@ def test_acceptance_3_trained_policy_beats_best_heuristic():
     gen, _, search_cfg, _ = acc.recipe(distributed=False)
     heur = {r: [] for r in TaskRule}
     roars = []
-    with ag.no_grad():
-        for k in range(100):
-            dag0 = _training_instance(gen, _instance_seed(acc.SEED, 555, k))
-            if dag0 is None:
-                continue
-            ctx = dag0.ctx
-            for r in TaskRule:
-                d, _ = schedule_online_heuristic(ctx, r, None, 10)
-                if len(d.rows):
-                    heur[r].append(average_slowdown(d))
-            rng = np.random.default_rng(np.random.SeedSequence([acc.SEED, 556, k]))
-            best, _ = rewrite_search(dag0, net, search_cfg, rng)
-            roars.append(average_slowdown(best))
+    for k in range(100):
+        dag0 = _training_instance(gen, _instance_seed(acc.SEED, 555, k))
+        if dag0 is None:
+            continue
+        ctx = dag0.ctx
+        for r in TaskRule:
+            d, _ = schedule_online_heuristic(ctx, r, None, 10)
+            if len(d.rows):
+                heur[r].append(average_slowdown(d))
+        rng = np.random.default_rng(np.random.SeedSequence([acc.SEED, 556, k]))
+        best, _ = rewrite_search(dag0, net, search_cfg, rng)
+        roars.append(average_slowdown(best))
     m = {r.value: float(np.mean(v)) for r, v in heur.items()}
     best_h = min(m.values())
     mean_roars = float(np.mean(roars))
@@ -279,7 +278,7 @@ def test_acceptance_6_gradient_correctness():
             dag0, net, SearchConfig(num_steps=6), np.random.default_rng(trial), pc=0.5
         )
         g_ret = discounted_returns(np.array([t.reward for t in traj]), tc.gamma)
-        q0 = np.array([net.region_scores(t.dag, [t.action.region]).value[0] for t in traj])
+        q0 = np.array([net.region_scores(t.dag, [t.action.region])[0] for t in traj])
         delta0 = g_ret - q0
         net.zero_grad()
         _, _, L = losses(net, traj, tc, delta=delta0)
@@ -379,19 +378,18 @@ def test_acceptance_9_distributed_policy_beats_all_pairs():
     gen, _, search_cfg, _ = acc.recipe(distributed=True)
     pair_means = {name: [] for name, _, _ in DISTRIBUTED_PAIRS}
     roars = []
-    with ag.no_grad():
-        for k in range(100):
-            dag0 = _training_instance(gen, _instance_seed(acc.SEED, 555, k))
-            if dag0 is None:
-                continue
-            ctx = dag0.ctx
-            for name, tr, sr in DISTRIBUTED_PAIRS:
-                d, _ = schedule_online_heuristic(ctx, tr, sr, 10)
-                if len(d.rows):
-                    pair_means[name].append(average_slowdown(d))
-            rng = np.random.default_rng(np.random.SeedSequence([acc.SEED, 556, k]))
-            best, _ = rewrite_search(dag0, net, search_cfg, rng)
-            roars.append(average_slowdown(best))
+    for k in range(100):
+        dag0 = _training_instance(gen, _instance_seed(acc.SEED, 555, k))
+        if dag0 is None:
+            continue
+        ctx = dag0.ctx
+        for name, tr, sr in DISTRIBUTED_PAIRS:
+            d, _ = schedule_online_heuristic(ctx, tr, sr, 10)
+            if len(d.rows):
+                pair_means[name].append(average_slowdown(d))
+        rng = np.random.default_rng(np.random.SeedSequence([acc.SEED, 556, k]))
+        best, _ = rewrite_search(dag0, net, search_cfg, rng)
+        roars.append(average_slowdown(best))
     m = {name: float(np.mean(v)) for name, v in pair_means.items()}
     mean_roars = float(np.mean(roars))
     best_name = min(m, key=m.get)

@@ -4,9 +4,12 @@ break ``--trace 1`` silently: every binding must exist, and uninstalling
 must put back exactly what was there."""
 import os
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import acceptance_config as acc
 from obsched import autograd, cli, ephemeris, heuristics, policy, rewriter, schedule
 from obsched import scenario as sc
 
@@ -64,3 +67,28 @@ def test_placement_builds_through_the_module_binding(monkeypatch):
     st.place(0, 0)
     dag = st.to_dag()
     assert len(calls) == 1 and dag.task_ids == (0,)
+
+
+def test_traced_backward_walks_the_whole_tape(tracing):
+    """The traced run counts the loss graph's nodes by walking
+    ``loss.parents`` before the real backward: on a ``losses`` output the
+    walk must reach both tape nodes and all 15 parameters, and the
+    gradient must be a plain ``backward``'s."""
+    gen, train_cfg, search_cfg, policy_cfg = acc.recipe(distributed=False)
+    net = policy.PolicyNet(replace(policy_cfg, hidden=8), seed=1)
+    dag0 = policy._training_instance(gen, policy._instance_seed(0, 0, 0))
+    _, traj = rewriter.rewrite_search(
+        dag0, net, replace(search_cfg, num_steps=6), np.random.default_rng(0), pc=0.5
+    )
+    tracer = tracing.Tracer()
+    grads = []
+    for backward in (autograd.backward, tracer.traced_backward(autograd.backward)):
+        net.zero_grad()
+        backward(policy.losses(net, traj, train_cfg)[2])
+        grads.append(net.grad_flat())
+    notes = {name: note for name, _, _, _, note in tracer.spans}
+    # the loss node, the tree-LSTM node and the 15 parameter leaves
+    assert len(net.params) == 15
+    assert notes == {"trace.tape_walk": 17, "autograd.backward": 17}
+    assert all(p.grad is not None and np.any(p.grad != 0.0) for p in net.params.values())
+    assert np.array_equal(grads[1], grads[0])
