@@ -16,7 +16,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,6 +38,7 @@ from .policy import (
     load_checkpoint,
     read_checkpoint_header,
     train as train_policy,
+    worker_map,
 )
 from .rewriter import SearchConfig, dump_trajectory, rewrite_search
 from .scenario import (
@@ -117,6 +117,8 @@ def run_online(
     greedy rewriting on every arrival and completion; tasks whose start
     step has passed are frozen (no preemption), and on queue overflow the
     earliest-arrived waiting task's assignment is committed for good.
+    One ``Placement`` holds the schedule: its committed tasks are the
+    frozen ones plus the pending ones, which a re-plan may still move.
     """
     for name, value in (("queue_cap", queue_cap), ("replan_steps", replan_steps)):
         if value < 1:
@@ -157,16 +159,13 @@ def run_online(
     # online loop: tentative schedule + greedy re-planning at events; a task
     # is placed or dropped on arrival, after its previous sibling
     st = Placement(ctx)
-    assigned = st.committed  # row -> (site, start), tentative until frozen
     pending: dict[int, None] = {}  # placed, not frozen, in placement order
-    frozen: set[int] = set()  # task ids; frozen tasks never move
     frozen_done: set[int] = set()  # completion steps of frozen tasks
     replan_cfg = replace(search_cfg, num_steps=replan_steps)
 
     def freeze(r: int, t: int) -> None:
         del pending[r]
-        s, b = assigned[r]
-        frozen.add(int(ctx.task_id[r]))
+        s, b = st.committed[r]
         frozen_done.add(b + int(ctx.exposure[r]))
         if audit is not None:
             audit.append(("freeze", t, int(ctx.task_id[r]), s, b))
@@ -182,12 +181,12 @@ def run_online(
         for r in sorted(by_arrival.get(t, ()), key=lambda r: int(ctx.task_id[r])):
             st.place(r, t)
             dag = None
-            if r in assigned:
+            if r in st.committed:
                 pending[r] = None
             events = True
 
         # queue bound: arrived, not started, not yet irrevocable
-        waiting = [r for r in pending if assigned[r][1] > t]
+        waiting = [r for r in pending if st.committed[r][1] > t]
         while len(waiting) > queue_cap:
             victim = min(waiting, key=lambda r: (int(ctx.arrival[r]), int(ctx.task_id[r])))
             freeze(victim, t)  # committed for good: "immediate execution"
@@ -199,11 +198,12 @@ def run_online(
             if dag is None:
                 dag = st.to_dag()
             dag, _ = rewrite_search(
-                dag, net, replan_cfg, rng, greedy=True, frozen=frozenset(frozen), now=t
+                dag, net, replan_cfg, rng, greedy=True, now=t,
+                frozen=frozenset(int(ctx.task_id[r]) for r in st.committed if r not in pending),
             )
-            st.load(dag)  # in place, so ``assigned`` stays its alias
+            st.load(dag)
 
-        for r in [r for r in pending if assigned[r][1] == t]:
+        for r in [r for r in pending if st.committed[r][1] == t]:
             freeze(r, t)  # starts now: no preemption from here on
 
     return (st.to_dag() if dag is None else dag), st.drops
@@ -220,21 +220,26 @@ def gen_config_from_obj(obj: dict) -> GenConfig:
 
 
 def _bench_one(payload: dict):
-    """Worker: one (variant, scheduler, instance) cell."""
-    scenario = generate_scenario(payload["gen_cfg"], payload["seed"])
-    t0 = time.perf_counter()
-    dag, drops = run_online(
-        scenario,
-        payload["scheduler"],
-        payload["queue_cap"],
-        constraints=payload["constraints"],
-        checkpoint=payload.get("checkpoint"),
-        replan_steps=payload.get("replan_steps", 30),
-        seed=payload["seed"],
-    )
-    wall = time.perf_counter() - t0
-    avg = average_slowdown(dag) if len(dag.rows) else float("nan")
-    return avg, len(drops), wall
+    """Worker: one (variant, scheduler, instance) cell.  Returns (average
+    slowdown, drops, wall seconds, "") or, when the cell fails, (None, 0,
+    0.0, the error)."""
+    try:
+        scenario = generate_scenario(payload["gen_cfg"], payload["seed"])
+        t0 = time.perf_counter()
+        dag, drops = run_online(
+            scenario,
+            payload["scheduler"],
+            payload["queue_cap"],
+            constraints=payload["constraints"],
+            checkpoint=payload["checkpoint"],
+            replan_steps=payload["replan_steps"],
+            seed=payload["seed"],
+        )
+        wall = time.perf_counter() - t0
+        avg = average_slowdown(dag) if len(dag.rows) else float("nan")
+    except Exception as exc:  # recorded per row, the run continues
+        return (None, 0, 0.0, f"{type(exc).__name__}: {exc}")
+    return (avg, len(drops), wall, "")
 
 
 #: text XML 1.0 can hold, escaped or not: the variant names slowdown.svg takes
@@ -282,54 +287,42 @@ def run_benchmark(config: dict, out_dir, *, workers: int | None = None, log=None
     workers = read_field(default_workers() if workers is None else workers, None, "workers", int, 1)
     os.makedirs(out_dir, exist_ok=True)
 
+    keys = [(vname, sched) for vname in gen_cfgs for sched in schedulers]
     cells = [
         {
-            "variant": vname,
             "scheduler": sched,
-            "gen_cfg": gen_cfg,
+            "gen_cfg": gen_cfgs[vname],
             "constraints": constraints,
             "queue_cap": queue_cap,
             "seed": seed_base + k,
             "checkpoint": checkpoint,
             "replan_steps": replan_steps,
         }
-        for vname, gen_cfg in gen_cfgs.items()
-        for sched in schedulers
+        for vname, sched in keys
         for k in range(count)
     ]
-
-    results: list = [None] * len(cells)
-    if workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, res in enumerate(pool.map(_bench_one_safe, cells)):
-                results[i] = res
-    else:
-        for i, cell in enumerate(cells):
-            results[i] = _bench_one_safe(cell)
+    with worker_map(workers if len(cells) > 1 else 1) as run:
+        results = list(run(_bench_one, cells))
 
     rows: list[BenchRow] = []
-    by_key: dict[tuple[str, str], list] = {}
-    for cell, res in zip(cells, results):
-        by_key.setdefault((cell["variant"], cell["scheduler"]), []).append(res)
-    for vname in gen_cfgs:
-        for sched in schedulers:
-            res = by_key.get((vname, sched), [])
-            ran = [r for r in res if r[0] is not None]
-            good = [r for r in ran if np.isfinite(r[0])]  # a cell that scheduled nothing has no average
-            failures = [r for r in res if r[0] is None]
-            if log and failures:
-                log(f"{vname}/{sched}: {len(failures)} failed instances ({failures[0][3]})")
-            rows.append(
-                BenchRow(
-                    scheduler=sched,
-                    variant=vname,
-                    instances=len(good),
-                    mean_avg_slowdown=float(np.mean([r[0] for r in good])) if good else float("nan"),
-                    drop_count=int(sum(r[1] for r in ran)),
-                    wall_time_s=float(sum(r[2] for r in ran)),
-                    seed=seed_base,
-                )
+    for i, (vname, sched) in enumerate(keys):
+        res = results[i * count : (i + 1) * count]
+        ran = [r for r in res if r[0] is not None]
+        good = [r for r in ran if np.isfinite(r[0])]  # a cell that scheduled nothing has no average
+        failures = [r for r in res if r[0] is None]
+        if log and failures:
+            log(f"{vname}/{sched}: {len(failures)} failed instances ({failures[0][3]})")
+        rows.append(
+            BenchRow(
+                scheduler=sched,
+                variant=vname,
+                instances=len(good),
+                mean_avg_slowdown=float(np.mean([r[0] for r in good])) if good else float("nan"),
+                drop_count=int(sum(r[1] for r in ran)),
+                wall_time_s=float(sum(r[2] for r in ran)),
+                seed=seed_base,
             )
+        )
 
     with open(os.path.join(out_dir, "report.csv"), "w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
@@ -352,14 +345,6 @@ def run_benchmark(config: dict, out_dir, *, workers: int | None = None, log=None
     with open(os.path.join(out_dir, "slowdown.svg"), "w") as fh:
         fh.write(svg)
     return rows
-
-
-def _bench_one_safe(cell: dict):
-    try:
-        avg, drops, wall = _bench_one(cell)
-        return (avg, drops, wall, "")
-    except Exception as exc:  # recorded per row, the run continues
-        return (None, 0, 0.0, f"{type(exc).__name__}: {exc}")
 
 
 # --- SVG ---------------------------------------------------------------------

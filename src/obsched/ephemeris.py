@@ -44,7 +44,6 @@ __all__ = [
     "airmass",
     "sun_equatorial",
     "sun_altitude",
-    "visibility_mask",
     "visibility_masks_multi",
     "visibility_windows",
     "SiteSky",
@@ -344,8 +343,12 @@ def visibility_masks_multi(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Observability of many targets from one site at once.
 
-    Returns ``(mask, airmass)`` of shape (n_targets, horizon_steps); the
-    sidereal clock and sun position are computed once per call.
+    Returns ``(mask, airmass)`` of shape (n_targets, horizon_steps): a
+    boolean visibility predicate per step and the airmass value at each
+    step (UNOBSERVABLE where the target is at or below the altitude
+    cutoff).  The predicate of step ``k`` is evaluated at the instant the
+    step begins.  The sidereal clock and sun position are computed once
+    per call.
     """
     (sky,) = site_skies([site], grid, constraints)
     ra = np.atleast_1d(np.asarray(ra, dtype=np.float64))
@@ -471,25 +474,6 @@ def sky_coverage(
     return full, (some if want_some else None)
 
 
-def visibility_mask(
-    target: SkyCoord,
-    site: GeoCoord,
-    grid: TimeGrid,
-    constraints: VisibilityConstraints = VisibilityConstraints(),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step observability of a target from a site.
-
-    Returns ``(mask, airmass)`` arrays of length ``horizon_steps``: a boolean
-    visibility predicate per step and the airmass value at each step
-    (UNOBSERVABLE where the target is at or below the altitude cutoff).
-    The predicate of step ``k`` is evaluated at the instant the step begins.
-    """
-    mask, am = visibility_masks_multi(
-        np.array([target.ra]), np.array([target.dec]), site, grid, constraints
-    )
-    return mask[0], am[0]
-
-
 def visibility_windows(
     target: SkyCoord,
     site: GeoCoord,
@@ -503,7 +487,7 @@ def visibility_windows(
     Returns an empty list when the target is never observable; that is a
     valid result, not an error.
     """
-    mask, am = visibility_mask(target, site, grid, constraints)
+    (mask,), (am,) = visibility_masks_multi(target.ra, target.dec, site, grid, constraints)
     edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False])).astype(np.int8)))
     return [
         VisibilityWindow(

@@ -27,6 +27,7 @@ import json
 import multiprocessing as mp
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from itertools import islice
 
@@ -162,14 +163,17 @@ class PolicyNet:
         return np.concatenate([self.params[n].value.ravel() for n, _ in _PARAM_SPECS])
 
     def set_flat(self, vec: np.ndarray) -> None:
+        """Overwrite every parameter from one flat vector; a vector of the
+        wrong size raises CheckpointError and changes nothing."""
+        want = sum(p.value.size for p in self.params.values())
+        if vec.size != want:
+            raise CheckpointError(f"parameter vector size mismatch: {vec.size} != {want}")
         k = 0
         for name, _ in _PARAM_SPECS:
             p = self.params[name]
             n = p.value.size
             p.value = vec[k : k + n].reshape(p.value.shape).astype(np.float64)
             k += n
-        if k != vec.size:
-            raise CheckpointError(f"parameter vector size mismatch: {vec.size} != {k}")
         self._cache = self._memo = None
 
     def grad_flat(self) -> np.ndarray:
@@ -521,6 +525,23 @@ def default_workers() -> int:
     return int(raw) or (os.cpu_count() or 1)
 
 
+@contextmanager
+def worker_map(workers: int):
+    """``map`` for one worker, else a process pool's ``map`` over
+    ``workers`` processes, forked where the platform allows and spawned
+    otherwise; the pool shuts down when the block exits, as it does when
+    the block raises."""
+    if workers == 1:
+        yield map
+        return
+    try:
+        ctx = mp.get_context("fork")  # works from scripts and REPLs alike
+    except ValueError:
+        ctx = mp.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        yield pool.map
+
+
 def _instance_seed(base: int, *branch: int) -> int:
     return int(np.random.SeedSequence([base, *branch]).generate_state(1, np.uint64)[0])
 
@@ -548,7 +569,6 @@ def _rollout_chunk(payload: dict):
     search_cfg: SearchConfig = payload["search_cfg"]
     gen_cfg: GenConfig = payload["gen_cfg"]
     rollout_cfg = replace(search_cfg, num_steps=train_cfg.episode_len)
-    net.zero_grad()
     stats = []
     for k in payload["indices"]:
         dag0 = _training_instance(gen_cfg, _instance_seed(payload["seed"], payload["step"], k))
@@ -646,7 +666,7 @@ def train(
     best_flat = flat.copy()
     best_step = 0
 
-    def run_batch(step: int, pool) -> tuple[np.ndarray, list]:
+    def run_batch(step: int, run) -> tuple[np.ndarray, list]:
         pc = pc_at(step)
         idx = list(range(train_cfg.batch))
         chunks = [idx[i::workers] for i in range(workers)]
@@ -665,13 +685,9 @@ def train(
             for chunk in chunks
             if chunk
         ]
-        if pool is None:
-            results = [_rollout_chunk(p) for p in payloads]
-        else:
-            results = list(pool.map(_rollout_chunk, payloads))
         grad = np.zeros_like(flat)
         stats = []
-        for g, st in results:
+        for g, st in run(_rollout_chunk, payloads):
             grad += g
             stats.extend(s for s in st if s is not None)
         return grad, stats
@@ -712,28 +728,17 @@ def train(
     # before starting Python
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
-    pool = None
-    if workers > 1:
-        try:
-            ctx = mp.get_context("fork")  # works from scripts and REPLs alike
-        except ValueError:
-            ctx = mp.get_context("spawn")
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
-    try:
+    with worker_map(workers) as run:
         for step in range(train_cfg.steps):
-            grad, stats = run_batch(step, pool)
+            grad, stats = run_batch(step, run)
             if not np.all(np.isfinite(grad)):
                 raise FloatingPointError(f"non-finite gradient at step {step}")
             flat = adam.step(flat, grad, learning_rate_at(step))
+            # the last step always evaluates, and so writes the checkpoint
             if (step + 1) % val_every == 0 or step + 1 == train_cfg.steps:
                 evaluate(step + 1, stats)
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
     net.set_flat(best_flat)
-    if checkpoint_path:
-        save_checkpoint(net, checkpoint_path, train_step=best_step)
     return net, curve
 
 

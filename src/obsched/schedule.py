@@ -369,10 +369,9 @@ class Placement:
         self.drops: list[int] = []
 
     def load(self, dag: ScheduleDag) -> "Placement":
-        """Take over a dag's placements and a copy of its occupancy, in
-        place (``committed`` stays the same dict; drops are kept)."""
-        self.committed.clear()
-        self.committed.update(zip(dag.rows.tolist(), zip(dag.site.tolist(), dag.start.tolist())))
+        """Take over a dag's placements and a copy of its occupancy; drops
+        are kept."""
+        self.committed = dict(zip(dag.rows.tolist(), zip(dag.site.tolist(), dag.start.tolist())))
         self.profile = dag.profile.copy()
         return self
 
@@ -547,16 +546,8 @@ def total_slowdown(dag: ScheduleDag) -> float:
     return float(dag.eta.sum())
 
 
-def average_slowdown(dag: ScheduleDag, *, tasks: str = "scheduled") -> float:
-    """Mean task slowdown; every term is >= 1 on a feasible dag.
-
-    ``tasks="all"`` demands that the dag covers the whole scenario and
-    raises (listing the missing ids) when it does not.
-    """
-    if tasks == "all":
-        missing = sorted(set(int(t) for t in dag.ctx.task_id) - set(dag.task_ids))
-        if missing:
-            raise ValueError(f"unassigned tasks: {missing}")
+def average_slowdown(dag: ScheduleDag) -> float:
+    """Mean task slowdown; every term is >= 1 on a feasible dag."""
     if len(dag.rows) == 0:
         raise ValueError("average slowdown of an empty schedule is undefined")
     return float(dag.eta.mean())

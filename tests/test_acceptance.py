@@ -20,7 +20,7 @@ from obsched.ephemeris import (
     TimeGrid,
     VisibilityConstraints,
     airmass,
-    visibility_mask,
+    visibility_masks_multi,
     visibility_windows,
 )
 from obsched.heuristics import (
@@ -354,7 +354,7 @@ def test_acceptance_8_ephemeris_properties():
             240,
         )
         cons = VisibilityConstraints()
-        mask, am = visibility_mask(target, site, grid, cons)
+        (mask,), (am,) = visibility_masks_multi(target.ra, target.dec, site, grid, cons)
         if not np.array_equal(mask, _per_step_predicate(target, site, grid, cons)):
             ok_masks = False
         rebuilt = np.zeros(grid.horizon_steps, dtype=bool)

@@ -181,6 +181,21 @@ class TestBenchmark:
             tmp_path / "b" / "slowdown.svg"
         ).read_bytes()
 
+    def test_worker_pool_writes_the_report_of_one_worker(self, tmp_path):
+        # the oracle refuses instances of more than 6 tasks, so some cells fail
+        config = {
+            "gen": GEN,
+            "seeds": {"base": 3, "count": 2},
+            "schedulers": ["stf", "oracle"],
+            "variants": {"cadence": {}, "mixed": {"mode_exposure_count_frac": 0.5}},
+        }
+        logs = {1: [], 2: []}
+        for workers in (1, 2):
+            run_benchmark(config, tmp_path / str(workers), workers=workers, log=logs[workers].append)
+        assert any("oracle" in line and "failed" in line for line in logs[1])
+        assert logs[1] == logs[2]
+        assert (tmp_path / "1" / "report.csv").read_bytes() == (tmp_path / "2" / "report.csv").read_bytes()
+
     def test_names_with_csv_and_xml_specials_parse_back(self, tmp_path):
         # a comma used to add a field to the row, and "<" or "&" made the
         # SVG not well-formed

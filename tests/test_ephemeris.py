@@ -21,7 +21,6 @@ from obsched.ephemeris import (
     site_skies,
     sky_coverage,
     sun_altitude,
-    visibility_mask,
     visibility_masks_multi,
     visibility_windows,
 )
@@ -192,7 +191,7 @@ def test_visibility_windows_match_per_step_predicate(seed):
         240,
     )
     cons = VisibilityConstraints()
-    mask, am = visibility_mask(target, site, grid, cons)
+    (mask,), (am,) = visibility_masks_multi(target.ra, target.dec, site, grid, cons)
     expected = _per_step_predicate(target, site, grid, cons)
     assert np.array_equal(mask, expected)
 

@@ -1,8 +1,8 @@
 """Source hygiene of the package, its tests and demos, checked with the
 standard library only: every public name a module lists resolves, no
 file imports a name it never uses, apart from the bindings
-perfbench/tracing.py wraps, and every autograd function has a caller in
-the package."""
+perfbench/tracing.py wraps, every autograd function has a caller in
+the package, and one function builds the package's process pools."""
 import ast
 import importlib
 import pathlib
@@ -57,8 +57,8 @@ def test_no_unused_import_in_tests_and_demos(path):
     assert _unused_imports(path) == set()
 
 
-def _called_names(path: pathlib.Path) -> set[str]:
-    calls = (node.func for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call))
+def _called_names(tree: ast.AST) -> set[str]:
+    calls = (node.func for node in ast.walk(tree) if isinstance(node, ast.Call))
     return {f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None) for f in calls}
 
 
@@ -66,5 +66,18 @@ def test_every_autograd_function_is_called_from_another_module():
     # a tape op that no runtime path uses would linger for its tests alone
     tree = ast.parse((SRC / "autograd.py").read_text())
     defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
-    called = set().union(*(_called_names(SRC / f"{name}.py") for name in MODULES if name != "autograd"))
+    called = set().union(
+        *(_called_names(ast.parse((SRC / f"{name}.py").read_text())) for name in MODULES if name != "autograd")
+    )
     assert defined and defined - called == set()
+
+
+def test_only_worker_map_builds_a_process_pool():
+    # training and the benchmark share one pool and one start method
+    builders = [
+        (name, getattr(top, "name", None))
+        for name in MODULES
+        for top in ast.parse((SRC / f"{name}.py").read_text()).body
+        if "ProcessPoolExecutor" in _called_names(top)
+    ]
+    assert builders == [("policy", "worker_map")]

@@ -688,6 +688,14 @@ class TestCheckpoints:
         assert loaded.config == CFG
         assert np.array_equal(loaded.flat(), net.flat())
 
+    @pytest.mark.parametrize("extra", [3, -3])
+    def test_wrong_size_vector_changes_no_weight(self, extra):
+        net = PolicyNet(CFG, seed=4)
+        before = net.flat()
+        with pytest.raises(CheckpointError, match="size mismatch"):
+            net.set_flat(np.ones(before.size + extra))
+        assert np.array_equal(net.flat(), before)
+
     def test_truncated_file_rejected(self, tmp_path):
         net = PolicyNet(CFG, seed=4)
         path = tmp_path / "m.ckpt"
@@ -793,6 +801,34 @@ class TestTrainerMechanics:
         assert np.array_equal(net.flat(), latest.flat())
         saved, step = load_checkpoint(path)
         assert step == 2 and np.array_equal(saved.flat(), latest.flat())
+
+    def test_checkpoint_is_the_best_validation_weights_written_once_per_evaluation(
+        self, tmp_path, monkeypatch
+    ):
+        from obsched import policy
+        from obsched.scenario import GenConfig
+
+        saved_steps = []
+
+        def counted_save(net, path, train_step=0):
+            saved_steps.append(train_step)
+            save_checkpoint(net, path, train_step)
+
+        monkeypatch.setattr(policy, "save_checkpoint", counted_save)
+        gen = GenConfig(horizon_steps=60, arrival_prob=0.25, mode_exposure_count_frac=0.0)
+        tc = TrainConfig(batch=2, episode_len=5, steps=3)
+        path, curve_path = tmp_path / "m.ckpt", tmp_path / "curve.csv"
+        net, curve = policy.train(
+            gen, tc, SearchConfig(num_steps=10), CFG, seed=11, workers=1, val_every=1,
+            val_instances=2, checkpoint_path=path, curve_path=curve_path,
+        )
+        saved, step = load_checkpoint(path)
+        assert np.array_equal(saved.flat(), net.flat())
+        rows = [line.split(",") for line in curve_path.read_text().splitlines()[1:]]
+        vals = [float(r[4]) for r in rows]
+        assert len(rows) == 3 and all(np.isfinite(vals))
+        assert step == int(rows[vals.index(min(vals))][0])
+        assert len(saved_steps) == len(curve) == 3 and saved_steps[-1] == step
 
     def test_negative_validation_count_is_named(self):
         from obsched.scenario import GenConfig, ScenarioError

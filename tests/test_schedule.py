@@ -263,12 +263,6 @@ class TestSlowdown:
         dag2 = build(s2, [(0, 0, 0), (1, 0, 0)])
         assert total_slowdown(dag) == pytest.approx(total_slowdown(dag2))
 
-    def test_unassigned_tasks_error_lists_them(self):
-        s = toy_scenario([(0, 5, U), (0, 5, G), (0, 5, I)])
-        dag = build(s, [(0, 0, 0)])
-        with pytest.raises(ValueError, match=r"\[1, 2\]"):
-            average_slowdown(dag, tasks="all")
-
     def test_immediate_cost_zero_for_identical(self, three_task_scenario):
         dag = build(three_task_scenario, [(0, 0, 5), (1, 0, 5), (2, 0, 5)])
         assert immediate_cost(dag, dag) == 0.0
