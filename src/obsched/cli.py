@@ -274,6 +274,8 @@ def run_benchmark(config: dict, out_dir, *, workers: int | None = None, log=None
             _parse_scheduler(name)
         except ValueError:
             raise ScenarioError(f"schedulers[{j}]: must be a scheduler name, got {name!r}") from None
+        if name in schedulers[:j]:
+            raise ScenarioError(f"schedulers[{j}]: {name!r} listed twice")
     gen = read_field(config, "gen", "", dict, default={})
     variants = read_field(config, "variants", "", dict, default={}) or {"default": {}}
     for vname in variants:

@@ -346,15 +346,20 @@ def visibility_masks_multi(
     Returns ``(mask, airmass)`` of shape (n_targets, horizon_steps): a
     boolean visibility predicate per step and the airmass value at each
     step (UNOBSERVABLE where the target is at or below the altitude
-    cutoff).  The predicate of step ``k`` is evaluated at the instant the
-    step begins.  The sidereal clock and sun position are computed once
-    per call.
+    cutoff, and on every step where the sun is up).  The predicate of
+    step ``k`` is evaluated at the instant the step begins.  The sidereal
+    clock and sun position are computed once per call, and the target
+    predicate on the dark steps only: each of its elements depends on
+    its own (target, step) alone, and the mask is False on the others.
     """
     (sky,) = site_skies([site], grid, constraints)
     ra = np.atleast_1d(np.asarray(ra, dtype=np.float64))
     dec = np.atleast_1d(np.asarray(dec, dtype=np.float64))
-    mask, am = _target_mask(ra, dec, sky.lat, sky.lst, constraints)
-    return mask & sky.dark[None, :], am
+    mask = np.zeros((ra.size, grid.horizon_steps), dtype=bool)
+    am = np.full(mask.shape, UNOBSERVABLE)
+    dark = np.flatnonzero(sky.dark)
+    mask[:, dark], am[:, dark] = _target_mask(ra, dec, sky.lat, sky.lst[dark], constraints)
+    return mask, am
 
 
 #: Kasten-Young airmass at the zenith, 4e-8 above its minimum

@@ -115,6 +115,14 @@ def schedule_online_heuristic(
 
     Returns the schedule and the ids of dropped tasks.  Deterministic for
     a given scenario and rule pair.
+
+    A queued task that no site fits at step ``t`` is not tested again
+    before its wake step, the earliest start after ``t`` that fits on
+    some site (the horizon when none does).  That skips no start: the
+    occupancy only grows during the run (commits, never an uncommit), so
+    a start that does not fit now never fits later.  The fit ignores the
+    release, which only rises as siblings commit, so the wake stays a
+    lower bound whatever the task's previous sibling does afterwards.
     """
     if queue_cap < 1:
         raise ValueError("queue_cap must be >= 1")
@@ -130,10 +138,10 @@ def schedule_online_heuristic(
         """Latest start with visibility + deadline satisfied somewhere,
         ignoring occupancy; -1 when the task is never observable."""
         if row not in last_start:
-            windows = (ctx.static_starts(row, s, 0) for s in range(ctx.n_sites))
-            last_start[row] = max(
-                (lo + int(np.flatnonzero(ok)[-1]) for lo, ok in windows if ok.any()), default=-1
-            )
+            e, lo = int(ctx.exposure[row]), int(ctx.arrival[row])
+            hi = max(lo, int(ctx.limit[row]) - e + 1)
+            ok = (ctx.run_left[int(ctx.target_row[row]), :, lo:hi] >= e).any(axis=0)
+            last_start[row] = lo + int(np.flatnonzero(ok)[-1]) if ok.any() else -1
         return last_start[row]
 
     by_arrival: dict[int, list[int]] = {}
@@ -143,6 +151,7 @@ def schedule_online_heuristic(
     # a task waits while its previous sibling is still queued: siblings
     # arrive strictly later, so every other previous sibling is decided
     queue: list[int] = []
+    wake = [0] * ctx.n_tasks  # no site fits a queued task before this step
     for t in range(ctx.horizon):
         for r in sorted(by_arrival.get(t, ()), key=lambda r: int(ctx.task_id[r])):
             queue.append(r)
@@ -158,11 +167,14 @@ def schedule_online_heuristic(
         while True:
             startable: list[tuple[int, list[int]]] = []
             for r in queue:
-                if int(ctx.prev_sibling[r]) in queue or st.release(r) > t:
+                if t < wake[r] or int(ctx.prev_sibling[r]) in queue or st.release(r) > t:
                     continue
                 sites_now = [s for s in range(ctx.n_sites) if st.fits(r, s, t)]
                 if sites_now:
                     startable.append((r, sites_now))
+                else:
+                    later = (st.fit(r, s, t + 1) for s in range(ctx.n_sites))
+                    wake[r] = min((b for b in later if b is not None), default=ctx.horizon)
             if not startable:
                 break
             r, sites_now = min(startable, key=lambda rs: key(rs[0]))

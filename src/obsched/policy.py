@@ -669,7 +669,6 @@ def train(
     def run_batch(step: int, run) -> tuple[np.ndarray, list]:
         pc = pc_at(step)
         idx = list(range(train_cfg.batch))
-        chunks = [idx[i::workers] for i in range(workers)]
         payloads = [
             {
                 "policy_cfg": policy_cfg,
@@ -680,10 +679,9 @@ def train(
                 "seed": seed,
                 "step": step,
                 "pc": pc,
-                "indices": chunk,
+                "indices": idx[i::workers],
             }
-            for chunk in chunks
-            if chunk
+            for i in range(workers)
         ]
         grad = np.zeros_like(flat)
         stats = []

@@ -129,7 +129,8 @@ class SchedulingContext:
                 self.prev_sibling[r] = prev
                 self.sibling_gap[r] = scenario.targets[tgt_row[t.target_id]].mode.sibling_gap
 
-        # visibility per (target, site, step): airmass and run_left
+        # visibility per (target, site, step): airmass (UNOBSERVABLE where
+        # the sun is up, as in visibility_masks_multi) and run_left
         nt, ns, h = len(scenario.targets), self.n_sites, self.horizon
         self.air = np.full((nt, ns, h), np.inf)
         # run lengths lie in [0, horizon]: int32 halves the table

@@ -22,7 +22,7 @@ from obsched.cli import (
 from obsched.ephemeris import VisibilityConstraints
 from obsched.heuristics import SiteRule, TaskRule, schedule_online_heuristic
 from obsched.policy import PolicyConfig, PolicyNet
-from obsched.scenario import GenConfig, generate_scenario, save_scenario, scenario_to_json
+from obsched.scenario import GenConfig, ScenarioError, generate_scenario, save_scenario, scenario_to_json
 from obsched.schedule import SchedulingContext, average_slowdown, total_slowdown, validate
 
 GEN = {
@@ -275,6 +275,13 @@ class TestBenchmark:
     def test_bad_bench_values_named_before_work(self, tmp_path, config, field):
         with pytest.raises(ValueError, match=field):
             run_benchmark({"gen": GEN, **config}, tmp_path / "rep", workers=1)
+        assert not (tmp_path / "rep").exists()
+
+    def test_scheduler_listed_twice_rejected_before_work(self, tmp_path):
+        # used to run each of fcfs's cells twice and write two identical rows
+        config = {"gen": GEN, "seeds": {"count": 2}, "schedulers": ["fcfs", "stf", "fcfs"]}
+        with pytest.raises(ScenarioError, match=r"^schedulers\[2\]: 'fcfs' listed twice$"):
+            run_benchmark(config, tmp_path / "rep", workers=1)
         assert not (tmp_path / "rep").exists()
 
     def test_min_altitude_below_airmass_domain_rejected(self):

@@ -10,6 +10,7 @@ from conftest import G, U, UGI, toy_scenario, transit_context, visible_steps
 from obsched.heuristics import (
     SiteRule,
     TaskRule,
+    _site_key,
     brute_force_optimal,
     rank_key,
     schedule_fcfs_list,
@@ -18,6 +19,7 @@ from obsched.heuristics import (
 )
 from obsched.scenario import GenConfig, generate_scenario
 from obsched.schedule import (
+    Placement,
     SchedulingContext,
     average_slowdown,
     dump_schedule,
@@ -212,6 +214,83 @@ def _independent_online_sim(s, ctx, rule, queue_cap=10):
                 queue.remove(tid)
     dropped.update(queue)
     return placed, dropped
+
+
+def per_step_online_heuristic(ctx, task_rule, site_rule=None, queue_cap=10):
+    """``schedule_online_heuristic`` with no wake steps: every queued task
+    is tested on every site at every step, and a task's last static start
+    is found site by site.  The reference its skips are checked against."""
+    scenario = ctx.scenario
+    st = Placement(ctx)
+
+    def key(row):
+        return rank_key(task_rule, scenario.tasks[row], scenario.targets[int(ctx.target_row[row])])
+
+    last_start = {}
+
+    def static_last_start(row):
+        if row not in last_start:
+            windows = (ctx.static_starts(row, s, 0) for s in range(ctx.n_sites))
+            last_start[row] = max(
+                (lo + int(np.flatnonzero(ok)[-1]) for lo, ok in windows if ok.any()), default=-1
+            )
+        return last_start[row]
+
+    by_arrival = {}
+    for r in range(ctx.n_tasks):
+        by_arrival.setdefault(int(ctx.arrival[r]), []).append(r)
+
+    queue = []
+    for t in range(ctx.horizon):
+        for r in sorted(by_arrival.get(t, ()), key=lambda r: int(ctx.task_id[r])):
+            queue.append(r)
+        while len(queue) > queue_cap:
+            ready = [r for r in queue if int(ctx.prev_sibling[r]) not in queue]
+            victim = min(ready, key=key)
+            st.place(victim, t, _site_key(ctx, victim, site_rule))
+            queue.remove(victim)
+        while True:
+            startable = []
+            for r in queue:
+                if int(ctx.prev_sibling[r]) in queue or st.release(r) > t:
+                    continue
+                sites_now = [s for s in range(ctx.n_sites) if st.fits(r, s, t)]
+                if sites_now:
+                    startable.append((r, sites_now))
+            if not startable:
+                break
+            r, sites_now = min(startable, key=lambda rs: key(rs[0]))
+            st.commit(r, *min([(s, t) for s in sites_now], key=_site_key(ctx, r, site_rule)))
+            queue.remove(r)
+        for r in list(queue):
+            if t > static_last_start(r):
+                st.drop(r)
+                queue.remove(r)
+    for r in queue:
+        st.drop(r)
+    return st.to_dag(), st.drops
+
+
+def check_matches_per_step_loop(ctx):
+    """The same dag (rows, sites, starts) and the same drops, in the same
+    order, as the per-step reference under every rule pair at queue
+    capacities 1 and 10."""
+    for rule in TaskRule:
+        for site_rule in (None, SiteRule.BEST_QUALITY, SiteRule.BEST_PRIORITY):
+            for cap in (1, 10):
+                dag, drops = schedule_online_heuristic(ctx, rule, site_rule, cap)
+                want, want_drops = per_step_online_heuristic(ctx, rule, site_rule, cap)
+                case = (rule.value, site_rule, cap)
+                assert np.array_equal(dag.rows, want.rows), case
+                assert np.array_equal(dag.site, want.site), case
+                assert np.array_equal(dag.start, want.start), case
+                assert drops == want_drops, case
+
+
+@pytest.mark.parametrize("horizon, seed", [(240, 0), (240, 1), (240, 2), (1440, 0)])
+def test_online_heuristic_matches_the_per_step_loop_on_five_sites(horizon, seed):
+    cfg = GenConfig(horizon_steps=horizon, num_sites=5, arrival_prob=0.10)
+    check_matches_per_step_loop(SchedulingContext(generate_scenario(cfg, seed)))
 
 
 @pytest.mark.parametrize("rule", [TaskRule.FCFS, TaskRule.STF, TaskRule.EDD])

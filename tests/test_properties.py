@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import G, U, UG, transit_context, visible_steps
+from test_heuristics import check_matches_per_step_loop
 from obsched.cli import run_online
 from obsched.heuristics import schedule_fcfs_list
 from obsched.policy import PolicyConfig, PolicyNet
@@ -292,3 +293,9 @@ def test_applied_rewrites_stay_feasible_where_windows_open(ctx, data):
 @given(transit_contexts(), st.data())
 def test_point_fit_agrees_with_the_earliest_fit_where_windows_open(ctx, data):
     _check_point_fit(ctx, data)
+
+
+@SETTINGS
+@given(transit_contexts())
+def test_online_heuristic_matches_the_per_step_loop_where_windows_open(ctx):
+    check_matches_per_step_loop(ctx)

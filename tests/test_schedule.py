@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import G, I, U, UG, toy_scenario, transit_context, visible_steps
+from obsched.ephemeris import UNOBSERVABLE, _target_mask, site_skies, visibility_masks_multi
 from obsched.scenario import GenConfig, generate_scenario
 from obsched.schedule import (
     Assignment,
@@ -74,6 +75,28 @@ class TestRunLeft:
         assert want[:, :, 0].any() and want[:, :, -1].any()  # runs reach both ends
         assert (want[:, :, 1:] > want[:, :, :-1]).any()  # and some open inside
         assert not want[0].any() and not want[4].any()
+
+    def test_dark_steps_only_match_the_all_steps_predicate(self):
+        # the masks evaluate the target predicate on dark steps only; the
+        # reference evaluates it on every step of the five default sites
+        s = generate_scenario(GenConfig(horizon_steps=1440, num_sites=5), 4)
+        ctx = SchedulingContext(s)
+        cons = ctx.constraints
+        ra = np.array([t.coord.ra for t in s.targets])
+        dec = np.array([t.coord.dec for t in s.targets])
+        skies = site_skies([site.coord for site in s.sites], s.grid, cons)
+        want = np.zeros(ctx.run_left.shape, dtype=bool)
+        for si, (site, sky) in enumerate(zip(s.sites, skies)):
+            assert 0 < sky.dark.sum() < s.grid.horizon_steps
+            ref, ref_am = _target_mask(ra, dec, sky.lat, sky.lst, cons)
+            mask, am = visibility_masks_multi(ra, dec, site.coord, s.grid, cons)
+            assert np.array_equal(mask, ref & sky.dark)
+            assert np.array_equal(am[:, sky.dark], ref_am[:, sky.dark])
+            assert (am[:, ~sky.dark] == UNOBSERVABLE).all()
+            assert np.array_equal(ctx.air[:, si], am)
+            want[:, si] = ref & sky.dark
+        assert want.any()
+        assert np.array_equal(ctx.run_left, _run_lengths(want))
 
 
 def test_tasks_with_one_filter_pattern_share_one_read_only_index():
