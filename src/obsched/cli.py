@@ -50,6 +50,7 @@ from .scenario import (
     load_scenario,
     load_sites,
     read_field,
+    read_json_file,
     reject_unknown,
     save_scenario,
 )
@@ -432,13 +433,8 @@ def grouped_bar_svg(groups, series, values, title="") -> str:
 
 # --- subcommands -------------------------------------------------------------
 
-def _read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _cmd_generate(args) -> int:
-    gen_cfg = gen_config_from_obj(_read_json(args.config) if args.config else {})
+    gen_cfg = gen_config_from_obj(read_json_file(args.config) if args.config else {})
     sites = load_sites(args.sites) if args.sites else None
     scenario = generate_scenario(gen_cfg, args.seed, sites=sites)
     save_scenario(scenario, args.out)
@@ -477,7 +473,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    gen_cfg = gen_config_from_obj(_read_json(args.scenario_config) if args.scenario_config else {})
+    gen_cfg = gen_config_from_obj(read_json_file(args.scenario_config) if args.scenario_config else {})
     train_cfg = TrainConfig(
         batch=args.batch, episode_len=args.episode_len, steps=args.steps
     )
@@ -505,7 +501,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = _read_json(args.config)
+    config = read_json_file(args.config)
     seeds = config.get("seeds") if isinstance(config, dict) else False
     if args.seed is not None and isinstance(seeds, (dict, type(None))):  # else run_benchmark names the field
         config = {**config, "seeds": {**(seeds or {}), "base": args.seed}}

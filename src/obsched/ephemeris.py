@@ -19,8 +19,11 @@ its extremes lie at the run's ends or next to a culmination.  That holds
 for the visibility predicate only while it is monotone in altitude, which
 ``VisibilityConstraints`` can break (see ``_monotone_in_altitude``); several
 sites, or a predicate that is not monotone, take two passes instead: every
-``COVERAGE_STRIDE``-th step for all targets, then the other steps for the
-targets the first pass left undecided.
+``COVERAGE_STRIDE``-th step for all targets, the step with the fewest dark
+sites first, then the other steps for the targets the first pass left
+undecided.  Each target's flags are an AND and an OR over steps whose
+values depend on that (target, step) alone, so the order of the steps and
+the dropping of decided targets between them cannot change a flag.
 """
 from __future__ import annotations
 
@@ -57,6 +60,10 @@ UNOBSERVABLE = math.inf
 
 #: ``sky_coverage``'s first pass evaluates every this many horizon steps
 COVERAGE_STRIDE = 60
+
+#: the most candidate fields field sampling decides in one ``sky_coverage``
+#: call (a single round of more fields goes alone)
+COVERAGE_MAX_FIELDS = 4096
 
 #: sidereal degrees per mean solar day (the GMST polynomial's rate)
 _SIDEREAL_DEG_PER_DAY = 360.98564736629
@@ -450,7 +457,10 @@ def sky_coverage(
 
     - pass 1 takes every target at every ``COVERAGE_STRIDE``-th step; a
       target with an unobserved step there is not ``full``, and one with
-      an observed step there is ``some``;
+      an observed step there is ``some``.  Its steps go fewest dark sites
+      first (a stable sort of the sampled steps' counts): the most
+      selective step alone, then the rest for the targets it left
+      undecided;
     - pass 2 takes the other steps, only for the targets pass 1 left
       undecided: ``full`` still True, or ``some`` still False when
       ``want_some``.  The others keep flags no further step can change.
@@ -464,7 +474,9 @@ def sky_coverage(
     some = np.zeros(ra.size, dtype=bool)
     every = np.arange(horizon_steps)
     sampled = every % COVERAGE_STRIDE == 0
-    for steps in (every[sampled], every[~sampled]):
+    first = every[sampled]
+    first = first[np.argsort(sum(sky.dark[first] for sky in skies), kind="stable")]
+    for steps in (first[:1], first[1:], every[~sampled]):
         rows = np.flatnonzero(full | ~some if want_some else full)
         if not rows.size:
             break

@@ -9,14 +9,16 @@ Generation is deterministic given a seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from datetime import datetime
-from functools import cache
+from functools import cache, lru_cache
 from importlib import resources
 
 import numpy as np
 
 from .ephemeris import (
+    COVERAGE_MAX_FIELDS,
     GeoCoord,
     SkyCoord,
     TimeGrid,
@@ -34,6 +36,7 @@ __all__ = [
     "GenConfig",
     "default_sites",
     "load_sites",
+    "read_json_file",
     "generate_scenario",
     "target_to_tasks",
     "save_scenario",
@@ -43,6 +46,9 @@ __all__ = [
 ]
 
 SCENARIO_FORMAT_VERSION = 1
+
+#: rejection rounds of ``num_fields`` draws in visible-field sampling
+_FIELD_ROUNDS = 40
 
 EXPOSURE_COUNT = "exposure_count"
 CADENCE = "cadence"
@@ -273,9 +279,18 @@ def _bundled_sites() -> tuple[Site, ...]:
     return tuple(_sites_from_obj(json.loads(text)))
 
 
-def load_sites(path) -> list[Site]:
+def read_json_file(path):
+    """The JSON value in the file at ``path``; malformed text is a
+    ScenarioError that names the file."""
     with open(path) as fh:
-        return _sites_from_obj(json.load(fh))
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def load_sites(path) -> list[Site]:
+    return _sites_from_obj(read_json_file(path))
 
 
 def _sites_from_obj(obj) -> list[Site]:
@@ -323,18 +338,26 @@ def _sample_fields(
     When ``visible_fields_only`` is set (the default), a candidate field
     is kept only when every step of the horizon is observable from at
     least one site, mirroring how survey fields are picked to suit the
-    array; after 40 rejection rounds the remainder is filled first with
-    partially-visible draws, then unfiltered ones.
+    array; after 40 rejection rounds of ``num_fields`` draws the
+    remainder is filled first with partially-visible draws, then
+    unfiltered ones.
 
     The sites' skies are computed once, not once per round, and
     ``sky_coverage`` gives the same flags as a brute-force union of
-    per-site masks (see its docstring for why): from the ends and
-    culminations of the dark runs for one site, and from a sampled pass
-    plus a pass over the undecided fields for several.  The
-    partially-visible flags are asked for only while fewer than
-    ``num_fields`` partial draws are held: the fill reads at most
-    ``num_fields`` of them, in order, so the draws that would follow are
-    never read.
+    per-site masks (see its docstring for why).  The partially-visible
+    flags are asked for only while fewer than ``num_fields`` partial
+    draws are held: the fill reads at most ``num_fields`` of them, in
+    order, so the draws that would follow are never read.
+
+    Once the partial draws are held, a round only adds full fields, so
+    several rounds are drawn in loop order and decided in one
+    ``sky_coverage`` call: every remaining round while no full field is
+    kept, else as many as the rate so far needs to fill ``num_fields``,
+    and at most ``COVERAGE_MAX_FIELDS`` candidates (one round when it
+    holds more).  The rounds are then
+    walked in order with the loop's stopping test, and the generator's
+    state after the last round the loop reads is put back, so the fields
+    and the draws that follow are the round-by-round loop's.
     """
     n = cfg.num_fields
     if not cfg.visible_fields_only:
@@ -343,15 +366,32 @@ def _sample_fields(
     skies = site_skies([s.coord for s in sites], grid)
     kept: list[np.ndarray] = []  # (2, k) chunks of full fields, in draw order
     partial: list[np.ndarray] = []  # and of partial ones
-    for _ in range(40):
-        if sum(c.shape[1] for c in kept) >= n:
-            break
-        fields = _uniform_fields(rng, n, cfg.min_field_dec)
-        want_some = sum(c.shape[1] for c in partial) < n
+    n_kept = n_partial = rounds = 0
+    while rounds < _FIELD_ROUNDS and n_kept < n:
+        want_some = n_partial < n
+        if want_some:
+            batch = 1
+        elif not n_kept:
+            batch = _FIELD_ROUNDS - rounds
+        else:
+            batch = math.ceil((n - n_kept) * rounds / n_kept)
+        batch = min(batch, _FIELD_ROUNDS - rounds, max(1, COVERAGE_MAX_FIELDS // n))
+        draws, states = [], []
+        for _ in range(batch):
+            draws.append(_uniform_fields(rng, n, cfg.min_field_dec))
+            states.append(rng.bit_generator.state)
+        fields = np.concatenate(draws, axis=1)
         full, some = sky_coverage(*fields, skies, grid.horizon_steps, want_some=want_some)
-        kept.append(fields[:, full])
         if want_some:
             partial.append(fields[:, some & ~full])
+            n_partial += partial[-1].shape[1]
+        for j, round_fields in enumerate(draws):
+            kept.append(round_fields[:, full[j * n:(j + 1) * n]])
+            n_kept += kept[-1].shape[1]
+            rounds += 1
+            if n_kept >= n:
+                rng.bit_generator.state = states[j]
+                break
     out = np.concatenate(kept + partial, axis=1)[:, :n]
     if out.shape[1] < n:
         out = np.concatenate([out, _uniform_fields(rng, n - out.shape[1], cfg.min_field_dec)], axis=1)
@@ -494,34 +534,51 @@ def generate_scenario(
 
 # --- serialization ---------------------------------------------------------
 
-def _target_to_obj(t: Target) -> dict:
-    return {
-        "id": t.id,
-        "coord": {"ra": t.coord.ra, "dec": t.coord.dec},
-        "filters_required": [bool(b) for b in t.filters_required],
-        "start_time": t.start_time,
-        "fade_time": t.fade_time,
-        "exposure_minutes": t.exposure_minutes,
-        "mode": {"kind": t.mode.kind, "gap_minutes": t.mode.gap_minutes},
-        "priority": t.priority,
-        "arrival_step": t.arrival_step,
-    }
+def _row_template(fields: dict) -> str:
+    """The text ``json.dumps(indent=1)`` gives a dict as an element of a
+    top-level list, with each ``"%d"`` or ``"%s"`` value left as a bare
+    %-placeholder."""
+    text = json.dumps(fields, indent=1).replace('"%d"', "%d").replace('"%s"', "%s")
+    return "  " + text.replace("\n", "\n  ")
 
 
-def _task_to_obj(t: ObservationTask) -> dict:
-    return {
-        "id": t.id,
-        "target_id": t.target_id,
-        "rho": [bool(b) for b in t.rho],
-        "arrival": t.arrival,
-        "exposure": t.exposure,
-        "deadline": t.deadline,
-        "seq_index": t.seq_index,
-    }
+_TARGET_ROW = _row_template({
+    "id": "%d", "coord": {"ra": "%s", "dec": "%s"}, "filters_required": "%s",
+    "start_time": "%d", "fade_time": "%d", "exposure_minutes": "%d",
+    "mode": {"kind": "%s", "gap_minutes": "%d"}, "priority": "%d", "arrival_step": "%d",
+})
+_TASK_ROW = _row_template({
+    "id": "%d", "target_id": "%d", "rho": "%s", "arrival": "%d", "exposure": "%d",
+    "deadline": "%d", "seq_index": "%d",
+})
+
+
+def _float(x: float) -> str:
+    """A float as ``json.dumps`` writes it, NaN and the infinities included."""
+    if x != x:
+        return "NaN"
+    if abs(x) == math.inf:
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+@lru_cache(maxsize=256)
+def _flag_list(flags: tuple[bool, ...]) -> str:
+    """A row's list of booleans, at the depth of a row's fields."""
+    return json.dumps([bool(b) for b in flags], indent=1).replace("\n", "\n   ")
+
+
+def _rows_text(rows: list[str]) -> str:
+    return "[\n" + ",\n".join(rows) + "\n ]" if rows else "[]"
 
 
 def scenario_to_json(s: Scenario) -> str:
-    obj = {
+    """The scenario as ``json.dumps(obj, indent=1)`` writes its object.
+
+    That encoder is pure Python once it indents, so only the short head
+    goes through it; each target and task row is one %-template filled
+    with the text ``json.dumps`` gives its values."""
+    head = {
         "version": SCENARIO_FORMAT_VERSION,
         "grid": {
             "epoch_utc": s.grid.epoch_utc.isoformat(),
@@ -539,11 +596,23 @@ def scenario_to_json(s: Scenario) -> str:
             for site in s.sites
         ],
         "num_filters": s.num_filters,
-        "targets": [_target_to_obj(t) for t in s.targets],
-        "tasks": [_task_to_obj(t) for t in s.tasks],
-        "seed": s.rng_seed,
     }
-    return json.dumps(obj, indent=1)
+    targets = [
+        _TARGET_ROW % (
+            t.id, _float(t.coord.ra), _float(t.coord.dec), _flag_list(t.filters_required),
+            t.start_time, t.fade_time, t.exposure_minutes, json.dumps(t.mode.kind),
+            t.mode.gap_minutes, t.priority, t.arrival_step,
+        )
+        for t in s.targets
+    ]
+    tasks = [
+        _TASK_ROW % (t.id, t.target_id, _flag_list(t.rho), t.arrival, t.exposure, t.deadline, t.seq_index)
+        for t in s.tasks
+    ]
+    return (
+        json.dumps(head, indent=1)[:-2]
+        + f',\n "targets": {_rows_text(targets)},\n "tasks": {_rows_text(tasks)},\n "seed": {s.rng_seed}\n}}'
+    )
 
 
 _MISSING = object()

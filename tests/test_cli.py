@@ -506,6 +506,20 @@ class TestMain:
         assert capsys.readouterr().err == "error: sites: must hold at least one site\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("generate", "--sites"), ("generate", "--config"), ("train", "--scenario-config"),
+         ("bench", "--config")],
+    )
+    def test_truncated_json_file_is_named(self, tmp_path, capsys, command, flag):
+        # used to print only the decoder's "Expecting ... (char 15)"
+        bad, out = tmp_path / "bad.json", tmp_path / "out"
+        bad.write_text('[{"name": "x", ')
+        assert main([command, flag, str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not valid JSON: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_simulate_rejects_empty_queue(self, tmp_path, capsys):
         sc = tmp_path / "s.json"
         save_scenario(generate_scenario(gen_config_from_obj(GEN), 1), sc)

@@ -366,6 +366,34 @@ def test_two_site_coverage_decides_between_sampled_steps(culmination):
     assert full.tolist() == [False]
 
 
+@pytest.mark.parametrize(
+    "sites, grid, cons, tied",
+    [
+        # a June night from Cerro Pachon and La Palma: at 11:00 UTC both
+        # have the sun up, so the first step taken has no dark site
+        (SITES[:2], TimeGrid(datetime(2025, 6, 21, 4, tzinfo=timezone.utc), 1, 1440),
+         VisibilityConstraints(), False),
+        # an all-dark sky: every sampled step ties on its count of dark sites
+        (SITES[:2], TimeGrid(datetime(2025, 3, 1, tzinfo=timezone.utc), 1, 3 * COVERAGE_STRIDE + 11),
+         VisibilityConstraints(max_sun_altitude_deg=91.0), True),
+    ],
+    ids=["no-dark-site", "all-tied"],
+)
+def test_selective_step_order_keeps_the_union_flags(sites, grid, cons, tied):
+    skies = site_skies(sites, grid, cons)
+    counts = sum(sky.dark[:: COVERAGE_STRIDE] for sky in skies)
+    assert counts.min() == (counts.max() if tied else 0) and counts[0] > 0
+    rng = np.random.default_rng(8)
+    ra = np.concatenate([rng.uniform(0.0, 360.0, 200), [0.0, 120.0, 240.0]])
+    dec = np.concatenate([np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, 200))), [-80.0, -85.0, 85.0]])
+    union = _brute_union(ra, dec, sites, grid, cons)
+    full, some = sky_coverage(ra, dec, skies, grid.horizon_steps, cons)
+    assert np.array_equal(full, union.all(axis=1)) and np.array_equal(some, union.any(axis=1))
+    assert 0 < some.sum() < ra.size and full.any() == tied
+    full_only, _ = sky_coverage(ra, dec, skies, grid.horizon_steps, cons, want_some=False)
+    assert np.array_equal(full_only, full)
+
+
 def test_no_airmass_below_the_horizon():
     # the Kasten-Young formula falls again below -1.757 deg, under 1.0
     # near -6 deg; airmass is the horizon's there instead, so this target,

@@ -1,19 +1,23 @@
 """Target generation distributions, task splitting, and serialization."""
 import hashlib
 import json
+import math
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from obsched.ephemeris import SkyCoord
+from obsched import scenario as sc
+from obsched.ephemeris import COVERAGE_MAX_FIELDS, GeoCoord, SkyCoord, site_skies, sky_coverage
 from obsched.scenario import (
     CADENCE,
     EXPOSURE_COUNT,
     GenConfig,
     ObsMode,
+    Scenario,
     ScenarioError,
+    Site,
     Target,
     default_sites,
     generate_scenario,
@@ -24,7 +28,7 @@ from obsched.scenario import (
     scenario_to_json,
     target_to_tasks,
 )
-from obsched.scenario import _sample_filters
+from obsched.scenario import _sample_filters, _uniform_fields
 
 FAST = dict(visible_fields_only=False, num_fields=10)
 
@@ -278,6 +282,102 @@ def test_five_site_scenario_sweep_is_pinned(cfg, count, digest):
     assert h.hexdigest() == digest
 
 
+# --- batched field-sampling rounds ------------------------------------------
+
+def _per_round_fields(rng, cfg, grid, sites):
+    """Field sampling one rejection round per ``sky_coverage`` call, as it
+    was before rounds were batched; returns the fields and the rounds run."""
+    n = cfg.num_fields
+    if not cfg.visible_fields_only:
+        return _uniform_fields(rng, n, cfg.min_field_dec), 0
+    skies = site_skies([s.coord for s in sites], grid)
+    kept, partial = [], []
+    rounds = 0
+    for _ in range(40):
+        if sum(c.shape[1] for c in kept) >= n:
+            break
+        rounds += 1
+        fields = _uniform_fields(rng, n, cfg.min_field_dec)
+        want_some = sum(c.shape[1] for c in partial) < n
+        full, some = sky_coverage(*fields, skies, grid.horizon_steps, want_some=want_some)
+        kept.append(fields[:, full])
+        if want_some:
+            partial.append(fields[:, some & ~full])
+    out = np.concatenate(kept + partial, axis=1)[:, :n]
+    if out.shape[1] < n:
+        out = np.concatenate([out, _uniform_fields(rng, n - out.shape[1], cfg.min_field_dec)], axis=1)
+    return out, rounds
+
+
+@pytest.mark.parametrize(
+    "num_sites, horizon, num_fields, step_minutes, seed, breaks_inside",
+    [
+        (1, 30, 7, 1, 0, False),
+        (1, 240, 7, 1, 0, True),
+        (1, 240, 100, 1, 1, True),
+        (1, 240, 100, 5, 0, False),  # partial fields only: all 40 rounds
+        (1, 1440, 100, 1, 0, False),
+        (2, 30, 1, 5, 1, True),
+        (2, 240, 1, 1, 0, True),
+        (2, 240, 3000, 1, 0, False),
+        (2, 1440, 7, 1, 0, False),
+        (5, 30, 100, 5, 0, False),
+        (5, 240, 7, 1, 0, True),
+        (5, 240, 100, 1, 0, False),
+        (5, 240, 3000, 5, 0, False),
+        (5, 1440, 100, 1, 0, False),  # the night grid
+    ],
+)
+def test_batched_rounds_match_the_per_round_loop(
+    monkeypatch, num_sites, horizon, num_fields, step_minutes, seed, breaks_inside
+):
+    # the fields, and the generator state the arrival stream draws from next
+    cfg = GenConfig(num_sites=num_sites, horizon_steps=horizon, num_fields=num_fields,
+                    step_minutes=step_minutes)
+    grid, sites = cfg.make_grid(), default_sites()[:num_sites]
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want, rounds = _per_round_fields(ref_rng, cfg, grid, sites)
+    draws = []
+    monkeypatch.setattr(sc, "_uniform_fields", lambda *a: draws.append(a[1]) or _uniform_fields(*a))
+    got = sc._sample_fields(rng, cfg, grid, sites)
+    assert np.array_equal(got, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if breaks_inside:  # rounds were drawn past the one the loop stopped at
+        assert len(draws) > rounds
+
+
+def test_unfiltered_fields_match_the_per_round_loop():
+    cfg = GenConfig(num_sites=5, visible_fields_only=False)
+    ref_rng, rng = np.random.default_rng(4), np.random.default_rng(4)
+    want, _ = _per_round_fields(ref_rng, cfg, cfg.make_grid(), default_sites())
+    assert np.array_equal(sc._sample_fields(rng, cfg, cfg.make_grid(), default_sites()), want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "cfg, sizes",
+    [
+        # the night grid finds no full field: two rounds collect the
+        # partial ones, and one call decides the other 38
+        (GenConfig(horizon_steps=1440, num_sites=5), [100, 100, 3800]),
+        # partial fields only, so every round is read
+        (GenConfig(num_sites=5, step_minutes=5, num_fields=1000), [1000] * 2 + [4000] * 9 + [2000]),
+        (GenConfig(num_sites=5, step_minutes=5, num_fields=3000), [3000] * 40),
+    ],
+    ids=["night", "1000", "3000"],
+)
+def test_batches_stay_under_the_field_cap(monkeypatch, cfg, sizes):
+    calls = []
+
+    def counting(ra, *args, **kw):
+        calls.append(ra.size)
+        return sky_coverage(ra, *args, **kw)
+
+    monkeypatch.setattr(sc, "sky_coverage", counting)
+    sc._sample_fields(np.random.default_rng(3), cfg, cfg.make_grid(), default_sites()[: cfg.num_sites])
+    assert calls == sizes and max(calls) <= COVERAGE_MAX_FIELDS
+
+
 class TestSerialization:
     def test_round_trip_identity(self):
         s = generate_scenario(GenConfig(horizon_steps=120), 9)
@@ -354,6 +454,118 @@ class TestSerialization:
         del obj["tasks"][0]["deadline"]
         with pytest.raises(ScenarioError, match="deadline"):
             scenario_from_json(json.dumps(obj))
+
+
+# --- the row-template writer ------------------------------------------------
+
+def _dict_writer(s):
+    """The scenario as one ``json.dumps(indent=1)`` of a dict, as it was
+    written before the row templates."""
+    targets = [
+        {
+            "id": t.id,
+            "coord": {"ra": t.coord.ra, "dec": t.coord.dec},
+            "filters_required": [bool(b) for b in t.filters_required],
+            "start_time": t.start_time,
+            "fade_time": t.fade_time,
+            "exposure_minutes": t.exposure_minutes,
+            "mode": {"kind": t.mode.kind, "gap_minutes": t.mode.gap_minutes},
+            "priority": t.priority,
+            "arrival_step": t.arrival_step,
+        }
+        for t in s.targets
+    ]
+    tasks = [
+        {
+            "id": t.id,
+            "target_id": t.target_id,
+            "rho": [bool(b) for b in t.rho],
+            "arrival": t.arrival,
+            "exposure": t.exposure,
+            "deadline": t.deadline,
+            "seq_index": t.seq_index,
+        }
+        for t in s.tasks
+    ]
+    obj = {
+        "version": 1,
+        "grid": {
+            "epoch_utc": s.grid.epoch_utc.isoformat(),
+            "step_minutes": s.grid.step_minutes,
+            "horizon_steps": s.grid.horizon_steps,
+        },
+        "sites": [
+            {
+                "name": site.name,
+                "lat_deg": site.coord.lat,
+                "lon_deg": site.coord.lon,
+                "alt_m": site.coord.altitude_m,
+                "equipment_priority": site.equipment_priority,
+            }
+            for site in s.sites
+        ],
+        "num_filters": s.num_filters,
+        "targets": targets,
+        "tasks": tasks,
+        "seed": s.rng_seed,
+    }
+    return json.dumps(obj, indent=1)
+
+
+@pytest.mark.parametrize(
+    "cfg, seed",
+    [
+        (GenConfig(horizon_steps=1440, num_sites=5), 3),
+        (GenConfig(horizon_steps=240, num_sites=5, mode_exposure_count_frac=0.0), 11),
+        (GenConfig(horizon_steps=240, num_filters=1, mode_exposure_count_frac=1.0), 7),
+        (GenConfig(horizon_steps=120, num_filters=6, arrival_prob=0.5, **FAST), 2),
+        (GenConfig(arrival_prob=0.0, **FAST), 0),
+    ],
+    ids=["1440x5", "cadence", "one-filter", "six-filters", "empty"],
+)
+def test_writer_matches_the_dict_writer_on_generated_scenarios(cfg, seed):
+    s = generate_scenario(cfg, seed)
+    assert scenario_to_json(s) == _dict_writer(s)
+
+
+def _hand_built(sites, targets, tasks=()):
+    grid = GenConfig().make_grid()
+    return Scenario(grid=grid, sites=tuple(sites), num_filters=3, targets=tuple(targets),
+                    tasks=tuple(tasks), rng_seed=5)
+
+
+def _at(target, **coord):
+    # past SkyCoord's normalisation, which never leaves an infinity
+    c = SkyCoord(0.0, 0.0)
+    for k, v in coord.items():
+        object.__setattr__(c, k, v)
+    return replace(target, coord=c)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        _hand_built(default_sites()[:1], []),
+        _hand_built(
+            [Site('a "quoted" \\ site, Paranal-é中', GeoCoord(-24.6, -70.4, 2635.0), 0.25)],
+            [_target(tid=0), replace(_target(tid=1), coord=SkyCoord(1e-05, -0.0))],
+            target_to_tasks(_target(tid=0)) + target_to_tasks(_target(tid=1), id_base=6),
+        ),
+        _hand_built(
+            [Site("nan-alt", GeoCoord(10.0, 20.0, float("nan")), float("inf"))],
+            [_at(_target(tid=0), ra=float("nan")), _at(_target(tid=1), dec=-math.inf),
+             _at(_target(tid=2), ra=math.inf, dec=123456789.125)],
+        ),
+        _hand_built(
+            default_sites()[:2],
+            [_target(mode=ObsMode(EXPOSURE_COUNT, 0)), _target(mode=ObsMode(CADENCE, 7), tid=1)],
+            target_to_tasks(_target(mode=ObsMode(CADENCE, 7), tid=1)),
+        ),
+    ],
+    ids=["no-rows", "escaped-name", "non-finite", "modes"],
+)
+def test_writer_matches_the_dict_writer_on_hand_built_scenarios(scenario):
+    assert scenario_to_json(scenario) == _dict_writer(scenario)
 
 
 class TestSites:
