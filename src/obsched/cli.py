@@ -88,11 +88,11 @@ def _parse_scheduler(name: str) -> dict:
         return {"kind": "heuristic", "task_rule": tr, "site_rule": sr}
     if ":" in name:
         task, site = name.split(":", 1)
-        return {
-            "kind": "heuristic",
-            "task_rule": TaskRule(task),
-            "site_rule": SiteRule(site),
-        }
+        for kind, rule, value in (("task", TaskRule, task), ("site", SiteRule, site)):
+            if value not in {r.value for r in rule}:
+                choices = ", ".join(r.value for r in rule)
+                raise ValueError(f"unknown scheduler {name!r}: {kind} rule must be one of {choices}")
+        return {"kind": "heuristic", "task_rule": TaskRule(task), "site_rule": SiteRule(site)}
     if name in ("offline-stf", "oracle", "roars", "roars-refine"):
         return {"kind": name}
     raise ValueError(f"unknown scheduler {name!r}")

@@ -132,18 +132,6 @@ def schedule_online_heuristic(
     def key(row: int) -> tuple:
         return rank_key(task_rule, scenario.tasks[row], scenario.targets[int(ctx.target_row[row])])
 
-    last_start: dict[int, int] = {}
-
-    def static_last_start(row: int) -> int:
-        """Latest start with visibility + deadline satisfied somewhere,
-        ignoring occupancy; -1 when the task is never observable."""
-        if row not in last_start:
-            e, lo = int(ctx.exposure[row]), int(ctx.arrival[row])
-            hi = max(lo, int(ctx.limit[row]) - e + 1)
-            ok = (ctx.run_left[int(ctx.target_row[row]), :, lo:hi] >= e).any(axis=0)
-            last_start[row] = lo + int(np.flatnonzero(ok)[-1]) if ok.any() else -1
-        return last_start[row]
-
     by_arrival: dict[int, list[int]] = {}
     for r in range(ctx.n_tasks):
         by_arrival.setdefault(int(ctx.arrival[r]), []).append(r)
@@ -184,7 +172,7 @@ def schedule_online_heuristic(
 
         # drop what can no longer meet visibility + deadline anywhere
         for r in list(queue):
-            if t > static_last_start(r):
+            if t > ctx.last_start[r]:
                 st.drop(r)
                 queue.remove(r)
 

@@ -176,10 +176,10 @@ def rewrite_step(
 
     # earliest statically feasible start at the destination; occupancy is
     # ignored here, conflicts are resolved by displacement
-    lo, ok = ctx.static_starts(row, dest_site, max(want, release(row)))
-    if not ok.any():
+    lo = max(want, release(row))
+    new_start = next((max(first, lo) for first, last in ctx.windows(row, dest_site) if last >= lo), None)
+    if new_start is None:
         return dag, REJECTED
-    new_start = lo + int(ok.argmax())
     if new_start == old_start and dest_site == old_site:
         return dag, NOOP
 

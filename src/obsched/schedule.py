@@ -9,7 +9,10 @@ online loop and the rewriter take releases and fits from it, commit and
 uncommit rows on it and freeze the result with `to_dag`.  Outside it
 only `validate` (the independent reference) and `build_from_arrays`
 (the whole-dag array form) write an occupancy profile.  Visibility is
-one table, ``SchedulingContext.run_left``.  Edge semantics: a task hangs
+one table, ``SchedulingContext.run_left``, and the static window lookup
+is one index built from it per context, ``SchedulingContext.windows``:
+every fit, the dispatcher's drop test and the rewriter's first start
+read it.  Edge semantics: a task hangs
 off its site's root node when it starts at its release (arrival, sibling
 cadence) or on the first step of its visible run; it also hangs off every
 same-site task whose completion equals its start, and off the root alone
@@ -80,11 +83,15 @@ class SchedulingContext:
     built once per (scenario, constraints), with the default
     ``VisibilityConstraints`` when none are given, and shared by every
     dag over that scenario; read-only after construction.  It owns the
-    static half of the placement model: the visibility + deadline window
-    lookup (``static_starts``, ``fits_statically``) over ``run_left``, the
-    number of consecutive observable steps from each (target, site, step),
-    0 where the target is not observable.  The sibling-cadence release
-    depends on what is committed, so it lives on ``Placement``.
+    static half of the placement model.  ``run_left`` holds the number of
+    consecutive observable steps from each (target, site, step), 0 where
+    the target is not observable; ``fits_statically`` is the point check
+    over it.  The static window lookup is an index built from the same
+    visibility masks in one pass: ``windows(row, site)`` lists the
+    intervals of starts that visibility, arrival and deadline allow, and
+    ``last_start[row]`` is the latest of them over every site (-1 when
+    there is none).  The sibling-cadence release depends on what is
+    committed, so it lives on ``Placement``.
     """
 
     def __init__(self, scenario: Scenario, constraints: VisibilityConstraints | None = None):
@@ -130,11 +137,13 @@ class SchedulingContext:
                 self.sibling_gap[r] = scenario.targets[tgt_row[t.target_id]].mode.sibling_gap
 
         # visibility per (target, site, step): airmass (UNOBSERVABLE where
-        # the sun is up, as in visibility_masks_multi) and run_left
+        # the sun is up, as in visibility_masks_multi) and run_left; the
+        # visible runs of each site as (target, first step, length)
         nt, ns, h = len(scenario.targets), self.n_sites, self.horizon
         self.air = np.full((nt, ns, h), np.inf)
         # run lengths lie in [0, horizon]: int32 halves the table
         self.run_left = np.zeros((nt, ns, h), dtype=np.int32)
+        runs = []
         if nt:
             ra = np.array([t.coord.ra for t in scenario.targets])
             dec = np.array([t.coord.dec for t in scenario.targets])
@@ -145,27 +154,53 @@ class SchedulingContext:
                 # first unobservable step at or after each step, minus the step
                 inv = np.where(m, np.int32(h), idx[None, :])
                 self.run_left[:, si] = np.minimum.accumulate(inv[:, ::-1], axis=1)[:, ::-1] - idx
+                m[:, 1:] &= ~m[:, :-1]  # m is ours: keep only each run's first step
+                tgt, first = np.nonzero(m)  # per target, ascending
+                runs.append((tgt, first, self.run_left[tgt, si, first]))
+        self._index_windows(runs)
+
+    def _index_windows(self, runs) -> None:
+        """The static window index: per (row, site), the ascending
+        inclusive intervals ``(first, last)`` of starts that keep the whole
+        exposure inside one visible run, no earlier than the arrival and
+        completing by ``limit``; and per row the latest such start over
+        every site, -1 when there is none.  ``runs`` holds each site's
+        visible runs as (target, first step, length) arrays, sorted by
+        target and then first step."""
+        n, ns = self.n_tasks, self.n_sites
+        keys, firsts, lasts = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
+        for si, (tgt, first, length) in enumerate(runs):
+            # join every task to its target's runs, in (row, first) order:
+            # a row's k-th run is k after its target's first run
+            count = np.bincount(tgt, minlength=len(self.scenario.targets))
+            per_row = count[self.target_row]
+            row = np.repeat(np.arange(n), per_row)
+            k = np.arange(row.size) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+            run = (np.cumsum(count) - count)[self.target_row[row]] + k
+            lo = np.maximum(first[run], self.arrival[row])
+            hi = np.minimum(first[run] + length[run], self.limit[row]) - self.exposure[row]
+            keep = lo <= hi
+            keys.append(row[keep] * ns + si)
+            firsts.append(lo[keep])
+            lasts.append(hi[keep])
+        key = np.concatenate(keys)
+        order = np.argsort(key, kind="stable")
+        key, last = key[order], np.concatenate(lasts)[order]
+        self._window = list(zip(np.concatenate(firsts)[order].tolist(), last.tolist()))
+        self._window_at = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=n * ns)))).tolist()
+        self.last_start = np.full(n, -1, dtype=np.int64)
+        np.maximum.at(self.last_start, key // ns, last)
 
     # -- static feasibility of one task at (site, start), other tasks aside --
 
-    def static_starts(self, row: int, site: int, lo: int) -> tuple[int, np.ndarray]:
-        """Starts of one task on one site that visibility and the deadline
-        allow, occupancy aside.
-
-        Returns ``(first, ok)`` with ``first = max(lo, arrival)``: a start
-        at ``first + k`` keeps the whole exposure inside one visible run
-        (``run_left >= exposure``) and completes by ``limit`` iff
-        ``k < ok.size and ok[k]``.  ``ok`` is empty when no start of
-        ``[first, limit - exposure]`` fits.
-        """
-        e = int(self.exposure[row])
-        lo = max(int(lo), int(self.arrival[row]))
-        hi = int(self.limit[row]) - e
-        if hi >= lo:
-            ok = self.run_left[int(self.target_row[row]), site, lo : hi + 1] >= e
-            if ok.any():  # cheap exit for the many sites that never see the target
-                return lo, ok
-        return lo, np.zeros(0, dtype=bool)
+    def windows(self, row: int, site: int) -> list[tuple[int, int]]:
+        """The ascending inclusive intervals ``(first, last)`` of starts of
+        one task on one site that visibility and the deadline allow,
+        occupancy aside: a start at ``b`` keeps the whole exposure inside
+        one visible run, no earlier than the arrival, and completes by
+        ``limit`` iff some interval holds ``b``."""
+        k = row * self.n_sites + site
+        return self._window[self._window_at[k] : self._window_at[k + 1]]
 
     def fits_statically(self, row: int, site: int, start: int) -> str | None:
         """Name of the violated static constraint, or None if ok."""
@@ -191,18 +226,20 @@ def earliest_feasible_start(
     free on the site for the whole exposure.  Sibling-cadence bounds must
     be folded into ``lo`` by the caller.  Returns None when nothing fits.
     """
-    lo, ok = ctx.static_starts(row, site, lo)
-    if ok.size == 0:
-        return None
-    e, n = int(ctx.exposure[row]), ok.size
-    occ = profile[site][ctx.rho_idx[row], lo : lo + n + e - 1]  # every step a start may use
-    occ_any = occ.max(axis=0) if occ.shape[0] > 1 else occ[0]
-    csum = np.concatenate(([0], np.cumsum(occ_any, dtype=np.int64)))
-    ok &= csum[e:] == csum[:n]  # no busy step in [start, start + e)
-    pos = np.flatnonzero(ok)
-    if pos.size == 0:
-        return None
-    return int(lo + pos[0])
+    for first, last in ctx.windows(row, site):
+        if last < lo:
+            continue
+        first = max(first, lo)
+        e = int(ctx.exposure[row])
+        occ = profile[site][ctx.rho_idx[row], first : last + e]  # every step a start may use
+        if not occ.any():
+            return first
+        occ_any = occ.max(axis=0) if occ.shape[0] > 1 else occ[0]
+        csum = np.concatenate(([0], np.cumsum(occ_any, dtype=np.int64)))
+        pos = np.flatnonzero(csum[e:] == csum[: last - first + 1])  # no busy step in [b, b + e)
+        if pos.size:
+            return first + int(pos[0])
+    return None
 
 
 class ScheduleDag:

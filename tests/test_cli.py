@@ -52,6 +52,21 @@ class TestSchedulerSpecs:
         with pytest.raises(ValueError):
             _parse_scheduler("magic")
 
+    @pytest.mark.parametrize(
+        "spec, kind, choices",
+        [
+            ("stf:qualty", "site", "quality, priority"),
+            ("fcfs:", "site", "quality, priority"),
+            ("sft:quality", "task", "fcfs, stf, edd, spt, rip"),
+            (":priority", "task", "fcfs, stf, edd, spt, rip"),
+        ],
+    )
+    def test_a_bad_rule_in_a_pair_names_the_spec_and_the_choices(self, spec, kind, choices):
+        want = f"unknown scheduler '{spec}': {kind} rule must be one of {choices}"
+        with pytest.raises(ValueError) as err:
+            _parse_scheduler(spec)
+        assert str(err.value) == want
+
 
 class TestRunOnline:
     def test_empty_scenario(self):

@@ -219,7 +219,8 @@ def _independent_online_sim(s, ctx, rule, queue_cap=10):
 def per_step_online_heuristic(ctx, task_rule, site_rule=None, queue_cap=10):
     """``schedule_online_heuristic`` with no wake steps: every queued task
     is tested on every site at every step, and a task's last static start
-    is found site by site.  The reference its skips are checked against."""
+    is read straight from ``run_left``.  The reference its skips are
+    checked against."""
     scenario = ctx.scenario
     st = Placement(ctx)
 
@@ -230,10 +231,9 @@ def per_step_online_heuristic(ctx, task_rule, site_rule=None, queue_cap=10):
 
     def static_last_start(row):
         if row not in last_start:
-            windows = (ctx.static_starts(row, s, 0) for s in range(ctx.n_sites))
-            last_start[row] = max(
-                (lo + int(np.flatnonzero(ok)[-1]) for lo, ok in windows if ok.any()), default=-1
-            )
+            e, lo = int(ctx.exposure[row]), int(ctx.arrival[row])
+            ok = ctx.run_left[int(ctx.target_row[row]), :, lo : max(lo, int(ctx.limit[row]) - e + 1)] >= e
+            last_start[row] = lo + int(np.flatnonzero(ok.any(axis=0))[-1]) if ok.any() else -1
         return last_start[row]
 
     by_arrival = {}

@@ -69,6 +69,22 @@ def test_placement_builds_through_the_module_binding(monkeypatch):
     assert len(calls) == 1 and dag.task_ids == (0,)
 
 
+def test_placement_fits_through_the_module_binding(monkeypatch):
+    """perfbench counts ``schedule.efs`` by wrapping
+    ``schedule.earliest_feasible_start``; ``Placement.fit`` must look it
+    up there on every call, or the count silently stops."""
+    from conftest import U, toy_scenario
+
+    calls = []
+    efs = schedule.earliest_feasible_start
+    monkeypatch.setattr(
+        schedule, "earliest_feasible_start", lambda *args: calls.append(args) or efs(*args)
+    )
+    st = schedule.Placement(schedule.SchedulingContext(toy_scenario([(0, 5, U)])))
+    assert st.fit(0, 0, 3) == 3
+    assert len(calls) == 1
+
+
 def test_traced_backward_walks_the_whole_tape(tracing):
     """The traced run counts the loss graph's nodes by walking
     ``loss.parents`` before the real backward: on a ``losses`` output the

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import G, U, UG, transit_context, visible_steps
 from test_heuristics import check_matches_per_step_loop
+from test_schedule import check_window_index
 from obsched.cli import run_online
 from obsched.heuristics import schedule_fcfs_list
 from obsched.policy import PolicyConfig, PolicyNet
@@ -274,7 +275,13 @@ def test_point_fit_agrees_with_the_earliest_fit(scenario, data):
     _check_point_fit(SchedulingContext(scenario), data)
 
 
-# the three properties above again, on contexts whose windows open after
+@SETTINGS
+@given(scenarios())
+def test_window_index_equals_a_scan_of_run_left(scenario):
+    check_window_index(SchedulingContext(scenario))
+
+
+# the four properties above again, on contexts whose windows open after
 # their tasks arrive (see ``transit_contexts``)
 
 @SETTINGS
@@ -293,6 +300,12 @@ def test_applied_rewrites_stay_feasible_where_windows_open(ctx, data):
 @given(transit_contexts(), st.data())
 def test_point_fit_agrees_with_the_earliest_fit_where_windows_open(ctx, data):
     _check_point_fit(ctx, data)
+
+
+@SETTINGS
+@given(transit_contexts())
+def test_window_index_equals_a_scan_of_run_left_where_windows_open(ctx):
+    check_window_index(ctx)
 
 
 @SETTINGS

@@ -7,8 +7,10 @@ import pytest
 from conftest import G, I, U, UG, toy_scenario, transit_context, visible_steps
 from obsched.ephemeris import UNOBSERVABLE, _target_mask, site_skies, visibility_masks_multi
 from obsched.scenario import GenConfig, generate_scenario
+from obsched import schedule
 from obsched.schedule import (
     Assignment,
+    Placement,
     InfeasibleAssignmentError,
     ScheduleDag,
     SchedulingContext,
@@ -97,6 +99,92 @@ class TestRunLeft:
             want[:, si] = ref & sky.dark
         assert want.any()
         assert np.array_equal(ctx.run_left, _run_lengths(want))
+
+
+def scanned_windows(ctx, row, site):
+    """The maximal runs of the starts ``run_left`` allows one task on one
+    site, found by scanning every start from its arrival to its limit."""
+    e, a = int(ctx.exposure[row]), int(ctx.arrival[row])
+    ok = ctx.run_left[int(ctx.target_row[row]), site, a : max(a, int(ctx.limit[row]) - e + 1)] >= e
+    out = []
+    for b in (np.flatnonzero(ok) + a).tolist():
+        if out and out[-1][1] == b - 1:
+            out[-1] = (out[-1][0], b)
+        else:
+            out.append((b, b))
+    return out
+
+
+def check_window_index(ctx):
+    """``SchedulingContext.windows`` and ``last_start`` against a scan of
+    ``run_left`` for every (row, site)."""
+    assert ctx.last_start.shape == (ctx.n_tasks,)
+    for r in range(ctx.n_tasks):
+        scans = [scanned_windows(ctx, r, s) for s in range(ctx.n_sites)]
+        assert [ctx.windows(r, s) for s in range(ctx.n_sites)] == scans, r
+        assert ctx.last_start[r] == max((w[-1][1] for w in scans if w), default=-1), r
+
+
+class TestWindowIndex:
+    """The static window index on hand-made visibility: target ``k`` is
+    seen from site ``s`` over exactly the half-open step ranges
+    ``runs[k][s]``."""
+
+    def context(self, monkeypatch, task_specs, runs, n_sites=1):
+        s = toy_scenario(task_specs, n_sites=n_sites)
+        vis = np.zeros((len(s.targets), n_sites, s.grid.horizon_steps), dtype=bool)
+        for k, per_site in enumerate(runs):
+            for si, ranges in enumerate(per_site):
+                for a, b in ranges:
+                    vis[k, si, a:b] = True
+        site_of = {site.coord: si for si, site in enumerate(s.sites)}
+
+        def masks(ra, dec, site, grid, constraints):
+            m = vis[:, site_of[site]].copy()
+            return m, np.where(m, 1.0, UNOBSERVABLE)
+
+        monkeypatch.setattr(schedule, "visibility_masks_multi", masks)
+        ctx = SchedulingContext(s)
+        check_window_index(ctx)
+        return ctx
+
+    def test_a_run_the_arrival_cuts(self, monkeypatch):
+        ctx = self.context(monkeypatch, [(20, 5, U)], [[[(10, 40)]]])
+        assert ctx.windows(0, 0) == [(20, 35)] and ctx.last_start[0] == 35
+
+    def test_a_run_the_limit_cuts(self, monkeypatch):
+        ctx = self.context(monkeypatch, [(0, 5, U, 30)], [[[(10, 40)]]])
+        assert ctx.windows(0, 0) == [(10, 25)] and ctx.last_start[0] == 25
+
+    def test_two_runs_on_one_site(self, monkeypatch):
+        ctx = self.context(monkeypatch, [(0, 4, U)], [[[(5, 15), (30, 50)]]])
+        assert ctx.windows(0, 0) == [(5, 11), (30, 46)] and ctx.last_start[0] == 46
+        st = Placement(ctx)
+        assert [st.fit(0, 0, lo) for lo in (0, 11, 12, 46, 47)] == [5, 11, 30, 46, None]
+        st.commit(0, 0, 10)  # the task's own filter, busy over [10, 14)
+        assert [st.fit(0, 0, lo) for lo in (0, 6, 7)] == [5, 6, 30]
+
+    def test_a_run_exactly_one_exposure_long(self, monkeypatch):
+        # the second run is one step short of the exposure
+        ctx = self.context(monkeypatch, [(0, 5, U)], [[[(20, 25), (30, 34)]]])
+        assert ctx.windows(0, 0) == [(20, 20)] and ctx.last_start[0] == 20
+
+    def test_a_site_that_never_sees_the_target(self, monkeypatch):
+        ctx = self.context(monkeypatch, [(0, 5, U), (0, 5, G)], [[[(10, 40)], []], [[], []]], 2)
+        assert ctx.windows(0, 1) == [] and Placement(ctx).fit(0, 1, 0) is None
+        assert ctx.windows(1, 0) == ctx.windows(1, 1) == [] and ctx.last_start[1] == -1
+
+    def test_a_scenario_with_no_targets(self):
+        ctx = SchedulingContext(toy_scenario([]))
+        check_window_index(ctx)
+        assert ctx.n_tasks == 0 and ctx.last_start.size == 0
+
+    @pytest.mark.parametrize("num_sites, horizon, seed", [(1, 240, 0), (5, 240, 1), (5, 1440, 2)])
+    def test_generated_scenarios(self, num_sites, horizon, seed):
+        s = generate_scenario(GenConfig(horizon_steps=horizon, num_sites=num_sites), seed)
+        ctx = SchedulingContext(s)
+        check_window_index(ctx)
+        assert (ctx.last_start >= 0).any()
 
 
 def test_tasks_with_one_filter_pattern_share_one_read_only_index():
