@@ -31,6 +31,7 @@ from .heuristics import (
     schedule_online_heuristic,
 )
 from .policy import (
+    CheckpointError,
     PolicyConfig,
     PolicyNet,
     TrainConfig,
@@ -252,6 +253,27 @@ _BENCH_FIELDS = {
 }
 
 
+def _check_bench_checkpoint(checkpoint: str | None, scheduler: str, gen_cfgs: dict) -> None:
+    """Reject, before any cell runs, a checkpoint the learned ``scheduler``
+    cannot use: none given, a file whose header does not read, or a net
+    whose sites or filters differ from a variant's scenarios."""
+    if checkpoint is None:
+        raise ScenarioError(f"checkpoint: scheduler {scheduler!r} needs one")
+    try:
+        with open(checkpoint, "rb") as fh:
+            _, net_cfg = read_checkpoint_header(fh)
+    except OSError as exc:
+        raise ScenarioError(f"checkpoint: cannot open {checkpoint!r}: {exc.strerror}") from exc
+    except CheckpointError as exc:
+        raise ScenarioError(f"checkpoint: {checkpoint!r}: {exc}") from exc
+    for vname, cfg in gen_cfgs.items():
+        if (net_cfg.n_sites, net_cfg.n_filters) != (cfg.num_sites, cfg.num_filters):
+            raise ScenarioError(
+                f"checkpoint: {checkpoint!r} holds a {net_cfg.n_sites}-site, {net_cfg.n_filters}-filter "
+                f"net, but variant {vname!r} has {cfg.num_sites} sites and {cfg.num_filters} filters"
+            )
+
+
 def run_benchmark(config: dict, out_dir, *, workers: int | None = None, log=None) -> list[BenchRow]:
     """Run every scheduler on every instance of every variant.
 
@@ -287,6 +309,9 @@ def run_benchmark(config: dict, out_dir, *, workers: int | None = None, log=None
         for vname in variants
     }
     checkpoint = read_field(config, "checkpoint", "", str, default=None)
+    learned = [name for name in schedulers if _parse_scheduler(name)["kind"] in ("roars", "roars-refine")]
+    if learned:
+        _check_bench_checkpoint(checkpoint, learned[0], gen_cfgs)
     workers = read_field(default_workers() if workers is None else workers, None, "workers", int, 1)
     os.makedirs(out_dir, exist_ok=True)
 

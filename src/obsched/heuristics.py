@@ -96,10 +96,10 @@ def rank_key(rule: TaskRule, task: ObservationTask, target: Target) -> tuple:
 def _site_key(ctx: SchedulingContext, row: int, site_rule: SiteRule | None):
     """``Placement.place`` key over feasible (site, start) candidates per
     the site rule, ties toward the earlier start, then the lower site
-    index; None (the placement default) without a rule."""
+    index; None (the placement default) without a rule.  The quality
+    rule asks the context for each candidate's airmass."""
     if site_rule == SiteRule.BEST_QUALITY:
-        tr = int(ctx.target_row[row])
-        return lambda sb: (ctx.air[tr, sb[0], sb[1]], sb[1], sb[0])
+        return lambda sb: (ctx.airmass(row, *sb), sb[1], sb[0])
     if site_rule == SiteRule.BEST_PRIORITY:
         return lambda sb: (-ctx.scenario.sites[sb[0]].equipment_priority, sb[1], sb[0])
     return None
@@ -166,8 +166,12 @@ def schedule_online_heuristic(
             if not startable:
                 break
             r, sites_now = min(startable, key=lambda rs: key(rs[0]))
-            # every candidate starts at t: without a rule the lowest site wins
-            st.commit(r, *min([(s, t) for s in sites_now], key=_site_key(ctx, r, site_rule)))
+            # every candidate starts at t: without a rule the lowest site
+            # wins, and a lone site needs no key
+            sb = (sites_now[0], t)
+            if len(sites_now) > 1:
+                sb = min([(s, t) for s in sites_now], key=_site_key(ctx, r, site_rule))
+            st.commit(r, *sb)
             queue.remove(r)
 
         # drop what can no longer meet visibility + deadline anywhere

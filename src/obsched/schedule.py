@@ -12,7 +12,8 @@ only `validate` (the independent reference) and `build_from_arrays`
 one table, ``SchedulingContext.run_left``, and the static window lookup
 is one index built from it per context, ``SchedulingContext.windows``:
 every fit, the dispatcher's drop test and the rewriter's first start
-read it.  Edge semantics: a task hangs
+read it.  No airmass is stored: ``SchedulingContext.airmass`` computes
+one cell on demand for the quality site rule.  Edge semantics: a task hangs
 off its site's root node when it starts at its release (arrival, sibling
 cadence) or on the first step of its visible run; it also hangs off every
 same-site task whose completion equals its start, and off the root alone
@@ -22,11 +23,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
-from .ephemeris import VisibilityConstraints, visibility_masks_multi
+from .ephemeris import (
+    UNOBSERVABLE,
+    VisibilityConstraints,
+    _target_mask,
+    site_skies,
+    visibility_masks_multi,
+)
 from .scenario import Scenario
 
 __all__ = [
@@ -82,7 +90,8 @@ class SchedulingContext:
     The one way a scenario reaches the schedulers and ``build_dag``:
     built once per (scenario, constraints), with the default
     ``VisibilityConstraints`` when none are given, and shared by every
-    dag over that scenario; read-only after construction.  It owns the
+    dag over that scenario; read-only after construction, but for the
+    sites' skies ``airmass`` builds on first use.  It owns the
     static half of the placement model.  ``run_left`` holds the number of
     consecutive observable steps from each (target, site, step), 0 where
     the target is not observable; ``fits_statically`` is the point check
@@ -90,7 +99,8 @@ class SchedulingContext:
     visibility masks in one pass: ``windows(row, site)`` lists the
     intervals of starts that visibility, arrival and deadline allow, and
     ``last_start[row]`` is the latest of them over every site (-1 when
-    there is none).  The sibling-cadence release depends on what is
+    there is none).  No airmass is stored: ``airmass`` evaluates one
+    cell on demand.  The sibling-cadence release depends on what is
     committed, so it lives on ``Placement``.
     """
 
@@ -136,21 +146,18 @@ class SchedulingContext:
                 self.prev_sibling[r] = prev
                 self.sibling_gap[r] = scenario.targets[tgt_row[t.target_id]].mode.sibling_gap
 
-        # visibility per (target, site, step): airmass (UNOBSERVABLE where
-        # the sun is up, as in visibility_masks_multi) and run_left; the
-        # visible runs of each site as (target, first step, length)
+        # visibility per (target, site, step) as run_left; the visible runs
+        # of each site as (target, first step, length)
         nt, ns, h = len(scenario.targets), self.n_sites, self.horizon
-        self.air = np.full((nt, ns, h), np.inf)
+        self._ra = np.array([t.coord.ra for t in scenario.targets], dtype=np.float64)
+        self._dec = np.array([t.coord.dec for t in scenario.targets], dtype=np.float64)
         # run lengths lie in [0, horizon]: int32 halves the table
         self.run_left = np.zeros((nt, ns, h), dtype=np.int32)
         runs = []
         if nt:
-            ra = np.array([t.coord.ra for t in scenario.targets])
-            dec = np.array([t.coord.dec for t in scenario.targets])
             idx = np.arange(h, dtype=np.int32)
             for si, site in enumerate(scenario.sites):
-                m, am = visibility_masks_multi(ra, dec, site.coord, scenario.grid, constraints)
-                self.air[:, si] = am
+                m, _ = visibility_masks_multi(self._ra, self._dec, site.coord, scenario.grid, constraints)
                 # first unobservable step at or after each step, minus the step
                 inv = np.where(m, np.int32(h), idx[None, :])
                 self.run_left[:, si] = np.minimum.accumulate(inv[:, ::-1], axis=1)[:, ::-1] - idx
@@ -201,6 +208,22 @@ class SchedulingContext:
         ``limit`` iff some interval holds ``b``."""
         k = row * self.n_sites + site
         return self._window[self._window_at[k] : self._window_at[k + 1]]
+
+    @cached_property
+    def _skies(self):
+        return site_skies([s.coord for s in self.scenario.sites], self.scenario.grid, self.constraints)
+
+    def airmass(self, row: int, site: int, step: int) -> float:
+        """Airmass of the task's target from one site at one step, as
+        ``visibility_masks_multi`` gives it (UNOBSERVABLE at or below the
+        altitude cutoff and wherever the sun is up), from this cell alone."""
+        sky = self._skies[site]
+        if not sky.dark[step]:
+            return UNOBSERVABLE
+        tr = int(self.target_row[row])
+        one = slice(tr, tr + 1)
+        _, am = _target_mask(self._ra[one], self._dec[one], sky.lat, sky.lst[step : step + 1], self.constraints)
+        return float(am[0, 0])
 
     def fits_statically(self, row: int, site: int, start: int) -> str | None:
         """Name of the violated static constraint, or None if ok."""
@@ -458,10 +481,12 @@ class Placement:
         start, then the lower site index."""
         lo = self.release(row, now)
         cands = [(s, b) for s in range(self.ctx.n_sites) if (b := self.fit(row, s, lo)) is not None]
-        if cands:
-            self.commit(row, *min(cands, key=key or (lambda sb: (sb[1], sb[0]))))
-        else:
+        if not cands:
             self.drop(row)
+        elif len(cands) == 1:  # min over one candidate returns it, whatever the key
+            self.commit(row, *cands[0])
+        else:
+            self.commit(row, *min(cands, key=key or (lambda sb: (sb[1], sb[0]))))
 
     def to_dag(self) -> ScheduleDag:
         """The committed placements as a validated dag."""

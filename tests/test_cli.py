@@ -299,6 +299,38 @@ class TestBenchmark:
             run_benchmark(config, tmp_path / "rep", workers=1)
         assert not (tmp_path / "rep").exists()
 
+    def test_learned_scheduler_without_checkpoint_rejected_before_work(self, tmp_path):
+        # used to run every cell, log "2 failed instances", write
+        # "default,roars,0,nan,0,0" and exit 0
+        config = {"gen": GEN, "seeds": {"count": 2}, "schedulers": ["fcfs", "roars"]}
+        with pytest.raises(ScenarioError, match=r"^checkpoint: scheduler 'roars' needs one$"):
+            run_benchmark(config, tmp_path / "rep", workers=1)
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("content", [None, b'{"version": 99}\n'], ids=["missing", "bad-header"])
+    def test_unreadable_checkpoint_named_with_its_path_before_work(self, tmp_path, content):
+        path = tmp_path / "m.ckpt"
+        if content is not None:
+            path.write_bytes(content)
+        config = {"gen": GEN, "seeds": {"count": 2}, "schedulers": ["roars-refine"], "checkpoint": str(path)}
+        with pytest.raises(ScenarioError, match=f"^checkpoint: .*{path.name}"):
+            run_benchmark(config, tmp_path / "rep", workers=1)
+        assert not (tmp_path / "rep").exists()
+
+    def test_checkpoint_of_other_dimensions_rejected_before_work(self, tmp_path):
+        from obsched.policy import save_checkpoint
+
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(PolicyNet(PolicyConfig(hidden=4, n_filters=3, n_sites=1)), path)
+        config = {"gen": GEN, "seeds": {"count": 1}, "schedulers": ["roars"], "checkpoint": str(path),
+                  "variants": {"one": {}, "five": {"num_sites": 5}}}
+        with pytest.raises(ScenarioError, match=r"^checkpoint: .* 1-site, 3-filter net, but variant 'five' has 5 sites"):
+            run_benchmark(config, tmp_path / "rep", workers=1)
+        assert not (tmp_path / "rep").exists()
+        del config["variants"]["five"]
+        (row,) = run_benchmark(config, tmp_path / "rep", workers=1)
+        assert row.instances == 1
+
     def test_min_altitude_below_airmass_domain_rejected(self):
         # -6.07995 deg is the lowest cutoff accepted (the Kasten-Young pole);
         # airmass itself is taken at max(alt, 0)

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import G, I, U, UG, toy_scenario, transit_context, visible_steps
 from obsched.ephemeris import UNOBSERVABLE, _target_mask, site_skies, visibility_masks_multi
+from obsched.heuristics import SiteRule, TaskRule, schedule_online_heuristic
 from obsched.scenario import GenConfig, generate_scenario
 from obsched import schedule
 from obsched.schedule import (
@@ -95,10 +96,60 @@ class TestRunLeft:
             assert np.array_equal(mask, ref & sky.dark)
             assert np.array_equal(am[:, sky.dark], ref_am[:, sky.dark])
             assert (am[:, ~sky.dark] == UNOBSERVABLE).all()
-            assert np.array_equal(ctx.air[:, si], am)
             want[:, si] = ref & sky.dark
         assert want.any()
         assert np.array_equal(ctx.run_left, _run_lengths(want))
+        assert check_airmass_on_demand(ctx).size
+
+
+def check_airmass_on_demand(ctx, cells=None):
+    """``ctx.airmass`` against ``visibility_masks_multi``'s airmass, bit
+    for bit: on ``cells``, (row, site, step) index arrays, or else on every
+    visible (site, step) of every task's target.  Returns the values."""
+    s = ctx.scenario
+    ra = np.array([t.coord.ra for t in s.targets])
+    dec = np.array([t.coord.dec for t in s.targets])
+    am = np.stack(
+        [visibility_masks_multi(ra, dec, site.coord, s.grid, ctx.constraints)[1] for site in s.sites], axis=1
+    )
+    if cells is None:
+        rows = np.unique(ctx.target_row, return_index=True)[1]  # one task per target
+        vis = visible_steps(s, ctx.constraints)[ctx.target_row[rows]]
+        i, si, b = np.nonzero(vis)
+        cells = (rows[i], si, b)
+    r, si, b = (np.asarray(c) for c in cells)
+    got = np.array([ctx.airmass(*cell) for cell in zip(r.tolist(), si.tolist(), b.tolist())])
+    assert np.array_equal(got.view(np.uint64), am[ctx.target_row[r], si, b].view(np.uint64))
+    return got
+
+
+class TestAirmassOnDemand:
+    """``SchedulingContext.airmass``, evaluated one cell at a time, is the
+    airmass the visibility masks compute for whole rows of targets."""
+
+    @pytest.fixture(scope="class")
+    def night(self):
+        return SchedulingContext(generate_scenario(GenConfig(horizon_steps=1440, num_sites=5), 0))
+
+    @pytest.mark.parametrize("num_sites", [1, 5])
+    def test_every_visible_cell(self, num_sites):
+        s = generate_scenario(GenConfig(horizon_steps=240, num_sites=num_sites), 0)
+        assert check_airmass_on_demand(SchedulingContext(s)).size
+
+    def test_a_sample_of_a_night(self, night):
+        rng = np.random.default_rng(0)
+        cells = tuple(rng.integers(0, n, 2000) for n in (night.n_tasks, night.n_sites, night.horizon))
+        got = check_airmass_on_demand(night, cells)
+        # the sample holds visible cells and unobservable ones, sun-up among them
+        assert UNOBSERVABLE in got and got.min() <= night.constraints.max_airmass
+
+    def test_run_left_is_the_one_visibility_table(self, night):
+        # a quality-rule run builds whatever its site key reads
+        schedule_online_heuristic(night, TaskRule.STF, SiteRule.BEST_QUALITY)
+        shape = night.run_left.shape
+        assert shape == (len(night.scenario.targets), night.n_sites, night.horizon)
+        tables = [k for k, v in vars(night).items() if isinstance(v, np.ndarray) and v.shape == shape]
+        assert tables == ["run_left"]
 
 
 def scanned_windows(ctx, row, site):
