@@ -469,6 +469,52 @@ class TestMain:
         assert "targets" in out and "site 0" in out
 
     @pytest.mark.parametrize(
+        "gen, seed, want",
+        [
+            (
+                GEN, 1,
+                "scenario: 12 targets, 16 tasks, seed 1\n"
+                "grid: 60 x 1 min from 2025-06-21T04:00:00+00:00\n"
+                "  site 0 cerro-pachon-cl: lat -30.24 lon -70.74 priority 0.512 visible-fraction 1.00\n",
+            ),
+            (
+                {"horizon_steps": 240, "num_sites": 5}, 0,
+                "scenario: 20 targets, 123 tasks, seed 0\n"
+                "grid: 240 x 1 min from 2025-06-21T04:00:00+00:00\n"
+                "  site 0 cerro-pachon-cl: lat -30.24 lon -70.74 priority 0.637 visible-fraction 0.97\n"
+                "  site 1 la-palma-es: lat +28.76 lon -17.89 priority 0.270 visible-fraction 0.28\n"
+                "  site 2 sutherland-za: lat -32.38 lon +20.81 priority 0.041 visible-fraction 0.11\n"
+                "  site 3 gingin-au: lat -31.36 lon +115.71 priority 0.017 visible-fraction 0.00\n"
+                "  site 4 lenghu-cn: lat +38.61 lon +93.90 priority 0.813 visible-fraction 0.00\n",
+            ),
+            (
+                {"horizon_steps": 1440, "num_sites": 5}, 2,
+                "scenario: 175 targets, 1260 tasks, seed 2\n"
+                "grid: 1440 x 1 min from 2025-06-21T04:00:00+00:00\n"
+                "  site 0 cerro-pachon-cl: lat -30.24 lon -70.74 priority 0.262 visible-fraction 0.16\n"
+                "  site 1 la-palma-es: lat +28.76 lon -17.89 priority 0.298 visible-fraction 0.17\n"
+                "  site 2 sutherland-za: lat -32.38 lon +20.81 priority 0.814 visible-fraction 0.16\n"
+                "  site 3 gingin-au: lat -31.36 lon +115.71 priority 0.092 visible-fraction 0.16\n"
+                "  site 4 lenghu-cn: lat +38.61 lon +93.90 priority 0.600 visible-fraction 0.14\n",
+            ),
+            (
+                None, 0,
+                "scenario: 0 targets, 0 tasks, seed 0\n"
+                "grid: 60 x 1 min from 2025-06-21T00:00:00+00:00\n"
+                "  site 0 s0: lat +0.00 lon +0.00 priority 1.000 visible-fraction 0.00\n"
+                "  site 1 s1: lat +0.00 lon +0.50 priority 0.900 visible-fraction 0.00\n",
+            ),
+        ],
+        ids=["60x1", "240x5", "1440x5", "no-targets"],
+    )
+    def test_inspect_output_is_pinned(self, tmp_path, capsys, gen, seed, want):
+        sc = tmp_path / "s.json"
+        s = toy_scenario([], n_sites=2) if gen is None else generate_scenario(gen_config_from_obj(gen), seed)
+        save_scenario(s, sc)
+        assert main(["inspect", "--scenario", str(sc)]) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize(
         "header",
         [b'{"version": 99}\n', b"\xff\xfe\n"],
         ids=["version", "not-utf8"],
