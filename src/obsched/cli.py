@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ephemeris import VisibilityConstraints
+from .ephemeris import VisibilityConstraints, visibility_masks_multi
 from .heuristics import (
     DISTRIBUTED_PAIRS,
     SiteRule,
@@ -544,8 +544,8 @@ def _cmd_bench(args) -> int:
 def _cmd_inspect(args) -> int:
     if args.scenario:
         s = load_scenario(args.scenario)
-        ctx = SchedulingContext(s)
-        vis_frac = (ctx.run_left > 0).mean(axis=(0, 2)) if len(s.targets) else np.zeros(len(s.sites))
+        ra_dec = np.array([(t.coord.ra, t.coord.dec) for t in s.targets]).reshape(-1, 2).T
+        vis_frac = [visibility_masks_multi(*ra_dec, x.coord, s.grid)[0].mean() if s.targets else 0.0 for x in s.sites]
         print(f"scenario: {len(s.targets)} targets, {len(s.tasks)} tasks, seed {s.rng_seed}")
         print(
             f"grid: {s.grid.horizon_steps} x {s.grid.step_minutes} min from "

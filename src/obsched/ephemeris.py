@@ -282,29 +282,28 @@ def _sun_radec_vec(jd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ra, dec
 
 
-def _target_mask(
-    ra: np.ndarray,
-    dec: np.ndarray,
-    lat_deg: float,
-    lst: np.ndarray,
-    constraints: VisibilityConstraints,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Target part of the visibility predicate, sun aside.
+def _target_airmass(ra, dec, lat_deg: float, lst: np.ndarray, constraints: VisibilityConstraints):
+    """Target part of the visibility predicate, sun aside, as ``(above,
+    airmass)``: a boolean (n_targets, k) array of the cells above the
+    altitude cutoff, and the airmass of those cells alone, in row-major
+    order (the others' is UNOBSERVABLE, and is not computed).
 
     ``lst`` is one row of steps shared by all targets, or an
-    (n_targets, k) matrix giving each target its own steps.  Returns
-    ``(mask, airmass)`` of shape (n_targets, k): the target is above the
-    altitude cutoff and within the airmass limit.  Every element depends
-    on its own (target, step) inputs only, so evaluating any subset of
-    steps gives the same values as evaluating them all.
+    (n_targets, k) matrix giving each target its own steps.  Every
+    element depends on its own (target, step) inputs only, so evaluating
+    any subset of cells gives the same values as evaluating them all.
     """
     alt = _altitude_vec(ra[:, None], dec[:, None], lat_deg, lst if lst.ndim == 2 else lst[None, :])
-    am = np.full(alt.shape, UNOBSERVABLE)
     above = alt > constraints.min_altitude_deg
-    if above.any():
-        a = np.maximum(alt[above], 0.0)  # as ``airmass``: the horizon's below it
-        am[above] = 1.0 / (np.sin(np.radians(a)) + 0.50572 * (a + 6.07995) ** (-1.6364))
-    return above & (am <= constraints.max_airmass), am
+    a = np.maximum(alt[above], 0.0)  # as ``airmass``: the horizon's below it
+    return above, 1.0 / (np.sin(np.radians(a)) + 0.50572 * (a + 6.07995) ** (-1.6364))
+
+
+def _target_mask(ra, dec, lat_deg: float, lst: np.ndarray, constraints: VisibilityConstraints) -> np.ndarray:
+    """The target predicate, sun aside: the cells above the cutoff within the airmass limit."""
+    above, am = _target_airmass(ra, dec, lat_deg, lst, constraints)
+    above[above] = am <= constraints.max_airmass
+    return above
 
 
 @dataclass(frozen=True)
@@ -356,17 +355,19 @@ def visibility_masks_multi(
     cutoff, and on every step where the sun is up).  The predicate of
     step ``k`` is evaluated at the instant the step begins.  The sidereal
     clock and sun position are computed once per call, and the target
-    predicate on the dark steps only: each of its elements depends on
-    its own (target, step) alone, and the mask is False on the others.
+    predicate on the dark steps only, its airmass on the cells above the
+    cutoff only: each of its elements depends on its own (target, step)
+    alone, and the mask is False on the others.
     """
     (sky,) = site_skies([site], grid, constraints)
     ra = np.atleast_1d(np.asarray(ra, dtype=np.float64))
     dec = np.atleast_1d(np.asarray(dec, dtype=np.float64))
-    mask = np.zeros((ra.size, grid.horizon_steps), dtype=bool)
-    am = np.full(mask.shape, UNOBSERVABLE)
     dark = np.flatnonzero(sky.dark)
-    mask[:, dark], am[:, dark] = _target_mask(ra, dec, sky.lat, sky.lst[dark], constraints)
-    return mask, am
+    above = np.zeros((ra.size, grid.horizon_steps), dtype=bool)
+    above[:, dark], am_above = _target_airmass(ra, dec, sky.lat, sky.lst[dark], constraints)
+    am = np.full(above.shape, UNOBSERVABLE)
+    am[above] = am_above  # row-major over the dark steps is row-major over all
+    return above & (am <= constraints.max_airmass), am
 
 
 #: Kasten-Young airmass at the zenith, 4e-8 above its minimum
@@ -424,7 +425,7 @@ def _one_site_coverage(
         axis=2,
     )
     cand = np.clip(cand, s0[:, None], s1[:, None]).astype(np.intp).reshape(ra.size, -1)
-    m, _ = _target_mask(ra, dec, sky.lat, sky.lst[cand], constraints)
+    m = _target_mask(ra, dec, sky.lat, sky.lst[cand], constraints)
     return m.all(axis=1) & (steps.size == horizon_steps), m.any(axis=1)
 
 
@@ -484,7 +485,7 @@ def sky_coverage(
         for sky in skies:
             dark = np.flatnonzero(sky.dark[steps])
             if dark.size:
-                m, _ = _target_mask(ra[rows], dec[rows], sky.lat, sky.lst[steps[dark]], constraints)
+                m = _target_mask(ra[rows], dec[rows], sky.lat, sky.lst[steps[dark]], constraints)
                 cover[:, dark] |= m
         full[rows] &= cover.all(axis=1)
         some[rows] |= cover.any(axis=1)

@@ -8,22 +8,23 @@ placement model: every scheduler, the exhaustive oracle, the learned
 online loop and the rewriter take releases and fits from it, commit and
 uncommit rows on it and freeze the result with `to_dag`.  Outside it
 only `validate` (the independent reference) and `build_from_arrays`
-(the whole-dag array form) write an occupancy profile.  Visibility is
-one table, ``SchedulingContext.run_left``, and the static window lookup
-is one index built from it per context, ``SchedulingContext.windows``:
-every fit, the dispatcher's drop test and the rewriter's first start
-read it.  No airmass is stored: ``SchedulingContext.airmass`` computes
-one cell on demand for the quality site rule.  Edge semantics: a task hangs
-off its site's root node when it starts at its release (arrival, sibling
-cadence) or on the first step of its visible run; it also hangs off every
-same-site task whose completion equals its start, and off the root alone
-when it has neither.
+(the whole-dag array form) write an occupancy profile.  No visibility
+table is stored: the static window lookup, ``SchedulingContext.windows``,
+is one index per context built from the target predicate on the cells
+a task can start in, and every fit, static check, dispatcher drop test
+and rewriter first start reads it.  ``SchedulingContext.airmass``
+computes one cell on demand for the quality site rule.  Edge semantics:
+a task hangs off its site's root node when it starts at its release
+(arrival, sibling cadence) or on the first step of its visible run; it
+also hangs off every same-site task whose completion equals its start,
+and off the root alone when it has neither.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable
 
 import numpy as np
@@ -31,9 +32,10 @@ import numpy as np
 from .ephemeris import (
     UNOBSERVABLE,
     VisibilityConstraints,
+    _target_airmass,
     _target_mask,
     site_skies,
-    visibility_masks_multi,
+    visibility_masks_multi,  # unused here: a binding perfbench/tracing.py wraps
 )
 from .scenario import Scenario
 
@@ -85,23 +87,22 @@ class Assignment:
 
 
 class SchedulingContext:
-    """Precomputed per-scenario tables: task arrays and visibility physics.
+    """Precomputed per-scenario tables: task arrays and the static window index.
 
     The one way a scenario reaches the schedulers and ``build_dag``:
     built once per (scenario, constraints), with the default
     ``VisibilityConstraints`` when none are given, and shared by every
-    dag over that scenario; read-only after construction, but for the
-    sites' skies ``airmass`` builds on first use.  It owns the
-    static half of the placement model.  ``run_left`` holds the number of
-    consecutive observable steps from each (target, site, step), 0 where
-    the target is not observable; ``fits_statically`` is the point check
-    over it.  The static window lookup is an index built from the same
-    visibility masks in one pass: ``windows(row, site)`` lists the
-    intervals of starts that visibility, arrival and deadline allow, and
+    dag over that scenario; read-only after construction.  It owns the
+    static half of the placement model and holds no visibility table:
+    the target predicate is evaluated only on the dark steps of each
+    target's span, [earliest arrival, latest limit) over its tasks, and
+    the visible runs there make one index.  ``windows(row, site)`` lists
+    the intervals of starts that visibility, arrival and deadline allow,
     ``last_start[row]`` is the latest of them over every site (-1 when
-    there is none).  No airmass is stored: ``airmass`` evaluates one
-    cell on demand.  The sibling-cadence release depends on what is
-    committed, so it lives on ``Placement``.
+    there is none), and ``fits_statically`` is the point check over them.
+    ``airmass`` and ``visible`` evaluate one cell on demand.  The
+    sibling-cadence release depends on what is committed, so it lives on
+    ``Placement``.
     """
 
     def __init__(self, scenario: Scenario, constraints: VisibilityConstraints | None = None):
@@ -146,25 +147,30 @@ class SchedulingContext:
                 self.prev_sibling[r] = prev
                 self.sibling_gap[r] = scenario.targets[tgt_row[t.target_id]].mode.sibling_gap
 
-        # visibility per (target, site, step) as run_left; the visible runs
-        # of each site as (target, first step, length)
-        nt, ns, h = len(scenario.targets), self.n_sites, self.horizon
+        # each target's span as (target, step) cells, and the visible runs
+        # of each site inside it as (target, first step, length)
+        nt = len(scenario.targets)
         self._ra = np.array([t.coord.ra for t in scenario.targets], dtype=np.float64)
         self._dec = np.array([t.coord.dec for t in scenario.targets], dtype=np.float64)
-        # run lengths lie in [0, horizon]: int32 halves the table
-        self.run_left = np.zeros((nt, ns, h), dtype=np.int32)
+        lo, hi = np.full(nt, self.horizon, dtype=np.int64), np.zeros(nt, dtype=np.int64)
+        np.minimum.at(lo, self.target_row, self.arrival)
+        np.maximum.at(hi, self.target_row, self.limit)
+        width = np.maximum(hi - lo, 0)
+        tgt = np.repeat(np.arange(nt), width)
+        step = np.arange(tgt.size) + np.repeat(lo - (np.cumsum(width) - width), width)
         runs = []
-        if nt:
-            idx = np.arange(h, dtype=np.int32)
-            for si, site in enumerate(scenario.sites):
-                m, _ = visibility_masks_multi(self._ra, self._dec, site.coord, scenario.grid, constraints)
-                # first unobservable step at or after each step, minus the step
-                inv = np.where(m, np.int32(h), idx[None, :])
-                self.run_left[:, si] = np.minimum.accumulate(inv[:, ::-1], axis=1)[:, ::-1] - idx
-                m[:, 1:] &= ~m[:, :-1]  # m is ours: keep only each run's first step
-                tgt, first = np.nonzero(m)  # per target, ascending
-                runs.append((tgt, first, self.run_left[tgt, si, first]))
+        for si, sky in enumerate(self._skies if tgt.size else ()):
+            cell = np.flatnonzero(sky.dark[step])
+            cell = cell[self._span_mask(si, tgt[cell], step[cell])]
+            t, b = tgt[cell], step[cell]
+            first = np.flatnonzero(np.diff(t, prepend=-1) | (np.diff(b, prepend=-2) - 1))
+            runs.append((t[first], b[first], np.diff(first, append=t.size)))
         self._index_windows(runs)
+
+    def _span_mask(self, site: int, tgt: np.ndarray, step: np.ndarray) -> np.ndarray:
+        """The target predicate of one site on the cells (tgt[i], step[i]), sun aside."""
+        sky = self._skies[site]
+        return _target_mask(self._ra[tgt], self._dec[tgt], sky.lat, sky.lst[step][:, None], self.constraints)[:, 0]
 
     def _index_windows(self, runs) -> None:
         """The static window index: per (row, site), the ascending
@@ -173,7 +179,8 @@ class SchedulingContext:
         completing by ``limit``; and per row the latest such start over
         every site, -1 when there is none.  ``runs`` holds each site's
         visible runs as (target, first step, length) arrays, sorted by
-        target and then first step."""
+        target and then first step.  A run cut by its target's span gives
+        the whole run's windows: each task's [arrival, limit) lies inside."""
         n, ns = self.n_tasks, self.n_sites
         keys, firsts, lasts = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
         for si, (tgt, first, length) in enumerate(runs):
@@ -192,11 +199,15 @@ class SchedulingContext:
             lasts.append(hi[keep])
         key = np.concatenate(keys)
         order = np.argsort(key, kind="stable")
-        key, last = key[order], np.concatenate(lasts)[order]
-        self._window = list(zip(np.concatenate(firsts)[order].tolist(), last.tolist()))
+        key, first, last = key[order], np.concatenate(firsts)[order], np.concatenate(lasts)[order]
+        self._window = list(zip(first.tolist(), last.tolist()))
         self._window_at = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=n * ns)))).tolist()
         self.last_start = np.full(n, -1, dtype=np.int64)
         np.maximum.at(self.last_start, key // ns, last)
+        # the windows as ascending keys (row * ns + site) * (horizon + 1) +
+        # first, behind a sentinel, for ``build_from_arrays``'s lookup
+        self._window_key = np.concatenate(([-1], key * (self.horizon + 1) + first))
+        self._window_len = np.concatenate(([-1], last - first))
 
     # -- static feasibility of one task at (site, start), other tasks aside --
 
@@ -217,24 +228,28 @@ class SchedulingContext:
         """Airmass of the task's target from one site at one step, as
         ``visibility_masks_multi`` gives it (UNOBSERVABLE at or below the
         altitude cutoff and wherever the sun is up), from this cell alone."""
-        sky = self._skies[site]
-        if not sky.dark[step]:
-            return UNOBSERVABLE
-        tr = int(self.target_row[row])
-        one = slice(tr, tr + 1)
-        _, am = _target_mask(self._ra[one], self._dec[one], sky.lat, sky.lst[step : step + 1], self.constraints)
-        return float(am[0, 0])
+        sky, tr = self._skies[site], self.target_row[row : row + 1]
+        above, am = _target_airmass(self._ra[tr], self._dec[tr], sky.lat, sky.lst[step : step + 1], self.constraints)
+        return float(am[0]) if sky.dark[step] and above[0, 0] else UNOBSERVABLE
+
+    def visible(self, row: int, site: int, step: int) -> bool:
+        """Whether the task's target is observable from the site at the
+        step, from this cell alone; False for a site or step off the grid."""
+        on = 0 <= site < self.n_sites and 0 <= step < self.horizon and self._skies[site].dark[step]
+        return bool(on and self._span_mask(site, self.target_row[row : row + 1], np.array([step]))[0])
 
     def fits_statically(self, row: int, site: int, start: int) -> str | None:
-        """Name of the violated static constraint, or None if ok."""
-        e = int(self.exposure[row])
+        """Name of the violated static constraint ("dependency" for a site out of range), or None if ok."""
+        if not 0 <= site < self.n_sites:
+            return "dependency"
         if start < self.arrival[row]:
             return "arrival"
-        if start + e > self.limit[row]:
+        if start + self.exposure[row] > self.limit[row]:
             return "deadline"
-        if self.run_left[int(self.target_row[row]), site, start] < e:
-            return "visibility"
-        return None
+        for first, last in self.windows(row, site):
+            if first <= start <= last:
+                return None
+        return "visibility"
 
 
 def earliest_feasible_start(
@@ -323,8 +338,8 @@ def build_from_arrays(ctx: SchedulingContext, rows, site, start) -> ScheduleDag:
 
     Raises InfeasibleAssignmentError on the first violation found: the
     lowest task id that breaks a constraint, checked per task in the order
-    site range ("dependency"), ``fits_statically``, resource against the
-    lower-id tasks, cadence.
+    ``fits_statically`` (site range first, as "dependency"), resource
+    against the lower-id tasks, cadence.
     """
     order = np.argsort(ctx.task_id[rows], kind="stable")
     rows = np.asarray(rows, dtype=np.int64)[order]
@@ -338,13 +353,14 @@ def build_from_arrays(ctx: SchedulingContext, rows, site, start) -> ScheduleDag:
     ns, nf, h = ctx.n_sites, ctx.n_filters, ctx.horizon
     e = ctx.exposure[rows]
     arrival = ctx.arrival[rows]
-    tr = ctx.target_row[rows]
 
-    # static checks (fits_statically, vectorised): visibility is read only
-    # where the site, arrival and deadline checks pass
+    # static checks (fits_statically, vectorised): the site, arrival and
+    # deadline, then ``off``, each start's offset in the window before it
     ok = (site >= 0) & (site < ns) & (start >= arrival) & (start + e <= ctx.limit[rows])
-    i = np.flatnonzero(ok)
-    ok[i] = ctx.run_left[tr[i], site[i], start[i]] >= e[i]
+    q = (rows * ns + site) * (h + 1) + start
+    j = ctx._window_key.searchsorted(q, side="right") - 1
+    off = q - ctx._window_key.take(j)
+    ok &= off <= ctx._window_len.take(j)
 
     # occupancy cells of the statically feasible tasks as flat
     # (site, filter, step) keys, in (task, filter, step) order
@@ -371,8 +387,9 @@ def build_from_arrays(ctx: SchedulingContext, rows, site, start) -> ScheduleDag:
         _raise_first_violation(ctx, rows, site, start, ok, release, ci, ck, keys)
 
     eta = (start + e - arrival) / e
-    # the root edge: the release, or its visible run's first step (start - 1 = -1 at 0)
-    root = (start == release) | (start == 0) | (ctx.run_left[tr, site, start - 1] == 0)
+    # the root edge: the release, or its window's first start (its visible
+    # run's first step, or else its arrival, and then its release)
+    root = (start == release) | (off == 0)
 
     # dependency edges: completions per site -> starts
     site_l, start_l = site.tolist(), start.tolist()
@@ -401,8 +418,6 @@ def _raise_first_violation(ctx, rows, site, start, ok, release, ci, ck, keys) ->
     i = int(np.argmax(~ok | resource | (start < release)))
     r, s, b = int(rows[i]), int(site[i]), int(start[i])
     tid = int(ctx.task_id[r])
-    if not 0 <= s < ctx.n_sites:
-        raise InfeasibleAssignmentError(tid, s, b, "dependency")
     bad = ctx.fits_statically(r, s, b)
     if bad is not None:
         raise InfeasibleAssignmentError(tid, s, b, bad)
@@ -525,6 +540,7 @@ def validate(dag: ScheduleDag) -> list[Violation]:
 
     profile = np.zeros((ctx.n_sites, ctx.n_filters, ctx.horizon), dtype=np.int16)
     release = [0] * n  # arrival + sibling cadence, derived independently
+    static = [None] * n  # each task's violated static constraint, or None
     for i in range(n):
         r, s, b = int(dag.rows[i]), int(dag.site[i]), int(dag.start[i])
         tid = int(ctx.task_id[r])
@@ -533,7 +549,7 @@ def validate(dag: ScheduleDag) -> list[Violation]:
         if prev >= 0 and prev in start_by_row:
             gap = int(ctx.exposure[prev]) + int(ctx.sibling_gap[r])
             release[i] = max(release[i], start_by_row[prev] + gap)
-        bad = ctx.fits_statically(r, s, b)
+        bad = static[i] = ctx.fits_statically(r, s, b)
         if bad is not None:
             out.append(Violation(bad, tid, f"task {tid} fails {bad} at site {s} step {b}"))
             continue
@@ -563,11 +579,12 @@ def validate(dag: ScheduleDag) -> list[Violation]:
     for i in range(n):
         r, s, b = int(dag.rows[i]), int(dag.site[i]), int(dag.start[i])
         tid = int(ctx.task_id[r])
-        want: list[int] = []
-        tr = int(ctx.target_row[r])
-        if b < ctx.horizon and ctx.run_left[tr, s, b] > 0 and b >= release[i]:
-            if b == release[i] or b == 0 or ctx.run_left[tr, s, b - 1] == 0:
-                want.append(s)
+        if static[i] is None:  # in a window: at the release or the window's first start
+            at_root = b == release[i] or (b > release[i] and any(w == b for w, _ in ctx.windows(r, s)))
+        else:  # per step: visible, at the release or on a visible run's first step
+            seen = b >= release[i] and ctx.visible(r, s, b)
+            at_root = seen and (b in (release[i], 0) or not ctx.visible(r, s, b - 1))
+        want = [s] if at_root else []
         want.extend(q for q in comp_map.get((s, b), ()) if q != ctx.n_sites + i)
         if not want:
             want.append(s)  # root fallback, same rule as the constructor
@@ -578,29 +595,10 @@ def validate(dag: ScheduleDag) -> list[Violation]:
             out.append(Violation("dependency", tid, f"task {tid} has no incoming edge"))
 
     # cycle check on the stored edges
-    state = [0] * dag.n_nodes  # 0 unvisited, 1 on stack, 2 done
-    def walk(v: int) -> bool:
-        stack = [(v, iter(dag.parents[v] if v < len(dag.parents) else ()))]
-        state[v] = 1
-        while stack:
-            node, it = stack[-1]
-            adv = next(it, None)
-            if adv is None:
-                state[node] = 2
-                stack.pop()
-                continue
-            if state[adv] == 1:
-                return True
-            if state[adv] == 0:
-                state[adv] = 1
-                stack.append((adv, iter(dag.parents[adv] if adv < len(dag.parents) else ())))
-        return False
-
-    for v in range(dag.n_nodes):
-        if state[v] == 0 and walk(v):
-            out.append(Violation("cycle", None, "dependency edges contain a cycle"))
-            break
-
+    try:
+        TopologicalSorter(dict(enumerate(dag.parents[: dag.n_nodes]))).prepare()
+    except CycleError:
+        out.append(Violation("cycle", None, "dependency edges contain a cycle"))
     return out
 
 

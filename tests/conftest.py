@@ -131,7 +131,7 @@ def transit_context(task_specs, transits, n_sites: int = 1, west_deg: float | No
 
 def visible_steps(scenario, constraints: VisibilityConstraints) -> np.ndarray:
     """Observability per (target, site, step), straight from the
-    ephemeris: the reference the context's visibility table is checked
+    ephemeris: the reference the context's window index is checked
     against."""
     ra = np.array([t.coord.ra for t in scenario.targets])
     dec = np.array([t.coord.dec for t in scenario.targets])
@@ -140,6 +140,22 @@ def visible_steps(scenario, constraints: VisibilityConstraints) -> np.ndarray:
         for si, site in enumerate(scenario.sites):
             out[:, si] = visibility_masks_multi(ra, dec, site.coord, scenario.grid, constraints)[0]
     return out
+
+
+def run_lengths(vis: np.ndarray) -> np.ndarray:
+    """Per step, how many consecutive steps from it on are visible,
+    counted one step at a time from the end of the horizon."""
+    out = np.zeros(vis.shape[:-1] + (vis.shape[-1] + 1,), dtype=np.int64)
+    for t in range(vis.shape[-1] - 1, -1, -1):
+        out[..., t] = np.where(vis[..., t], out[..., t + 1] + 1, 0)
+    return out[..., :-1]
+
+
+def run_left(ctx) -> np.ndarray:
+    """``run_lengths`` of ``visible_steps`` per (target, site, step): the
+    whole-horizon visibility table a context does not build, as the
+    tests' reference for its window index."""
+    return run_lengths(visible_steps(ctx.scenario, ctx.constraints))
 
 
 U = (True, False, False)

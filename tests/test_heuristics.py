@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from conftest import G, U, UGI, toy_scenario, transit_context, visible_steps
+from conftest import G, U, UGI, run_left, toy_scenario, transit_context, visible_steps
 from obsched.heuristics import (
     SiteRule,
     TaskRule,
@@ -219,10 +219,11 @@ def _independent_online_sim(s, ctx, rule, queue_cap=10):
 def per_step_online_heuristic(ctx, task_rule, site_rule=None, queue_cap=10):
     """``schedule_online_heuristic`` with no wake steps: every queued task
     is tested on every site at every step, and a task's last static start
-    is read straight from ``run_left``.  The reference its skips are
-    checked against."""
+    is read straight from conftest's ``run_left``.  The reference its skips
+    are checked against."""
     scenario = ctx.scenario
     st = Placement(ctx)
+    left = run_left(ctx)
 
     def key(row):
         return rank_key(task_rule, scenario.tasks[row], scenario.targets[int(ctx.target_row[row])])
@@ -232,7 +233,7 @@ def per_step_online_heuristic(ctx, task_rule, site_rule=None, queue_cap=10):
     def static_last_start(row):
         if row not in last_start:
             e, lo = int(ctx.exposure[row]), int(ctx.arrival[row])
-            ok = ctx.run_left[int(ctx.target_row[row]), :, lo : max(lo, int(ctx.limit[row]) - e + 1)] >= e
+            ok = left[int(ctx.target_row[row]), :, lo : max(lo, int(ctx.limit[row]) - e + 1)] >= e
             last_start[row] = lo + int(np.flatnonzero(ok.any(axis=0))[-1]) if ok.any() else -1
         return last_start[row]
 
@@ -361,7 +362,7 @@ class TestBruteForce:
         # its arrival, not its earliest fit (site 0, step 3) and no task's
         # completion
         ctx = transit_context([(0, 30, U, 36), (0, 10, U)], (25, 22), n_sites=2, west_deg=10.0)
-        assert [int(np.argmax(ctx.run_left[1, s] > 0)) for s in (0, 1)] == [3, 42]
+        assert [int(np.argmax(visible_steps(ctx.scenario, ctx.constraints)[1, s])) for s in (0, 1)] == [3, 42]
         dag = brute_force_optimal(ctx)
         fh = io.StringIO()
         dump_schedule(dag, fh)

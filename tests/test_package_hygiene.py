@@ -21,6 +21,7 @@ PERFBENCH_ONLY = {
     ("heuristics", "earliest_feasible_start"),
     ("rewriter", "build_from_arrays"),
     ("rewriter", "earliest_feasible_start"),
+    ("schedule", "visibility_masks_multi"),
 }
 
 

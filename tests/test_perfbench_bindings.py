@@ -85,22 +85,21 @@ def test_placement_fits_through_the_module_binding(monkeypatch):
     assert len(calls) == 1
 
 
-def test_traced_context_notes_every_target_step_of_each_mask_call(tracing):
-    """``ephemeris.masks.target_steps_per_s`` divides the notes of the
-    ``visibility_masks_multi`` spans by their time, and ``_masks_note``
-    takes the size of the call's first returned array: a context build
-    must note n_targets x horizon once per site.  A call that returned
-    the mask alone would note one target's steps instead."""
+def test_traced_context_opens_no_mask_span(tracing):
+    """A context evaluates visibility on its span cells itself, so a
+    traced context build opens no ``ephemeris.masks`` span; ``install``
+    still finds and wraps ``schedule.visibility_masks_multi``."""
     s = sc.generate_scenario(sc.GenConfig(horizon_steps=240, num_sites=5), 0)
     tracer = tracing.Tracer()
     saved = tracing.install(tracer)
     try:
+        wrapped = schedule.visibility_masks_multi
         schedule.SchedulingContext(s)
     finally:
         tracing.uninstall(saved)
-    notes = [note for name, _, _, _, note in tracer.spans if name == "ephemeris.masks"]
-    assert len(s.targets) > 1
-    assert notes == [len(s.targets) * s.grid.horizon_steps] * len(s.sites)
+    assert (schedule, "visibility_masks_multi", wrapped.__wrapped__) in saved
+    names = [name for name, _, _, _, _ in tracer.spans]
+    assert names == ["schedule.context"]
 
 
 def test_traced_backward_walks_the_whole_tape(tracing):

@@ -1,14 +1,15 @@
 """DAG construction, edge rules, validation, slowdown arithmetic, and
 task embeddings."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import G, I, U, UG, toy_scenario, transit_context, visible_steps
-from obsched.ephemeris import UNOBSERVABLE, _target_mask, site_skies, visibility_masks_multi
+from conftest import G, I, U, UG, run_left, run_lengths, toy_scenario, transit_context, visible_steps
+from obsched.ephemeris import UNOBSERVABLE, _target_airmass, _target_mask, site_skies, visibility_masks_multi
 from obsched.heuristics import SiteRule, TaskRule, schedule_online_heuristic
 from obsched.scenario import GenConfig, generate_scenario
-from obsched import schedule
 from obsched.schedule import (
     Assignment,
     Placement,
@@ -43,24 +44,14 @@ def immediate_cost(dag_before, dag_after):
     return total_slowdown(dag_before) - total_slowdown(dag_after)
 
 
-def _run_lengths(vis: np.ndarray) -> np.ndarray:
-    """Per step, how many consecutive steps from it on are visible,
-    counted one step at a time from the end of the horizon."""
-    out = np.zeros(vis.shape[:-1] + (vis.shape[-1] + 1,), dtype=np.int64)
-    for t in range(vis.shape[-1] - 1, -1, -1):
-        out[..., t] = np.where(vis[..., t], out[..., t + 1] + 1, 0)
-    return out[..., :-1]
-
-
 class TestRunLeft:
-    """``SchedulingContext.run_left`` against a step-by-step count over the
-    ephemeris' own visibility masks."""
+    """The window index a context builds from its span cells against a
+    scan of ``run_left``, a step-by-step count over the ephemeris' own
+    visibility masks of the whole horizon."""
 
     def check(self, ctx):
-        want = _run_lengths(visible_steps(ctx.scenario, ctx.constraints))
-        assert ctx.run_left.dtype == np.int32
-        assert ctx.run_left.shape == want.shape
-        assert np.array_equal(ctx.run_left, want)
+        want = run_left(ctx)
+        check_window_index(ctx, want)
         return want
 
     @pytest.mark.parametrize(
@@ -88,17 +79,20 @@ class TestRunLeft:
         ra = np.array([t.coord.ra for t in s.targets])
         dec = np.array([t.coord.dec for t in s.targets])
         skies = site_skies([site.coord for site in s.sites], s.grid, cons)
-        want = np.zeros(ctx.run_left.shape, dtype=bool)
+        want = np.zeros((len(s.targets), ctx.n_sites, ctx.horizon), dtype=bool)
         for si, (site, sky) in enumerate(zip(s.sites, skies)):
             assert 0 < sky.dark.sum() < s.grid.horizon_steps
-            ref, ref_am = _target_mask(ra, dec, sky.lat, sky.lst, cons)
+            ref = _target_mask(ra, dec, sky.lat, sky.lst, cons)
+            above, vals = _target_airmass(ra, dec, sky.lat, sky.lst, cons)
+            ref_am = np.full(ref.shape, UNOBSERVABLE)
+            ref_am[above] = vals
             mask, am = visibility_masks_multi(ra, dec, site.coord, s.grid, cons)
             assert np.array_equal(mask, ref & sky.dark)
             assert np.array_equal(am[:, sky.dark], ref_am[:, sky.dark])
             assert (am[:, ~sky.dark] == UNOBSERVABLE).all()
             want[:, si] = ref & sky.dark
         assert want.any()
-        assert np.array_equal(ctx.run_left, _run_lengths(want))
+        check_window_index(ctx, run_lengths(want))
         assert check_airmass_on_demand(ctx).size
 
 
@@ -143,20 +137,20 @@ class TestAirmassOnDemand:
         # the sample holds visible cells and unobservable ones, sun-up among them
         assert UNOBSERVABLE in got and got.min() <= night.constraints.max_airmass
 
-    def test_run_left_is_the_one_visibility_table(self, night):
+    def test_the_context_holds_no_visibility_table(self, night):
         # a quality-rule run builds whatever its site key reads
         schedule_online_heuristic(night, TaskRule.STF, SiteRule.BEST_QUALITY)
-        shape = night.run_left.shape
-        assert shape == (len(night.scenario.targets), night.n_sites, night.horizon)
+        shape = (len(night.scenario.targets), night.n_sites, night.horizon)
         tables = [k for k, v in vars(night).items() if isinstance(v, np.ndarray) and v.shape == shape]
-        assert tables == ["run_left"]
+        assert tables == [] and not hasattr(night, "run_left")
 
 
-def scanned_windows(ctx, row, site):
-    """The maximal runs of the starts ``run_left`` allows one task on one
-    site, found by scanning every start from its arrival to its limit."""
+def scanned_windows(ctx, left, row, site):
+    """The maximal runs of the starts the run lengths ``left`` allow one
+    task on one site, found by scanning every start from its arrival to
+    its limit."""
     e, a = int(ctx.exposure[row]), int(ctx.arrival[row])
-    ok = ctx.run_left[int(ctx.target_row[row]), site, a : max(a, int(ctx.limit[row]) - e + 1)] >= e
+    ok = left[int(ctx.target_row[row]), site, a : max(a, int(ctx.limit[row]) - e + 1)] >= e
     out = []
     for b in (np.flatnonzero(ok) + a).tolist():
         if out and out[-1][1] == b - 1:
@@ -166,12 +160,14 @@ def scanned_windows(ctx, row, site):
     return out
 
 
-def check_window_index(ctx):
+def check_window_index(ctx, left=None):
     """``SchedulingContext.windows`` and ``last_start`` against a scan of
-    ``run_left`` for every (row, site)."""
+    the run lengths ``left`` (by default conftest's ``run_left``) for
+    every (row, site)."""
+    left = run_left(ctx) if left is None else left
     assert ctx.last_start.shape == (ctx.n_tasks,)
     for r in range(ctx.n_tasks):
-        scans = [scanned_windows(ctx, r, s) for s in range(ctx.n_sites)]
+        scans = [scanned_windows(ctx, left, r, s) for s in range(ctx.n_sites)]
         assert [ctx.windows(r, s) for s in range(ctx.n_sites)] == scans, r
         assert ctx.last_start[r] == max((w[-1][1] for w in scans if w), default=-1), r
 
@@ -181,22 +177,28 @@ class TestWindowIndex:
     seen from site ``s`` over exactly the half-open step ranges
     ``runs[k][s]``."""
 
-    def context(self, monkeypatch, task_specs, runs, n_sites=1):
+    def context(self, monkeypatch, task_specs, runs, n_sites=1, idle_targets=0):
+        """The context of ``toy_scenario(task_specs, n_sites)``, plus
+        ``idle_targets`` targets with no task after the tasks' targets;
+        ``self.cells`` records the (site, targets, steps) of every cell
+        evaluation the context makes."""
         s = toy_scenario(task_specs, n_sites=n_sites)
+        idle = tuple(replace(s.targets[0], id=len(s.targets) + k) for k in range(idle_targets))
+        s = replace(s, targets=s.targets + idle)
         vis = np.zeros((len(s.targets), n_sites, s.grid.horizon_steps), dtype=bool)
         for k, per_site in enumerate(runs):
             for si, ranges in enumerate(per_site):
                 for a, b in ranges:
                     vis[k, si, a:b] = True
-        site_of = {site.coord: si for si, site in enumerate(s.sites)}
+        self.cells = []
 
-        def masks(ra, dec, site, grid, constraints):
-            m = vis[:, site_of[site]].copy()
-            return m, np.where(m, 1.0, UNOBSERVABLE)
+        def span_mask(ctx, site, tgt, step):
+            self.cells.append((site, tgt.copy(), step.copy()))
+            return vis[tgt, site, step]
 
-        monkeypatch.setattr(schedule, "visibility_masks_multi", masks)
+        monkeypatch.setattr(SchedulingContext, "_span_mask", span_mask)
         ctx = SchedulingContext(s)
-        check_window_index(ctx)
+        check_window_index(ctx, run_lengths(vis))
         return ctx
 
     def test_a_run_the_arrival_cuts(self, monkeypatch):
@@ -224,6 +226,34 @@ class TestWindowIndex:
         ctx = self.context(monkeypatch, [(0, 5, U), (0, 5, G)], [[[(10, 40)], []], [[], []]], 2)
         assert ctx.windows(0, 1) == [] and Placement(ctx).fit(0, 1, 0) is None
         assert ctx.windows(1, 0) == ctx.windows(1, 1) == [] and ctx.last_start[1] == -1
+
+    def test_a_run_that_opens_before_the_earliest_arrival(self, monkeypatch):
+        # the target's span opens at its earliest arrival, 20: the run seen
+        # from 10 is cut there, and gives each task the whole run's windows
+        ctx = self.context(monkeypatch, [(20, 5, G, None, "t"), (25, 5, U, None, "t")], [[[(10, 40)]]])
+        assert ctx.windows(0, 0) == [(20, 35)] and ctx.windows(1, 0) == [(25, 35)]
+        assert min(int(step.min()) for _, _, step in self.cells) == 20
+
+    def test_a_run_that_outlasts_the_latest_limit(self, monkeypatch):
+        # the span closes at the latest limit, 35: the run seen until 50 is
+        # cut there
+        ctx = self.context(monkeypatch, [(0, 5, U, 30, "t"), (1, 5, G, 35, "t")], [[[(10, 50)]]])
+        assert ctx.windows(0, 0) == [(10, 25)] and ctx.windows(1, 0) == [(10, 30)]
+        assert max(int(step.max()) for _, _, step in self.cells) == 34
+
+    def test_a_target_with_no_task(self, monkeypatch):
+        # target 1 is seen all night, but no task asks for it
+        ctx = self.context(monkeypatch, [(0, 5, U)], [[[(10, 40)]], [[(0, 60)]]], idle_targets=1)
+        assert len(ctx.scenario.targets) == 2 and ctx.windows(0, 0) == [(10, 35)]
+        assert self.cells and all((tgt == 0).all() for _, tgt, _ in self.cells)
+
+    def test_two_tasks_of_one_target_far_apart(self, monkeypatch):
+        # one span covers both tasks and the steps between them; each task
+        # gets only the runs inside its own [arrival, limit)
+        runs = [[[(5, 15), (25, 35), (50, 58)]]]
+        ctx = self.context(monkeypatch, [(0, 3, U, 12, "t"), (45, 3, U, 60, "t")], runs)
+        assert ctx.windows(0, 0) == [(5, 9)] and ctx.windows(1, 0) == [(50, 55)]
+        assert ctx.last_start.tolist() == [9, 55]
 
     def test_a_scenario_with_no_targets(self):
         ctx = SchedulingContext(toy_scenario([]))
@@ -273,7 +303,8 @@ class TestBuildAndEdges:
         # task 1 arrives at 0 but its target is first visible at 11, when
         # task 0 (visible from 1) completes: it hangs off both
         ctx = transit_context([(1, 10, U), (0, 5, G)], (20, 30))
-        assert ctx.run_left[0, 0, 1] >= 10 and ctx.run_left[1, 0, 10] == 0 < ctx.run_left[1, 0, 11]
+        left = run_left(ctx)
+        assert left[0, 0, 1] >= 10 and left[1, 0, 10] == 0 < left[1, 0, 11]
         dag = build_dag(ctx, [Assignment(0, 0, 1), Assignment(1, 0, 11)])
         assert dag.parents[dag.node_of_task[1]] == (0, dag.node_of_task[0])
         assert validate(dag) == []
@@ -344,6 +375,17 @@ class TestBuildAndEdges:
         with pytest.raises(InfeasibleAssignmentError) as err:
             build(s, [(0, 1, 0), (1, bad_site, 0)])
         assert str(err.value) == f"infeasible assignment: dependency (task 1, site {bad_site}, step 0)"
+
+    @pytest.mark.parametrize("bad_site", [-2, -1, 2])
+    def test_a_site_out_of_range_fails_statically_as_a_dependency(self, bad_site):
+        # both sites see the target: a negative site must not read the other
+        ctx = SchedulingContext(toy_scenario([(0, 10, U)], n_sites=2))
+        assert ctx.fits_statically(0, bad_site, 0) == "dependency"
+        assert not Placement(ctx).fits(0, bad_site, 0)
+        dag = build_dag(ctx, [Assignment(0, 0, 0)])
+        hacked = ScheduleDag(ctx, dag.rows, np.array([bad_site]), dag.start, dag.eta, dag.parents, dag.profile)
+        first = validate(hacked)[0]
+        assert (first.kind, first.message) == ("dependency", f"task 0 fails dependency at site {bad_site} step 0")
 
     def test_build_extract_round_trip(self):
         s = toy_scenario([(0, 10, U), (0, 5, G), (7, 5, I), (0, 5, U)])
