@@ -3,7 +3,9 @@
 
 Walks a single sky position through the bundled five-site array over a
 4-hour window and prints each site's visibility windows with their best
-airmass.  Run from anywhere: python demos/visibility_tour.py
+airmass, after its sky at the first step: dark (the sun at or below the
+limit) or day, and the local sidereal time.
+Run from anywhere: python demos/visibility_tour.py
 """
 from datetime import datetime, timezone
 
@@ -11,8 +13,7 @@ from obsched.ephemeris import (
     SkyCoord,
     TimeGrid,
     VisibilityConstraints,
-    local_sidereal_time,
-    sun_altitude,
+    site_skies,
     visibility_windows,
 )
 from obsched.scenario import default_sites
@@ -25,14 +26,14 @@ cons = VisibilityConstraints()  # airmass <= 3, altitude > 5 deg, sun <= -12 deg
 print(f"target ra={target.ra} dec={target.dec}, {grid.horizon_steps} one-minute steps")
 print(f"constraints: airmass <= {cons.max_airmass}, sun <= {cons.max_sun_altitude_deg} deg\n")
 
-for i, site in enumerate(default_sites()):
-    sun0 = sun_altitude(grid.epoch_utc, 0, site.coord)
-    lst0 = local_sidereal_time(grid.epoch_utc, 0, site.coord)
+sites = default_sites()
+for i, (site, sky) in enumerate(zip(sites, site_skies([s.coord for s in sites], grid, cons))):
     wins = visibility_windows(target, site.coord, grid, cons, site_index=i)
     line = ", ".join(
         f"[{w.start_step:3d},{w.end_step:3d}) X>={w.min_airmass_in_window:.2f}" for w in wins
     ) or "never visible"
-    print(f"{site.name:>16}  sun={sun0:+6.1f}  lst={lst0:6.1f}  ->  {line}")
+    sky0 = "dark" if sky.dark[0] else "day"
+    print(f"{site.name:>16}  {sky0:>4}  lst={sky.lst[0]:6.1f}  ->  {line}")
 
 print(
     "\nSites in daylight (sun above -12) contribute nothing; the dark sites"

@@ -13,10 +13,6 @@ from .ephemeris import (
     TimeGrid,
     VisibilityConstraints,
     VisibilityWindow,
-    airmass,
-    altitude,
-    local_sidereal_time,
-    sun_altitude,
     visibility_windows,
 )
 from .scenario import (

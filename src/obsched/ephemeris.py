@@ -7,6 +7,12 @@ ephemeris).  Accuracy is far inside the coarse thresholds that matter for
 scheduling (degrees, not arcseconds).  Everything here is a pure function
 of immutable inputs and safe to call concurrently.
 
+Each formula has one implementation, over numpy arrays: the Julian date
+of every grid step (``_step_jds``), GMST (``_gmst_vec``), altitude
+(``_altitude_vec``), Kasten-Young airmass (``_kasten_young``) and the
+sun's position (``_sun_radec_vec``, Meeus ch. 25).  Local sidereal time
+and darkness are read from ``site_skies``.
+
 The sky of one (site, grid) pair -- local sidereal time and the dark
 steps, where the sun is low enough -- does not depend on the targets.
 ``site_skies`` computes it once for many sites (the sun position once for
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -40,13 +46,6 @@ __all__ = [
     "TimeGrid",
     "VisibilityConstraints",
     "VisibilityWindow",
-    "julian_date",
-    "gmst_degrees",
-    "local_sidereal_time",
-    "altitude",
-    "airmass",
-    "sun_equatorial",
-    "sun_altitude",
     "visibility_masks_multi",
     "visibility_windows",
     "SiteSky",
@@ -70,7 +69,6 @@ _SIDEREAL_DEG_PER_DAY = 360.98564736629
 
 _J2000 = datetime(2000, 1, 1, 12, 0, 0, tzinfo=timezone.utc)
 _JD_J2000 = 2451545.0
-_DEG = math.pi / 180.0
 
 
 @dataclass(frozen=True)
@@ -122,9 +120,6 @@ class TimeGrid:
         if self.horizon_steps < 1:
             raise ValueError("horizon_steps must be >= 1")
 
-    def time_at(self, step: float) -> datetime:
-        return self.epoch_utc + timedelta(minutes=float(step) * self.step_minutes)
-
 
 @dataclass(frozen=True)
 class VisibilityConstraints:
@@ -157,97 +152,8 @@ class VisibilityWindow:
     min_airmass_in_window: float
 
 
-def julian_date(when: datetime) -> float:
-    """Julian date of a (timezone-aware, UTC) instant."""
-    if when.tzinfo is None:
-        when = when.replace(tzinfo=timezone.utc)
-    return _JD_J2000 + (when - _J2000).total_seconds() / 86400.0
-
-
-def gmst_degrees(when: datetime) -> float:
-    """Greenwich mean sidereal time in degrees, standard IAU-1982 polynomial."""
-    d = julian_date(when) - _JD_J2000
-    t = d / 36525.0
-    gmst = (
-        280.46061837
-        + _SIDEREAL_DEG_PER_DAY * d
-        + 0.000387933 * t * t
-        - t * t * t / 38710000.0
-    )
-    return gmst % 360.0
-
-
-def local_sidereal_time(
-    epoch_utc: datetime, step_index: float, site: GeoCoord, *, step_minutes: int = 1
-) -> float:
-    """Apparent local sidereal time, degrees in [0, 360), at a grid instant.
-
-    ``step_index`` counts ``step_minutes`` intervals from ``epoch_utc``;
-    the site's east longitude is added to GMST.
-    """
-    when = epoch_utc + timedelta(minutes=float(step_index) * step_minutes)
-    return (gmst_degrees(when) + site.lon) % 360.0
-
-
-def altitude(target: SkyCoord, site: GeoCoord, lst_degrees: float) -> float:
-    """Target altitude in degrees for a given local sidereal time.
-
-    sin(alt) = sin(lat) sin(dec) + cos(lat) cos(dec) cos(HA), HA = LST - RA.
-    """
-    ha = (lst_degrees - target.ra) * _DEG
-    lat = site.lat * _DEG
-    dec = target.dec * _DEG
-    s = math.sin(lat) * math.sin(dec) + math.cos(lat) * math.cos(dec) * math.cos(ha)
-    return math.degrees(math.asin(min(1.0, max(-1.0, s))))
-
-
-def airmass(alt_degrees: float, *, min_altitude_deg: float = 5.0) -> float:
-    """Kasten & Young (1989) relative airmass; UNOBSERVABLE below the cutoff.
-
-    X = 1 / (sin(alt) + 0.50572 (alt_deg + 6.07995)^-1.6364), taken at the
-    horizon (alt 0, X = 37.92) for any altitude below it.
-    """
-    if alt_degrees <= min_altitude_deg:
-        return UNOBSERVABLE
-    a = max(alt_degrees, 0.0)
-    return 1.0 / (math.sin(a * _DEG) + 0.50572 * (a + 6.07995) ** (-1.6364))
-
-
-def sun_equatorial(when: datetime) -> SkyCoord:
-    """Low-precision solar RA/dec from mean anomaly and ecliptic longitude.
-
-    Mean-element model (Meeus ch. 25, truncated); good to a few arcminutes,
-    orders of magnitude tighter than the twilight thresholds it feeds.
-    """
-    t = (julian_date(when) - _JD_J2000) / 36525.0
-    # mean anomaly and mean longitude, degrees
-    m = math.radians((357.52911 + 35999.05029 * t) % 360.0)
-    l0 = (280.46646 + 36000.76983 * t) % 360.0
-    # equation of center -> apparent ecliptic longitude
-    c = (
-        (1.914602 - 0.004817 * t) * math.sin(m)
-        + (0.019993 - 0.000101 * t) * math.sin(2 * m)
-        + 0.000289 * math.sin(3 * m)
-    )
-    lam = math.radians((l0 + c) % 360.0)
-    eps = math.radians(23.439291 - 0.0130042 * t)
-    ra = math.degrees(math.atan2(math.cos(eps) * math.sin(lam), math.cos(lam))) % 360.0
-    dec = math.degrees(math.asin(math.sin(eps) * math.sin(lam)))
-    return SkyCoord(ra=ra, dec=dec)
-
-
-def sun_altitude(
-    epoch_utc: datetime, step_index: float, site: GeoCoord, *, step_minutes: int = 1
-) -> float:
-    """Sun altitude in degrees at a grid instant for a site."""
-    when = epoch_utc + timedelta(minutes=float(step_index) * step_minutes)
-    sun = sun_equatorial(when)
-    lst = local_sidereal_time(epoch_utc, step_index, site, step_minutes=step_minutes)
-    return altitude(sun, site, lst)
-
-
 def _step_jds(grid: TimeGrid) -> np.ndarray:
-    jd0 = julian_date(grid.epoch_utc)
+    jd0 = _JD_J2000 + (grid.epoch_utc - _J2000).total_seconds() / 86400.0
     steps = np.arange(grid.horizon_steps, dtype=np.float64)
     return jd0 + steps * (grid.step_minutes / 1440.0)
 
@@ -264,6 +170,13 @@ def _altitude_vec(ra: np.ndarray, dec: np.ndarray, lat_deg: float, lst: np.ndarr
     dec_r = np.radians(dec)
     s = math.sin(lat) * np.sin(dec_r) + math.cos(lat) * np.cos(dec_r) * np.cos(ha)
     return np.degrees(np.arcsin(np.clip(s, -1.0, 1.0)))
+
+
+def _kasten_young(a):
+    """Kasten & Young (1989) relative airmass at altitude ``a`` degrees,
+    X = 1 / (sin(a) + 0.50572 (a + 6.07995)^-1.6364).  Callers pass
+    max(alt, 0): below the horizon the airmass is the horizon's, 37.92."""
+    return 1.0 / (np.sin(np.radians(a)) + 0.50572 * (a + 6.07995) ** (-1.6364))
 
 
 def _sun_radec_vec(jd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -295,8 +208,7 @@ def _target_airmass(ra, dec, lat_deg: float, lst: np.ndarray, constraints: Visib
     """
     alt = _altitude_vec(ra[:, None], dec[:, None], lat_deg, lst if lst.ndim == 2 else lst[None, :])
     above = alt > constraints.min_altitude_deg
-    a = np.maximum(alt[above], 0.0)  # as ``airmass``: the horizon's below it
-    return above, 1.0 / (np.sin(np.radians(a)) + 0.50572 * (a + 6.07995) ** (-1.6364))
+    return above, _kasten_young(np.maximum(alt[above], 0.0))
 
 
 def _target_mask(ra, dec, lat_deg: float, lst: np.ndarray, constraints: VisibilityConstraints) -> np.ndarray:
@@ -371,7 +283,7 @@ def visibility_masks_multi(
 
 
 #: Kasten-Young airmass at the zenith, 4e-8 above its minimum
-_ZENITH_AIRMASS = airmass(90.0)
+_ZENITH_AIRMASS = float(_kasten_young(90.0))
 
 
 def _monotone_in_altitude(constraints: VisibilityConstraints) -> bool:

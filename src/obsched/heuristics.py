@@ -116,9 +116,11 @@ def schedule_online_heuristic(
     Returns the schedule and the ids of dropped tasks.  Deterministic for
     a given scenario and rule pair.
 
-    A queued task that no site fits at step ``t`` is not tested again
-    before its wake step, the earliest start after ``t`` that fits on
-    some site (the horizon when none does).  That skips no start: the
+    Each queued task gets one fit per site from ``t``: the sites whose
+    fit is ``t`` can start it now.  A task that no site fits at ``t`` is
+    not tested again before its wake step, the least of those fits (the
+    horizon when there is none): a fit from ``t`` that is not ``t`` is
+    the earliest start after ``t`` on its site.  That skips no start: the
     occupancy only grows during the run (commits, never an uncommit), so
     a start that does not fit now never fits later.  The fit ignores the
     release, which only rises as siblings commit, so the wake stays a
@@ -157,12 +159,12 @@ def schedule_online_heuristic(
             for r in queue:
                 if t < wake[r] or int(ctx.prev_sibling[r]) in queue or st.release(r) > t:
                     continue
-                sites_now = [s for s in range(ctx.n_sites) if st.fits(r, s, t)]
+                fit = [st.fit(r, s, t) for s in range(ctx.n_sites)]
+                sites_now = [s for s, b in enumerate(fit) if b == t]
                 if sites_now:
                     startable.append((r, sites_now))
                 else:
-                    later = (st.fit(r, s, t + 1) for s in range(ctx.n_sites))
-                    wake[r] = min((b for b in later if b is not None), default=ctx.horizon)
+                    wake[r] = min((b for b in fit if b is not None), default=ctx.horizon)
             if not startable:
                 break
             r, sites_now = min(startable, key=lambda rs: key(rs[0]))
@@ -254,7 +256,7 @@ def brute_force_optimal(ctx: SchedulingContext) -> ScheduleDag:
                 if s2 != s:
                     continue
                 c2 = b2 + int(ctx.exposure[r2])
-                if c2 >= lo and st.fits(row, s, c2):
+                if c2 >= lo and st.fit(row, s, c2) == c2:
                     out.add((s, c2))
         return sorted(out, key=lambda sb: (sb[1], sb[0]))
 

@@ -118,7 +118,8 @@ class ObservationTask:
     """One exposure of a target; the unit of scheduling.
 
     ``arrival`` is the required beginning time of this exposure, ``deadline``
-    the latest completion step (the parent target's fade time).
+    the latest completion step (the parent target's fade time), and
+    ``rho`` the filters it occupies, at least one.
     """
 
     id: int
@@ -136,6 +137,8 @@ class ObservationTask:
             raise ScenarioError(f"task {self.id}: arrival must be >= 0, got {self.arrival}")
         if self.arrival + self.exposure > self.deadline:
             raise ScenarioError(f"task {self.id}: exposure does not fit before deadline")
+        if not any(self.rho):
+            raise ScenarioError(f"task {self.id}: at least one filter required")
 
 
 @dataclass(frozen=True)
@@ -149,7 +152,10 @@ class Site:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One complete scheduling instance.  Immutable after construction."""
+    """One complete scheduling instance.  Immutable after construction.
+
+    Every task arrives inside the grid (arrival < horizon_steps): the
+    online dispatcher queues a task at its arrival step."""
 
     grid: TimeGrid
     sites: tuple[Site, ...]
@@ -182,6 +188,10 @@ class Scenario:
                 )
             if len(task.rho) != self.num_filters:
                 raise ScenarioError(f"task {task.id}: rho length != num_filters")
+            if task.arrival >= self.grid.horizon_steps:
+                raise ScenarioError(
+                    f"task {task.id}: arrival must be < horizon_steps ({self.grid.horizon_steps}), got {task.arrival}"
+                )
             siblings.setdefault(task.target_id, []).append(task)
         for seq in siblings.values():
             seq.sort(key=lambda task: task.seq_index)

@@ -430,8 +430,8 @@ class Placement:
     """Mutable occupancy of one schedule under construction: the one
     commit path for the schedulers, the exhaustive oracle, the learned
     online loop and the rewriter, and the one home of the sibling-cadence
-    release (``release``) and of the point and earliest fits (``fits``,
-    ``fit``).
+    release (``release``) and of the fit (``fit``, the earliest start from
+    a step; a task fits at ``b`` iff its fit from ``b`` is ``b``).
 
     ``committed`` maps row -> (site, start), ``profile`` holds the
     occupancy those commits make, and ``drops`` the dropped task ids in
@@ -465,14 +465,6 @@ class Placement:
     def fit(self, row: int, site: int, lo: int) -> int | None:
         """Earliest start >= lo where the task fits on the site now."""
         return earliest_feasible_start(self.ctx, self.profile, row, site, lo)
-
-    def fits(self, row: int, site: int, start: int) -> bool:
-        """Whether the task fits statically at (site, start) with all its
-        filters free for the whole exposure; release aside."""
-        if self.ctx.fits_statically(row, site, start) is not None:
-            return False
-        e = int(self.ctx.exposure[row])
-        return not self.profile[site][self.ctx.rho_idx[row], start : start + e].any()
 
     def commit(self, row: int, site: int, start: int) -> None:
         e = int(self.ctx.exposure[row])

@@ -9,12 +9,12 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
+from ephemeris_reference import local_sidereal_time
 from obsched.ephemeris import (
     GeoCoord,
     SkyCoord,
     TimeGrid,
     VisibilityConstraints,
-    local_sidereal_time,
     visibility_masks_multi,
 )
 from obsched.scenario import (
@@ -156,6 +156,18 @@ def run_left(ctx) -> np.ndarray:
     whole-horizon visibility table a context does not build, as the
     tests' reference for its window index."""
     return run_lengths(visible_steps(ctx.scenario, ctx.constraints))
+
+
+def fits_at(pl, row: int, site: int, start: int) -> bool:
+    """The point check of a ``Placement``: whether the task fits
+    statically at (site, start) with all its filters free for the whole
+    exposure, release aside.  The package asks ``pl.fit(row, site,
+    start) == start`` instead; this is the tests' reference for it."""
+    ctx = pl.ctx
+    if ctx.fits_statically(row, site, start) is not None:
+        return False
+    e = int(ctx.exposure[row])
+    return not pl.profile[site][ctx.rho_idx[row], start : start + e].any()
 
 
 U = (True, False, False)

@@ -19,7 +19,7 @@ from obsched.ephemeris import (
     SkyCoord,
     TimeGrid,
     VisibilityConstraints,
-    airmass,
+    _kasten_young,
     visibility_masks_multi,
     visibility_windows,
 )
@@ -332,11 +332,11 @@ def test_acceptance_7_schedule_arithmetic_spot_checks():
 
 
 def test_acceptance_8_ephemeris_properties():
-    am90 = airmass(90.0)
+    am90 = float(_kasten_young(90.0))
     ok_zenith = abs(am90 - 1.0) <= 1e-3
 
     alts = np.linspace(5.5, 90.0, 2000)
-    xs = np.array([airmass(a) for a in alts])
+    xs = _kasten_young(alts)
     ok_monotone = bool(np.all(np.diff(xs) < 0))
 
     ok_masks = True

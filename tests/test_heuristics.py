@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from conftest import G, U, UGI, run_left, toy_scenario, transit_context, visible_steps
+from conftest import G, U, UGI, fits_at, run_left, toy_scenario, transit_context, visible_steps
 from obsched.heuristics import (
     SiteRule,
     TaskRule,
@@ -218,9 +218,10 @@ def _independent_online_sim(s, ctx, rule, queue_cap=10):
 
 def per_step_online_heuristic(ctx, task_rule, site_rule=None, queue_cap=10):
     """``schedule_online_heuristic`` with no wake steps: every queued task
-    is tested on every site at every step, and a task's last static start
-    is read straight from conftest's ``run_left``.  The reference its skips
-    are checked against."""
+    is tested on every site at every step by the point check (conftest's
+    ``fits_at``), and a task's last static start is read straight from
+    conftest's ``run_left``.  The reference its skips and its fits are
+    checked against."""
     scenario = ctx.scenario
     st = Placement(ctx)
     left = run_left(ctx)
@@ -255,7 +256,7 @@ def per_step_online_heuristic(ctx, task_rule, site_rule=None, queue_cap=10):
             for r in queue:
                 if int(ctx.prev_sibling[r]) in queue or st.release(r) > t:
                     continue
-                sites_now = [s for s in range(ctx.n_sites) if st.fits(r, s, t)]
+                sites_now = [s for s in range(ctx.n_sites) if fits_at(st, r, s, t)]
                 if sites_now:
                     startable.append((r, sites_now))
             if not startable:

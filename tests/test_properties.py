@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import G, U, UG, transit_context, visible_steps
+from conftest import G, U, UG, fits_at, transit_context, visible_steps
 from test_heuristics import check_matches_per_step_loop
 from test_schedule import check_airmass_on_demand, check_window_index
 from obsched.cli import run_online
@@ -266,7 +266,7 @@ def _check_point_fit(ctx, data):
             pl.uncommit(r)
         for s in range(ctx.n_sites):
             for b in range(ctx.horizon + 1):
-                assert pl.fits(r, s, b) == (pl.fit(r, s, b) == b), (r, s, b)
+                assert fits_at(pl, r, s, b) == (pl.fit(r, s, b) == b), (r, s, b)
 
 
 @SETTINGS

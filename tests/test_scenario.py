@@ -673,8 +673,9 @@ class TestUniqueIds:
 
 
 class TestMalformedTasks:
-    """A task's exposure is at least one step and its target's, and its
-    arrival is not negative; JSON errors name the row, task and field."""
+    """A task's exposure is at least one step and its target's, its
+    arrival lies on the grid, and it occupies at least one filter; JSON
+    errors name the row, task and field."""
 
     @staticmethod
     def _obj():
@@ -692,6 +693,27 @@ class TestMalformedTasks:
         task = obj["tasks"][2]
         task["arrival"] = -1
         with pytest.raises(ScenarioError, match=rf"^tasks\[2\]: task {task['id']}: arrival must be >= 0, got -1$"):
+            scenario_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("past", [0, 60])
+    def test_arrival_at_or_after_the_horizon_is_named(self, past):
+        # the dispatcher queues a task at its arrival step, so one arriving
+        # after the last step would be neither scheduled nor dropped
+        obj = self._obj()
+        last = {t["target_id"]: t for t in obj["tasks"]}  # each target's last sibling
+        task = next(iter(last.values()))
+        task["arrival"] = 240 + past
+        task["deadline"] = task["arrival"] + task["exposure"]
+        match = rf"^task {task['id']}: arrival must be < horizon_steps \(240\), got {240 + past}$"
+        with pytest.raises(ScenarioError, match=match):
+            scenario_from_json(json.dumps(obj))
+
+    def test_a_task_with_no_filter_is_named(self):
+        # it would occupy nothing, so any number of them could share a step
+        obj = self._obj()
+        task = obj["tasks"][1]
+        task["rho"] = [False] * len(task["rho"])
+        with pytest.raises(ScenarioError, match=rf"^tasks\[1\]: task {task['id']}: at least one filter required$"):
             scenario_from_json(json.dumps(obj))
 
     def test_exposure_other_than_the_targets_is_named(self):

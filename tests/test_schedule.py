@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import G, I, U, UG, run_left, run_lengths, toy_scenario, transit_context, visible_steps
+from conftest import G, I, U, UG, fits_at, run_left, run_lengths, toy_scenario, transit_context, visible_steps
 from obsched.ephemeris import UNOBSERVABLE, _target_airmass, _target_mask, site_skies, visibility_masks_multi
 from obsched.heuristics import SiteRule, TaskRule, schedule_online_heuristic
 from obsched.scenario import GenConfig, generate_scenario
@@ -381,7 +381,7 @@ class TestBuildAndEdges:
         # both sites see the target: a negative site must not read the other
         ctx = SchedulingContext(toy_scenario([(0, 10, U)], n_sites=2))
         assert ctx.fits_statically(0, bad_site, 0) == "dependency"
-        assert not Placement(ctx).fits(0, bad_site, 0)
+        assert not fits_at(Placement(ctx), 0, bad_site, 0)
         dag = build_dag(ctx, [Assignment(0, 0, 0)])
         hacked = ScheduleDag(ctx, dag.rows, np.array([bad_site]), dag.start, dag.eta, dag.parents, dag.profile)
         first = validate(hacked)[0]
