@@ -456,6 +456,153 @@ class TestSerialization:
             scenario_from_json(json.dumps(obj))
 
 
+# --- the reader's error messages, field by field ----------------------------
+
+#: what ``scenario_from_json`` says when one field of targets[1] or
+#: tasks[2] of a generated scenario is missing, null, a string, a bool or
+#: a float, when a flag field is not a list or holds a non-bool, and when
+#: the row is not an object; None where the reader accepts the value
+READER_ERRORS = {
+    'targets[1]:not-object': 'targets[1]: must be an object, got 5',
+    'targets[1].id:missing': "targets[1]: missing field 'id'",
+    'targets[1].id:null': 'targets[1].id: must be an integer, got None',
+    'targets[1].id:str': "targets[1].id: must be an integer, got 'x'",
+    'targets[1].id:bool': 'targets[1].id: must be an integer, got True',
+    'targets[1].id:float': 'targets[1].id: must be an integer, got 1.5',
+    'targets[1].coord:missing': "targets[1]: missing field 'coord'",
+    'targets[1].coord:null': 'targets[1].coord: must be an object, got None',
+    'targets[1].coord:str': "targets[1].coord: must be an object, got 'x'",
+    'targets[1].coord:bool': 'targets[1].coord: must be an object, got True',
+    'targets[1].coord:float': 'targets[1].coord: must be an object, got 1.5',
+    'targets[1].coord.ra:missing': "targets[1].coord: missing field 'ra'",
+    'targets[1].coord.ra:null': 'targets[1].coord.ra: must be a number, got None',
+    'targets[1].coord.ra:str': "targets[1].coord.ra: must be a number, got 'x'",
+    'targets[1].coord.ra:bool': 'targets[1].coord.ra: must be a number, got True',
+    'targets[1].coord.ra:float': None,
+    'targets[1].coord.dec:missing': "targets[1].coord: missing field 'dec'",
+    'targets[1].coord.dec:null': 'targets[1].coord.dec: must be a number, got None',
+    'targets[1].coord.dec:str': "targets[1].coord.dec: must be a number, got 'x'",
+    'targets[1].coord.dec:bool': 'targets[1].coord.dec: must be a number, got True',
+    'targets[1].coord.dec:float': None,
+    'targets[1].filters_required:missing': "targets[1]: missing field 'filters_required'",
+    'targets[1].filters_required:null': 'targets[1].filters_required: must be a list, got None',
+    'targets[1].filters_required:str': "targets[1].filters_required: must be a list, got 'x'",
+    'targets[1].filters_required:bool': 'targets[1].filters_required: must be a list, got True',
+    'targets[1].filters_required:float': 'targets[1].filters_required: must be a list, got 1.5',
+    'targets[1].filters_required:non-list': 'targets[1].filters_required: must be a list, got 1',
+    'targets[1].filters_required:non-bool': 'targets[1].filters_required[0]: must be a boolean, got 1',
+    'targets[1].start_time:missing': "targets[1]: missing field 'start_time'",
+    'targets[1].start_time:null': 'targets[1].start_time: must be an integer, got None',
+    'targets[1].start_time:str': "targets[1].start_time: must be an integer, got 'x'",
+    'targets[1].start_time:bool': 'targets[1].start_time: must be an integer, got True',
+    'targets[1].start_time:float': 'targets[1].start_time: must be an integer, got 1.5',
+    'targets[1].fade_time:missing': "targets[1]: missing field 'fade_time'",
+    'targets[1].fade_time:null': 'targets[1].fade_time: must be an integer, got None',
+    'targets[1].fade_time:str': "targets[1].fade_time: must be an integer, got 'x'",
+    'targets[1].fade_time:bool': 'targets[1].fade_time: must be an integer, got True',
+    'targets[1].fade_time:float': 'targets[1].fade_time: must be an integer, got 1.5',
+    'targets[1].exposure_minutes:missing': "targets[1]: missing field 'exposure_minutes'",
+    'targets[1].exposure_minutes:null': 'targets[1].exposure_minutes: must be an integer, got None',
+    'targets[1].exposure_minutes:str': "targets[1].exposure_minutes: must be an integer, got 'x'",
+    'targets[1].exposure_minutes:bool': 'targets[1].exposure_minutes: must be an integer, got True',
+    'targets[1].exposure_minutes:float': 'targets[1].exposure_minutes: must be an integer, got 1.5',
+    'targets[1].mode:missing': "targets[1]: missing field 'mode'",
+    'targets[1].mode:null': 'targets[1].mode: must be an object, got None',
+    'targets[1].mode:str': "targets[1].mode: must be an object, got 'x'",
+    'targets[1].mode:bool': 'targets[1].mode: must be an object, got True',
+    'targets[1].mode:float': 'targets[1].mode: must be an object, got 1.5',
+    'targets[1].mode.kind:missing': "targets[1].mode: missing field 'kind'",
+    'targets[1].mode.kind:null': 'targets[1].mode.kind: must be a string, got None',
+    'targets[1].mode.kind:str': "targets[1]: mode.kind invalid: 'x'",
+    'targets[1].mode.kind:bool': 'targets[1].mode.kind: must be a string, got True',
+    'targets[1].mode.kind:float': 'targets[1].mode.kind: must be a string, got 1.5',
+    'targets[1].mode.gap_minutes:missing': None,
+    'targets[1].mode.gap_minutes:null': None,
+    'targets[1].mode.gap_minutes:str': "targets[1].mode.gap_minutes: must be an integer, got 'x'",
+    'targets[1].mode.gap_minutes:bool': 'targets[1].mode.gap_minutes: must be an integer, got True',
+    'targets[1].mode.gap_minutes:float': 'targets[1].mode.gap_minutes: must be an integer, got 1.5',
+    'targets[1].priority:missing': "targets[1]: missing field 'priority'",
+    'targets[1].priority:null': 'targets[1].priority: must be an integer, got None',
+    'targets[1].priority:str': "targets[1].priority: must be an integer, got 'x'",
+    'targets[1].priority:bool': 'targets[1].priority: must be an integer, got True',
+    'targets[1].priority:float': 'targets[1].priority: must be an integer, got 1.5',
+    'targets[1].arrival_step:missing': "targets[1]: missing field 'arrival_step'",
+    'targets[1].arrival_step:null': 'targets[1].arrival_step: must be an integer, got None',
+    'targets[1].arrival_step:str': "targets[1].arrival_step: must be an integer, got 'x'",
+    'targets[1].arrival_step:bool': 'targets[1].arrival_step: must be an integer, got True',
+    'targets[1].arrival_step:float': 'targets[1].arrival_step: must be an integer, got 1.5',
+    'tasks[2]:not-object': 'tasks[2]: must be an object, got 5',
+    'tasks[2].id:missing': "tasks[2]: missing field 'id'",
+    'tasks[2].id:null': 'tasks[2].id: must be an integer, got None',
+    'tasks[2].id:str': "tasks[2].id: must be an integer, got 'x'",
+    'tasks[2].id:bool': 'tasks[2].id: must be an integer, got True',
+    'tasks[2].id:float': 'tasks[2].id: must be an integer, got 1.5',
+    'tasks[2].target_id:missing': "tasks[2]: missing field 'target_id'",
+    'tasks[2].target_id:null': 'tasks[2].target_id: must be an integer, got None',
+    'tasks[2].target_id:str': "tasks[2].target_id: must be an integer, got 'x'",
+    'tasks[2].target_id:bool': 'tasks[2].target_id: must be an integer, got True',
+    'tasks[2].target_id:float': 'tasks[2].target_id: must be an integer, got 1.5',
+    'tasks[2].rho:missing': "tasks[2]: missing field 'rho'",
+    'tasks[2].rho:null': 'tasks[2].rho: must be a list, got None',
+    'tasks[2].rho:str': "tasks[2].rho: must be a list, got 'x'",
+    'tasks[2].rho:bool': 'tasks[2].rho: must be a list, got True',
+    'tasks[2].rho:float': 'tasks[2].rho: must be a list, got 1.5',
+    'tasks[2].rho:non-list': 'tasks[2].rho: must be a list, got 1',
+    'tasks[2].rho:non-bool': 'tasks[2].rho[0]: must be a boolean, got 1',
+    'tasks[2].arrival:missing': "tasks[2]: missing field 'arrival'",
+    'tasks[2].arrival:null': 'tasks[2].arrival: must be an integer, got None',
+    'tasks[2].arrival:str': "tasks[2].arrival: must be an integer, got 'x'",
+    'tasks[2].arrival:bool': 'tasks[2].arrival: must be an integer, got True',
+    'tasks[2].arrival:float': 'tasks[2].arrival: must be an integer, got 1.5',
+    'tasks[2].exposure:missing': "tasks[2]: missing field 'exposure'",
+    'tasks[2].exposure:null': 'tasks[2].exposure: must be an integer, got None',
+    'tasks[2].exposure:str': "tasks[2].exposure: must be an integer, got 'x'",
+    'tasks[2].exposure:bool': 'tasks[2].exposure: must be an integer, got True',
+    'tasks[2].exposure:float': 'tasks[2].exposure: must be an integer, got 1.5',
+    'tasks[2].deadline:missing': "tasks[2]: missing field 'deadline'",
+    'tasks[2].deadline:null': 'tasks[2].deadline: must be an integer, got None',
+    'tasks[2].deadline:str': "tasks[2].deadline: must be an integer, got 'x'",
+    'tasks[2].deadline:bool': 'tasks[2].deadline: must be an integer, got True',
+    'tasks[2].deadline:float': 'tasks[2].deadline: must be an integer, got 1.5',
+    'tasks[2].seq_index:missing': "tasks[2]: missing field 'seq_index'",
+    'tasks[2].seq_index:null': 'tasks[2].seq_index: must be an integer, got None',
+    'tasks[2].seq_index:str': "tasks[2].seq_index: must be an integer, got 'x'",
+    'tasks[2].seq_index:bool': 'tasks[2].seq_index: must be an integer, got True',
+    'tasks[2].seq_index:float': 'tasks[2].seq_index: must be an integer, got 1.5',
+}
+
+_WRONG = {"null": None, "str": "x", "bool": True, "float": 1.5}
+
+
+@pytest.mark.parametrize("case", list(READER_ERRORS))
+def test_reader_error_messages_are_pinned(case):
+    where, variant = case.split(":")
+    section, _, rest = where.partition("[")
+    row, _, field = rest.partition("]")
+    obj = json.loads(scenario_to_json(generate_scenario(GenConfig(horizon_steps=60, arrival_prob=0.3), 1)))
+    if not field:
+        obj[section][int(row)] = 5
+    else:
+        *head, key = field.lstrip(".").split(".")
+        node = obj[section][int(row)]
+        for k in head:
+            node = node[k]
+        if variant == "missing":
+            del node[key]
+        elif variant == "non-list":
+            node[key] = 1
+        elif variant == "non-bool":
+            node[key][0] = 1
+        else:
+            node[key] = _WRONG[variant]
+    try:
+        scenario_from_json(json.dumps(obj))
+        got = None
+    except ScenarioError as exc:
+        got = str(exc)
+    assert got == READER_ERRORS[case]
+
+
 # --- the row-template writer ------------------------------------------------
 
 def _dict_writer(s):
