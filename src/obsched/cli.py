@@ -164,23 +164,24 @@ def run_online(
     pending: dict[int, None] = {}  # placed, not frozen, in placement order
     frozen_done: set[int] = set()  # completion steps of frozen tasks
     replan_cfg = replace(search_cfg, num_steps=replan_steps)
+    task_id, arrival = ctx.task_id_list, ctx.arrival_list
 
     def freeze(r: int, t: int) -> None:
         del pending[r]
         s, b = st.committed[r]
-        frozen_done.add(b + int(ctx.exposure[r]))
+        frozen_done.add(b + ctx.exposure_list[r])
         if audit is not None:
-            audit.append(("freeze", t, int(ctx.task_id[r]), s, b))
+            audit.append(("freeze", t, task_id[r], s, b))
 
     by_arrival: dict[int, list[int]] = {}
-    for r in range(ctx.n_tasks):
-        by_arrival.setdefault(int(ctx.arrival[r]), []).append(r)
+    for r, a in enumerate(arrival):
+        by_arrival.setdefault(a, []).append(r)
     dag = None  # the last re-plan's dag while ``st`` still holds exactly it
 
     for t in range(ctx.horizon):
         # completions of frozen tasks are re-plan triggers too
         events = t in frozen_done
-        for r in sorted(by_arrival.get(t, ()), key=lambda r: int(ctx.task_id[r])):
+        for r in sorted(by_arrival.get(t, ()), key=task_id.__getitem__):
             st.place(r, t)
             dag = None
             if r in st.committed:
@@ -190,7 +191,7 @@ def run_online(
         # queue bound: arrived, not started, not yet irrevocable
         waiting = [r for r in pending if st.committed[r][1] > t]
         while len(waiting) > queue_cap:
-            victim = min(waiting, key=lambda r: (int(ctx.arrival[r]), int(ctx.task_id[r])))
+            victim = min(waiting, key=lambda r: (arrival[r], task_id[r]))
             freeze(victim, t)  # committed for good: "immediate execution"
             waiting.remove(victim)
         if audit is not None:
@@ -201,7 +202,7 @@ def run_online(
                 dag = st.to_dag()
             dag, _ = rewrite_search(
                 dag, net, replan_cfg, rng, greedy=True, now=t,
-                frozen=frozenset(int(ctx.task_id[r]) for r in st.committed if r not in pending),
+                frozen=frozenset(task_id[r] for r in st.committed if r not in pending),
             )
             st.load(dag)
 

@@ -130,25 +130,25 @@ def schedule_online_heuristic(
         raise ValueError("queue_cap must be >= 1")
     scenario = ctx.scenario
     st = Placement(ctx)
-
-    def key(row: int) -> tuple:
-        return rank_key(task_rule, scenario.tasks[row], scenario.targets[int(ctx.target_row[row])])
+    task_id, prev_sibling, last_start = ctx.task_id_list, ctx.prev_sibling_list, ctx.last_start_list
+    rank = [rank_key(task_rule, task, scenario.targets[tr]) for task, tr in zip(scenario.tasks, ctx.target_row_list)]
+    key = rank.__getitem__
 
     by_arrival: dict[int, list[int]] = {}
-    for r in range(ctx.n_tasks):
-        by_arrival.setdefault(int(ctx.arrival[r]), []).append(r)
+    for r, a in enumerate(ctx.arrival_list):
+        by_arrival.setdefault(a, []).append(r)
 
     # a task waits while its previous sibling is still queued: siblings
     # arrive strictly later, so every other previous sibling is decided
     queue: list[int] = []
     wake = [0] * ctx.n_tasks  # no site fits a queued task before this step
     for t in range(ctx.horizon):
-        for r in sorted(by_arrival.get(t, ()), key=lambda r: int(ctx.task_id[r])):
+        for r in sorted(by_arrival.get(t, ()), key=task_id.__getitem__):
             queue.append(r)
 
         # overflow: the rule forces tasks out until the queue fits again
         while len(queue) > queue_cap:
-            ready = [r for r in queue if int(ctx.prev_sibling[r]) not in queue]
+            ready = [r for r in queue if prev_sibling[r] not in queue]
             victim = min(ready, key=key)
             st.place(victim, t, _site_key(ctx, victim, site_rule))
             queue.remove(victim)
@@ -157,7 +157,7 @@ def schedule_online_heuristic(
         while True:
             startable: list[tuple[int, list[int]]] = []
             for r in queue:
-                if t < wake[r] or int(ctx.prev_sibling[r]) in queue or st.release(r) > t:
+                if t < wake[r] or prev_sibling[r] in queue or st.release(r) > t:
                     continue
                 fit = [st.fit(r, s, t) for s in range(ctx.n_sites)]
                 sites_now = [s for s, b in enumerate(fit) if b == t]
@@ -178,7 +178,7 @@ def schedule_online_heuristic(
 
         # drop what can no longer meet visibility + deadline anywhere
         for r in list(queue):
-            if t > ctx.last_start[r]:
+            if t > last_start[r]:
                 st.drop(r)
                 queue.remove(r)
 
@@ -205,14 +205,16 @@ def schedule_fcfs_list(ctx: SchedulingContext) -> tuple[ScheduleDag, list[int]]:
     in (required start, id) order goes to its earliest feasible (site,
     start).  This is the cheap constructive initializer the rewriting
     search starts from; tasks with no feasible slot are dropped."""
-    return _list_schedule(ctx, lambda r: (int(ctx.arrival[r]), int(ctx.task_id[r])))
+    arrival, task_id = ctx.arrival_list, ctx.task_id_list
+    return _list_schedule(ctx, lambda r: (arrival[r], task_id[r]))
 
 
 def schedule_offline_stf(ctx: SchedulingContext) -> tuple[ScheduleDag, list[int]]:
     """Offline baseline: the whole task sequence is known at t=0; tasks are
     placed in ascending exposure order, each at its earliest feasible slot
     (still respecting required start times)."""
-    return _list_schedule(ctx, lambda r: (int(ctx.exposure[r]), int(ctx.arrival[r]), int(ctx.task_id[r])))
+    exposure, arrival, task_id = ctx.exposure_list, ctx.arrival_list, ctx.task_id_list
+    return _list_schedule(ctx, lambda r: (exposure[r], arrival[r], task_id[r]))
 
 
 def brute_force_optimal(ctx: SchedulingContext) -> ScheduleDag:
@@ -241,12 +243,12 @@ def brute_force_optimal(ctx: SchedulingContext) -> ScheduleDag:
         return build_from_arrays(ctx, empty, empty, empty)
 
     st = Placement(ctx)
+    task_id, arrival, exposure = ctx.task_id_list, ctx.arrival_list, ctx.exposure_list
     best_cost = np.inf
     best: list[tuple[int, int, int]] | None = None
 
     def candidates(row: int, floor_start: int, floor_id: int) -> list[tuple[int, int]]:
-        tid = int(ctx.task_id[row])
-        lo = st.release(row, floor_start if tid > floor_id else floor_start + 1)
+        lo = st.release(row, floor_start if task_id[row] > floor_id else floor_start + 1)
         out: set[tuple[int, int]] = set()
         for s in range(ctx.n_sites):
             b0 = st.fit(row, s, lo)
@@ -255,7 +257,7 @@ def brute_force_optimal(ctx: SchedulingContext) -> ScheduleDag:
             for r2, (s2, b2) in st.committed.items():
                 if s2 != s:
                     continue
-                c2 = b2 + int(ctx.exposure[r2])
+                c2 = b2 + exposure[r2]
                 if c2 >= lo and st.fit(row, s, c2) == c2:
                     out.add((s, c2))
         return sorted(out, key=lambda sb: (sb[1], sb[0]))
@@ -264,7 +266,7 @@ def brute_force_optimal(ctx: SchedulingContext) -> ScheduleDag:
         lb = 0.0
         for row in rest:
             lo = st.release(row)
-            e = int(ctx.exposure[row])
+            e = exposure[row]
             b = None
             for s in range(ctx.n_sites):
                 cand = st.fit(row, s, lo)
@@ -272,7 +274,7 @@ def brute_force_optimal(ctx: SchedulingContext) -> ScheduleDag:
                     b = cand if b is None else min(b, cand)
             if b is None:
                 return np.inf  # some task cannot be scheduled on this branch
-            lb += (b + e - int(ctx.arrival[row])) / e
+            lb += (b + e - arrival[row]) / e
         return lb
 
     def dfs(cost: float, floor_start: int, floor_id: int) -> None:
@@ -286,13 +288,13 @@ def brute_force_optimal(ctx: SchedulingContext) -> ScheduleDag:
         if cost + lower_bound(rest) >= best_cost - 1e-12:
             return
         for row in rest:
-            prev = int(ctx.prev_sibling[row])
+            prev = ctx.prev_sibling_list[row]
             if prev >= 0 and prev not in st.committed:
                 continue  # siblings go in sequence order
             for s, b in candidates(row, floor_start, floor_id):
-                e = int(ctx.exposure[row])
+                e = exposure[row]
                 st.commit(row, s, b)
-                dfs(cost + (b + e - int(ctx.arrival[row])) / e, b, int(ctx.task_id[row]))
+                dfs(cost + (b + e - arrival[row]) / e, b, task_id[row])
                 st.uncommit(row)
 
     dfs(0.0, 0, -1)

@@ -137,33 +137,33 @@ def rewrite_step(
     ctx = dag.ctx
     if action.region in frozen or action.region not in dag.node_of_task:
         return dag, REJECTED
+    task_id, arrival, exposure = ctx.task_id_list, ctx.arrival_list, ctx.exposure_list
     i = dag.node_of_task[action.region] - ctx.n_sites
-    row = int(dag.rows[i])
+    row = ctx.row_of[action.region]
     old_site, old_start = int(dag.site[i]), int(dag.start[i])
 
     if action.parent_task is not None:
         if action.parent_task not in dag.node_of_task:
             return dag, REJECTED
         ip = dag.node_of_task[action.parent_task] - ctx.n_sites
-        prow = int(dag.rows[ip])
-        c_parent = int(dag.start[ip]) + int(ctx.exposure[prow])
+        c_parent = int(dag.start[ip]) + exposure[ctx.row_of[action.parent_task]]
         dest_site = int(dag.site[ip])
-        if c_parent < int(ctx.arrival[row]) or c_parent == old_start:
+        if c_parent < arrival[row] or c_parent == old_start:
             return dag, NOOP
         want = c_parent
     else:
         dest_site = int(action.parent_site)
         if not 0 <= dest_site < ctx.n_sites:
             return dag, REJECTED
-        if int(ctx.arrival[row]) == old_start:
+        if arrival[row] == old_start:
             return dag, NOOP
-        want = int(ctx.arrival[row])
+        want = arrival[row]
 
     st = Placement(ctx).load(dag)
 
     def release(r: int) -> int:
         # frozen tasks may have started before the clock
-        return st.release(r, 0 if int(ctx.task_id[r]) in frozen else now)
+        return st.release(r, 0 if task_id[r] in frozen else now)
 
     def refit(r: int, site: int) -> bool:
         b = st.fit(r, site, release(r))
@@ -172,7 +172,7 @@ def rewrite_step(
         return b is not None
 
     def by_start(r: int) -> tuple[int, int]:
-        return st.committed[r][1], int(ctx.task_id[r])
+        return st.committed[r][1], task_id[r]
 
     # earliest statically feasible start at the destination; occupancy is
     # ignored here, conflicts are resolved by displacement
@@ -183,7 +183,7 @@ def rewrite_step(
     if new_start == old_start and dest_site == old_site:
         return dag, NOOP
 
-    e = int(ctx.exposure[row])
+    e = exposure[row]
     # displaced set: tasks on the destination site that overlap the moved
     # interval AND share at least one required filter (others can legally
     # overlap and stay put), in repair order (old start, task id)
@@ -191,11 +191,11 @@ def rewrite_step(
     displaced = [
         r
         for r, (s, b) in st.committed.items()
-        if r != row and s == dest_site and b < new_start + e and b + int(ctx.exposure[r]) > new_start
+        if r != row and s == dest_site and b < new_start + e and b + exposure[r] > new_start
         and bool(np.any(rho_r & ctx.rho[r]))
     ]
     displaced.sort(key=by_start)
-    if any(int(ctx.task_id[r]) in frozen for r in displaced):
+    if any(task_id[r] in frozen for r in displaced):
         return dag, REJECTED
 
     st.uncommit(row)
@@ -214,7 +214,7 @@ def rewrite_step(
         if not bad:
             break
         for r in bad:
-            if int(ctx.task_id[r]) in frozen or not refit(r, st.uncommit(r)[0]):
+            if task_id[r] in frozen or not refit(r, st.uncommit(r)[0]):
                 return dag, REJECTED
     else:
         return dag, REJECTED

@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields, replace
 from datetime import datetime
 from functools import cache, lru_cache
 from importlib import resources
+from operator import itemgetter
 
 import numpy as np
 
@@ -728,43 +729,87 @@ def scenario_from_json(text: str) -> Scenario:
         horizon_steps=read_field(g, "horizon_steps", "grid", int, 1),
     )
     sites = _sites_from_obj(read_field(obj, "sites", "", list))
-    targets = []
-    for ctx, row in _rows(read_field(obj, "targets", "", list), "targets"):
-        coord = read_field(row, "coord", ctx, dict)
-        dec = read_field(coord, "dec", ctx + ".coord", float)
-        ra = read_field(coord, "ra", ctx + ".coord", float)
-        if not -90.0 <= dec <= 90.0:
-            raise ScenarioError(f"{ctx}: dec out of range")
-        if not 0.0 <= ra < 360.0:
-            raise ScenarioError(f"{ctx}: ra out of range")
-        mode = read_field(row, "mode", ctx, dict)
-        kind = read_field(mode, "kind", ctx + ".mode", str)
-        gap = read_field(mode, "gap_minutes", ctx + ".mode", int, default=0)
-        ints = {key: read_field(row, key, ctx, int) for key in _TARGET_INTS}
-        filters = _flags(row, "filters_required", ctx)
-        try:
-            targets.append(
-                Target(coord=SkyCoord(ra, dec), filters_required=filters,
-                       mode=ObsMode(kind, gap), **ints)
-            )
-        except ScenarioError as exc:
-            raise ScenarioError(f"{ctx}: {exc}") from exc
-    tasks = []
-    for ctx, row in _rows(read_field(obj, "tasks", "", list), "tasks"):
-        ints = {key: read_field(row, key, ctx, int) for key in _TASK_INTS}
-        rho = _flags(row, "rho", ctx)
-        try:
-            tasks.append(ObservationTask(rho=rho, **ints))
-        except ScenarioError as exc:
-            raise ScenarioError(f"{ctx}: {exc}") from exc
+    rows = read_field(obj, "targets", "", list)
+    targets = tuple(_target(rows, i) for i in range(len(rows)))
+    rows = read_field(obj, "tasks", "", list)
+    tasks = tuple(_task(rows, i) for i in range(len(rows)))
     return Scenario(
         grid=grid,
         sites=tuple(sites),
         num_filters=read_field(obj, "num_filters", "", int, 1),
-        targets=tuple(targets),
-        tasks=tuple(tasks),
+        targets=targets,
+        tasks=tasks,
         rng_seed=read_field(obj, "seed", "", int),
     )
+
+
+# A target or task row is read with one type test over its values; only
+# a row that fails it takes the field-by-field reads, whose error names
+# the field.  ``type(v) is int`` turns a bool away, as ``read_field`` does.
+_TARGET_VALUES = itemgetter(
+    "id", "coord", "filters_required", "start_time", "fade_time", "exposure_minutes", "mode", "priority",
+    "arrival_step",
+)
+_TARGET_TYPES = (int, dict, list, int, int, int, dict, int, int)
+_COORD_VALUES = itemgetter("ra", "dec")
+_MODE_VALUES = itemgetter("kind", "gap_minutes")
+_TASK_VALUES = itemgetter("id", "target_id", "rho", "arrival", "exposure", "deadline", "seq_index")
+_TASK_TYPES = (int, int, list, int, int, int, int)
+_BOOL = {bool}
+
+
+def _target(rows: list, i: int) -> Target:
+    """The target of row ``i``."""
+    try:
+        v = tid, coord, filters, start, fade, exposure, mode, priority, arrival = _TARGET_VALUES(rows[i])
+        fast = tuple(map(type, v)) == _TARGET_TYPES and _BOOL.issuperset(map(type, filters))
+        if fast:
+            (ra, dec), (kind, gap) = _COORD_VALUES(coord), _MODE_VALUES(mode)
+            fast = (type(ra), type(dec), type(kind), type(gap)) == (float, float, str, int)
+            fast = fast and -90.0 <= dec <= 90.0 and 0.0 <= ra < 360.0  # and so not NaN
+    except (KeyError, TypeError):  # a missing field, or a row that is not an object
+        fast = False
+    path = f"targets[{i}]"
+    if fast:
+        filters = tuple(filters)
+    else:
+        row = read_field(rows, i, "targets", dict)
+        coord = read_field(row, "coord", path, dict)
+        dec = read_field(coord, "dec", path + ".coord", float)
+        ra = read_field(coord, "ra", path + ".coord", float)
+        if not -90.0 <= dec <= 90.0:
+            raise ScenarioError(f"{path}: dec out of range")
+        if not 0.0 <= ra < 360.0:
+            raise ScenarioError(f"{path}: ra out of range")
+        mode = read_field(row, "mode", path, dict)
+        kind = read_field(mode, "kind", path + ".mode", str)
+        gap = read_field(mode, "gap_minutes", path + ".mode", int, default=0)
+        tid, start, fade, exposure, priority, arrival = (read_field(row, key, path, int) for key in _TARGET_INTS)
+        filters = _flags(row, "filters_required", path)
+    try:
+        return Target(tid, SkyCoord(ra, dec), filters, start, fade, exposure, ObsMode(kind, gap), priority, arrival)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
+def _task(rows: list, i: int) -> ObservationTask:
+    """The task of row ``i``."""
+    try:
+        v = tid, target_id, rho, arrival, exposure, deadline, seq = _TASK_VALUES(rows[i])
+        fast = tuple(map(type, v)) == _TASK_TYPES and _BOOL.issuperset(map(type, rho))
+    except (KeyError, TypeError):  # a missing field, or a row that is not an object
+        fast = False
+    if fast:
+        rho = tuple(rho)
+    else:
+        row = read_field(rows, i, "tasks", dict)
+        path = f"tasks[{i}]"
+        tid, target_id, arrival, exposure, deadline, seq = (read_field(row, key, path, int) for key in _TASK_INTS)
+        rho = _flags(row, "rho", path)
+    try:
+        return ObservationTask(tid, target_id, rho, arrival, exposure, deadline, seq)
+    except ScenarioError as exc:
+        raise ScenarioError(f"tasks[{i}]: {exc}") from exc
 
 
 def save_scenario(s: Scenario, path) -> None:

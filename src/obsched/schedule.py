@@ -103,6 +103,17 @@ class SchedulingContext:
     ``airmass`` and ``visible`` evaluate one cell on demand.  The
     sibling-cadence release depends on what is committed, so it lives on
     ``Placement``.
+
+    The task columns are read in one pass over the tasks and kept twice.
+    The int64 arrays ``task_id``, ``arrival``, ``exposure``, ``deadline``,
+    ``limit``, ``target_row``, ``prev_sibling``, ``sibling_gap`` and
+    ``last_start``, and the (task, filter) bool array ``rho``, serve the
+    whole-array passes (``build_from_arrays``, the window index,
+    ``embedding_matrix``).  Each column but ``deadline`` and ``rho`` is
+    also a list of Python ints, ``<column>_list``, for the per-task reads
+    of the schedulers, ``Placement`` and the rewriter: indexing a list is
+    about ten times cheaper than making an int of a numpy scalar.
+    ``rho_idx[row]`` lists each task's filter indices.
     """
 
     def __init__(self, scenario: Scenario, constraints: VisibilityConstraints | None = None):
@@ -115,37 +126,37 @@ class SchedulingContext:
         n = len(scenario.tasks)
         self.n_tasks = n
 
-        self.task_id = np.array([t.id for t in scenario.tasks], dtype=np.int64)
-        self.row_of = {int(tid): r for r, tid in enumerate(self.task_id)}
-        self.arrival = np.array([t.arrival for t in scenario.tasks], dtype=np.int64)
-        self.exposure = np.array([t.exposure for t in scenario.tasks], dtype=np.int64)
-        self.deadline = np.array([t.deadline for t in scenario.tasks], dtype=np.int64)
-        self.limit = np.minimum(self.deadline, self.horizon)  # latest completion
-        self.rho = np.array([t.rho for t in scenario.tasks], dtype=bool).reshape(
-            n, self.n_filters
-        )
-        # each task's filter indices: one read-only array per distinct pattern
-        shared = {rho: np.flatnonzero(rho) for rho in {t.rho for t in scenario.tasks}}
-        for idx in shared.values():
-            idx.flags.writeable = False
-        self.rho_idx = [shared[t.rho] for t in scenario.tasks]
-
+        # the task columns, read in one pass over the tasks
         tgt_row = {t.id: i for i, t in enumerate(scenario.targets)}
-        self.target_row = np.array(
-            [tgt_row[t.target_id] for t in scenario.tasks], dtype=np.int64
+        cols = [
+            (t.id, t.arrival, t.exposure, t.deadline, tgt_row[t.target_id], (t.target_id, t.seq_index), t.rho)
+            for t in scenario.tasks
+        ]
+        ids, arrival, exposure, deadline, target_row, seq, rho = (
+            map(list, zip(*cols)) if n else ([] for _ in range(7))
         )
         # previous sibling (same target, seq_index - 1) and the minimum idle
         # gap required after it completes (0 for exposure-count mode)
-        self.prev_sibling = np.full(n, -1, dtype=np.int64)
-        self.sibling_gap = np.zeros(n, dtype=np.int64)
-        by_target: dict[tuple[int, int], int] = {}
-        for r, t in enumerate(scenario.tasks):
-            by_target[(t.target_id, t.seq_index)] = r
-        for r, t in enumerate(scenario.tasks):
-            prev = by_target.get((t.target_id, t.seq_index - 1))
-            if prev is not None:
-                self.prev_sibling[r] = prev
-                self.sibling_gap[r] = scenario.targets[tgt_row[t.target_id]].mode.sibling_gap
+        row_at = {key: r for r, key in enumerate(seq)}
+        prev_sibling = [row_at.get((tid, k - 1), -1) for tid, k in seq]
+        gap = [t.mode.sibling_gap for t in scenario.targets]
+        sibling_gap = [gap[tr] if p >= 0 else 0 for p, tr in zip(prev_sibling, target_row)]
+        limit = [min(d, self.horizon) for d in deadline]  # latest completion
+        self.task_id_list, self.arrival_list, self.exposure_list = ids, arrival, exposure
+        self.limit_list, self.target_row_list = limit, target_row
+        self.prev_sibling_list, self.sibling_gap_list = prev_sibling, sibling_gap
+        self.task_id, self.arrival, self.exposure, self.deadline, self.limit, self.target_row = (
+            np.array(c, dtype=np.int64) for c in (ids, arrival, exposure, deadline, limit, target_row)
+        )
+        self.prev_sibling = np.array(prev_sibling, dtype=np.int64)
+        self.sibling_gap = np.array(sibling_gap, dtype=np.int64)
+        self.row_of = {tid: r for r, tid in enumerate(ids)}
+        self.rho = np.array(rho, dtype=bool).reshape(n, self.n_filters)
+        # each task's filter indices: one read-only array per distinct pattern
+        shared = {p: np.flatnonzero(p) for p in set(rho)}
+        for idx in shared.values():
+            idx.flags.writeable = False
+        self.rho_idx = [shared[p] for p in rho]
 
         # each target's span as (target, step) cells, and the visible runs
         # of each site inside it as (target, first step, length)
@@ -204,6 +215,7 @@ class SchedulingContext:
         self._window_at = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=n * ns)))).tolist()
         self.last_start = np.full(n, -1, dtype=np.int64)
         np.maximum.at(self.last_start, key // ns, last)
+        self.last_start_list = self.last_start.tolist()
         # the windows as ascending keys (row * ns + site) * (horizon + 1) +
         # first, behind a sentinel, for ``build_from_arrays``'s lookup
         self._window_key = np.concatenate(([-1], key * (self.horizon + 1) + first))
@@ -217,6 +229,8 @@ class SchedulingContext:
         occupancy aside: a start at ``b`` keeps the whole exposure inside
         one visible run, no earlier than the arrival, and completes by
         ``limit`` iff some interval holds ``b``."""
+        if not 0 <= site < self.n_sites:
+            raise ValueError(f"site {site} is not in [0, {self.n_sites})")
         k = row * self.n_sites + site
         return self._window[self._window_at[k] : self._window_at[k + 1]]
 
@@ -242,9 +256,9 @@ class SchedulingContext:
         """Name of the violated static constraint ("dependency" for a site out of range), or None if ok."""
         if not 0 <= site < self.n_sites:
             return "dependency"
-        if start < self.arrival[row]:
+        if start < self.arrival_list[row]:
             return "arrival"
-        if start + self.exposure[row] > self.limit[row]:
+        if start + self.exposure_list[row] > self.limit_list[row]:
             return "deadline"
         for first, last in self.windows(row, site):
             if first <= start <= last:
@@ -264,11 +278,11 @@ def earliest_feasible_start(
     free on the site for the whole exposure.  Sibling-cadence bounds must
     be folded into ``lo`` by the caller.  Returns None when nothing fits.
     """
+    e = ctx.exposure_list[row]
     for first, last in ctx.windows(row, site):
         if last < lo:
             continue
         first = max(first, lo)
-        e = int(ctx.exposure[row])
         occ = profile[site][ctx.rho_idx[row], first : last + e]  # every step a start may use
         if not occ.any():
             return first
@@ -456,10 +470,10 @@ class Placement:
         cadence; a previous sibling that is not committed does not
         constrain it."""
         ctx = self.ctx
-        rel = max(int(now), int(ctx.arrival[row]))
-        prev = int(ctx.prev_sibling[row])
+        rel = max(int(now), ctx.arrival_list[row])
+        prev = ctx.prev_sibling_list[row]
         if prev in self.committed:
-            rel = max(rel, self.committed[prev][1] + int(ctx.exposure[prev]) + int(ctx.sibling_gap[row]))
+            rel = max(rel, self.committed[prev][1] + ctx.exposure_list[prev] + ctx.sibling_gap_list[row])
         return rel
 
     def fit(self, row: int, site: int, lo: int) -> int | None:
@@ -467,19 +481,19 @@ class Placement:
         return earliest_feasible_start(self.ctx, self.profile, row, site, lo)
 
     def commit(self, row: int, site: int, start: int) -> None:
-        e = int(self.ctx.exposure[row])
+        e = self.ctx.exposure_list[row]
         self.profile[site][self.ctx.rho_idx[row], start : start + e] = 1
         self.committed[row] = (site, start)
 
     def uncommit(self, row: int) -> tuple[int, int]:
         """Take a committed task out again; returns its (site, start)."""
         site, start = self.committed.pop(row)
-        e = int(self.ctx.exposure[row])
+        e = self.ctx.exposure_list[row]
         self.profile[site][self.ctx.rho_idx[row], start : start + e] = 0
         return site, start
 
     def drop(self, row: int) -> None:
-        self.drops.append(int(self.ctx.task_id[row]))
+        self.drops.append(self.ctx.task_id_list[row])
 
     def place(self, row: int, now: int = 0, key=None) -> None:
         """Commit the task at the ``key``-minimal (site, start) among each

@@ -2,7 +2,8 @@
 standard library only: every public name a module lists resolves, no
 file imports a name it never uses, apart from the bindings
 perfbench/tracing.py wraps, every autograd function has a caller in
-the package, and one function builds the package's process pools."""
+the package, one function builds the package's process pools, and the
+scheduling hot paths read task columns from lists, not numpy scalars."""
 import ast
 import importlib
 import pathlib
@@ -82,3 +83,74 @@ def test_only_worker_map_builds_a_process_pool():
         if "ProcessPoolExecutor" in _called_names(top)
     ]
     assert builders == [("policy", "worker_map")]
+
+
+#: the per-task scalar readers on the scheduling hot paths, by module:
+#: they read a ``SchedulingContext`` task column from its list
+#: (``ctx.arrival_list[r]``), since a numpy scalar read costs about ten
+#: times as much; ``schedule_fcfs_list`` and ``schedule_offline_stf`` hold
+#: ``_list_schedule``'s keys
+HOT_PATHS = {
+    "schedule": (
+        "SchedulingContext.fits_statically",
+        "earliest_feasible_start",
+        "Placement.release",
+        "Placement.commit",
+        "Placement.uncommit",
+        "Placement.drop",
+        "Placement.place",
+    ),
+    "heuristics": ("schedule_online_heuristic", "_list_schedule", "schedule_fcfs_list", "schedule_offline_stf"),
+    "cli": ("run_online",),
+    "rewriter": ("rewrite_step",),
+}
+ARRAY_COLUMNS = {
+    "task_id", "arrival", "exposure", "deadline", "limit", "rho", "target_row", "prev_sibling", "sibling_gap",
+    "last_start",
+}
+ORDER = (ast.Lt, ast.Gt, ast.LtE, ast.GtE)
+
+
+def _column_read(node: ast.AST) -> bool:
+    """Whether ``node`` reads an array column of a context by subscript:
+    ``ctx.arrival[r]``, ``self.ctx.arrival[r]`` or, in the context's own
+    methods, ``self.arrival[r]``."""
+    if not (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)):
+        return False
+    column, base = node.value.attr, node.value.value
+    owner = base.id in ("ctx", "self") if isinstance(base, ast.Name) else getattr(base, "attr", None) == "ctx"
+    return column in ARRAY_COLUMNS and owner
+
+
+def _scalar_reads(tree: ast.AST) -> list[str]:
+    """Each array column subscript wrapped in ``int``/``bool`` or ordered
+    by a comparison, as source text."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("int", "bool"):
+            out += [ast.unparse(node) for a in node.args[:1] if _column_read(a)]
+        elif isinstance(node, ast.Compare) and any(isinstance(op, ORDER) for op in node.ops):
+            out += [ast.unparse(node) for x in (node.left, *node.comparators) if _column_read(x)][:1]
+    return out
+
+
+def _function(tree: ast.Module, qualname: str) -> ast.AST:
+    scope: ast.AST = tree
+    for part in qualname.split("."):
+        scope = next(
+            n for n in scope.body if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == part
+        )
+    return scope
+
+
+def test_the_scalar_read_check_sees_numpy_reads():
+    code = "int(ctx.arrival[r]); bool(self.ctx.rho[r, 0]); t > ctx.last_start[r]; x < self.limit[r]"
+    assert len(_scalar_reads(ast.parse(code))) == 4
+    fine = "ctx.arrival_list[r] < t; int(ctx.arrival.max()); 0 == ctx.limit[r]; int(rows[r])"
+    assert _scalar_reads(ast.parse(fine)) == []
+
+
+@pytest.mark.parametrize("module, qualname", [(m, q) for m, names in HOT_PATHS.items() for q in names])
+def test_hot_paths_read_no_numpy_scalar_of_a_task_column(module, qualname):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    assert _scalar_reads(_function(tree, qualname)) == []

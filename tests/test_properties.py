@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import G, U, UG, fits_at, transit_context, visible_steps
 from test_heuristics import check_matches_per_step_loop
-from test_schedule import check_airmass_on_demand, check_window_index
+from test_schedule import check_airmass_on_demand, check_list_columns, check_window_index
 from obsched.cli import run_online
 from obsched.heuristics import schedule_fcfs_list
 from obsched.policy import PolicyConfig, PolicyNet
@@ -318,3 +318,9 @@ def test_online_heuristic_matches_the_per_step_loop_where_windows_open(ctx):
 @given(transit_contexts())
 def test_airmass_on_demand_matches_the_masks_where_windows_open(ctx):
     check_airmass_on_demand(ctx)
+
+
+@SETTINGS
+@given(transit_contexts())
+def test_list_columns_match_their_arrays_where_windows_open(ctx):
+    check_list_columns(ctx)

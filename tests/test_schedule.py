@@ -172,6 +172,30 @@ def check_window_index(ctx, left=None):
         assert ctx.last_start[r] == max((w[-1][1] for w in scans if w), default=-1), r
 
 
+#: the task columns a context keeps as Python lists beside their arrays,
+#: for the per-task scalar reads of the schedulers
+LIST_COLUMNS = ("task_id", "arrival", "exposure", "limit", "target_row", "prev_sibling", "sibling_gap", "last_start")
+
+
+def check_list_columns(ctx):
+    """Every list column holds its array's values as Python ints, and the
+    context keeps no other list column."""
+    assert {name[: -len("_list")] for name in vars(ctx) if name.endswith("_list")} == set(LIST_COLUMNS)
+    for name in LIST_COLUMNS:
+        values = getattr(ctx, f"{name}_list")
+        assert type(values) is list and values == getattr(ctx, name).tolist(), name
+        assert all(type(v) is int for v in values), name
+
+
+@pytest.mark.parametrize("n_sites", [1, 5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_list_columns_match_their_arrays(n_sites, seed):
+    cfg = GenConfig(horizon_steps=240, num_sites=n_sites, arrival_prob=0.2, mode_exposure_count_frac=0.5)
+    ctx = SchedulingContext(generate_scenario(cfg, seed))
+    assert ctx.n_tasks and ctx.prev_sibling.max() >= 0 and ctx.sibling_gap.max() > 0
+    check_list_columns(ctx)
+
+
 class TestWindowIndex:
     """The static window index on hand-made visibility: target ``k`` is
     seen from site ``s`` over exactly the half-open step ranges
@@ -386,6 +410,18 @@ class TestBuildAndEdges:
         hacked = ScheduleDag(ctx, dag.rows, np.array([bad_site]), dag.start, dag.eta, dag.parents, dag.profile)
         first = validate(hacked)[0]
         assert (first.kind, first.message) == ("dependency", f"task 0 fails dependency at site {bad_site} step 0")
+
+    @pytest.mark.parametrize("bad_site", [-1, 2])
+    def test_a_site_out_of_range_has_no_windows_and_no_fit(self, bad_site):
+        # both sites see both targets, so a flat index off the row would
+        # find another row's windows
+        ctx = SchedulingContext(toy_scenario([(0, 10, U), (0, 10, G)], n_sites=2))
+        message = rf"^site {bad_site} is not in \[0, 2\)$"
+        for row in (0, 1):
+            with pytest.raises(ValueError, match=message):
+                ctx.windows(row, bad_site)
+            with pytest.raises(ValueError, match=message):
+                Placement(ctx).fit(row, bad_site, 0)
 
     def test_build_extract_round_trip(self):
         s = toy_scenario([(0, 10, U), (0, 5, G), (7, 5, I), (0, 5, U)])
