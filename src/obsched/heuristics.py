@@ -243,12 +243,12 @@ def brute_force_optimal(ctx: SchedulingContext) -> ScheduleDag:
         return build_from_arrays(ctx, empty, empty, empty)
 
     st = Placement(ctx)
-    task_id, arrival, exposure = ctx.task_id_list, ctx.arrival_list, ctx.exposure_list
     best_cost = np.inf
     best: list[tuple[int, int, int]] | None = None
 
     def candidates(row: int, floor_start: int, floor_id: int) -> list[tuple[int, int]]:
-        lo = st.release(row, floor_start if task_id[row] > floor_id else floor_start + 1)
+        tid = int(ctx.task_id[row])
+        lo = st.release(row, floor_start if tid > floor_id else floor_start + 1)
         out: set[tuple[int, int]] = set()
         for s in range(ctx.n_sites):
             b0 = st.fit(row, s, lo)
@@ -257,7 +257,7 @@ def brute_force_optimal(ctx: SchedulingContext) -> ScheduleDag:
             for r2, (s2, b2) in st.committed.items():
                 if s2 != s:
                     continue
-                c2 = b2 + exposure[r2]
+                c2 = b2 + int(ctx.exposure[r2])
                 if c2 >= lo and st.fit(row, s, c2) == c2:
                     out.add((s, c2))
         return sorted(out, key=lambda sb: (sb[1], sb[0]))
@@ -266,7 +266,7 @@ def brute_force_optimal(ctx: SchedulingContext) -> ScheduleDag:
         lb = 0.0
         for row in rest:
             lo = st.release(row)
-            e = exposure[row]
+            e = int(ctx.exposure[row])
             b = None
             for s in range(ctx.n_sites):
                 cand = st.fit(row, s, lo)
@@ -274,7 +274,7 @@ def brute_force_optimal(ctx: SchedulingContext) -> ScheduleDag:
                     b = cand if b is None else min(b, cand)
             if b is None:
                 return np.inf  # some task cannot be scheduled on this branch
-            lb += (b + e - arrival[row]) / e
+            lb += (b + e - int(ctx.arrival[row])) / e
         return lb
 
     def dfs(cost: float, floor_start: int, floor_id: int) -> None:
@@ -288,13 +288,13 @@ def brute_force_optimal(ctx: SchedulingContext) -> ScheduleDag:
         if cost + lower_bound(rest) >= best_cost - 1e-12:
             return
         for row in rest:
-            prev = ctx.prev_sibling_list[row]
+            prev = int(ctx.prev_sibling[row])
             if prev >= 0 and prev not in st.committed:
                 continue  # siblings go in sequence order
             for s, b in candidates(row, floor_start, floor_id):
-                e = exposure[row]
+                e = int(ctx.exposure[row])
                 st.commit(row, s, b)
-                dfs(cost + (b + e - arrival[row]) / e, b, task_id[row])
+                dfs(cost + (b + e - int(ctx.arrival[row])) / e, b, int(ctx.task_id[row]))
                 st.uncommit(row)
 
     dfs(0.0, 0, -1)

@@ -751,8 +751,6 @@ _TARGET_VALUES = itemgetter(
     "arrival_step",
 )
 _TARGET_TYPES = (int, dict, list, int, int, int, dict, int, int)
-_COORD_VALUES = itemgetter("ra", "dec")
-_MODE_VALUES = itemgetter("kind", "gap_minutes")
 _TASK_VALUES = itemgetter("id", "target_id", "rho", "arrival", "exposure", "deadline", "seq_index")
 _TASK_TYPES = (int, int, list, int, int, int, int)
 _BOOL = {bool}
@@ -764,7 +762,7 @@ def _target(rows: list, i: int) -> Target:
         v = tid, coord, filters, start, fade, exposure, mode, priority, arrival = _TARGET_VALUES(rows[i])
         fast = tuple(map(type, v)) == _TARGET_TYPES and _BOOL.issuperset(map(type, filters))
         if fast:
-            (ra, dec), (kind, gap) = _COORD_VALUES(coord), _MODE_VALUES(mode)
+            ra, dec, kind, gap = coord["ra"], coord["dec"], mode["kind"], mode["gap_minutes"]
             fast = (type(ra), type(dec), type(kind), type(gap)) == (float, float, str, int)
             fast = fast and -90.0 <= dec <= 90.0 and 0.0 <= ra < 360.0  # and so not NaN
     except (KeyError, TypeError):  # a missing field, or a row that is not an object

@@ -228,7 +228,8 @@ class SchedulingContext:
         one task on one site that visibility and the deadline allow,
         occupancy aside: a start at ``b`` keeps the whole exposure inside
         one visible run, no earlier than the arrival, and completes by
-        ``limit`` iff some interval holds ``b``."""
+        ``limit`` iff some interval holds ``b``.  A site outside
+        ``[0, n_sites)`` raises ValueError."""
         if not 0 <= site < self.n_sites:
             raise ValueError(f"site {site} is not in [0, {self.n_sites})")
         k = row * self.n_sites + site

@@ -196,6 +196,15 @@ def test_list_columns_match_their_arrays(n_sites, seed):
     check_list_columns(ctx)
 
 
+def test_a_deadline_past_the_horizon_limits_at_the_horizon():
+    # generated deadlines never pass the horizon, so only here do the
+    # ``deadline`` and ``limit`` columns differ
+    ctx = SchedulingContext(toy_scenario([(0, 10, U, 90)], horizon=60))
+    check_list_columns(ctx)
+    assert ctx.limit_list == [60] and ctx.last_start_list == [50]
+    assert [ctx.fits_statically(0, 0, b) for b in (50, 51)] == [None, "deadline"]
+
+
 class TestWindowIndex:
     """The static window index on hand-made visibility: target ``k`` is
     seen from site ``s`` over exactly the half-open step ranges
