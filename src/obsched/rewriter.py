@@ -187,12 +187,12 @@ def rewrite_step(
     # displaced set: tasks on the destination site that overlap the moved
     # interval AND share at least one required filter (others can legally
     # overlap and stay put), in repair order (old start, task id)
-    rho_r = ctx.rho[row]
+    rho_r = ctx.rho_bits[row]
     displaced = [
         r
         for r, (s, b) in st.committed.items()
         if r != row and s == dest_site and b < new_start + e and b + exposure[r] > new_start
-        and bool(np.any(rho_r & ctx.rho[r]))
+        and ctx.rho_bits[r] & rho_r
     ]
     displaced.sort(key=by_start)
     if any(task_id[r] in frozen for r in displaced):

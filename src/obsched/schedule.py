@@ -6,9 +6,11 @@ A schedule is stored as a value object (`ScheduleDag`): cheap to clone,
 never mutated after construction.  `Placement` is the one mutable
 placement model: every scheduler, the exhaustive oracle, the learned
 online loop and the rewriter take releases and fits from it, commit and
-uncommit rows on it and freeze the result with `to_dag`.  Outside it
-only `validate` (the independent reference) and `build_from_arrays`
-(the whole-dag array form) write an occupancy profile.  No visibility
+uncommit rows on it and freeze the result with `to_dag`.  It keeps its
+occupancy as one Python-int bitmask per (site, filter), bit ``b`` set
+while step ``b`` is busy, so a fit is a few big-int operations; only
+`validate` (the independent reference) and `build_from_arrays` (the
+whole-dag array form) write a numpy occupancy profile.  No visibility
 table is stored: the static window lookup, ``SchedulingContext.windows``,
 is one index per context built from the target predicate on the cells
 a task can start in, and every fit, static check, dispatcher drop test
@@ -113,7 +115,10 @@ class SchedulingContext:
     also a list of Python ints, ``<column>_list``, for the per-task reads
     of the schedulers, ``Placement`` and the rewriter: indexing a list is
     about ten times cheaper than making an int of a numpy scalar.
-    ``rho_idx[row]`` lists each task's filter indices.
+    ``rho_filters[row]`` lists each task's filter indices as a tuple of
+    Python ints, one shared tuple per distinct pattern, and
+    ``rho_bits[row]`` is the Python-int bitmask with bit ``f`` set iff
+    the task needs filter ``f``.
     """
 
     def __init__(self, scenario: Scenario, constraints: VisibilityConstraints | None = None):
@@ -152,11 +157,10 @@ class SchedulingContext:
         self.sibling_gap = np.array(sibling_gap, dtype=np.int64)
         self.row_of = {tid: r for r, tid in enumerate(ids)}
         self.rho = np.array(rho, dtype=bool).reshape(n, self.n_filters)
-        # each task's filter indices: one read-only array per distinct pattern
-        shared = {p: np.flatnonzero(p) for p in set(rho)}
-        for idx in shared.values():
-            idx.flags.writeable = False
-        self.rho_idx = [shared[p] for p in rho]
+        # each task's filter indices: one tuple per distinct pattern
+        shared = {p: tuple(f for f, on in enumerate(p) if on) for p in set(rho)}
+        self.rho_filters = [shared[p] for p in rho]
+        self.rho_bits = [sum(1 << f for f in fs) for fs in self.rho_filters]
 
         # each target's span as (target, step) cells, and the visible runs
         # of each site inside it as (target, first step, length)
@@ -269,29 +273,40 @@ class SchedulingContext:
 
 def earliest_feasible_start(
     ctx: SchedulingContext,
-    profile: np.ndarray,
+    busy: list[list[int]],
     row: int,
     site: int,
     lo: int,
 ) -> int | None:
     """Earliest start >= lo where the task fits: inside one visibility
     window, completing by min(deadline, horizon), with all its filters
-    free on the site for the whole exposure.  Sibling-cadence bounds must
-    be folded into ``lo`` by the caller.  Returns None when nothing fits.
+    free on the site for the whole exposure.  ``busy[site][f]`` is the
+    occupancy bitmask of filter ``f`` (``Placement.busy``).  Sibling-cadence
+    bounds must be folded into ``lo`` by the caller.  Returns None when
+    nothing fits.
     """
     e = ctx.exposure_list[row]
-    for first, last in ctx.windows(row, site):
+    windows = ctx.windows(row, site)  # raises for a site out of range, before busy[site] is read
+    masks = busy[site]
+    occ = 0
+    for f in ctx.rho_filters[row]:
+        occ |= masks[f]
+    for first, last in windows:
         if last < lo:
             continue
         first = max(first, lo)
-        occ = profile[site][ctx.rho_idx[row], first : last + e]  # every step a start may use
-        if not occ.any():
+        seg = (occ >> first) & ((1 << (last - first + e)) - 1)  # every step a start may use
+        if not seg:
             return first
-        occ_any = occ.max(axis=0) if occ.shape[0] > 1 else occ[0]
-        csum = np.concatenate(([0], np.cumsum(occ_any, dtype=np.int64)))
-        pos = np.flatnonzero(csum[e:] == csum[: last - first + 1])  # no busy step in [b, b + e)
-        if pos.size:
-            return first + int(pos[0])
+        # bit b of ``free``: steps [first + b, first + b + span) are all free
+        free, span = ~seg, 1
+        while span < e:
+            k = min(span, e - span)
+            free &= free >> k
+            span += k
+        free &= (1 << (last - first + 1)) - 1
+        if free:
+            return first + (free & -free).bit_length() - 1
     return None
 
 
@@ -448,22 +463,27 @@ class Placement:
     release (``release``) and of the fit (``fit``, the earliest start from
     a step; a task fits at ``b`` iff its fit from ``b`` is ``b``).
 
-    ``committed`` maps row -> (site, start), ``profile`` holds the
-    occupancy those commits make, and ``drops`` the dropped task ids in
-    drop order.  ``to_dag`` freezes the commits into a validated dag.
+    ``committed`` maps row -> (site, start), and ``drops`` holds the
+    dropped task ids in drop order.  ``busy[site][f]`` is the occupancy
+    the commits make on filter ``f`` of the site, as a Python-int bitmask:
+    bit ``b`` is set while step ``b`` is busy.  A commit ORs the task's
+    exposure bits into each of its filters and an uncommit clears them.
+    ``to_dag`` freezes the commits into a validated dag.
     """
 
     def __init__(self, ctx: SchedulingContext):
         self.ctx = ctx
-        self.profile = np.zeros((ctx.n_sites, ctx.n_filters, ctx.horizon), dtype=np.uint8)
+        self.busy = [[0] * ctx.n_filters for _ in range(ctx.n_sites)]
         self.committed: dict[int, tuple[int, int]] = {}
         self.drops: list[int] = []
 
     def load(self, dag: ScheduleDag) -> "Placement":
-        """Take over a dag's placements and a copy of its occupancy; drops
-        are kept."""
-        self.committed = dict(zip(dag.rows.tolist(), zip(dag.site.tolist(), dag.start.tolist())))
-        self.profile = dag.profile.copy()
+        """Take over a dag's placements and rebuild the occupancy from
+        them; drops are kept."""
+        self.busy = [[0] * self.ctx.n_filters for _ in range(self.ctx.n_sites)]
+        self.committed = {}
+        for row, site, start in zip(dag.rows.tolist(), dag.site.tolist(), dag.start.tolist()):
+            self.commit(row, site, start)
         return self
 
     def release(self, row: int, now: int = 0) -> int:
@@ -479,18 +499,23 @@ class Placement:
 
     def fit(self, row: int, site: int, lo: int) -> int | None:
         """Earliest start >= lo where the task fits on the site now."""
-        return earliest_feasible_start(self.ctx, self.profile, row, site, lo)
+        return earliest_feasible_start(self.ctx, self.busy, row, site, lo)
 
     def commit(self, row: int, site: int, start: int) -> None:
-        e = self.ctx.exposure_list[row]
-        self.profile[site][self.ctx.rho_idx[row], start : start + e] = 1
+        bits = ((1 << self.ctx.exposure_list[row]) - 1) << start
+        masks = self.busy[site]
+        for f in self.ctx.rho_filters[row]:
+            masks[f] |= bits
         self.committed[row] = (site, start)
 
     def uncommit(self, row: int) -> tuple[int, int]:
-        """Take a committed task out again; returns its (site, start)."""
+        """Take a committed task out again and free its cells; returns its
+        (site, start)."""
         site, start = self.committed.pop(row)
-        e = self.ctx.exposure_list[row]
-        self.profile[site][self.ctx.rho_idx[row], start : start + e] = 0
+        bits = ((1 << self.ctx.exposure_list[row]) - 1) << start
+        masks = self.busy[site]
+        for f in self.ctx.rho_filters[row]:
+            masks[f] &= ~bits
         return site, start
 
     def drop(self, row: int) -> None:
@@ -512,10 +537,8 @@ class Placement:
 
     def to_dag(self) -> ScheduleDag:
         """The committed placements as a validated dag."""
-        rows = np.array(sorted(self.committed), dtype=np.int64)
-        site = np.array([self.committed[r][0] for r in rows], dtype=np.int64)
-        start = np.array([self.committed[r][1] for r in rows], dtype=np.int64)
-        return build_from_arrays(self.ctx, rows, site, start)
+        placed = [(r, s, b) for r, (s, b) in sorted(self.committed.items())]
+        return build_from_arrays(self.ctx, *np.array(placed, dtype=np.int64).reshape(-1, 3).T)
 
 
 def build_dag(ctx: SchedulingContext, assignments: Iterable[Assignment]) -> ScheduleDag:
@@ -560,7 +583,7 @@ def validate(dag: ScheduleDag) -> list[Violation]:
         if bad is not None:
             out.append(Violation(bad, tid, f"task {tid} fails {bad} at site {s} step {b}"))
             continue
-        profile[s][ctx.rho_idx[r], b : b + int(ctx.exposure[r])] += 1
+        profile[s][ctx.rho[r], b : b + int(ctx.exposure[r])] += 1
         if b < release[i]:
             out.append(Violation("cadence", tid, f"task {tid} starts before sibling release"))
         e = int(ctx.exposure[r])

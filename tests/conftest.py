@@ -160,14 +160,18 @@ def run_left(ctx) -> np.ndarray:
 
 def fits_at(pl, row: int, site: int, start: int) -> bool:
     """The point check of a ``Placement``: whether the task fits
-    statically at (site, start) with all its filters free for the whole
-    exposure, release aside.  The package asks ``pl.fit(row, site,
-    start) == start`` instead; this is the tests' reference for it."""
+    statically at (site, start) and no committed task on the site shares
+    a filter with it over the exposure, release aside.  The package asks
+    ``pl.fit(row, site, start) == start`` instead; this is the tests'
+    reference for it, read from ``pl.committed`` alone."""
     ctx = pl.ctx
     if ctx.fits_statically(row, site, start) is not None:
         return False
-    e = int(ctx.exposure[row])
-    return not pl.profile[site][ctx.rho_idx[row], start : start + e].any()
+    end = start + int(ctx.exposure[row])
+    return not any(
+        s == site and b < end and start < b + int(ctx.exposure[r]) and (ctx.rho[r] & ctx.rho[row]).any()
+        for r, (s, b) in pl.committed.items()
+    )
 
 
 U = (True, False, False)

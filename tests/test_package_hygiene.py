@@ -94,6 +94,7 @@ HOT_PATHS = {
     "schedule": (
         "SchedulingContext.fits_statically",
         "earliest_feasible_start",
+        "Placement.load",
         "Placement.release",
         "Placement.commit",
         "Placement.uncommit",

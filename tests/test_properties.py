@@ -147,11 +147,11 @@ def _build_by_loop(ctx, rows, site, start) -> ScheduleDag:
             raise InfeasibleAssignmentError(tid, s, b, "deadline")
         if not vis[ctx.target_row[r], s, b : b + e].all():
             raise InfeasibleAssignmentError(tid, s, b, "visibility")
-        block = profile[s][ctx.rho_idx[r], b : b + e]
+        block = profile[s][ctx.rho[r], b : b + e]
         if block.any():
             step = b + int(np.argmax(block.max(axis=0) > 0))
             raise InfeasibleAssignmentError(tid, s, step, "resource")
-        profile[s][ctx.rho_idx[r], b : b + e] = 1
+        profile[s][ctx.rho[r], b : b + e] = 1
         release[i] = int(ctx.arrival[r])
         prev = int(ctx.prev_sibling[r])
         if prev in start_by_row:
@@ -273,6 +273,57 @@ def _check_point_fit(ctx, data):
 @given(scenarios(), st.data())
 def test_point_fit_agrees_with_the_earliest_fit(scenario, data):
     _check_point_fit(SchedulingContext(scenario), data)
+
+
+def _rebuilt_masks(pl) -> list[list[int]]:
+    """The occupancy bitmasks of ``pl.committed``, one step at a time from
+    the bool ``rho`` array."""
+    ctx = pl.ctx
+    out = [[0] * ctx.n_filters for _ in range(ctx.n_sites)]
+    for r, (s, b) in pl.committed.items():
+        for f in np.flatnonzero(ctx.rho[r]).tolist():
+            for step in range(b, b + int(ctx.exposure[r])):
+                out[s][f] |= 1 << step
+    return out
+
+
+def _check_masks_and_fit(ctx, data):
+    """After every op of a random commit/uncommit/load sequence, the
+    masks equal those rebuilt from ``committed``, and a task's fit from
+    ``lo`` is the first start ``b >= lo`` where ``fits_at`` holds.  A
+    commit takes a fit, so committed tasks never share a busy cell; a
+    load takes over the FCFS-list dag."""
+    if not ctx.n_tasks:
+        return
+    dag, _ = schedule_fcfs_list(ctx)
+    pl = Placement(ctx)
+    row, site, step = st.integers(0, ctx.n_tasks - 1), st.integers(0, ctx.n_sites - 1), st.integers(0, ctx.horizon)
+    for op in data.draw(st.lists(st.sampled_from(["commit", "commit", "uncommit", "load"]), max_size=12)):
+        if op == "load":
+            pl.load(dag)
+        elif op == "uncommit" and pl.committed:
+            pl.uncommit(data.draw(st.sampled_from(sorted(pl.committed))))
+        elif op == "commit":
+            r, s = data.draw(row), data.draw(site)
+            b = pl.fit(r, s, data.draw(step))
+            if r not in pl.committed and b is not None:
+                pl.commit(r, s, b)
+        assert pl.busy == _rebuilt_masks(pl), op
+        for r, s, lo in data.draw(st.lists(st.tuples(row, site, step), min_size=1, max_size=3)):
+            want = next((b for b in range(lo, ctx.horizon + 1) if fits_at(pl, r, s, b)), None)
+            assert pl.fit(r, s, lo) == want, (r, s, lo)
+
+
+@SETTINGS
+@given(scenarios(), st.data())
+def test_masks_and_fits_follow_commits(scenario, data):
+    _check_masks_and_fit(SchedulingContext(scenario), data)
+
+
+@SETTINGS
+@given(transit_contexts(), st.data())
+def test_masks_and_fits_follow_commits_where_windows_open(ctx, data):
+    _check_masks_and_fit(ctx, data)
 
 
 @SETTINGS

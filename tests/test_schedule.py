@@ -301,13 +301,81 @@ class TestWindowIndex:
         assert (ctx.last_start >= 0).any()
 
 
-def test_tasks_with_one_filter_pattern_share_one_read_only_index():
-    ctx = SchedulingContext(toy_scenario([(0, 5, UG), (3, 5, U), (9, 5, UG), (12, 5, G)]))
-    assert ctx.rho_idx[0] is ctx.rho_idx[2]
-    assert ctx.rho_idx[0].tolist() == [0, 1] and ctx.rho_idx[1].tolist() == [0]
-    assert ctx.rho_idx[3].tolist() == [1] and ctx.rho_idx[1] is not ctx.rho_idx[3]
-    with pytest.raises(ValueError, match="read-only"):
-        ctx.rho_idx[0][0] = 2
+def test_tasks_with_one_filter_pattern_share_one_filter_tuple():
+    ctx = SchedulingContext(toy_scenario([(0, 5, UG), (3, 5, U), (9, 5, UG), (12, 5, (True, False, True))]))
+    assert ctx.rho_filters == [(0, 1), (0,), (0, 1), (0, 2)]
+    assert ctx.rho_filters[0] is ctx.rho_filters[2] and ctx.rho_filters[1] is not ctx.rho_filters[3]
+    assert all(type(f) is int for fs in ctx.rho_filters for f in fs)
+    assert ctx.rho_bits == [0b011, 0b001, 0b011, 0b101] and all(type(b) is int for b in ctx.rho_bits)
+    with pytest.raises(TypeError):
+        ctx.rho_filters[0][0] = 2
+
+
+class TestPlacementOccupancy:
+    """``Placement.busy``: one bitmask per (site, filter), bit ``b`` set
+    while step ``b`` is busy, and the fit read from it."""
+
+    def test_commit_sets_and_uncommit_clears_the_exposure_bits(self):
+        pl = Placement(SchedulingContext(toy_scenario([(0, 5, UG), (0, 3, I)], n_sites=2)))
+        pl.commit(0, 1, 10)
+        pl.commit(1, 1, 12)
+        assert pl.busy == [[0, 0, 0], [0b11111 << 10, 0b11111 << 10, 0b111 << 12]]
+        assert pl.uncommit(0) == (1, 10)
+        assert pl.busy == [[0, 0, 0], [0, 0, 0b111 << 12]]
+
+    def test_uncommit_frees_every_cell_of_the_task(self):
+        # commit writes unchecked: two tasks made to overlap on filter U
+        # leave it free once both are taken out, in either order
+        for order in ((0, 1), (1, 0)):
+            pl = Placement(SchedulingContext(toy_scenario([(0, 5, U), (0, 5, UG)])))
+            pl.commit(0, 0, 0)
+            pl.commit(1, 0, 3)
+            for r in order:
+                pl.uncommit(r)
+            assert pl.busy == [[0, 0, 0]], order
+
+    def test_load_rebuilds_the_masks_from_the_placements(self):
+        ctx = SchedulingContext(toy_scenario([(0, 5, UG), (0, 4, (False, True, True)), (2, 2, U)], n_sites=2))
+        dag = build_dag(ctx, [Assignment(0, 0, 0), Assignment(1, 1, 3), Assignment(2, 0, 5)])
+        pl = Placement(ctx)
+        pl.commit(2, 1, 30)  # replaced by the load
+        pl.load(dag)
+        assert pl.committed == {0: (0, 0), 1: (1, 3), 2: (0, 5)}
+        assert pl.busy == [[0b1111111, 0b11111, 0], [0, 0b1111 << 3, 0b1111 << 3]]
+        for s in range(ctx.n_sites):
+            for f in range(ctx.n_filters):
+                assert pl.busy[s][f] == int("".join("1" if c else "0" for c in dag.profile[s, f][::-1]), 2)
+
+    def test_an_exposure_of_one_step(self):
+        pl = Placement(SchedulingContext(toy_scenario([(0, 1, U), (0, 5, U)])))
+        pl.commit(1, 0, 0)
+        assert [pl.fit(0, 0, lo) for lo in (0, 4, 5, 59, 60)] == [5, 5, 5, 59, None]
+        pl.busy[0][0] |= (1 << 60) - (1 << 5)
+        assert pl.fit(0, 0, 0) is None
+
+    def test_several_filters_must_all_be_free(self):
+        pl = Placement(SchedulingContext(toy_scenario([(0, 3, UG), (0, 3, U)])))
+        pl.busy[0][0] = 0b11111  # U busy over [0, 5)
+        pl.busy[0][1] = 0b11111 << 5  # G busy over [5, 10)
+        assert pl.fit(0, 0, 0) == 10 and pl.fit(1, 0, 0) == 5 and pl.fit(1, 0, 7) == 7
+
+    def test_a_free_run_one_step_short_of_the_exposure(self):
+        pl = Placement(SchedulingContext(toy_scenario([(0, 5, U)])))
+        pl.busy[0][0] = ((1 << 10) - 1) | (((1 << 6) - 1) << 14)  # free over [10, 14) and from 20
+        assert pl.fit(0, 0, 0) == 20 and pl.fit(0, 0, 11) == 20
+        pl.busy[0][0] &= ~(1 << 14)  # now [10, 15) is free
+        assert pl.fit(0, 0, 0) == 10 and pl.fit(0, 0, 11) == 20
+
+    def test_windows_that_end_at_the_limit(self):
+        # deadline 30: the window is [0, 25] and its last start ends at 30
+        pl = Placement(SchedulingContext(toy_scenario([(0, 5, U, 30)])))
+        assert pl.ctx.windows(0, 0) == [(0, 25)]
+        pl.busy[0][0] = 1 << 29  # the last step of the last start
+        assert pl.fit(0, 0, 0) == 0 and pl.fit(0, 0, 24) == 24 and pl.fit(0, 0, 25) is None
+        pl.busy[0][0] = ((1 << 30) - 1) ^ (((1 << 5) - 1) << 25)  # only [25, 30) free
+        assert pl.fit(0, 0, 0) == 25 and pl.fit(0, 0, 25) == 25 and pl.fit(0, 0, 26) is None
+        pl.busy[0][0] |= 1 << 25
+        assert pl.fit(0, 0, 0) is None and pl.fit(0, 0, 20) is None
 
 
 class TestBuildAndEdges:
