@@ -35,6 +35,7 @@ from .policy import (
     PolicyConfig,
     PolicyNet,
     TrainConfig,
+    check_exposures,
     default_workers,
     load_checkpoint,
     read_checkpoint_header,
@@ -173,15 +174,12 @@ def run_online(
         if audit is not None:
             audit.append(("freeze", t, task_id[r], s, b))
 
-    by_arrival: dict[int, list[int]] = {}
-    for r, a in enumerate(arrival):
-        by_arrival.setdefault(a, []).append(r)
     dag = None  # the last re-plan's dag while ``st`` still holds exactly it
 
     for t in range(ctx.horizon):
         # completions of frozen tasks are re-plan triggers too
         events = t in frozen_done
-        for r in sorted(by_arrival.get(t, ()), key=task_id.__getitem__):
+        for r in ctx.arriving[t]:
             st.place(r, t)
             dag = None
             if r in st.committed:
@@ -200,11 +198,13 @@ def run_online(
         if events and pending:
             if dag is None:
                 dag = st.to_dag()
-            dag, _ = rewrite_search(
+            best, _ = rewrite_search(
                 dag, net, replan_cfg, rng, greedy=True, now=t,
                 frozen=frozenset(task_id[r] for r in st.committed if r not in pending),
             )
-            st.load(dag)
+            if best is not dag:  # else ``st`` already holds it
+                dag = best
+                st.load(dag)
 
         for r in [r for r in pending if st.committed[r][1] == t]:
             freeze(r, t)  # starts now: no preemption from here on
@@ -256,8 +256,9 @@ _BENCH_FIELDS = {
 
 def _check_bench_checkpoint(checkpoint: str | None, scheduler: str, gen_cfgs: dict) -> None:
     """Reject, before any cell runs, a checkpoint the learned ``scheduler``
-    cannot use: none given, a file whose header does not read, or a net
-    whose sites or filters differ from a variant's scenarios."""
+    cannot use: none given, a file whose header does not read, a net
+    whose sites or filters differ from a variant's scenarios, or one
+    whose ``e_max`` a variant's exposures can exceed."""
     if checkpoint is None:
         raise ScenarioError(f"checkpoint: scheduler {scheduler!r} needs one")
     try:
@@ -273,6 +274,7 @@ def _check_bench_checkpoint(checkpoint: str | None, scheduler: str, gen_cfgs: di
                 f"checkpoint: {checkpoint!r} holds a {net_cfg.n_sites}-site, {net_cfg.n_filters}-filter "
                 f"net, but variant {vname!r} has {cfg.num_sites} sites and {cfg.num_filters} filters"
             )
+        check_exposures(cfg, net_cfg.e_max, f"variant {vname!r}: ")
 
 
 def run_benchmark(config: dict, out_dir, *, workers: int | None = None, log=None) -> list[BenchRow]:

@@ -116,35 +116,30 @@ def schedule_online_heuristic(
     Returns the schedule and the ids of dropped tasks.  Deterministic for
     a given scenario and rule pair.
 
-    Each queued task gets one fit per site from ``t``: the sites whose
-    fit is ``t`` can start it now.  A task that no site fits at ``t`` is
-    not tested again before its wake step, the least of those fits (the
-    horizon when there is none): a fit from ``t`` that is not ``t`` is
-    the earliest start after ``t`` on its site.  That skips no start: the
-    occupancy only grows during the run (commits, never an uncommit), so
-    a start that does not fit now never fits later.  The fit ignores the
-    release, which only rises as siblings commit, so the wake stays a
-    lower bound whatever the task's previous sibling does afterwards.
+    Each step makes one pass, in rank order, over the queued tasks that
+    are due (``wake[r] <= t``), and commits each one that can start at
+    ``t``: occupancy and releases only grow (commits, never an uncommit),
+    so a task that cannot start at ``t`` cannot after a later commit at
+    ``t`` either.  A due task gets one fit per site from ``t``: the sites
+    whose fit is ``t`` can start it now.  Otherwise the least fit (the
+    horizon when there is none) is its wake step: no later commit makes a
+    fit earlier, and the fit ignores the release, so the wake is a lower
+    bound on the task's start.
     """
     if queue_cap < 1:
         raise ValueError("queue_cap must be >= 1")
     scenario = ctx.scenario
     st = Placement(ctx)
-    task_id, prev_sibling, last_start = ctx.task_id_list, ctx.prev_sibling_list, ctx.last_start_list
+    prev_sibling, last_start = ctx.prev_sibling_list, ctx.last_start_list
     rank = [rank_key(task_rule, task, scenario.targets[tr]) for task, tr in zip(scenario.tasks, ctx.target_row_list)]
     key = rank.__getitem__
-
-    by_arrival: dict[int, list[int]] = {}
-    for r, a in enumerate(ctx.arrival_list):
-        by_arrival.setdefault(a, []).append(r)
 
     # a task waits while its previous sibling is still queued: siblings
     # arrive strictly later, so every other previous sibling is decided
     queue: list[int] = []
     wake = [0] * ctx.n_tasks  # no site fits a queued task before this step
     for t in range(ctx.horizon):
-        for r in sorted(by_arrival.get(t, ()), key=task_id.__getitem__):
-            queue.append(r)
+        queue.extend(ctx.arriving[t])
 
         # overflow: the rule forces tasks out until the queue fits again
         while len(queue) > queue_cap:
@@ -153,21 +148,17 @@ def schedule_online_heuristic(
             st.place(victim, t, _site_key(ctx, victim, site_rule))
             queue.remove(victim)
 
-        # start every task that can begin right now, best-ranked first
-        while True:
-            startable: list[tuple[int, list[int]]] = []
-            for r in queue:
-                if t < wake[r] or prev_sibling[r] in queue or st.release(r) > t:
-                    continue
-                fit = [st.fit(r, s, t) for s in range(ctx.n_sites)]
-                sites_now = [s for s, b in enumerate(fit) if b == t]
-                if sites_now:
-                    startable.append((r, sites_now))
-                else:
-                    wake[r] = min((b for b in fit if b is not None), default=ctx.horizon)
-            if not startable:
-                break
-            r, sites_now = min(startable, key=lambda rs: key(rs[0]))
+        # start every task that can begin right now, best-ranked first.  A
+        # task whose previous sibling is queued cannot: the sibling stays
+        # queued, or starts now and puts the task's release past t
+        for r in sorted([r for r in queue if wake[r] <= t and prev_sibling[r] not in queue], key=key):
+            if st.release(r) > t:
+                continue
+            fit = [st.fit(r, s, t) for s in range(ctx.n_sites)]
+            sites_now = [s for s, b in enumerate(fit) if b == t]
+            if not sites_now:
+                wake[r] = min((b for b in fit if b is not None), default=ctx.horizon)
+                continue
             # every candidate starts at t: without a rule the lowest site
             # wins, and a lone site needs no key
             sb = (sites_now[0], t)

@@ -37,7 +37,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .heuristics import schedule_fcfs_list
 from .rewriter import SearchConfig, TrajectoryStep, pc_at, rewrite_search
-from .scenario import GenConfig, generate_scenario, read_field
+from .scenario import GenConfig, ScenarioError, generate_scenario, read_field
 from .schedule import (
     DEFAULT_E_MAX,
     ScheduleDag,
@@ -546,6 +546,20 @@ def _instance_seed(base: int, *branch: int) -> int:
     return int(np.random.SeedSequence([base, *branch]).generate_state(1, np.uint64)[0])
 
 
+def check_exposures(gen_cfg: GenConfig, e_max: int, where: str = "") -> None:
+    """Reject a generation config that can draw an exposure longer than a
+    policy's ``e_max``, before any work; a range counts only if
+    ``exposure_long_frac`` lets it be drawn.  The ScenarioError names the
+    range, after ``where``."""
+    for name, drawn in (
+        ("exposure_long_range", gen_cfg.exposure_long_frac > 0),
+        ("exposure_short_range", gen_cfg.exposure_long_frac < 1),
+    ):
+        hi = getattr(gen_cfg, name)[1]
+        if drawn and hi > e_max:
+            raise ScenarioError(f"{where}{name}: can draw an exposure of {hi}, above the policy's e_max {e_max}")
+
+
 def _training_instance(gen_cfg: GenConfig, seed_int: int):
     """Scenario + FCFS initial schedule; resamples (deterministically)
     until the initial schedule has at least two tasks to rewrite."""
@@ -657,6 +671,7 @@ def train(
             n_sites=gen_cfg.num_sites,
             distributed=gen_cfg.num_sites > 1,
         )
+    check_exposures(gen_cfg, policy_cfg.e_max)
     net = PolicyNet(policy_cfg, seed=seed)
     flat = net.flat()
     adam = Adam(flat.size)

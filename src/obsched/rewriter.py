@@ -219,10 +219,7 @@ def rewrite_step(
     else:
         return dag, REJECTED
 
-    try:
-        return st.to_dag(), APPLIED
-    except ValueError:
-        return dag, REJECTED
+    return st.to_dag(), APPLIED
 
 
 class RandomPolicy:

@@ -102,13 +102,16 @@ class SchedulingContext:
     the intervals of starts that visibility, arrival and deadline allow,
     ``last_start[row]`` is the latest of them over every site (-1 when
     there is none), and ``fits_statically`` is the point check over them.
-    ``airmass`` and ``visible`` evaluate one cell on demand.  The
-    sibling-cadence release depends on what is committed, so it lives on
-    ``Placement``.
+    ``airmass`` and ``visible`` evaluate one cell on demand.  A task
+    starts no earlier than its previous sibling's start plus its
+    ``cadence_gap``: that sibling's exposure plus its target's
+    ``mode.sibling_gap``, 0 for a first sibling (``Placement.release``
+    adds it to what is committed).  ``arriving[t]`` lists the rows
+    arriving at step ``t`` in task-id order.
 
     The task columns are read in one pass over the tasks and kept twice.
     The int64 arrays ``task_id``, ``arrival``, ``exposure``, ``deadline``,
-    ``limit``, ``target_row``, ``prev_sibling``, ``sibling_gap`` and
+    ``limit``, ``target_row``, ``prev_sibling``, ``cadence_gap`` and
     ``last_start``, and the (task, filter) bool array ``rho``, serve the
     whole-array passes (``build_from_arrays``, the window index,
     ``embedding_matrix``).  Each column but ``deadline`` and ``rho`` is
@@ -140,22 +143,24 @@ class SchedulingContext:
         ids, arrival, exposure, deadline, target_row, seq, rho = (
             map(list, zip(*cols)) if n else ([] for _ in range(7))
         )
-        # previous sibling (same target, seq_index - 1) and the minimum idle
-        # gap required after it completes (0 for exposure-count mode)
+        # previous sibling (same target, seq_index - 1) and the cadence gap
         row_at = {key: r for r, key in enumerate(seq)}
         prev_sibling = [row_at.get((tid, k - 1), -1) for tid, k in seq]
         gap = [t.mode.sibling_gap for t in scenario.targets]
-        sibling_gap = [gap[tr] if p >= 0 else 0 for p, tr in zip(prev_sibling, target_row)]
+        cadence_gap = [exposure[p] + gap[tr] if p >= 0 else 0 for p, tr in zip(prev_sibling, target_row)]
         limit = [min(d, self.horizon) for d in deadline]  # latest completion
         self.task_id_list, self.arrival_list, self.exposure_list = ids, arrival, exposure
         self.limit_list, self.target_row_list = limit, target_row
-        self.prev_sibling_list, self.sibling_gap_list = prev_sibling, sibling_gap
+        self.prev_sibling_list, self.cadence_gap_list = prev_sibling, cadence_gap
         self.task_id, self.arrival, self.exposure, self.deadline, self.limit, self.target_row = (
             np.array(c, dtype=np.int64) for c in (ids, arrival, exposure, deadline, limit, target_row)
         )
         self.prev_sibling = np.array(prev_sibling, dtype=np.int64)
-        self.sibling_gap = np.array(sibling_gap, dtype=np.int64)
+        self.cadence_gap = np.array(cadence_gap, dtype=np.int64)
         self.row_of = {tid: r for r, tid in enumerate(ids)}
+        self.arriving = [[] for _ in range(self.horizon)]
+        for r in sorted(range(n), key=ids.__getitem__):
+            self.arriving[arrival[r]].append(r)
         self.rho = np.array(rho, dtype=bool).reshape(n, self.n_filters)
         # each task's filter indices: one tuple per distinct pattern
         shared = {p: tuple(f for f, on in enumerate(p) if on) for p in set(rho)}
@@ -409,9 +414,7 @@ def build_from_arrays(ctx: SchedulingContext, rows, site, start) -> ScheduleDag:
     j = np.flatnonzero(prev >= 0)
     j = j[pos[prev[j]] >= 0]
     release = arrival.copy()
-    release[j] = np.maximum(
-        arrival[j], start[pos[prev[j]]] + ctx.exposure[prev[j]] + ctx.sibling_gap[rows[j]]
-    )
+    release[j] = np.maximum(arrival[j], start[pos[prev[j]]] + ctx.cadence_gap[rows[j]])
 
     if not ok.all() or np.count_nonzero(profile) != keys.size or (start < release).any():
         _raise_first_violation(ctx, rows, site, start, ok, release, ci, ck, keys)
@@ -494,7 +497,7 @@ class Placement:
         rel = max(int(now), ctx.arrival_list[row])
         prev = ctx.prev_sibling_list[row]
         if prev in self.committed:
-            rel = max(rel, self.committed[prev][1] + ctx.exposure_list[prev] + ctx.sibling_gap_list[row])
+            rel = max(rel, self.committed[prev][1] + ctx.cadence_gap_list[row])
         return rel
 
     def fit(self, row: int, site: int, lo: int) -> int | None:
@@ -577,7 +580,7 @@ def validate(dag: ScheduleDag) -> list[Violation]:
         release[i] = int(ctx.arrival[r])
         prev = int(ctx.prev_sibling[r])
         if prev >= 0 and prev in start_by_row:
-            gap = int(ctx.exposure[prev]) + int(ctx.sibling_gap[r])
+            gap = int(ctx.exposure[prev]) + ctx.scenario.targets[int(ctx.target_row[r])].mode.sibling_gap
             release[i] = max(release[i], start_by_row[prev] + gap)
         bad = static[i] = ctx.fits_statically(r, s, b)
         if bad is not None:

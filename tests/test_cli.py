@@ -331,6 +331,22 @@ class TestBenchmark:
         (row,) = run_benchmark(config, tmp_path / "rep", workers=1)
         assert row.instances == 1
 
+    def test_exposure_beyond_the_checkpoints_e_max_rejected_before_work(self, tmp_path):
+        # every cell of such a variant used to fail inside the run, each
+        # recorded as failed, instead of the run refusing to start
+        from obsched.policy import save_checkpoint
+
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(PolicyNet(PolicyConfig(hidden=4, n_filters=3, n_sites=1, e_max=12)), path)
+        config = {"gen": GEN, "seeds": {"count": 1}, "schedulers": ["fcfs", "roars"], "checkpoint": str(path),
+                  "variants": {"short": {"exposure_long_frac": 0.0}, "long": {}}}
+        with pytest.raises(ScenarioError, match=r"^variant 'long': exposure_long_range: can draw an exposure of 20, above the policy's e_max 12$"):
+            run_benchmark(config, tmp_path / "rep", workers=1)
+        assert not (tmp_path / "rep").exists()
+        del config["variants"]["long"]
+        rows = run_benchmark(config, tmp_path / "rep", workers=1)
+        assert [row.instances for row in rows] == [1, 1]
+
     def test_min_altitude_below_airmass_domain_rejected(self):
         # -6.07995 deg is the lowest cutoff accepted (the Kasten-Young pole);
         # airmass itself is taken at max(alt, 0)

@@ -87,6 +87,16 @@ class TestOnline:
         by_task = {t: int(dag.start[i]) for i, t in enumerate(dag.task_ids)}
         assert by_task[0] == 0 and by_task[1] == 9
 
+    def test_one_start_pass_goes_in_rank_order(self):
+        # at step 0 tasks 0 and 1 could each start on U, and task 2 on G.
+        # Under STF task 1 ranks first, though it queues after task 0, and
+        # its commit blocks task 0; the pass goes on past task 0 and still
+        # starts task 2, which ranks last
+        s = toy_scenario([(0, 9, U), (0, 3, U), (0, 12, G)])
+        dag, drops = schedule_online_heuristic(SchedulingContext(s), TaskRule.STF)
+        assert drops == []
+        assert dict(zip(dag.task_ids, dag.start.tolist())) == {0: 3, 1: 0, 2: 0}
+
     def test_queue_overflow_forces_commitment(self):
         # 12 one-filter tasks arrive together; W=10 forces two immediate
         # commitments, and everything still serializes feasibly

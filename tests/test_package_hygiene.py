@@ -106,7 +106,7 @@ HOT_PATHS = {
     "rewriter": ("rewrite_step",),
 }
 ARRAY_COLUMNS = {
-    "task_id", "arrival", "exposure", "deadline", "limit", "rho", "target_row", "prev_sibling", "sibling_gap",
+    "task_id", "arrival", "exposure", "deadline", "limit", "rho", "target_row", "prev_sibling", "cadence_gap",
     "last_start",
 }
 ORDER = (ast.Lt, ast.Gt, ast.LtE, ast.GtE)

@@ -830,6 +830,38 @@ class TestTrainerMechanics:
         assert step == int(rows[vals.index(min(vals))][0])
         assert len(saved_steps) == len(curve) == 3 and saved_steps[-1] == step
 
+    @pytest.mark.parametrize(
+        "field, fields",
+        [
+            ("exposure_long_range", {"exposure_long_range": (25, 30)}),
+            ("exposure_short_range", {"exposure_short_range": (1, 21), "exposure_long_frac": 0.0}),
+        ],
+    )
+    def test_exposure_beyond_e_max_rejected_before_any_work(self, monkeypatch, field, fields):
+        # such a config used to train until a long task was first drawn,
+        # and then die with only "task exposure 30 exceeds e_max 20"
+        from obsched import policy
+        from obsched.scenario import GenConfig, ScenarioError
+
+        def no_work(*args, **kw):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(policy, "generate_scenario", no_work)
+        gen = GenConfig(horizon_steps=60, arrival_prob=0.25, **fields)
+        hi = fields[field][1]
+        with pytest.raises(ScenarioError, match=rf"^{field}: can draw an exposure of {hi}, above the policy's e_max 20$"):
+            policy.train(gen, TrainConfig(batch=2, episode_len=5, steps=1), SearchConfig(num_steps=10), CFG, workers=1)
+
+    def test_exposure_range_that_cannot_be_drawn_is_not_checked(self):
+        from obsched.policy import check_exposures
+        from obsched.scenario import GenConfig, ScenarioError
+
+        check_exposures(GenConfig(exposure_long_range=(25, 30), exposure_long_frac=0.0), 20)
+        check_exposures(GenConfig(exposure_short_range=(1, 25), exposure_long_frac=1.0), 20)
+        check_exposures(GenConfig(exposure_long_range=(10, 20)), 20)
+        with pytest.raises(ScenarioError, match=r"^exposure_long_range: .* 21, .* e_max 20$"):
+            check_exposures(GenConfig(exposure_long_range=(10, 21), exposure_long_frac=0.01), 20)
+
     def test_negative_validation_count_is_named(self):
         from obsched.scenario import GenConfig, ScenarioError
         from obsched.policy import train

@@ -155,7 +155,7 @@ def _build_by_loop(ctx, rows, site, start) -> ScheduleDag:
         release[i] = int(ctx.arrival[r])
         prev = int(ctx.prev_sibling[r])
         if prev in start_by_row:
-            gap = int(ctx.exposure[prev]) + int(ctx.sibling_gap[r])
+            gap = int(ctx.exposure[prev]) + ctx.scenario.targets[int(ctx.target_row[r])].mode.sibling_gap
             release[i] = max(release[i], start_by_row[prev] + gap)
         if b < release[i]:
             raise InfeasibleAssignmentError(tid, s, b, "cadence")

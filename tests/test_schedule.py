@@ -174,7 +174,7 @@ def check_window_index(ctx, left=None):
 
 #: the task columns a context keeps as Python lists beside their arrays,
 #: for the per-task scalar reads of the schedulers
-LIST_COLUMNS = ("task_id", "arrival", "exposure", "limit", "target_row", "prev_sibling", "sibling_gap", "last_start")
+LIST_COLUMNS = ("task_id", "arrival", "exposure", "limit", "target_row", "prev_sibling", "cadence_gap", "last_start")
 
 
 def check_list_columns(ctx):
@@ -192,8 +192,33 @@ def check_list_columns(ctx):
 def test_list_columns_match_their_arrays(n_sites, seed):
     cfg = GenConfig(horizon_steps=240, num_sites=n_sites, arrival_prob=0.2, mode_exposure_count_frac=0.5)
     ctx = SchedulingContext(generate_scenario(cfg, seed))
-    assert ctx.n_tasks and ctx.prev_sibling.max() >= 0 and ctx.sibling_gap.max() > 0
+    # siblings share one exposure, so a gap above it is a cadence-mode one
+    assert ctx.n_tasks and ctx.prev_sibling.max() >= 0 and (ctx.cadence_gap > ctx.exposure).any()
     check_list_columns(ctx)
+
+
+@pytest.mark.parametrize("n_sites", [1, 5])
+def test_cadence_gap_matches_the_scenarios_own_targets(n_sites):
+    cfg = GenConfig(horizon_steps=240, num_sites=n_sites, arrival_prob=0.2, mode_exposure_count_frac=0.5)
+    s = generate_scenario(cfg, 1)
+    targets = {t.id: t for t in s.targets}
+    task_at = {(t.target_id, t.seq_index): t for t in s.tasks}
+    want = []
+    for t in s.tasks:
+        prev = task_at.get((t.target_id, t.seq_index - 1))
+        want.append(0 if prev is None else prev.exposure + targets[t.target_id].mode.sibling_gap)
+    assert 0 in want and any(g > t.exposure for g, t in zip(want, s.tasks))  # first and cadence-mode siblings
+    assert SchedulingContext(s).cadence_gap_list == want
+
+
+def test_arriving_lists_each_steps_rows_in_task_id_order():
+    # the rows reversed, so that task-id order runs against row order
+    s = toy_scenario([(3, 2, U), (0, 2, G), (3, 2, G), (5, 2, U), (3, 4, I)])
+    ctx = SchedulingContext(replace(s, tasks=tuple(reversed(s.tasks))))
+    tid = ctx.task_id_list
+    want = [sorted((r for r in range(ctx.n_tasks) if ctx.arrival_list[r] == t), key=tid.__getitem__) for t in range(ctx.horizon)]
+    assert ctx.arriving == want
+    assert [tid[r] for r in ctx.arriving[3]] == [0, 2, 4] and ctx.arriving[3] == [4, 2, 0]
 
 
 def test_a_deadline_past_the_horizon_limits_at_the_horizon():
